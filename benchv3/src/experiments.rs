@@ -1,6 +1,6 @@
 //! `experiments`: `fig4`, `fig5` and every `examples/specs/*.json` at paper scale,
-//! each run the way `Session::run_spec` runs it (plan → execute → package) and
-//! rendered the way `ccache run` writes it.
+//! each planned and run through `Session::run_plan` and rendered the way `ccache run`
+//! does it.
 //!
 //! The inputs are fixed by the paper, so the workload seed is ignored.
 
@@ -137,22 +137,17 @@ impl Workload for Experiments {
     }
 }
 
-/// Runs `spec` the way `Session::run_spec` does (plan → execute → package), one span
-/// per step, and renders the artefact the way `ccache run` writes it.
+/// Runs `spec` the way `ccache run` does (`exp::plan`, then `Session::run_plan`), one
+/// span per step, and renders the artefact the way `ccache run` writes it.
 pub fn run_spec(
     tr: &mut Tracer,
     session: &Session,
     spec: &ExperimentSpec,
 ) -> Result<(Artefact, String), String> {
     let plan = tr.span("exp.plan", |_| column_caching::exp::plan(spec));
-    let outcomes = tr
-        .span("exp.execute", |_| {
-            column_caching::exp::execute(&plan, &session.exec_options())
-        })
+    let artefact = tr
+        .span("exp.execute", |_| session.run_plan(spec, plan))
         .map_err(|e| e.to_string())?;
-    let artefact = tr.span("exp.package", |_| {
-        Artefact::new(spec.clone(), session.quick(), plan, outcomes)
-    });
     let text = tr.span("exp.serialize", |_| artefact.to_json().pretty());
     Ok((artefact, text))
 }

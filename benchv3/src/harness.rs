@@ -64,7 +64,14 @@ pub fn alloc_totals() -> (u64, u64) {
     )
 }
 
-/// The most heap memory the process has held live at once, in MiB.
+/// Starts a new heap peak at what is live now, so the next `peak_heap_mb` covers only
+/// the work in between.
+pub fn reset_peak_heap() {
+    PEAK_BYTES.store(LIVE_BYTES.load(Ordering::Relaxed), Ordering::Relaxed);
+}
+
+/// The most heap memory the process has held live at once since the last
+/// `reset_peak_heap`, in MiB.
 pub fn peak_heap_mb() -> f64 {
     PEAK_BYTES.load(Ordering::Relaxed) as f64 / (1024.0 * 1024.0)
 }
@@ -153,40 +160,6 @@ pub fn ratio(num: f64, den: f64) -> f64 {
         0.0
     } else {
         num / den
-    }
-}
-
-/// SplitMix64: the benchmark's own seeded generator for workload inputs.
-pub struct Rng(u64);
-
-impl Rng {
-    pub fn new(seed: u64) -> Self {
-        Rng(seed)
-    }
-
-    pub fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform in `0..n` (`n > 0`).
-    pub fn below(&mut self, n: usize) -> usize {
-        (self.next_u64() % n as u64) as usize
-    }
-
-    /// A uniformly chosen element.
-    pub fn pick<T: Copy>(&mut self, items: &[T]) -> T {
-        items[self.below(items.len())]
-    }
-
-    /// Fisher–Yates shuffle.
-    pub fn shuffle<T>(&mut self, items: &mut [T]) {
-        for i in (1..items.len()).rev() {
-            items.swap(i, self.below(i + 1));
-        }
     }
 }
 

@@ -291,25 +291,28 @@ fn setup<W: Workload>(ctx: &Ctx) -> Result<(W, f64), String> {
     Ok((w, t.elapsed().as_secs_f64()))
 }
 
-/// One pass with its untimed prologue and epilogue; returns the pass wall time.
+/// One pass with its untimed prologue and epilogue; returns the pass wall time in
+/// seconds and the heap peak of the pass alone in MiB (set-up and checks excluded).
 fn one_pass<W: Workload>(
     w: &mut W,
     tr: &mut Tracer,
     log: &mut PassLog,
     checks: &mut Checks,
     setup_samples: &mut Vec<f64>,
-) -> Result<f64, String> {
+) -> Result<(f64, f64), String> {
     if let Some(sample) = w.begin_pass()? {
         setup_samples.push(sample);
     }
+    harness::reset_peak_heap();
     let t = Instant::now();
     let outcome = w.pass(tr, log);
     let wall = t.elapsed().as_secs_f64();
+    let peak = harness::peak_heap_mb();
     match outcome {
         Ok(()) => {
             checks.attempted += log.latencies_ms.len() as u64;
             w.end_pass(checks);
-            Ok(wall)
+            Ok((wall, peak))
         }
         Err(e) => {
             checks.fail(format!("pass failed: {e}"));
@@ -339,16 +342,13 @@ fn untraced<W: Workload>(
     let budget = Duration::from_secs_f64(args.seconds);
     let start = Instant::now();
     // Per-pass statistics, reported as medians over the passes.
-    let (mut walls, mut ops, mut p50, mut p99) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+    let (mut walls, mut peaks) = (Vec::new(), Vec::new());
+    let (mut ops, mut p50, mut p99) = (Vec::new(), Vec::new(), Vec::new());
     while walls.len() < 3 || start.elapsed() < budget {
         let mut log = PassLog::default();
-        walls.push(one_pass(
-            &mut w,
-            &mut off,
-            &mut log,
-            checks,
-            &mut setup_samples,
-        )?);
+        let (wall, peak) = one_pass(&mut w, &mut off, &mut log, checks, &mut setup_samples)?;
+        walls.push(wall);
+        peaks.push(peak);
         ops.push(log.latencies_ms.len() as f64);
         p50.push(harness::median(&log.latencies_ms));
         p99.push(harness::quantile(&log.latencies_ms, 0.99));
@@ -360,7 +360,7 @@ fn untraced<W: Workload>(
     let wall = harness::median(&walls);
     m.set("setup_s", harness::median(&setup_samples), "s");
     m.set("wall_s", wall, "s");
-    m.set("peak_heap_mb", harness::peak_heap_mb(), "MiB");
+    m.set("peak_heap_mb", harness::median(&peaks), "MiB");
     m.set("ops_per_s", harness::median(&ops) / wall, "1/s");
     m.set("latency_p50_ms", harness::median(&p50), "ms");
     m.set("latency_p99_ms", harness::median(&p99), "ms");
@@ -425,19 +425,20 @@ fn traced<W: Workload>(
     while traced_walls.len() < 2 || start.elapsed() < budget {
         let mut log = PassLog::default();
         let cpu0 = harness::cpu_time();
-        let t = one_pass(&mut w, &mut off, &mut log, checks, &mut setup_samples)?;
+        let (t, _) = one_pass(&mut w, &mut off, &mut log, checks, &mut setup_samples)?;
         cpu += harness::cpu_time().saturating_sub(cpu0);
         wall += t;
         plain.push(t);
         samples += log.latencies_ms.len();
         let mut tr = Tracer::new(true, 0, origin);
-        traced_walls.push(one_pass(
+        let (t, _) = one_pass(
             &mut w,
             &mut tr,
             &mut PassLog::default(),
             checks,
             &mut setup_samples,
-        )?);
+        )?;
+        traced_walls.push(t);
         spans.absorb(tr);
     }
     m.set(
@@ -464,11 +465,9 @@ fn traced<W: Workload>(
     }
 
     m.set("host.nproc", harness::nproc() as f64, "count");
-    m.set(
-        "host.parallel",
-        if cfg!(feature = "parallel") { 1.0 } else { 0.0 },
-        "flag",
-    );
+    // The path dependencies are built with their default features, which enable the
+    // library's thread-parallel sweeps.
+    m.set("host.parallel", 1.0, "flag");
     if let Err(e) = w.probes(m, checks) {
         checks.fail(format!("probes failed: {e}"));
     }

@@ -7,7 +7,7 @@ use ccache_json::{Json, ToJson};
 use column_caching::core::multitask::{run_multitasking_on, MultitaskConfig, SharingPolicy};
 use column_caching::core::ReplayEngine;
 use column_caching::exp::scale::{figure5_jobs, Scale};
-use column_caching::exp::{Artefact, ExperimentSpec};
+use column_caching::exp::ExperimentSpec;
 use column_caching::layout::weights::conflict_graph_from_trace;
 use column_caching::layout::{assign_columns, LayoutOptions, WeightOptions};
 use column_caching::opt::{GeometrySearch, StrategyKind, TuneOutcome, TuneRequest};
@@ -317,8 +317,8 @@ pub fn tune_layer(
     Ok(())
 }
 
-/// `exp.*` probe: plan, execute, package and serialize `spec` as `Session::run_spec`
-/// does, one step at a time. Returns the rendered artefact.
+/// `exp.*` probe: plan `spec`, run the plan through `Session::run_plan` and serialize
+/// the artefact, one step at a time. Returns the rendered artefact.
 pub fn exp_layer(spec: &ExperimentSpec, quick: bool, m: &mut Metrics) -> Result<String, String> {
     let registry = Registry::new();
     let session = Session::builder()
@@ -328,10 +328,8 @@ pub fn exp_layer(spec: &ExperimentSpec, quick: bool, m: &mut Metrics) -> Result<
         .map_err(|e| e.to_string())?;
     let (plan_s, plan) = harness::time_median(50, || column_caching::exp::plan(spec));
     let t = Instant::now();
-    let outcomes =
-        column_caching::exp::execute(&plan, &session.exec_options()).map_err(|e| e.to_string())?;
+    let artefact = session.run_plan(spec, plan).map_err(|e| e.to_string())?;
     let execute_s = t.elapsed().as_secs_f64();
-    let artefact = Artefact::new(spec.clone(), quick, plan, outcomes);
     let (ser_s, text) = harness::time_median(10, || artefact.to_json().pretty());
     let reuses = registry.counter_value("exp.snapshot.reuses") as f64;
     let groups = registry.counter_value("exp.groups") as f64;

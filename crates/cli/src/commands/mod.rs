@@ -6,12 +6,10 @@
 //! [`run`] executes arbitrary declarative spec files through the same pipeline;
 //! [`sweep`] replays an arbitrary trace file across backends; [`trace`] records,
 //! inspects and converts trace files; [`tune`] searches cache geometries and column
-//! assignments with replay-driven fitness; [`mod@bench`] measures replay throughput and
-//! gates it against a committed baseline; [`serve`] runs the concurrent cache-advisory
+//! assignments with replay-driven fitness; [`serve`] runs the concurrent cache-advisory
 //! service (or drives one as a scriptable client).
 
 pub mod ablation;
-pub mod bench;
 pub mod fig4;
 pub mod fig5;
 pub mod run;

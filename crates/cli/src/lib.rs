@@ -55,7 +55,6 @@ commands:
   run       execute a declarative experiment spec (examples/specs/*.json)
   trace     record, inspect and convert trace files
   tune      autotune cache geometry and column assignments for a workload
-  bench     measure replay throughput; gate against a committed baseline
   serve     run the concurrent cache-advisory service (NDJSON over TCP)
   help      show this help
 
@@ -83,7 +82,6 @@ pub fn run<I: IntoIterator<Item = String>>(args: I) -> Result<(), CliError> {
         "run" => commands::run::run(args),
         "trace" => commands::trace::run(args),
         "tune" => commands::tune::run(args),
-        "bench" => commands::bench::run(args),
         "serve" => commands::serve::run(args),
         "help" | "--help" | "-h" => {
             print!("{USAGE}");

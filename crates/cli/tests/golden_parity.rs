@@ -87,103 +87,6 @@ fn ablation_quick_text_is_byte_identical() {
 }
 
 #[test]
-fn bench_artefact_is_deterministic_modulo_timing() {
-    // The bench artefact mixes deterministic simulation results with host-dependent
-    // timing. Everything outside the timing-derived keys (`timing`, `ratios`,
-    // `environment`) must be byte-identical across runs — the same projection the CI
-    // bench job checks with jq.
-    let out_a = tmp("bench-quick-a.json");
-    let out_b = tmp("bench-quick-b.json");
-    for out in [&out_a, &out_b] {
-        run_cli(&["bench", "--quick", "--tune", "--out", out.to_str().unwrap()]);
-    }
-    let a = strip_timing(parse(&out_a));
-    let b = strip_timing(parse(&out_b));
-    assert_eq!(
-        a.pretty(),
-        b.pretty(),
-        "bench artefact's deterministic fields drifted between identical runs"
-    );
-    // Schema spot checks on the surviving projection.
-    assert_eq!(
-        a.get("artefact").and_then(|v| v.as_str()),
-        Some("ccache-bench")
-    );
-    assert_eq!(a.get("version").and_then(|v| v.as_u64()), Some(2));
-    let modes: Vec<&str> = a
-        .get("modes")
-        .and_then(|m| m.as_arr())
-        .expect("modes array")
-        .iter()
-        .filter_map(|m| m.get("mode").and_then(|v| v.as_str()))
-        .collect();
-    assert_eq!(
-        modes,
-        [
-            "per_reference",
-            "batched",
-            "streamed",
-            "checkpoint_parallel"
-        ],
-        "bench artefact must report every replay mode"
-    );
-    let tune_modes: Vec<(&str, &str)> = a
-        .get("tune")
-        .and_then(|t| t.get("modes"))
-        .and_then(|m| m.as_arr())
-        .expect("tune.modes array")
-        .iter()
-        .filter_map(|m| {
-            Some((
-                m.get("mode").and_then(|v| v.as_str())?,
-                m.get("schedule").and_then(|v| v.as_str())?,
-            ))
-        })
-        .collect();
-    assert_eq!(
-        tune_modes,
-        [
-            ("fresh", "serial"),
-            ("fresh", "parallel"),
-            ("pooled", "serial"),
-            ("pooled", "parallel"),
-            ("pooled_checkpoint", "serial"),
-            ("pooled_checkpoint", "parallel"),
-        ],
-        "tune section must report every fitness datapath under both schedules"
-    );
-}
-
-fn parse(path: &Path) -> ccache_json::Json {
-    let text = std::fs::read_to_string(path).expect("bench artefact readable");
-    ccache_json::Json::parse(&text).expect("bench artefact is valid JSON")
-}
-
-/// Drops every host-dependent key: `timing` objects wherever they appear, plus the
-/// top-level `ratios` and `environment`.
-fn strip_timing(doc: ccache_json::Json) -> ccache_json::Json {
-    match doc {
-        ccache_json::Json::Obj(pairs) => ccache_json::Json::Obj(
-            pairs
-                .into_iter()
-                .filter(|(k, _)| {
-                    k != "timing"
-                        && k != "ratios"
-                        && k != "environment"
-                        && k != "elapsed_s"
-                        && k != "evals_per_sec"
-                })
-                .map(|(k, v)| (k, strip_timing(v)))
-                .collect(),
-        ),
-        ccache_json::Json::Arr(items) => {
-            ccache_json::Json::Arr(items.into_iter().map(strip_timing).collect())
-        }
-        other => other,
-    }
-}
-
-#[test]
 fn sweep_json_artefact_is_byte_identical() {
     // The golden was recorded against a deterministic synthetic trace written to this
     // exact path (the path is embedded in the artefact); regenerate it the same way.

@@ -14,14 +14,13 @@
 //! * the backend is a `Box<dyn MemoryBackend>`, so the same engine drives the column
 //!   cache, the set-associative baseline or the ideal scratchpad.
 
-use crate::checkpoint::ReplayCheckpoints;
 use crate::error::CoreError;
 use crate::observe::{ReplayObserver, WindowTracker};
 use crate::runner::{CacheMapping, RunResult};
 use ccache_sim::backend::{BackendKind, MemoryBackend};
 use ccache_sim::registry::BackendRegistry;
 use ccache_sim::SystemConfig;
-use ccache_telemetry::{Counter, Registry, Span};
+use ccache_telemetry::{Counter, Registry};
 use ccache_trace::Trace;
 
 /// References handed to the backend per [`MemoryBackend::run_batch`] call.
@@ -63,6 +62,9 @@ pub struct ReplayEngine {
     /// snapshot clone they would not use.
     snapshot: Option<Box<dyn MemoryBackend>>,
     batch: usize,
+    /// Staging for the paths that convert events into `run_batch` input. Starts empty
+    /// and grows on first use, so engines that only replay pre-decoded references
+    /// ([`ReplayEngine::replay_refs`]) never allocate it.
     buffer: Vec<(u64, bool)>,
     telemetry: EngineTelemetry,
 }
@@ -81,8 +83,6 @@ struct EngineTelemetry {
     memo_translation_hits: Counter,
     memo_tint_hits: Counter,
     coalesced_windows: Counter,
-    checkpoint_segments: Counter,
-    checkpoint_warmup: Span,
 }
 
 impl EngineTelemetry {
@@ -96,8 +96,6 @@ impl EngineTelemetry {
             memo_translation_hits: registry.counter("engine.memo.translation_hits"),
             memo_tint_hits: registry.counter("engine.memo.tint_hits"),
             coalesced_windows: registry.counter("engine.observe.coalesced_windows"),
-            checkpoint_segments: registry.counter("engine.checkpoint.segments"),
-            checkpoint_warmup: registry.span("engine.checkpoint.warmup"),
         }
     }
 
@@ -160,7 +158,7 @@ impl ReplayEngine {
             backend,
             snapshot: None,
             batch: DEFAULT_BATCH,
-            buffer: Vec::with_capacity(DEFAULT_BATCH),
+            buffer: Vec::new(),
             telemetry: EngineTelemetry::bind(&Registry::global()),
         }
     }
@@ -184,9 +182,9 @@ impl ReplayEngine {
         self.backend.as_mut()
     }
 
-    /// Overrides the batch size (mainly for tests and the bench harness; 0 is treated
-    /// as 1). This is the **only** place the ≥ 1 invariant is enforced — the replay
-    /// loops rely on it and never re-clamp.
+    /// Overrides the batch size (mainly for tests; 0 is treated as 1). This is the
+    /// **only** place the ≥ 1 invariant is enforced — the replay loops rely on it and
+    /// never re-clamp.
     pub fn set_batch_size(&mut self, batch: usize) {
         self.batch = batch.max(1);
     }
@@ -437,80 +435,6 @@ impl ReplayEngine {
             control_before,
         ))
     }
-
-    /// Records per-segment [`ReplayCheckpoints`] for `trace` with one sequential
-    /// warm-up replay: the trace is split into `segments` contiguous ranges (clamped to
-    /// `1..=trace.len()`), the backend is cloned at each boundary, and the segments can
-    /// then replay concurrently via [`ReplayCheckpoints::replay`] with results
-    /// byte-identical to [`ReplayEngine::replay`].
-    ///
-    /// The warm-up behaves exactly like [`ReplayEngine::replay`] as far as the engine
-    /// is concerned — statistics are reset first and the backend ends in the
-    /// whole-trace end state — only the [`RunResult`] assembly is deferred to the
-    /// checkpoints.
-    pub fn checkpoint(&mut self, trace: &Trace, segments: usize) -> ReplayCheckpoints {
-        let events = trace.as_slice();
-        let segments = segments.clamp(1, events.len().max(1));
-        let bounds = crate::checkpoint::segment_bounds(events.len(), segments);
-        let control_before = self.backend.control_cycles();
-        self.backend.reset_stats();
-        let warmup = self.telemetry.checkpoint_warmup.start();
-        let mut checkpoints = Vec::with_capacity(segments);
-        for s in 0..segments {
-            checkpoints.push(self.backend.boxed_clone());
-            for chunk in events[bounds[s]..bounds[s + 1]].chunks(self.batch) {
-                self.buffer.clear();
-                self.buffer
-                    .extend(chunk.iter().map(|ev| (ev.addr, ev.is_write())));
-                self.backend.run_batch(&self.buffer);
-            }
-        }
-        drop(warmup);
-        self.telemetry.checkpoint_segments.add(segments as u64);
-        ReplayCheckpoints::new(
-            checkpoints,
-            bounds,
-            events.len(),
-            control_before,
-            self.batch,
-        )
-    }
-
-    /// As [`ReplayEngine::checkpoint`], over already-decoded `(addr, is_write)`
-    /// references from a shared trace arena. The warm-up feeds subslices of `refs` to
-    /// the backend directly (no staging copy); segment boundaries, statistics handling
-    /// and the backend's end state are identical to the trace path, so the recorded
-    /// checkpoints replay byte-identically.
-    pub fn checkpoint_refs(&mut self, refs: &[(u64, bool)], segments: usize) -> ReplayCheckpoints {
-        let segments = segments.clamp(1, refs.len().max(1));
-        let bounds = crate::checkpoint::segment_bounds(refs.len(), segments);
-        let control_before = self.backend.control_cycles();
-        self.backend.reset_stats();
-        let warmup = self.telemetry.checkpoint_warmup.start();
-        let mut checkpoints = Vec::with_capacity(segments);
-        for s in 0..segments {
-            checkpoints.push(self.backend.boxed_clone());
-            for chunk in refs[bounds[s]..bounds[s + 1]].chunks(self.batch) {
-                self.backend.run_batch(chunk);
-            }
-        }
-        drop(warmup);
-        self.telemetry.checkpoint_segments.add(segments as u64);
-        ReplayCheckpoints::new(checkpoints, bounds, refs.len(), control_before, self.batch)
-    }
-
-    /// Convenience: [`ReplayEngine::checkpoint`] followed by one
-    /// [`ReplayCheckpoints::replay`] — a checkpoint-parallel replay of one trace whose
-    /// result is byte-identical to the sequential [`ReplayEngine::replay`].
-    ///
-    /// The warm-up pass is itself a full sequential replay, so a single
-    /// checkpoint-parallel run is *not* faster than `replay`; the win comes from
-    /// keeping the checkpoints and replaying the same trace many times (fitness loops,
-    /// benchmarking), or treating the warm-up as the first of many measured runs.
-    pub fn replay_checkpointed(&mut self, name: &str, trace: &Trace, segments: usize) -> RunResult {
-        let checkpoints = self.checkpoint(trace, segments);
-        checkpoints.replay(name, trace)
-    }
 }
 
 impl Clone for ReplayEngine {
@@ -519,7 +443,7 @@ impl Clone for ReplayEngine {
             backend: self.backend.boxed_clone(),
             snapshot: self.snapshot.as_ref().map(|s| s.boxed_clone()),
             batch: self.batch,
-            buffer: Vec::with_capacity(self.batch),
+            buffer: Vec::new(),
             telemetry: self.telemetry.clone(),
         }
     }
@@ -611,13 +535,6 @@ mod tests {
         let from_trace = a.replay("x", &t);
         let from_refs = b.replay_refs("x", &refs);
         assert_eq!(from_trace, from_refs);
-
-        // checkpoint_refs reproduces the sequential result through both replay paths
-        let mut c = ReplayEngine::new(BackendKind::ColumnCache, config()).unwrap();
-        c.apply(&m).unwrap();
-        let cps = c.checkpoint_refs(&refs, 3);
-        assert_eq!(cps.replay_refs("x", &refs), from_refs);
-        assert_eq!(cps.replay("x", &t), from_refs);
     }
 
     #[test]

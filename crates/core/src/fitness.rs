@@ -9,26 +9,11 @@
 //! [`par_map`](crate::parallel::par_map()), so a search that consumes results in order
 //! is byte-identical with the `parallel` feature on or off).
 //!
-//! # The amortized datapath
-//!
-//! Evaluation does **not** build a fresh backend per candidate. Engines live in a pool
-//! keyed by `(backend kind, geometry)`: a candidate that finds a pooled engine returns
-//! it to pristine state in place ([`ReplayEngine::reset`], whose
-//! equivalence to fresh construction is pinned by tests), applies its mapping and
-//! replays straight from the shared arena — no trace re-decode, no backend
-//! reallocation, no staging copy. On top of pooling, the default
-//! [`FitnessMode::PooledCheckpoint`] records one post-warm-up
-//! [`ReplayCheckpoints`](crate::checkpoint::ReplayCheckpoints) plus its [`RunResult`]
-//! per geometry, and serves any later candidate whose *mapping signature* proves it
-//! programs identical hardware state (for the column cache: the full mapping; for the
-//! set-associative baseline: only the uncached regions, the one control surface it
-//! honours; for the ideal scratchpad: anything) — such duplicates cost a clone instead
-//! of a replay. A candidate whose signature does not match falls back to a full pooled
-//! replay; eligibility is decided per backend kind and proven by parity tests against
-//! the fresh-engine oracle ([`FitnessMode::Fresh`]), never assumed.
-//!
-//! Results are bit-identical across all three modes. The amortization is observable
-//! through the `opt.engine_pool.{hits,builds}` and `opt.warmup.{reused,full}` counters:
+//! Each candidate is one independent simulation: a fresh engine, the candidate's
+//! mapping, one replay of the arena. Nothing but the read-only arena is shared between
+//! candidates — building an engine costs microseconds against a replay's milliseconds,
+//! and duplicate candidates are already filtered out by the tuner's genome cache. Every
+//! evaluation is therefore exactly one `engine.replays` tick:
 //!
 //! ```
 //! use ccache_core::{Candidate, ReplayFitness};
@@ -48,29 +33,20 @@
 //! let results = fitness.evaluate_batch(&batch);
 //! assert!(results.iter().all(|r| r.is_ok()));
 //!
-//! // One engine was built for the geometry; the other two candidates pooled it...
-//! assert_eq!(registry.counter_value("opt.engine_pool.builds"), 1);
-//! assert_eq!(registry.counter_value("opt.engine_pool.hits"), 2);
-//! // ...and one warm-up replay served all three identical mappings.
-//! assert_eq!(registry.counter_value("opt.warmup.full"), 1);
-//! assert_eq!(registry.counter_value("opt.warmup.reused"), 2);
+//! let references = fitness.trace().len() as u64;
+//! assert_eq!(registry.counter_value("engine.replays"), 3);
+//! assert_eq!(registry.counter_value("engine.references"), 3 * references);
 //! ```
 
-use crate::checkpoint::ReplayCheckpoints;
 use crate::engine::ReplayEngine;
 use crate::error::CoreError;
 use crate::parallel::{par_map, seq_map};
-use crate::runner::{CacheMapping, RegionMapping, RunResult};
+use crate::runner::{CacheMapping, RunResult};
 use ccache_sim::backend::BackendKind;
 use ccache_sim::SystemConfig;
-use ccache_telemetry::{Counter, Registry};
+use ccache_telemetry::Registry;
 use ccache_trace::Trace;
-use std::sync::{Arc, Mutex};
-
-/// Segments recorded per warm-up checkpoint. Small: the checkpoints' job here is to
-/// carry the reusable post-warm-up state (and support segment-parallel re-replay);
-/// each segment costs one backend clone held in the pool.
-const WARMUP_SEGMENTS: usize = 4;
+use std::sync::Arc;
 
 /// One candidate for fitness evaluation: a full system geometry plus the cache mapping to
 /// program before the replay.
@@ -96,108 +72,8 @@ impl Candidate {
     }
 }
 
-/// How much of the amortized datapath [`ReplayFitness`] uses. Every mode returns
-/// bit-identical results; the modes exist so the bench harness can price each rung and
-/// parity tests can hold the fast paths against the oracle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FitnessMode {
-    /// The oracle: build a fresh engine per candidate, exactly the pre-pool datapath.
-    Fresh,
-    /// Reuse pooled engines per `(backend, geometry)` via in-place reset; every
-    /// candidate still pays a full replay.
-    Pooled,
-    /// [`FitnessMode::Pooled`] plus warm-up reuse: one recorded warm-up per geometry
-    /// serves every candidate whose mapping signature proves identical programmed state.
-    #[default]
-    PooledCheckpoint,
-}
-
-/// What a candidate's mapping means to its backend — the checkpoint-reuse eligibility
-/// rule. Two candidates of the same `(backend, geometry)` with equal signatures program
-/// byte-identical hardware state from pristine, so their replays are interchangeable.
-#[derive(Debug, Clone, PartialEq)]
-enum MappingSignature {
-    /// Column cache: every part of the mapping reaches hardware — full equality.
-    Full(CacheMapping),
-    /// Set-associative baseline: only uncacheability is honoured; the signature is the
-    /// ordered `(base, size)` list of uncached regions.
-    Uncached(Vec<(u64, u64)>),
-    /// Ideal scratchpad: ignores all control operations — always eligible.
-    Unit,
-}
-
-fn signature_of(candidate: &Candidate) -> MappingSignature {
-    match candidate.backend {
-        BackendKind::ColumnCache => MappingSignature::Full(candidate.mapping.clone()),
-        BackendKind::SetAssociative => MappingSignature::Uncached(
-            candidate
-                .mapping
-                .regions
-                .iter()
-                .filter(|(_, _, m)| matches!(m, RegionMapping::Uncached))
-                .map(|(base, size, _)| (*base, *size))
-                .collect(),
-        ),
-        BackendKind::IdealScratchpad => MappingSignature::Unit,
-    }
-}
-
-/// A warm-up recorded once per pool entry: the eligibility signature, the post-warm-up
-/// checkpoints, and the warm-up's own [`RunResult`] served to signature-equal candidates.
-#[derive(Debug)]
-struct Recorded {
-    signature: MappingSignature,
-    /// Kept so callers can resume segment-parallel replay from the warm state; parity
-    /// between these and `result` is pinned by tests.
-    #[allow(dead_code)]
-    checkpoints: ReplayCheckpoints,
-    result: RunResult,
-}
-
-/// One `(backend kind, geometry)` slot of the engine pool.
-#[derive(Debug)]
-struct PoolEntry {
-    kind: BackendKind,
-    config: SystemConfig,
-    /// Engines ready for checkout. Grows past one only when a parallel batch replays
-    /// several same-geometry candidates concurrently.
-    idle: Vec<ReplayEngine>,
-    recorded: Option<Recorded>,
-}
-
-/// Pre-resolved telemetry handles. All counts are taken in the serial planning pass, in
-/// candidate input order, so snapshots are schedule-independent.
+/// A trace packaged as a reusable fitness function. Clones share the decoded arena.
 #[derive(Debug, Clone)]
-struct FitnessTelemetry {
-    pool_hits: Counter,
-    pool_builds: Counter,
-    warmup_reused: Counter,
-    warmup_full: Counter,
-}
-
-impl FitnessTelemetry {
-    fn bind(registry: &Registry) -> Self {
-        FitnessTelemetry {
-            pool_hits: registry.counter("opt.engine_pool.hits"),
-            pool_builds: registry.counter("opt.engine_pool.builds"),
-            warmup_reused: registry.counter("opt.warmup.reused"),
-            warmup_full: registry.counter("opt.warmup.full"),
-        }
-    }
-}
-
-/// The per-candidate execution plan produced by the serial planning pass.
-enum Plan {
-    /// Serve the recorded warm-up result of this pool entry.
-    Reuse(usize),
-    /// Record this pool entry's warm-up (checkpoint + result) with this signature.
-    Record(usize, MappingSignature),
-    /// Full replay on a pooled engine of this entry.
-    Replay(usize),
-}
-
-/// A trace packaged as a reusable fitness function.
-#[derive(Debug)]
 pub struct ReplayFitness {
     trace: Trace,
     /// The trace decoded once into the form [`MemoryBackend::run_batch`]
@@ -205,49 +81,24 @@ pub struct ReplayFitness {
     /// every evaluation (and by clones of this fitness).
     arena: Arc<Vec<(u64, bool)>>,
     parallel: bool,
-    mode: FitnessMode,
     registry: Registry,
-    telemetry: FitnessTelemetry,
-    pool: Mutex<Vec<PoolEntry>>,
-}
-
-impl Clone for ReplayFitness {
-    /// Clones share the trace arena but start with an empty engine pool — results are
-    /// identical regardless of pool state, so a clone only re-pays engine builds.
-    fn clone(&self) -> Self {
-        ReplayFitness {
-            trace: self.trace.clone(),
-            arena: Arc::clone(&self.arena),
-            parallel: self.parallel,
-            mode: self.mode,
-            registry: self.registry.clone(),
-            telemetry: self.telemetry.clone(),
-            pool: Mutex::new(Vec::new()),
-        }
-    }
 }
 
 impl ReplayFitness {
     /// Wraps a trace for repeated evaluation, decoding it once into the shared
     /// reference arena. Evaluation batches run thread-parallel when the `parallel`
-    /// feature is enabled, and use the full amortized datapath
-    /// ([`FitnessMode::PooledCheckpoint`]) by default.
+    /// feature is enabled.
     pub fn new(trace: Trace) -> Self {
         let arena: Vec<(u64, bool)> = trace
             .as_slice()
             .iter()
             .map(|ev| (ev.addr, ev.is_write()))
             .collect();
-        let registry = Registry::global();
-        let telemetry = FitnessTelemetry::bind(&registry);
         ReplayFitness {
             trace,
             arena: Arc::new(arena),
             parallel: true,
-            mode: FitnessMode::default(),
-            registry,
-            telemetry,
-            pool: Mutex::new(Vec::new()),
+            registry: Registry::global(),
         }
     }
 
@@ -259,30 +110,11 @@ impl ReplayFitness {
         self
     }
 
-    /// Selects the evaluation datapath (builder form). Results are bit-identical in
-    /// every mode; see [`FitnessMode`].
-    pub fn with_mode(mut self, mode: FitnessMode) -> Self {
-        self.mode = mode;
-        self
-    }
-
-    /// Selects the evaluation datapath in place; see [`FitnessMode`].
-    pub fn set_mode(&mut self, mode: FitnessMode) {
-        self.mode = mode;
-    }
-
-    /// The active evaluation datapath.
-    pub fn mode(&self) -> FitnessMode {
-        self.mode
-    }
-
-    /// Rebinds telemetry to `registry` (the process-wide [`Registry::global`] is bound
-    /// at construction) and drops any pooled engines so they re-bind too. Purely
-    /// observational — results are unaffected.
+    /// Routes the engines' telemetry to `registry` (the process-wide
+    /// [`Registry::global`] is bound at construction). Purely observational — results
+    /// are unaffected.
     pub fn set_telemetry(&mut self, registry: &Registry) {
         self.registry = registry.clone();
-        self.telemetry = FitnessTelemetry::bind(registry);
-        self.pool.get_mut().expect("fitness pool lock").clear();
     }
 
     /// The wrapped trace.
@@ -290,241 +122,30 @@ impl ReplayFitness {
         &self.trace
     }
 
-    /// Replays the trace for one candidate and returns the run statistics.
+    /// Replays the trace for one candidate on a freshly built engine and returns the
+    /// run statistics.
     ///
     /// # Errors
     ///
     /// Returns an error if the candidate's geometry or mapping is invalid.
     pub fn evaluate(&self, name: &str, candidate: &Candidate) -> Result<RunResult, CoreError> {
-        if self.mode == FitnessMode::Fresh {
-            return self.evaluate_fresh(name, candidate);
-        }
-        self.evaluate_batch_named(name, std::slice::from_ref(candidate))
-            .pop()
-            .expect("a one-candidate batch returns one result")
-    }
-
-    /// Evaluates a batch of candidates, returning results **in input order**. With the
-    /// `parallel` feature on (and [`ReplayFitness::serial`] not requested) full replays
-    /// fan out over worker threads; the output is identical either way, because pool
-    /// and warm-up decisions are planned in a serial pass over the input order before
-    /// any replay starts.
-    pub fn evaluate_batch(&self, candidates: &[Candidate]) -> Vec<Result<RunResult, CoreError>> {
-        self.evaluate_batch_named("candidate", candidates)
-    }
-
-    /// The oracle datapath: a fresh engine per candidate, as before the pool existed.
-    fn evaluate_fresh(&self, name: &str, candidate: &Candidate) -> Result<RunResult, CoreError> {
         let mut engine = ReplayEngine::new(candidate.backend, candidate.config)?;
         engine.set_telemetry(&self.registry);
         engine.apply(&candidate.mapping)?;
         Ok(engine.replay_refs(name, &self.arena))
     }
 
-    /// Pops an idle engine of pool entry `idx`, building one only when a parallel batch
-    /// has every idle engine of the entry checked out at once. Contended builds are not
-    /// counted — their number depends on the schedule; `opt.engine_pool.builds` counts
-    /// entry creations, which do not.
-    fn checkout(&self, idx: usize) -> ReplayEngine {
-        let mut pool = self.pool.lock().expect("fitness pool lock");
-        let entry = &mut pool[idx];
-        entry.idle.pop().unwrap_or_else(|| {
-            let mut engine = ReplayEngine::new(entry.kind, entry.config)
-                .expect("pool entries are only created for valid configurations");
-            engine.set_telemetry(&self.registry);
-            engine
-        })
-    }
-
-    /// Returns a checked-out engine to its pool entry.
-    fn check_in(&self, idx: usize, engine: ReplayEngine) {
-        self.pool.lock().expect("fitness pool lock")[idx]
-            .idle
-            .push(engine);
-    }
-
-    /// The pooled datapath shared by [`ReplayFitness::evaluate`] and
-    /// [`ReplayFitness::evaluate_batch`]: plan serially, record warm-ups serially,
-    /// then fan full replays out.
-    fn evaluate_batch_named(
-        &self,
-        name: &str,
-        candidates: &[Candidate],
-    ) -> Vec<Result<RunResult, CoreError>> {
-        if self.mode == FitnessMode::Fresh {
-            let eval = |c: &Candidate| self.evaluate_fresh(name, c);
-            return if self.parallel {
-                par_map(candidates, eval)
-            } else {
-                seq_map(candidates, eval)
-            };
-        }
-
-        let mut results: Vec<Option<Result<RunResult, CoreError>>> =
-            candidates.iter().map(|_| None).collect();
-        let mut plans: Vec<Option<Plan>> = Vec::with_capacity(candidates.len());
-
-        // Phase 0 — plan, serially and in input order, under one pool lock. All pool
-        // and warm-up counters are taken here, so they depend only on the candidate
-        // sequence, never on the replay schedule.
-        {
-            let mut pool = self.pool.lock().expect("fitness pool lock");
-            let mut pending: Vec<Option<MappingSignature>> = pool.iter().map(|_| None).collect();
-            let (mut hits, mut builds) = (0u64, 0u64);
-            let (mut reused, mut full) = (0u64, 0u64);
-            for candidate in candidates {
-                let found = pool
-                    .iter()
-                    .position(|e| e.kind == candidate.backend && e.config == candidate.config);
-                let idx = match found {
-                    Some(idx) => {
-                        hits += 1;
-                        idx
-                    }
-                    None => match ReplayEngine::new(candidate.backend, candidate.config) {
-                        Ok(mut engine) => {
-                            engine.set_telemetry(&self.registry);
-                            pool.push(PoolEntry {
-                                kind: candidate.backend,
-                                config: candidate.config,
-                                idle: vec![engine],
-                                recorded: None,
-                            });
-                            pending.push(None);
-                            builds += 1;
-                            pool.len() - 1
-                        }
-                        Err(e) => {
-                            // Invalid geometry: no pool entry, no counters, the error
-                            // is the result — exactly what the fresh path returns.
-                            results[plans.len()] = Some(Err(e));
-                            plans.push(None);
-                            continue;
-                        }
-                    },
-                };
-                let plan = if self.mode == FitnessMode::PooledCheckpoint {
-                    let sig = signature_of(candidate);
-                    let recorded_match = pool[idx]
-                        .recorded
-                        .as_ref()
-                        .is_some_and(|r| r.signature == sig);
-                    if recorded_match || pending[idx].as_ref() == Some(&sig) {
-                        reused += 1;
-                        Plan::Reuse(idx)
-                    } else if pool[idx].recorded.is_none() && pending[idx].is_none() {
-                        pending[idx] = Some(sig.clone());
-                        full += 1;
-                        Plan::Record(idx, sig)
-                    } else {
-                        full += 1;
-                        Plan::Replay(idx)
-                    }
-                } else {
-                    full += 1;
-                    Plan::Replay(idx)
-                };
-                plans.push(Some(plan));
-            }
-            self.telemetry.pool_hits.add(hits);
-            self.telemetry.pool_builds.add(builds);
-            self.telemetry.warmup_reused.add(reused);
-            self.telemetry.warmup_full.add(full);
-        }
-
-        // Phase 1 — record warm-ups, serially (at most one per pool entry per batch).
-        // A failed `apply` leaves the entry unrecorded; its signature-equal reusers
-        // demote to full replays, which reproduce the same error through `apply`.
-        let mut failed_records: Vec<usize> = Vec::new();
-        for (i, plan) in plans.iter().enumerate() {
-            let Some(Plan::Record(idx, sig)) = plan else {
-                continue;
-            };
-            let mut engine = self.checkout(*idx);
-            engine.reset();
-            match engine.apply(&candidates[i].mapping) {
-                Err(e) => {
-                    results[i] = Some(Err(e));
-                    failed_records.push(*idx);
-                }
-                Ok(()) => {
-                    // The warm-up leaves the backend in the whole-trace end state with
-                    // statistics covering exactly the replay, so collecting a result
-                    // here matches `replay_refs` byte for byte.
-                    let control_before = engine.backend().control_cycles();
-                    let checkpoints = engine.checkpoint_refs(&self.arena, WARMUP_SEGMENTS);
-                    let result =
-                        crate::runner::collect_result(name, engine.backend(), control_before);
-                    results[i] = Some(Ok(result.clone()));
-                    self.pool.lock().expect("fitness pool lock")[*idx].recorded = Some(Recorded {
-                        signature: sig.clone(),
-                        checkpoints,
-                        result,
-                    });
-                }
-            }
-            self.check_in(*idx, engine);
-        }
-        for plan in plans.iter_mut() {
-            if let Some(Plan::Reuse(idx)) = plan {
-                if failed_records.contains(idx) {
-                    *plan = Some(Plan::Replay(*idx));
-                }
-            }
-        }
-
-        // Phase 2a — serve reuses: a clone of the recorded warm-up result.
-        {
-            let pool = self.pool.lock().expect("fitness pool lock");
-            for (i, plan) in plans.iter().enumerate() {
-                if let Some(Plan::Reuse(idx)) = plan {
-                    let recorded = pool[*idx]
-                        .recorded
-                        .as_ref()
-                        .expect("a reuse plan implies a recorded warm-up");
-                    let mut result = recorded.result.clone();
-                    result.name = name.to_owned();
-                    results[i] = Some(Ok(result));
-                }
-            }
-        }
-
-        // Phase 2b — fan the full replays out (parallel when enabled), each on a
-        // pooled engine reset in place to pristine state.
-        let work: Vec<usize> = plans
-            .iter()
-            .enumerate()
-            .filter_map(|(i, p)| match p {
-                Some(Plan::Replay(_)) => Some(i),
-                _ => None,
-            })
-            .collect();
-        let eval = |&i: &usize| -> Result<RunResult, CoreError> {
-            let Some(Plan::Replay(idx)) = plans[i] else {
-                unreachable!("work list only holds replay plans")
-            };
-            let mut engine = self.checkout(idx);
-            engine.reset();
-            let out = match engine.apply(&candidates[i].mapping) {
-                Err(e) => Err(e),
-                Ok(()) => Ok(engine.replay_refs(name, &self.arena)),
-            };
-            self.check_in(idx, engine);
-            out
-        };
-        let outs = if self.parallel {
-            par_map(&work, eval)
+    /// Evaluates a batch of candidates, returning results **in input order**. With the
+    /// `parallel` feature on (and [`ReplayFitness::serial`] not requested) the replays
+    /// fan out over worker threads; the output is identical either way, because every
+    /// candidate replays independently.
+    pub fn evaluate_batch(&self, candidates: &[Candidate]) -> Vec<Result<RunResult, CoreError>> {
+        let eval = |c: &Candidate| self.evaluate("candidate", c);
+        if self.parallel {
+            par_map(candidates, eval)
         } else {
-            seq_map(&work, eval)
-        };
-        for (&i, out) in work.iter().zip(outs) {
-            results[i] = Some(out);
+            seq_map(candidates, eval)
         }
-
-        results
-            .into_iter()
-            .map(|r| r.expect("every candidate was planned"))
-            .collect()
     }
 }
 
@@ -557,12 +178,6 @@ mod tests {
                 mask: ColumnMask::single(3),
             },
         );
-        m
-    }
-
-    fn uncached() -> CacheMapping {
-        let mut m = CacheMapping::new();
-        m.map(0x10_0000, 4 * 1024, RegionMapping::Uncached);
         m
     }
 
@@ -622,110 +237,5 @@ mod tests {
         assert!(fitness.evaluate("bad", &candidate).is_err());
         let results = fitness.evaluate_batch(std::slice::from_ref(&candidate));
         assert!(results[0].is_err());
-    }
-
-    /// A duplicate-heavy, geometry-diverse, backend-diverse batch with an invalid
-    /// candidate mixed in — the shapes the pool has to get right.
-    fn mixed_batch() -> Vec<Candidate> {
-        let alt_config = SystemConfig {
-            tlb_entries: 8,
-            ..config()
-        };
-        let bad = SystemConfig {
-            tlb_entries: 0,
-            ..config()
-        };
-        let mut batch = vec![
-            Candidate::column_cache(config(), steered()),
-            Candidate::column_cache(config(), CacheMapping::new()),
-            Candidate::column_cache(config(), steered()), // duplicate of [0]
-            Candidate::column_cache(alt_config, steered()),
-            Candidate::column_cache(bad, CacheMapping::new()),
-            Candidate::column_cache(config(), uncached()),
-        ];
-        for backend in BackendKind::ALL {
-            batch.push(Candidate {
-                config: config(),
-                mapping: steered(),
-                backend,
-            });
-            batch.push(Candidate {
-                config: config(),
-                mapping: uncached(),
-                backend,
-            });
-        }
-        batch
-    }
-
-    #[test]
-    fn pooled_modes_match_the_fresh_oracle() {
-        let batch = mixed_batch();
-        let oracle: Vec<_> = ReplayFitness::new(trace())
-            .with_mode(FitnessMode::Fresh)
-            .evaluate_batch(&batch);
-        for mode in [FitnessMode::Pooled, FitnessMode::PooledCheckpoint] {
-            for serial in [false, true] {
-                let mut fitness = ReplayFitness::new(trace()).with_mode(mode);
-                if serial {
-                    fitness = fitness.serial();
-                }
-                // two batches through the same pool: the second batch exercises
-                // cross-batch engine reuse and recorded-warm-up reuse
-                for _ in 0..2 {
-                    let got = fitness.evaluate_batch(&batch);
-                    for (g, o) in got.iter().zip(&oracle) {
-                        match (g, o) {
-                            (Ok(g), Ok(o)) => assert_eq!(g, o, "{mode:?} serial={serial}"),
-                            (Err(_), Err(_)) => {}
-                            _ => panic!("ok/err mismatch in {mode:?} serial={serial}"),
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn pool_and_warmup_counters_are_deterministic() {
-        let batch = mixed_batch();
-        let run = || {
-            let registry = Registry::new();
-            let mut fitness = ReplayFitness::new(trace());
-            fitness.set_telemetry(&registry);
-            fitness.evaluate_batch(&batch);
-            (
-                registry.counter_value("opt.engine_pool.builds"),
-                registry.counter_value("opt.engine_pool.hits"),
-                registry.counter_value("opt.warmup.full"),
-                registry.counter_value("opt.warmup.reused"),
-            )
-        };
-        let (builds, hits, full, reused) = run();
-        // 4 distinct valid (backend, geometry) pairs; the invalid one builds nothing.
-        assert_eq!(builds, 4);
-        assert_eq!(hits, (batch.len() as u64 - 1) - builds);
-        // column-cache@config records `steered` and reuses its duplicates; other
-        // distinct mappings replay in full. set-assoc: `steered` and `uncached` have
-        // different uncached-region signatures (record + replay). scratchpad: every
-        // mapping shares the unit signature (record + reuse).
-        assert_eq!(full + reused, batch.len() as u64 - 1);
-        assert_eq!(reused, 3);
-        // and identical runs count identically
-        assert_eq!((builds, hits, full, reused), run());
-    }
-
-    #[test]
-    fn recorded_warmups_survive_across_batches() {
-        let fitness = ReplayFitness::new(trace());
-        let candidate = Candidate::column_cache(config(), steered());
-        let first = fitness.evaluate("x", &candidate).unwrap();
-        let second = fitness.evaluate("x", &candidate).unwrap();
-        let oracle = ReplayFitness::new(trace())
-            .with_mode(FitnessMode::Fresh)
-            .evaluate("x", &candidate)
-            .unwrap();
-        assert_eq!(first, oracle);
-        assert_eq!(second, oracle);
     }
 }

@@ -13,7 +13,7 @@
 
 use crate::error::OptError;
 use crate::space::{Genome, SearchSpace};
-use ccache_core::{CacheMapping, Candidate, FitnessMode, ReplayFitness, RunResult};
+use ccache_core::{CacheMapping, Candidate, ReplayFitness, RunResult};
 use ccache_layout::assignment_from_vertex_columns;
 use ccache_sim::backend::BackendKind;
 use ccache_telemetry::{Counter, Registry};
@@ -100,20 +100,11 @@ impl<'a> Evaluator<'a> {
 
     /// Rebinds the evaluator's telemetry to `registry` (the process-wide
     /// [`Registry::global`] is bound at construction), forwarding to the underlying
-    /// [`ReplayFitness`] so its `opt.engine_pool.*` / `opt.warmup.*` counters land in
-    /// the same registry. Purely observational — cache behaviour, budget accounting and
-    /// results are unaffected.
+    /// [`ReplayFitness`] so its `engine.*` counters land in the same registry. Purely
+    /// observational — cache behaviour, budget accounting and results are unaffected.
     pub fn set_telemetry(&mut self, registry: &Registry) {
         self.telemetry = EvaluatorTelemetry::bind(registry);
         self.fitness.set_telemetry(registry);
-    }
-
-    /// Selects the fitness datapath (default: the full amortized
-    /// [`FitnessMode::PooledCheckpoint`]). Every mode produces bit-identical results;
-    /// tests use [`FitnessMode::Fresh`] as the oracle and the bench harness prices the
-    /// rungs against each other.
-    pub fn set_fitness_mode(&mut self, mode: FitnessMode) {
-        self.fitness.set_mode(mode);
     }
 
     /// Real replays performed so far (cache hits are free).

@@ -176,7 +176,7 @@ impl ColumnCache {
     /// Returns the cache to exactly its just-constructed state — every line invalid,
     /// replacement state re-seeded, statistics zeroed — without reallocating the tag,
     /// validity or replacement vectors. This is the allocation-free alternative to
-    /// rebuilding the cache that the pooled fitness datapath takes between candidates.
+    /// rebuilding the cache that a backend reset to pristine state takes.
     pub fn clear(&mut self) {
         self.tags.fill(0);
         self.valid.fill(0);

@@ -130,8 +130,9 @@ impl PageTable {
     }
 
     /// Drops every explicit entry and zeroes the write counter, returning the table to
-    /// its just-constructed state (same page size). Used when a pooled engine is recycled
-    /// between candidates; unlike the `set_*` operations it costs no modelled writes.
+    /// its just-constructed state (same page size). Part of
+    /// [`MemorySystem::full_reset`](crate::MemorySystem::full_reset); unlike the `set_*`
+    /// operations it costs no modelled writes.
     pub fn clear(&mut self) {
         self.entries.clear();
         self.entry_writes = 0;

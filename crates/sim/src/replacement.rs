@@ -81,8 +81,8 @@ impl ReplacementState {
 
     /// Returns the state to exactly what [`ReplacementState::new`] with the same policy,
     /// way count and `seed` would produce — in place, without reallocating the per-way
-    /// vectors. The pooled fitness datapath resets thousands of sets per candidate, so
-    /// this path must stay allocation-free.
+    /// vectors. A backend reset to pristine state resets every set, so this path must
+    /// stay allocation-free.
     pub fn reset(&mut self, seed: u64) {
         self.use_stamp.fill(0);
         self.fill_stamp.fill(0);

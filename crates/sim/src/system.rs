@@ -192,8 +192,8 @@ impl MemorySystem {
     /// instead.
     ///
     /// The reset is performed in place — the cache's tag/validity/replacement vectors are
-    /// rewound rather than reallocated — because the pooled fitness datapath calls this
-    /// between every pair of candidates. The result is indistinguishable from a fresh
+    /// rewound rather than reallocated — and backs the replay engine's no-snapshot
+    /// `reset`. The result is indistinguishable from a fresh
     /// [`MemorySystem::new`] (the structures derive `PartialEq`; a test pins equality).
     pub fn full_reset(&mut self) {
         self.cache.clear();

@@ -60,9 +60,9 @@ impl TintTable {
     }
 
     /// Returns the table to its just-constructed state: only [`Tint::DEFAULT`] mapped to
-    /// every column, remap counter zeroed. This is the tint-table rewrite entry point the
-    /// pooled fitness datapath uses between candidates — a recycled engine starts from a
-    /// pristine table before the next candidate's mapping is applied.
+    /// every column, remap counter zeroed. This is the tint-table rewrite entry point of a
+    /// backend reset to pristine state — a reset engine starts from a pristine table
+    /// before the next mapping is applied.
     pub fn reset(&mut self) {
         self.map.clear();
         self.map

@@ -86,8 +86,8 @@ impl Tlb {
 
     /// Returns the TLB to its just-constructed state: no resident entries, clock and
     /// statistics zeroed. Unlike [`Tlb::flush_all`] this is not a modelled hardware
-    /// operation — nothing is counted — which is what an engine pool needs when it
-    /// recycles a backend between tuner candidates.
+    /// operation — nothing is counted — which is what a backend reset to pristine
+    /// state needs.
     pub fn clear(&mut self) {
         self.slots.clear();
         self.clock = 0;

@@ -7,9 +7,8 @@
 //! [`ccache_json::Json`] snapshot whose layout follows the repo's determinism contract:
 //! everything *outside* the `timing` block is byte-identical across identical runs, and
 //! every host-dependent number (span durations, histogram bucket occupancy — the
-//! measured values are durations) is quarantined *inside* `timing`, exactly the way
-//! `BENCH_replay.json` quarantines its `timing`/`ratios`/`environment` keys. Tests
-//! therefore compare [`Registry::snapshot_deterministic`] and stay green on any host.
+//! measured values are durations) is quarantined *inside* `timing`. Tests therefore
+//! compare [`Registry::snapshot_deterministic`] and stay green on any host.
 //!
 //! Metric names are dotted `layer.noun.verb` paths (`engine.tlb.hits`,
 //! `serve.store.claims`); the snapshot sorts them, so naming *is* the schema.

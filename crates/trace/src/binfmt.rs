@@ -66,6 +66,11 @@ pub const HEADER_LEN: usize = 16;
 /// memory on uniform-kind streams (the format allows consecutive same-kind runs).
 const MAX_RUN: usize = 4096;
 
+/// Upper bound on the events [`TraceReader::read_to_trace`] reserves up front. The
+/// header's event count is untrusted input, so it only sizes the first allocation up to
+/// this cap; a longer trace grows the [`Trace`] as its body actually decodes.
+const MAX_PREALLOC_EVENTS: u64 = 1 << 20;
+
 /// The decoded fixed header of a binary trace file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceHeader {
@@ -383,9 +388,11 @@ impl<R: BufRead> TraceReader<R> {
     ///
     /// # Errors
     ///
-    /// Fails on truncated or malformed input.
+    /// Fails on truncated or malformed input — including a header that declares more
+    /// events than the body holds, however large the declared count.
     pub fn read_to_trace(&mut self) -> io::Result<Trace> {
-        let mut t = Trace::with_capacity(usize::try_from(self.remaining()).unwrap_or(0));
+        let reserve = self.remaining().min(MAX_PREALLOC_EVENTS);
+        let mut t = Trace::with_capacity(usize::try_from(reserve).unwrap_or(0));
         while let Some(ev) = self.next_event()? {
             t.push(ev);
         }
@@ -557,6 +564,23 @@ mod tests {
         let mut reader = TraceReader::new(&bytes[..]).unwrap();
         let result: io::Result<Vec<MemAccess>> = reader.by_ref().collect();
         assert!(result.is_err());
+    }
+
+    #[test]
+    fn hostile_event_count_is_an_error_not_an_abort() {
+        // A 17-byte file: a valid header declaring 2^48 events, then the terminator.
+        let mut bytes = Vec::new();
+        bytes.extend_from_slice(&MAGIC);
+        bytes.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+        bytes.extend_from_slice(&(1u64 << 48).to_le_bytes());
+        bytes.push(0);
+        assert_eq!(bytes.len(), 17);
+        let err = TraceReader::new(&bytes[..])
+            .unwrap()
+            .read_to_trace()
+            .unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("declares 281474976710656 events"));
     }
 
     #[test]

@@ -63,7 +63,6 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-pub mod bench;
 pub mod session;
 
 pub use ccache_core as core;
@@ -75,15 +74,10 @@ pub use ccache_telemetry as telemetry;
 pub use ccache_trace as trace;
 pub use ccache_workloads as workloads;
 
-pub use bench::{
-    BenchEnvironment, BenchMode, BenchRatios, BenchReport, BenchRequest, TuneBenchMode,
-    TuneBenchRatios, TuneBenchReport,
-};
 pub use session::{Replayed, Session, SessionBuilder, SessionError};
 
 /// The most commonly used items from every crate in the workspace.
 pub mod prelude {
-    pub use crate::bench::{BenchReport, BenchRequest};
     pub use crate::session::{Replayed, Session, SessionBuilder, SessionError};
     pub use ccache_core::prelude::*;
     pub use ccache_layout::prelude::*;

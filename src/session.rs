@@ -445,25 +445,6 @@ impl Session {
         }
     }
 
-    /// Measures replay throughput for a corpus workload across every engine datapath —
-    /// per-reference, batched, streamed and checkpoint-parallel — plus batch-size and
-    /// segment-count scaling curves. See [`crate::bench`] for what a
-    /// [`BenchReport`](crate::bench::BenchReport) contains and which of its numbers are
-    /// machine-independent; the `ccache bench` CLI command is a thin client of this
-    /// method.
-    ///
-    /// # Errors
-    ///
-    /// Fails for unknown workload names, if the backend cannot be built, or if the
-    /// harness's self-check — every mode must produce an identical
-    /// [`RunResult`] — fails.
-    pub fn bench(
-        &self,
-        request: &crate::bench::BenchRequest,
-    ) -> Result<crate::bench::BenchReport, SessionError> {
-        crate::bench::run(self, request)
-    }
-
     /// Tunes cache geometry and column assignments for a workload trace
     /// (see [`ccache_opt::tune`]). The request is taken as-is — its own `template`
     /// geometry drives the search; use [`Session::tune_corpus`] to tune under the

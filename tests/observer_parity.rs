@@ -51,8 +51,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Observed and unobserved replays produce identical `RunResult`s for every
-    /// backend, window size and batch size, and the window series reconciles with the
-    /// final statistics.
+    /// backend, window size and batch size, the window series does not depend on the
+    /// batch size, and it reconciles with the final statistics.
     #[test]
     fn observed_replay_is_byte_identical_and_reconciles(
         hot_passes in 1usize..4,
@@ -75,6 +75,16 @@ proptest! {
         prop_assert_eq!(&result, &expected);
 
         let series = recorder.into_series();
+
+        // Batch size never shifts a window boundary or alters a sample: a
+        // per-reference replay records the identical series.
+        let mut per_ref = ReplayEngine::new(backend, config()).unwrap();
+        per_ref.set_batch_size(1);
+        let mut per_ref_recorder = SeriesRecorder::new(window);
+        let per_ref_result = per_ref.replay_observed("x", &trace, window, &mut per_ref_recorder);
+        prop_assert_eq!(&per_ref_result, &expected);
+        prop_assert_eq!(&per_ref_recorder.into_series(), &series);
+
         prop_assert_eq!(series.total_references(), result.references);
         prop_assert_eq!(series.total_misses(), result.misses);
         prop_assert_eq!(series.total_hits(), result.hits);

@@ -18,16 +18,13 @@
 //! ccache serve --connect ADDR --request JSON
 //! ```
 //!
-//! The figure binaries in `ccache-bench` are thin shims over [`run`], so
-//! `cargo run -p ccache-bench --bin fig4 -- --quick` and
-//! `cargo run -p ccache-cli -- fig4 --quick` execute the same code and produce
-//! byte-identical artefacts. The experiment commands — `fig4`, `fig5`, `ablation`,
-//! `sweep` — are presets over the declarative pipeline in `ccache-exp`: they compile to
-//! an `ExperimentSpec`, run through the shared planner/executor and reassemble their
-//! legacy reports byte-identically (golden-tested in `tests/golden_parity.rs`);
-//! `ccache run` executes any spec file through the same pipeline. Shared behaviour
-//! lives here once: `--quick`/`--format`/`--out` handling ([`output::ReportArgs`]) and
-//! flag parsing with uniform unknown-flag errors ([`args`]).
+//! The experiment commands — `fig4`, `fig5`, `ablation`, `sweep` — are presets over the
+//! declarative pipeline in `ccache-exp`: they compile to an `ExperimentSpec`, run
+//! through the shared planner/executor and reassemble their legacy reports
+//! byte-identically (golden-tested in `tests/golden_parity.rs`); `ccache run` executes
+//! any spec file through the same pipeline. Shared behaviour lives here once:
+//! `--quick`/`--format`/`--out` handling ([`output::ReportArgs`]) and flag parsing with
+//! uniform unknown-flag errors ([`args`]).
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -93,14 +90,10 @@ pub fn run<I: IntoIterator<Item = String>>(args: I) -> Result<(), CliError> {
     }
 }
 
-/// Entry point shared by the `ccache` binary and the thin figure shims: runs
-/// `prepend` + the process arguments, prints errors to stderr and returns the exit code.
-pub fn main_with(prepend: Option<&str>) -> std::process::ExitCode {
-    let args = prepend
-        .map(str::to_owned)
-        .into_iter()
-        .chain(std::env::args().skip(1));
-    match run(args) {
+/// Entry point of the `ccache` binary: runs the process arguments, prints errors to
+/// stderr and returns the exit code.
+pub fn main() -> std::process::ExitCode {
+    match run(std::env::args().skip(1)) {
         Ok(()) => std::process::ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
@@ -124,5 +117,34 @@ mod tests {
     fn help_succeeds() {
         run(vec!["help".to_owned()]).unwrap();
         run(Vec::new()).unwrap();
+    }
+
+    #[test]
+    fn traces_past_the_address_limit_fail_with_their_line_number() {
+        let dir = std::env::temp_dir().join("ccache-cli-tests");
+        std::fs::create_dir_all(&dir).unwrap();
+        for (name, text) in [
+            (
+                "wrapping-last-byte.trace",
+                "R 0xffffffffffffffff 8\nW 0x10 4\n",
+            ),
+            ("wrapping-block.trace", "R 0xffffffffffffffe0 4\n"),
+        ] {
+            let path = dir.join(name).to_string_lossy().into_owned();
+            std::fs::write(&path, text).unwrap();
+            for command in [
+                &["trace", "info"][..],
+                &["sweep", "--trace"],
+                &["tune", "--budget", "4", "--trace"],
+            ] {
+                let args = command.iter().map(|s| s.to_string()).chain([path.clone()]);
+                let err = run(args).unwrap_err();
+                assert_eq!(err.exit_code(), 1, "{command:?}: {err}");
+                assert!(
+                    err.to_string().starts_with("line 1: "),
+                    "{command:?}: {err}"
+                );
+            }
+        }
     }
 }

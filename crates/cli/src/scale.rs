@@ -1,12 +1,10 @@
 //! Experiment scales and the fixed figure configurations — re-exported from the
 //! experiment layer.
 //!
-//! The definitions moved from `ccache-bench` to this crate (PR 2) and on into
-//! `ccache-exp` (this PR), so the spec layer, the CLI, the thin figure binaries and the
-//! Criterion benches all resolve `--quick` and the paper's configurations through one
-//! definition. This module keeps the CLI-facing import path (and the benches' re-export
-//! path) stable, and adds the one CLI-specific piece: consuming `--quick` from an
-//! [`ArgParser`].
+//! The definitions live in `ccache-exp`, so the spec layer and the CLI resolve `--quick`
+//! and the paper's configurations through one definition. This module keeps the
+//! CLI-facing import path stable and adds the one CLI-specific piece: consuming
+//! `--quick` from an [`ArgParser`].
 
 pub use ccache_exp::scale::{figure4_config, figure5_configs, figure5_jobs, Scale};
 

@@ -16,6 +16,7 @@ use ccache_layout::weights::conflict_graph_from_trace;
 use ccache_layout::{assign_columns, LayoutOptions, WeightOptions};
 use ccache_sim::backend::{BackendKind, MemoryBackend};
 use ccache_sim::ColumnMask;
+use ccache_telemetry::Registry;
 use ccache_trace::{SymbolTable, Trace};
 
 use crate::partition::PartitionConfig;
@@ -61,12 +62,13 @@ pub fn run_dynamic(
     symbols: &SymbolTable,
     config: &PartitionConfig,
 ) -> Result<DynamicRunResult, CoreError> {
-    run_dynamic_inner(phases, symbols, config, None)
+    run_dynamic_in(phases, symbols, config, &Registry::global(), None)
 }
 
-/// As [`run_dynamic`], with a streaming [`ReplayObserver`] receiving windowed samples
-/// every `window` references plus [`ReplayEvent::PhaseStart`], [`ReplayEvent::Remap`]
-/// and [`ReplayEvent::PhaseEnd`] markers with run-global reference offsets.
+/// As [`run_dynamic`], with the engine's telemetry reporting into `registry` and, when
+/// `observe` is set, a streaming [`ReplayObserver`] receiving windowed samples every
+/// `window` references plus [`ReplayEvent::PhaseStart`], [`ReplayEvent::Remap`] and
+/// [`ReplayEvent::PhaseEnd`] markers with run-global reference offsets.
 ///
 /// The returned [`DynamicRunResult`] is byte-identical to an unobserved
 /// [`run_dynamic`] of the same phases.
@@ -74,20 +76,11 @@ pub fn run_dynamic(
 /// # Errors
 ///
 /// As [`run_dynamic`].
-pub fn run_dynamic_observed(
+pub fn run_dynamic_in(
     phases: &[(String, Trace)],
     symbols: &SymbolTable,
     config: &PartitionConfig,
-    window: u64,
-    observer: &mut dyn ReplayObserver,
-) -> Result<DynamicRunResult, CoreError> {
-    run_dynamic_inner(phases, symbols, config, Some((window, observer)))
-}
-
-fn run_dynamic_inner(
-    phases: &[(String, Trace)],
-    symbols: &SymbolTable,
-    config: &PartitionConfig,
+    registry: &Registry,
     mut observe: Option<(u64, &mut dyn ReplayObserver)>,
 ) -> Result<DynamicRunResult, CoreError> {
     let column_bytes = config.column_bytes();
@@ -102,6 +95,7 @@ fn run_dynamic_inner(
         .collect();
 
     let mut engine = ReplayEngine::new(BackendKind::ColumnCache, config.system_config()?)?;
+    engine.set_telemetry(registry);
     let weight_opts = WeightOptions {
         column_bytes,
         split_large_variables: true,
@@ -154,12 +148,10 @@ fn run_dynamic_inner(
                 regions: mapping.regions.len(),
             });
         }
-        let result = match observe.as_mut() {
-            Some((window, observer)) => {
-                engine.replay_observed(name, trace, *window, &mut **observer)
-            }
-            None => engine.replay(name, trace),
-        };
+        let phase_observer = observe
+            .as_mut()
+            .map(|(window, observer)| (*window, &mut **observer as &mut dyn ReplayObserver));
+        let Ok(result) = engine.replay_from(name, trace.as_slice(), phase_observer);
         replayed_refs += result.references;
         if let Some((_, observer)) = observe.as_mut() {
             observer.on_event(&ReplayEvent::PhaseEnd {

@@ -1,15 +1,22 @@
 //! The replay engine: batched trace replay over a pluggable memory backend, with cheap
-//! snapshot/reset between sweep points.
+//! snapshot/reset.
 //!
-//! The seed replayed traces one reference at a time through a concrete `MemorySystem`,
-//! and every sweep point rebuilt the whole system. [`ReplayEngine`] replaces that path:
+//! Every replay in the workspace — experiment jobs, tuner fitness evaluations, streamed
+//! trace files, the Figure 5 round-robin schedule — runs through the one batch loop of
+//! [`ReplayEngine::replay_from`]:
 //!
-//! * references are fed to the backend in **batches** ([`MemoryBackend::run_batch`]),
-//!   which lets the column-cache backend short-circuit address translation for
-//!   consecutive same-page references — statistics stay identical to per-reference
-//!   replay, only wall-clock time changes;
+//! * references come from a [`RefSource`]: in-memory events staged into the engine's
+//!   buffer, pre-decoded `(addr, is_write)` references lent without a copy, a streaming
+//!   [`TraceReader`], or a caller-defined source such as the multitask scheduler;
+//! * they are fed to the backend in **batches** ([`MemoryBackend::run_batch`]), which
+//!   lets the column-cache backend short-circuit address translation for consecutive
+//!   same-page references — statistics stay identical to per-reference replay
+//!   ([`run_on`](crate::runner::run_on)), only wall-clock time changes;
+//! * observation is an `Option`: with an observer attached, window boundaries shorten
+//!   batches and a [`ReplayObserver`] receives one sample per window; without one the
+//!   loop is the same code minus those calls;
 //! * [`ReplayEngine::snapshot`] captures the fully programmed system (tints, page table,
-//!   preloaded lines) and [`ReplayEngine::reset`] restores it, so a sweep can reprogram
+//!   preloaded lines) and [`ReplayEngine::reset`] restores it, so a search can reprogram
 //!   tints from a warm starting point instead of reconstructing and re-mapping;
 //! * the backend is a `Box<dyn MemoryBackend>`, so the same engine drives the column
 //!   cache, the set-associative baseline or the ideal scratchpad.
@@ -21,13 +28,116 @@ use ccache_sim::backend::{BackendKind, MemoryBackend};
 use ccache_sim::registry::BackendRegistry;
 use ccache_sim::SystemConfig;
 use ccache_telemetry::{Counter, Registry};
-use ccache_trace::Trace;
+use ccache_trace::binfmt::TraceReader;
+use ccache_trace::{MemAccess, Trace};
+use std::convert::Infallible;
+use std::io::BufRead;
 
 /// References handed to the backend per [`MemoryBackend::run_batch`] call.
 ///
 /// Large enough to amortise the per-batch bookkeeping and keep the last-page translation
 /// cache effective, small enough that the staging buffer stays in L1/L2.
 const DEFAULT_BATCH: usize = 4096;
+
+/// A stream of `(address, is_write)` references that [`ReplayEngine::replay_from`]
+/// pulls one batch at a time.
+///
+/// Implemented for in-memory events (`&[MemAccess]`, staged into the engine's buffer),
+/// pre-decoded references (`&[(u64, bool)]`, lent to the backend without a copy) and
+/// the streaming binary [`TraceReader`] (decoded into the buffer), plus `&mut` of any
+/// source.
+pub trait RefSource {
+    /// The decode failure; [`Infallible`] for in-memory sources.
+    type Error;
+
+    /// The next at most `max` (≥ 1) references, either lent from the source or appended
+    /// to `staging` (which the engine empties before each call). An empty batch ends the
+    /// replay.
+    ///
+    /// # Errors
+    ///
+    /// Fails when the underlying stream cannot be decoded; the replay stops there.
+    fn next_batch<'a>(
+        &'a mut self,
+        staging: &'a mut Vec<(u64, bool)>,
+        max: usize,
+    ) -> Result<&'a [(u64, bool)], Self::Error>;
+
+    /// Receives the cycles [`MemoryBackend::run_batch`] charged for the batch just
+    /// returned. Ignored by default; the multitask scheduler credits them to the job
+    /// that issued the batch.
+    fn charge(&mut self, _cycles: u64) {}
+}
+
+/// Appends the `run_batch` form of `events` to `staging` and returns it.
+pub(crate) fn stage<'a>(
+    staging: &'a mut Vec<(u64, bool)>,
+    events: &[MemAccess],
+) -> &'a [(u64, bool)] {
+    staging.extend(events.iter().map(|ev| (ev.addr, ev.is_write())));
+    staging
+}
+
+/// Takes the first `max` elements off the front of `slice`.
+pub(crate) fn take_front<'t, T>(slice: &mut &'t [T], max: usize) -> &'t [T] {
+    let (head, tail) = slice.split_at(max.min(slice.len()));
+    *slice = tail;
+    head
+}
+
+impl RefSource for &[MemAccess] {
+    type Error = Infallible;
+
+    fn next_batch<'a>(
+        &'a mut self,
+        staging: &'a mut Vec<(u64, bool)>,
+        max: usize,
+    ) -> Result<&'a [(u64, bool)], Infallible> {
+        let events = take_front(self, max);
+        Ok(stage(staging, events))
+    }
+}
+
+impl RefSource for &[(u64, bool)] {
+    type Error = Infallible;
+
+    fn next_batch<'a>(
+        &'a mut self,
+        _staging: &'a mut Vec<(u64, bool)>,
+        max: usize,
+    ) -> Result<&'a [(u64, bool)], Infallible> {
+        Ok(take_front(self, max))
+    }
+}
+
+impl<R: BufRead> RefSource for TraceReader<R> {
+    type Error = std::io::Error;
+
+    fn next_batch<'a>(
+        &'a mut self,
+        staging: &'a mut Vec<(u64, bool)>,
+        max: usize,
+    ) -> std::io::Result<&'a [(u64, bool)]> {
+        self.read_chunk(staging, max)?;
+        Ok(staging)
+    }
+}
+
+impl<S: RefSource + ?Sized> RefSource for &mut S {
+    type Error = S::Error;
+
+    fn next_batch<'a>(
+        &'a mut self,
+        staging: &'a mut Vec<(u64, bool)>,
+        max: usize,
+    ) -> Result<&'a [(u64, bool)], S::Error> {
+        (**self).next_batch(staging, max)
+    }
+
+    fn charge(&mut self, cycles: u64) {
+        (**self).charge(cycles);
+    }
+}
 
 /// Batched trace replay over a pluggable, snapshottable memory backend.
 ///
@@ -62,15 +172,15 @@ pub struct ReplayEngine {
     /// snapshot clone they would not use.
     snapshot: Option<Box<dyn MemoryBackend>>,
     batch: usize,
-    /// Staging for the paths that convert events into `run_batch` input. Starts empty
-    /// and grows on first use, so engines that only replay pre-decoded references
-    /// ([`ReplayEngine::replay_refs`]) never allocate it.
+    /// Staging for sources that convert events into `run_batch` input. Starts empty and
+    /// grows on first use, so engines that only replay pre-decoded references never
+    /// allocate it.
     buffer: Vec<(u64, bool)>,
     telemetry: EngineTelemetry,
 }
 
-/// Pre-resolved telemetry handles, bound once per engine so the replay loops never
-/// touch the registry. All accounting happens *after* a replay finishes (the counters
+/// Pre-resolved telemetry handles, bound once per engine so the replay loop never
+/// touches the registry. All accounting happens *after* a replay finishes (the counters
 /// are fed from the backend's own statistics), so the hot loop is untouched and results
 /// stay byte-identical with or without a registry attached.
 #[derive(Clone)]
@@ -166,7 +276,7 @@ impl ReplayEngine {
     /// Rebinds the engine's telemetry to `registry` (the process-wide
     /// [`Registry::global`] is bound at construction). Sessions and servers that own a
     /// private registry route their engines here; results are unaffected — telemetry
-    /// accounting happens outside the replay loops, from statistics the backend
+    /// accounting happens outside the replay loop, from statistics the backend
     /// maintains anyway.
     pub fn set_telemetry(&mut self, registry: &Registry) {
         self.telemetry = EngineTelemetry::bind(registry);
@@ -183,8 +293,8 @@ impl ReplayEngine {
     }
 
     /// Overrides the batch size (mainly for tests; 0 is treated as 1). This is the
-    /// **only** place the ≥ 1 invariant is enforced — the replay loops rely on it and
-    /// never re-clamp.
+    /// **only** place the ≥ 1 invariant is enforced — the replay loop relies on it and
+    /// never re-clamps.
     pub fn set_batch_size(&mut self, batch: usize) {
         self.batch = batch.max(1);
     }
@@ -271,164 +381,83 @@ impl ReplayEngine {
         }
     }
 
-    /// Replays a trace in batches and collects a [`RunResult`].
-    ///
-    /// Statistics are reset first and cover this replay only, like
-    /// [`run_on`](crate::runner::run_on); control cycles spent programming the backend
-    /// beforehand are carried into the result. The result is bit-identical to
-    /// per-reference replay — batching only changes wall-clock time.
+    /// Replays a trace in batches and collects a [`RunResult`]: the unobserved
+    /// [`ReplayEngine::replay_from`] of the trace's events.
     pub fn replay(&mut self, name: &str, trace: &Trace) -> RunResult {
-        let control_before = self.backend.control_cycles();
-        self.backend.reset_stats();
-        let mut batches = 0u64;
-        for chunk in trace.as_slice().chunks(self.batch) {
-            self.buffer.clear();
-            self.buffer
-                .extend(chunk.iter().map(|ev| (ev.addr, ev.is_write())));
-            self.backend.run_batch(&self.buffer);
-            batches += 1;
-        }
-        self.telemetry.record_replay(self.backend.as_ref(), batches);
-        crate::runner::collect_result(name, self.backend.as_ref(), control_before)
+        let Ok(result) = self.replay_from(name, trace.as_slice(), None);
+        result
     }
 
-    /// As [`ReplayEngine::replay`], over already-decoded `(addr, is_write)` references.
-    ///
-    /// This is the fitness datapath's hot loop: the tuner decodes the trace once into a
-    /// shared arena and every candidate replays from it, so the per-replay staging copy
-    /// of [`ReplayEngine::replay`] disappears — chunks of `refs` go to
-    /// [`MemoryBackend::run_batch`] directly. Batch boundaries are identical to the
-    /// trace path, so for the same event stream the result is byte-identical.
-    pub fn replay_refs(&mut self, name: &str, refs: &[(u64, bool)]) -> RunResult {
-        let control_before = self.backend.control_cycles();
-        self.backend.reset_stats();
-        let mut batches = 0u64;
-        for chunk in refs.chunks(self.batch) {
-            self.backend.run_batch(chunk);
-            batches += 1;
-        }
-        self.telemetry.record_replay(self.backend.as_ref(), batches);
-        crate::runner::collect_result(name, self.backend.as_ref(), control_before)
-    }
-
-    /// Replays a binary-format trace straight from a streaming
-    /// [`TraceReader`](ccache_trace::binfmt::TraceReader), without materialising it in
-    /// memory: events are decoded into the engine's staging buffer one batch at a time
-    /// and fed to [`MemoryBackend::run_batch`], so a trace file larger than RAM replays
-    /// in bounded memory.
-    ///
-    /// Statistics behave exactly like [`ReplayEngine::replay`], and for the same event
-    /// stream the results are bit-identical (property-tested in
-    /// `tests/trace_format.rs`).
+    /// Replays a binary-format trace straight from a streaming [`TraceReader`], without
+    /// materialising it in memory: the unobserved [`ReplayEngine::replay_from`] of the
+    /// reader, so a trace file larger than RAM replays in bounded memory.
     ///
     /// # Errors
     ///
     /// Propagates I/O and format errors from the reader; the replay stops at the first
     /// bad batch.
-    pub fn replay_reader<R: std::io::BufRead>(
+    pub fn replay_reader<R: BufRead>(
         &mut self,
         name: &str,
-        reader: &mut ccache_trace::binfmt::TraceReader<R>,
+        reader: &mut TraceReader<R>,
     ) -> std::io::Result<RunResult> {
-        let control_before = self.backend.control_cycles();
-        self.backend.reset_stats();
-        let mut batches = 0u64;
-        loop {
-            self.buffer.clear();
-            if reader.read_chunk(&mut self.buffer, self.batch)? == 0 {
-                break;
-            }
-            self.backend.run_batch(&self.buffer);
-            batches += 1;
-        }
-        self.telemetry.record_replay(self.backend.as_ref(), batches);
-        Ok(crate::runner::collect_result(
-            name,
-            self.backend.as_ref(),
-            control_before,
-        ))
+        self.replay_from(name, reader, None)
     }
 
-    /// As [`ReplayEngine::replay`], with a streaming [`ReplayObserver`] receiving one
-    /// [`WindowSample`](crate::observe::WindowSample) every `window` references (plus a
-    /// final partial window).
+    /// The replay loop: pulls batches of at most the engine's batch size from `source`,
+    /// feeds each to [`MemoryBackend::run_batch`] and collects a [`RunResult`].
     ///
-    /// Window boundaries only shorten *batch* boundaries, and batch size never changes
-    /// statistics, so the returned [`RunResult`] is byte-identical to an unobserved
-    /// [`ReplayEngine::replay`] of the same trace (property-tested in
-    /// `tests/observer_parity.rs`). The unobserved path stays a separate function that
-    /// never consults an observer, so turning observation off costs literally nothing.
-    pub fn replay_observed(
-        &mut self,
-        name: &str,
-        trace: &Trace,
-        window: u64,
-        observer: &mut dyn ReplayObserver,
-    ) -> RunResult {
-        let control_before = self.backend.control_cycles();
-        self.backend.reset_stats();
-        let mut tracker = WindowTracker::new(window);
-        let events = trace.as_slice();
-        let mut pos = 0usize;
-        let mut batches = 0u64;
-        while pos < events.len() {
-            let n = (tracker.until_boundary(pos as u64) as usize)
-                .min(self.batch)
-                .min(events.len() - pos);
-            self.buffer.clear();
-            self.buffer.extend(
-                events[pos..pos + n]
-                    .iter()
-                    .map(|ev| (ev.addr, ev.is_write())),
-            );
-            self.backend.run_batch(&self.buffer);
-            pos += n;
-            batches += 1;
-            tracker.observe(self.backend.as_ref(), observer, pos == events.len());
-        }
-        self.telemetry.record_replay(self.backend.as_ref(), batches);
-        self.telemetry
-            .record_observed_tail(self.backend.as_ref(), window);
-        crate::runner::collect_result(name, self.backend.as_ref(), control_before)
-    }
-
-    /// As [`ReplayEngine::replay_reader`], with a streaming [`ReplayObserver`] — the
-    /// observed counterpart for traces replayed straight from disk. Statistics are
-    /// identical to the unobserved streaming replay.
+    /// Statistics are reset first and cover this replay only, like
+    /// [`run_on`](crate::runner::run_on); control cycles spent programming the backend
+    /// beforehand are carried into the result. The result is bit-identical to
+    /// per-reference replay, whatever the source and batch size — batching only changes
+    /// wall-clock time (property-tested in `tests/property_invariants.rs` and, for the
+    /// streamed source, `tests/trace_format.rs`).
+    ///
+    /// With `observe = Some((window, observer))` the observer receives one
+    /// [`WindowSample`](crate::observe::WindowSample) every `window` references plus a
+    /// final partial window. Window boundaries only shorten batches, so the result is
+    /// byte-identical to the unobserved replay (`tests/observer_parity.rs`).
     ///
     /// # Errors
     ///
-    /// Propagates I/O and format errors from the reader.
-    pub fn replay_reader_observed<R: std::io::BufRead>(
+    /// Propagates the source's decode errors; the replay stops at the first bad batch.
+    pub fn replay_from<S: RefSource>(
         &mut self,
         name: &str,
-        reader: &mut ccache_trace::binfmt::TraceReader<R>,
-        window: u64,
-        observer: &mut dyn ReplayObserver,
-    ) -> std::io::Result<RunResult> {
+        mut source: S,
+        observe: Option<(u64, &mut dyn ReplayObserver)>,
+    ) -> Result<RunResult, S::Error> {
         let control_before = self.backend.control_cycles();
         self.backend.reset_stats();
-        let mut tracker = WindowTracker::new(window);
+        let mut observed = observe.map(|(window, observer)| (WindowTracker::new(window), observer));
         let mut replayed = 0u64;
         let mut batches = 0u64;
         loop {
-            let cap = (tracker.until_boundary(replayed) as usize)
-                .min(self.batch)
-                .max(1);
+            let max = match &observed {
+                Some((tracker, _)) => (tracker.until_boundary(replayed) as usize).min(self.batch),
+                None => self.batch,
+            };
             self.buffer.clear();
-            if reader.read_chunk(&mut self.buffer, cap)? == 0 {
+            let refs = source.next_batch(&mut self.buffer, max)?;
+            if refs.is_empty() {
                 break;
             }
-            self.backend.run_batch(&self.buffer);
-            replayed += self.buffer.len() as u64;
+            replayed += refs.len() as u64;
+            let cycles = self.backend.run_batch(refs);
+            source.charge(cycles);
             batches += 1;
-            tracker.observe(self.backend.as_ref(), observer, false);
+            if let Some((tracker, observer)) = observed.as_mut() {
+                tracker.observe(self.backend.as_ref(), &mut **observer, false);
+            }
         }
-        // Flush the final partial window now that the stream length is known.
-        tracker.observe(self.backend.as_ref(), observer, true);
+        if let Some((tracker, observer)) = observed.as_mut() {
+            // Flush the final partial window now that the stream length is known.
+            tracker.observe(self.backend.as_ref(), &mut **observer, true);
+            self.telemetry
+                .record_observed_tail(self.backend.as_ref(), tracker.window());
+        }
         self.telemetry.record_replay(self.backend.as_ref(), batches);
-        self.telemetry
-            .record_observed_tail(self.backend.as_ref(), window);
         Ok(crate::runner::collect_result(
             name,
             self.backend.as_ref(),
@@ -533,7 +562,7 @@ mod tests {
         a.apply(&m).unwrap();
         let mut b = a.clone();
         let from_trace = a.replay("x", &t);
-        let from_refs = b.replay_refs("x", &refs);
+        let Ok(from_refs) = b.replay_from("x", &refs[..], None);
         assert_eq!(from_trace, from_refs);
     }
 

@@ -132,7 +132,8 @@ impl ReplayFitness {
         let mut engine = ReplayEngine::new(candidate.backend, candidate.config)?;
         engine.set_telemetry(&self.registry);
         engine.apply(&candidate.mapping)?;
-        Ok(engine.replay_refs(name, &self.arena))
+        let Ok(result) = engine.replay_from(name, &self.arena[..], None);
+        Ok(result)
     }
 
     /// Evaluates a batch of candidates, returning results **in input order**. With the

@@ -4,6 +4,8 @@
 //! simulator (`ccache-sim`), the data-layout algorithms (`ccache-layout`) and the
 //! instrumented workloads (`ccache-workloads`) into the experiments the paper reports.
 //!
+//! * [`engine`] — the [`ReplayEngine`], whose one batch loop
+//!   ([`ReplayEngine::replay_from`]) runs every replay below, over any [`RefSource`].
 //! * [`runner`] — program a [`ccache_sim::MemorySystem`] from a column assignment
 //!   ([`runner::CacheMapping`]) and replay traces ([`runner::run_trace`]).
 //! * [`placement`] — relocate program variables (page alignment, scratchpad packing)
@@ -55,8 +57,8 @@ pub mod placement;
 pub mod report;
 pub mod runner;
 
-pub use dynamic::{run_dynamic, run_dynamic_observed, DynamicRunResult, Figure4dResult};
-pub use engine::ReplayEngine;
+pub use dynamic::{run_dynamic, run_dynamic_in, DynamicRunResult, Figure4dResult};
+pub use engine::{RefSource, ReplayEngine};
 pub use error::CoreError;
 pub use fitness::{Candidate, ReplayFitness};
 pub use multitask::{

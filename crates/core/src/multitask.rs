@@ -5,13 +5,20 @@
 //! often it is interrupted (the context-switch quantum). With a mapped column cache job A
 //! owns a set of columns exclusively and the other jobs share the remainder, so job A's
 //! CPI is both lower and nearly independent of the quantum.
+//!
+//! A run is one [`ReplayEngine`] replay whose [`RefSource`] is the lazy round-robin
+//! schedule: each quantum slice is staged straight from its job's trace one engine
+//! batch at a time, and each batch's cycles are credited to the job that issued it.
 
+use crate::engine::{stage, take_front, RefSource, ReplayEngine};
 use crate::error::CoreError;
 use crate::parallel::par_map;
-use ccache_sim::backend::{build_backend, BackendKind, MemoryBackend};
+use ccache_sim::backend::BackendKind;
 use ccache_sim::{CacheConfig, ColumnMask, LatencyConfig, SystemConfig, Tint};
-use ccache_trace::Trace;
-use ccache_workloads::multitask::{round_robin, Job, Schedule};
+use ccache_telemetry::Registry;
+use ccache_trace::{MemAccess, Trace};
+use ccache_workloads::multitask::{round_robin, Job, RoundRobin};
+use std::convert::Infallible;
 
 /// Configuration of the multitasking experiment.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -142,34 +149,39 @@ fn address_span(trace: &Trace) -> (u64, u64) {
     (stats.min_addr, stats.max_addr + 1)
 }
 
-/// Replays an interleaved schedule, attributing cycles and references to the issuing
-/// job. The schedule is contiguous per quantum, so each owner-run is handed to the
-/// backend as one batch (same statistics as per-reference replay, less overhead).
-fn replay_schedule(
-    system: &mut dyn MemoryBackend,
-    schedule: &Schedule,
-    jobs: usize,
-    quantum: usize,
-) -> (Vec<u64>, Vec<u64>) {
-    let mut per_job_cycles = vec![0u64; jobs];
-    let mut per_job_refs = vec![0u64; jobs];
-    let events = schedule.merged.as_slice();
-    let owners = &schedule.owner;
-    let mut batch: Vec<(u64, bool)> = Vec::with_capacity(quantum.min(events.len()).max(1));
-    let mut start = 0usize;
-    while start < events.len() {
-        let owner = owners[start];
-        let mut end = start + 1;
-        while end < events.len() && owners[end] == owner {
-            end += 1;
+/// The round-robin schedule as a replay source: batches never straddle a quantum slice,
+/// so each batch has exactly one issuing job, which is charged its references and
+/// cycles.
+struct JobSlices<'a> {
+    slices: RoundRobin<'a>,
+    /// The issuing job and the unreplayed rest of its current quantum slice.
+    current: (usize, &'a [MemAccess]),
+    cycles: Vec<u64>,
+    references: Vec<u64>,
+}
+
+impl RefSource for JobSlices<'_> {
+    type Error = Infallible;
+
+    fn next_batch<'s>(
+        &'s mut self,
+        staging: &'s mut Vec<(u64, bool)>,
+        max: usize,
+    ) -> Result<&'s [(u64, bool)], Infallible> {
+        while self.current.1.is_empty() {
+            match self.slices.next() {
+                Some(slice) => self.current = slice,
+                None => return Ok(&[]),
+            }
         }
-        batch.clear();
-        batch.extend(events[start..end].iter().map(|ev| (ev.addr, ev.is_write())));
-        per_job_cycles[owner] += system.run_batch(&batch);
-        per_job_refs[owner] += (end - start) as u64;
-        start = end;
+        let batch = take_front(&mut self.current.1, max);
+        self.references[self.current.0] += batch.len() as u64;
+        Ok(stage(staging, batch))
     }
-    (per_job_cycles, per_job_refs)
+
+    fn charge(&mut self, cycles: u64) {
+        self.cycles[self.current.0] += cycles;
+    }
 }
 
 /// Runs one multitasking experiment point on the column cache.
@@ -204,6 +216,22 @@ pub fn run_multitasking_on(
     config: &MultitaskConfig,
     policy: SharingPolicy,
 ) -> Result<MultitaskRun, CoreError> {
+    run_multitasking_in(kind, jobs, quantum, config, policy, &Registry::global())
+}
+
+/// As [`run_multitasking_on`], with the engine's telemetry reporting into `registry`.
+///
+/// # Errors
+///
+/// As [`run_multitasking_on`].
+pub fn run_multitasking_in(
+    kind: BackendKind,
+    jobs: &[Job],
+    quantum: usize,
+    config: &MultitaskConfig,
+    policy: SharingPolicy,
+    registry: &Registry,
+) -> Result<MultitaskRun, CoreError> {
     if jobs.is_empty() {
         return Err(CoreError::BadExperiment {
             reason: "no jobs supplied".to_owned(),
@@ -214,9 +242,11 @@ pub fn run_multitasking_on(
             reason: format!("critical job cannot own all {} columns", config.columns),
         });
     }
-    let mut system = build_backend(kind, config.system_config()?)?;
+    let mut engine = ReplayEngine::new(kind, config.system_config()?)?;
+    engine.set_telemetry(registry);
 
     if policy == SharingPolicy::Mapped {
+        let system = engine.backend_mut();
         // Job 0 owns columns [0, critical_job_columns); the others share the rest.
         let critical_mask = ColumnMask::range(0, config.critical_job_columns);
         let other_mask = ColumnMask::range(
@@ -234,22 +264,26 @@ pub fn run_multitasking_on(
         }
     }
 
-    let schedule: Schedule = round_robin(jobs, quantum);
-    let (per_job_cycles, per_job_refs) =
-        replay_schedule(system.as_mut(), &schedule, jobs.len(), quantum);
+    let mut schedule = JobSlices {
+        slices: round_robin(jobs, quantum),
+        current: (0, &[]),
+        cycles: vec![0; jobs.len()],
+        references: vec![0; jobs.len()],
+    };
+    let Ok(_) = engine.replay_from("multitask", &mut schedule, None);
 
     let lat = config.latency;
     let jobs_metrics = jobs
         .iter()
         .enumerate()
         .map(|(j, job)| {
-            let instructions = per_job_refs[j] * lat.instructions_per_reference;
+            let instructions = schedule.references[j] * lat.instructions_per_reference;
             let compute = instructions * lat.compute_cycles_per_instruction;
-            let total = compute + per_job_cycles[j];
+            let total = compute + schedule.cycles[j];
             JobMetrics {
                 name: job.name.clone(),
-                references: per_job_refs[j],
-                memory_cycles: per_job_cycles[j],
+                references: schedule.references[j],
+                memory_cycles: schedule.cycles[j],
                 instructions,
                 cpi: if instructions == 0 {
                     0.0
@@ -263,7 +297,7 @@ pub fn run_multitasking_on(
         quantum,
         policy,
         jobs: jobs_metrics,
-        context_switches: schedule.context_switches,
+        context_switches: schedule.slices.context_switches(),
     })
 }
 

@@ -2,21 +2,20 @@
 //!
 //! The paper's programming model is software *watching* and *reprogramming* the cache,
 //! but until this module a replay's statistics were readable only after it finished.
-//! [`ReplayObserver`] is the streaming counterpart: hook one into
-//! [`ReplayEngine::replay_observed`](crate::ReplayEngine::replay_observed) (or the
+//! [`ReplayObserver`] is the streaming counterpart: pass one to
+//! [`ReplayEngine::replay_from`](crate::ReplayEngine::replay_from) (or use the
 //! experiment executor's `--observe` path) and it receives
 //!
 //! * one [`WindowSample`] every `window` references — the miss-rate/CPI time series of
 //!   the run, computed from statistics deltas at window boundaries, and
 //! * [`ReplayEvent`]s at phase boundaries and dynamic remaps
-//!   ([`run_dynamic_observed`](crate::dynamic::run_dynamic_observed)).
+//!   ([`run_dynamic_in`](crate::dynamic::run_dynamic_in)).
 //!
-//! Observation is free when it is off: the unobserved replay paths
-//! ([`ReplayEngine::replay`](crate::ReplayEngine::replay) and friends) do not take an
-//! observer at all — they are the exact pre-observer code — and the observed paths
-//! produce byte-identical [`RunResult`](crate::runner::RunResult)s because window
-//! boundaries only change *batch* boundaries, which never change statistics
-//! (property-tested in `tests/observer_parity.rs`).
+//! Observation off is `None` in the engine's one replay loop: no tracker, no window
+//! boundaries, no callbacks. Observation on produces byte-identical
+//! [`RunResult`](crate::runner::RunResult)s because window boundaries only change
+//! *batch* boundaries, which never change statistics (property-tested in
+//! `tests/observer_parity.rs`); its cost is measured by the benchmark, not assumed.
 
 use ccache_sim::backend::MemoryBackend;
 use ccache_sim::{CycleReport, MemoryStats};
@@ -107,9 +106,9 @@ pub trait ReplayObserver: Send {
     fn on_event(&mut self, _event: &ReplayEvent) {}
 }
 
-/// The do-nothing observer: both hooks are empty bodies, so attaching it costs two
-/// inlined no-op calls per window — and the unobserved replay paths do not even do
-/// that, as they never take an observer.
+/// The do-nothing observer: both hooks are empty bodies, so attaching it costs the
+/// window bookkeeping plus two no-op calls per window. An unobserved replay passes
+/// `None` instead and skips even that.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NoopObserver;
 
@@ -154,7 +153,7 @@ impl TimeSeries {
 /// Window `start`/`index` values are rebased to be global across consecutive observed
 /// replays (each engine replay numbers its windows from zero): [`ReplayEvent::PhaseEnd`]
 /// advances the base, which is exactly what
-/// [`run_dynamic_observed`](crate::dynamic::run_dynamic_observed) emits between phases.
+/// [`run_dynamic_in`](crate::dynamic::run_dynamic_in) emits between phases.
 #[derive(Debug, Clone, Default)]
 pub struct SeriesRecorder {
     series: TimeSeries,
@@ -183,6 +182,11 @@ impl SeriesRecorder {
     pub fn into_series(self) -> TimeSeries {
         self.series
     }
+
+    /// The recorder as the `(window, observer)` pair the replay entry points take.
+    pub fn as_observer(&mut self) -> (u64, &mut dyn ReplayObserver) {
+        (self.series.window, self)
+    }
 }
 
 impl ReplayObserver for SeriesRecorder {
@@ -201,9 +205,10 @@ impl ReplayObserver for SeriesRecorder {
     }
 }
 
-/// Per-replay window bookkeeping shared by the observed replay paths of
-/// [`ReplayEngine`](crate::ReplayEngine): tracks the statistics snapshot at the current
-/// window's start and emits delta samples at boundaries.
+/// Per-replay window bookkeeping of an observed
+/// [`ReplayEngine::replay_from`](crate::ReplayEngine::replay_from): tracks the
+/// statistics snapshot at the current window's start and emits delta samples at
+/// boundaries.
 pub(crate) struct WindowTracker {
     window: u64,
     index: u64,
@@ -225,6 +230,11 @@ impl WindowTracker {
             prev_hits: 0,
             prev_misses: 0,
         }
+    }
+
+    /// The window size in references (at least 1).
+    pub(crate) fn window(&self) -> u64 {
+        self.window
     }
 
     /// References that may be replayed before the next window boundary.
@@ -302,7 +312,7 @@ mod tests {
 
         let mut observed = ReplayEngine::new(BackendKind::ColumnCache, config()).unwrap();
         let mut recorder = SeriesRecorder::new(100);
-        let result = observed.replay_observed("x", &trace, 100, &mut recorder);
+        let Ok(result) = observed.replay_from("x", trace.as_slice(), Some(recorder.as_observer()));
         assert_eq!(result, expected, "observation must not change statistics");
 
         let series = recorder.into_series();
@@ -325,7 +335,7 @@ mod tests {
         let trace = sequential_scan(0x0, 512, 32, 4, 1, None);
         let mut engine = ReplayEngine::new(BackendKind::ColumnCache, config()).unwrap();
         let mut recorder = SeriesRecorder::new(1 << 30);
-        let result = engine.replay_observed("x", &trace, 1 << 30, &mut recorder);
+        let Ok(result) = engine.replay_from("x", trace.as_slice(), Some(recorder.as_observer()));
         let series = recorder.into_series();
         assert_eq!(series.samples.len(), 1);
         assert_eq!(series.samples[0].references, result.references);
@@ -338,7 +348,7 @@ mod tests {
         let trace = ccache_trace::Trace::new();
         let mut engine = ReplayEngine::new(BackendKind::ColumnCache, config()).unwrap();
         let mut recorder = SeriesRecorder::new(8);
-        engine.replay_observed("x", &trace, 8, &mut recorder);
+        let Ok(_) = engine.replay_from("x", trace.as_slice(), Some(recorder.as_observer()));
         assert!(recorder.series().samples.is_empty());
     }
 

@@ -14,14 +14,16 @@
 //!    layout algorithm of Section 3;
 //! 4. the routine's reference stream is replayed and its cycle count recorded.
 
+use crate::engine::ReplayEngine;
 use crate::error::CoreError;
 use crate::parallel::{par_map, seq_map};
 use crate::placement::{pack_scratchpad_first, relocate};
-use crate::runner::{run_trace_on, CacheMapping, RegionMapping, RunResult};
+use crate::runner::{CacheMapping, RegionMapping, RunResult};
 use ccache_layout::weights::conflict_graph_from_trace;
 use ccache_layout::{assign_columns, ConflictGraph, LayoutOptions, WeightOptions};
 use ccache_sim::backend::BackendKind;
 use ccache_sim::{CacheConfig, ColumnMask, LatencyConfig, SystemConfig};
+use ccache_telemetry::Registry;
 use ccache_trace::{AccessProfile, SymbolTable, Trace, VarId};
 use ccache_workloads::WorkloadRun;
 use std::collections::BTreeSet;
@@ -159,17 +161,25 @@ pub fn run_partition_point(
     config: &PartitionConfig,
     cache_columns: usize,
 ) -> Result<PartitionPoint, CoreError> {
-    run_partition_point_on(BackendKind::ColumnCache, workload, config, cache_columns)
+    run_partition_point_in(
+        BackendKind::ColumnCache,
+        workload,
+        config,
+        cache_columns,
+        &Registry::global(),
+    )
 }
 
-/// Runs one partition point against any backend kind. On the set-associative baseline
-/// the scratchpad mapping degrades to ordinary cached accesses (the control operations
-/// are ignored), which is exactly the "standard cache" comparison line.
-pub fn run_partition_point_on(
+/// Runs one partition point against any backend kind, with the engine's telemetry
+/// reporting into `registry`. On the set-associative baseline the scratchpad mapping
+/// degrades to ordinary cached accesses (the control operations are ignored), which is
+/// exactly the "standard cache" comparison line.
+pub fn run_partition_point_in(
     kind: BackendKind,
     workload: &WorkloadRun,
     config: &PartitionConfig,
     cache_columns: usize,
+    registry: &Registry,
 ) -> Result<PartitionPoint, CoreError> {
     if cache_columns > config.columns {
         return Err(CoreError::BadPartition {
@@ -276,14 +286,10 @@ pub fn run_partition_point_on(
     }
 
     // 4. Replay (batched, through the replay engine).
-    let system_config = config.system_config()?;
-    let result = run_trace_on(
-        kind,
-        &format!("{}-cache{}", workload.name, cache_columns),
-        system_config,
-        &mapping,
-        &trace,
-    )?;
+    let mut engine = ReplayEngine::new(kind, config.system_config()?)?;
+    engine.set_telemetry(registry);
+    engine.apply(&mapping)?;
+    let result = engine.replay(&format!("{}-cache{}", workload.name, cache_columns), &trace);
     let cycles = if config.include_control {
         result.total_cycles_with_control()
     } else {
@@ -451,14 +457,20 @@ mod tests {
         let cfg = fast_config();
         // On a conventional cache the "partition" degrades to plain caching, so every
         // sweep point costs the same.
-        let p2 = run_partition_point_on(BackendKind::SetAssociative, &run, &cfg, 2).unwrap();
-        let p4 = run_partition_point_on(BackendKind::SetAssociative, &run, &cfg, 4).unwrap();
+        let registry = Registry::new();
+        let point = |kind, cache_columns| {
+            run_partition_point_in(kind, &run, &cfg, cache_columns, &registry).unwrap()
+        };
+        let p2 = point(BackendKind::SetAssociative, 2);
+        let p4 = point(BackendKind::SetAssociative, 4);
         assert_eq!(p2.result.hits, p4.result.hits);
         assert_eq!(p2.result.misses, p4.result.misses);
         // The ideal scratchpad lower-bounds the column cache at every point.
-        let ideal = run_partition_point_on(BackendKind::IdealScratchpad, &run, &cfg, 2).unwrap();
+        let ideal = point(BackendKind::IdealScratchpad, 2);
         let column = run_partition_point(&run, &cfg, 2).unwrap();
         assert!(ideal.cycles <= column.cycles);
+        // each point is one replay, counted in the registry it was given
+        assert_eq!(registry.counter_value("engine.replays"), 3);
     }
 
     #[test]

@@ -1,34 +1,30 @@
 //! The executor: run a [`Plan`] through the batched replay engine.
 //!
-//! Jobs are grouped by (workload, backend, geometry): each group builds one
-//! [`ReplayEngine`], snapshots the pristine state once and then `reset` → `apply` →
-//! `replay`s every mapping policy of the group from that snapshot — the optimizer inner
-//! loop of `ccache-opt`, reused for declarative grids. Groups run thread-parallel (the
-//! `parallel` feature) through the order-preserving `par_map`, so the outcome vector —
-//! and therefore the serialized artefact — is byte-identical with parallelism on or
-//! off.
-//!
-//! Jobs that manage their own system construction (partition points, phase remaps,
-//! tuning runs, multitask schedules, streaming trace files) run as singleton groups
-//! through the same experiment functions the legacy commands used, which is what makes
-//! the CLI presets byte-identical to their pre-refactor output.
+//! Every job is self-contained: a mapping replay builds its own [`ReplayEngine`],
+//! programs the job's mapping and replays the workload once; partition points, phase
+//! remaps, multitask schedules and tuning runs go through the same experiment
+//! functions the legacy commands used, which is what makes the CLI presets
+//! byte-identical to their pre-refactor output. Every engine reports into the
+//! execution's registry. Jobs run thread-parallel (the `parallel` feature) through the
+//! order-preserving `par_map`, which balances work per job, so the outcome vector — and
+//! therefore the serialized artefact — is byte-identical with parallelism on or off.
 
 use crate::error::ExpError;
 use crate::plan::{JobUnit, MultitaskJob, Plan, ReplayJob};
 use crate::scale::Scale;
 use crate::spec::{GeometrySpec, PolicySpec, WorkloadSel};
-use ccache_core::dynamic::{run_dynamic, run_dynamic_observed, DynamicRunResult};
+use ccache_core::dynamic::{run_dynamic_in, DynamicRunResult};
 use ccache_core::engine::ReplayEngine;
-use ccache_core::multitask::{run_multitasking, MultitaskRun};
+use ccache_core::multitask::{run_multitasking_in, MultitaskRun};
 use ccache_core::observe::{SeriesRecorder, TimeSeries};
-use ccache_core::partition::{run_partition_point_on, PartitionPoint};
+use ccache_core::partition::{run_partition_point_in, PartitionPoint};
 use ccache_core::runner::{CacheMapping, RegionMapping, RunResult};
 use ccache_layout::weights::conflict_graph_from_trace;
 use ccache_layout::{assign_columns, LayoutOptions, WeightOptions};
 use ccache_opt::{tune_observed, GeometrySearch, TuneOutcome, TuneRequest};
 use ccache_sim::backend::BackendKind;
 use ccache_sim::ColumnMask;
-use ccache_telemetry::{Counter, Registry, Span};
+use ccache_telemetry::{Registry, Span};
 use ccache_trace::{SymbolTable, Trace};
 use ccache_workloads::gzipsim::run_gzip_job;
 use ccache_workloads::multitask::Job;
@@ -41,8 +37,8 @@ pub struct ExecOptions {
     /// Build workloads at the reduced quick scale.
     pub quick: bool,
     /// When set, attach a windowed series recorder to every replay and dynamic job
-    /// (`ccache run --observe window=N`). `None` runs the exact unobserved code paths,
-    /// so artefacts stay byte-identical to pre-observer output.
+    /// (`ccache run --observe window=N`). `None` replays unobserved, and observation
+    /// never changes results, so artefacts differ only by their `time_series` blocks.
     pub observe: Option<ObserveOptions>,
     /// The telemetry registry the execution reports into (`exp.*` counters and spans,
     /// plus the engine and tuner metrics of every job). `None` uses the process-wide
@@ -68,19 +64,12 @@ struct ExpTelemetry {
     registry: Registry,
     /// One span per executed plan item (wall time under `timing`).
     job: Span,
-    /// Engine-sharing groups built (one engine + snapshot each).
-    groups: Counter,
-    /// Replays served from a group's pristine snapshot instead of a fresh engine —
-    /// every group job after the first.
-    snapshot_reuses: Counter,
 }
 
 impl ExpTelemetry {
     fn bind(registry: Registry) -> Self {
         ExpTelemetry {
             job: registry.span("exp.job"),
-            groups: registry.counter("exp.groups"),
-            snapshot_reuses: registry.counter("exp.snapshot.reuses"),
             registry,
         }
     }
@@ -167,7 +156,8 @@ impl JobOutcome {
     }
 }
 
-/// Workloads and schedules loaded once per execution, shared read-only by the workers.
+/// Workloads and multitask job sets loaded once per execution, shared read-only by the
+/// workers.
 struct Context {
     /// Corpus entries by name.
     corpus: BTreeMap<String, WorkloadRun>,
@@ -177,7 +167,7 @@ struct Context {
     /// The MPEG phase recordings, when a dynamic job needs them.
     phases: Option<(Vec<(String, Trace)>, SymbolTable)>,
     /// Multitask job sets by canonical descriptor.
-    schedules: BTreeMap<String, Vec<Job>>,
+    job_sets: BTreeMap<String, Vec<Job>>,
 }
 
 /// Cache key of a materialized trace file: the path plus the values symbol inference
@@ -187,7 +177,7 @@ fn trace_key(path: &str, geometry: &GeometrySpec) -> (String, u64, u64) {
     (path.to_owned(), geometry.page.max(4096), geometry.line)
 }
 
-fn schedule_key(jobs: &[crate::spec::GzipJobSpec]) -> String {
+fn job_set_key(jobs: &[crate::spec::GzipJobSpec]) -> String {
     use ccache_json::ToJson;
     ccache_json::Json::arr(jobs.iter().map(|j| j.to_json())).compact()
 }
@@ -210,7 +200,7 @@ impl Context {
             corpus: BTreeMap::new(),
             traces: BTreeMap::new(),
             phases: None,
-            schedules: BTreeMap::new(),
+            job_sets: BTreeMap::new(),
         };
         for unit in &plan.jobs {
             match unit {
@@ -279,8 +269,8 @@ impl Context {
                     }
                 }
                 JobUnit::Multitask(job) => {
-                    ctx.schedules
-                        .entry(schedule_key(&job.jobs))
+                    ctx.job_sets
+                        .entry(job_set_key(&job.jobs))
                         .or_insert_with(|| {
                             let base_cfg = scale.gzip();
                             job.jobs
@@ -409,239 +399,141 @@ fn build_mapping(
     }
 }
 
-/// A contiguous work unit handed to one worker: either an engine-sharing group of
-/// mapping replays or a single self-contained job.
-struct Group {
-    /// Whether the jobs share one engine (reset/apply/replay from a snapshot).
-    engine: bool,
-    jobs: Vec<usize>,
-}
-
-fn group_jobs(plan: &Plan) -> Result<Vec<Group>, ExpError> {
-    let mut order: Vec<String> = Vec::new();
-    let mut groups: BTreeMap<String, Vec<usize>> = BTreeMap::new();
-    for (idx, unit) in plan.jobs.iter().enumerate() {
-        let key = match unit {
-            JobUnit::Replay(job)
-                if matches!(
-                    job.policy,
-                    PolicySpec::Shared
-                        | PolicySpec::Heuristic
-                        | PolicySpec::RoundRobin
-                        | PolicySpec::Fixed { .. }
-                ) && !is_streaming(job)? =>
-            {
-                use ccache_json::ToJson;
-                format!(
-                    "engine|{}|{}|{}",
-                    job.workload.to_json().compact(),
-                    job.backend,
-                    job.geometry.to_json().compact()
-                )
-            }
-            _ => format!("single|{idx}"),
-        };
-        match groups.get_mut(&key) {
-            Some(list) => list.push(idx),
-            None => {
-                order.push(key.clone());
-                groups.insert(key, vec![idx]);
-            }
-        }
-    }
-    Ok(order
-        .into_iter()
-        .map(|key| Group {
-            engine: key.starts_with("engine|"),
-            jobs: groups.remove(&key).expect("group recorded"),
-        })
-        .collect())
-}
-
-/// Replays a trace on a prepared engine, observed or not per the execution options.
-fn engine_replay(
-    engine: &mut ReplayEngine,
-    label: &str,
-    trace: &ccache_trace::Trace,
-    opts: &ExecOptions,
-) -> (RunResult, Option<TimeSeries>) {
-    match opts.observe {
-        Some(o) => {
-            let mut recorder = SeriesRecorder::new(o.window);
-            let result = engine.replay_observed(label, trace, o.window, &mut recorder);
-            (result, Some(recorder.into_series()))
-        }
-        None => (engine.replay(label, trace), None),
-    }
-}
-
-fn run_replay_group(
-    indices: &[usize],
-    plan: &Plan,
+/// A mapping replay: a fresh engine, the job's mapping, one replay of the workload —
+/// streamed from disk for shared-policy binary trace files, which never have to fit in
+/// memory.
+fn run_replay(
+    job: &ReplayJob,
     ctx: &Context,
     opts: &ExecOptions,
     tel: &ExpTelemetry,
-) -> Result<Vec<(usize, JobOutcome)>, ExpError> {
-    let first = match &plan.jobs[indices[0]] {
-        JobUnit::Replay(job) => job,
-        JobUnit::Multitask(_) => unreachable!("engine groups hold replay jobs"),
-    };
-    let workload = ctx.workload(first)?;
-    let config = first.geometry.system_config()?;
-    let mut engine = ReplayEngine::new(first.backend, config)?;
+) -> Result<JobOutcome, ExpError> {
+    let mut engine = ReplayEngine::new(job.backend, job.geometry.system_config()?)?;
     engine.set_telemetry(&tel.registry);
-    engine.snapshot();
-    tel.groups.incr();
-    let mut out = Vec::with_capacity(indices.len());
-    for (nth, &idx) in indices.iter().enumerate() {
-        let job = match &plan.jobs[idx] {
-            JobUnit::Replay(job) => job,
-            JobUnit::Multitask(_) => unreachable!("engine groups hold replay jobs"),
-        };
-        let _timed = tel.job.start();
-        if nth > 0 {
-            tel.snapshot_reuses.incr();
+    let mut recorder = opts.observe.map(|o| SeriesRecorder::new(o.window));
+    let observe = recorder.as_mut().map(SeriesRecorder::as_observer);
+    let (result, layout) = match &job.workload {
+        WorkloadSel::Trace { path } if is_streaming(job)? => {
+            let mut reader = ccache_trace::binfmt::TraceReader::open(path)?;
+            (engine.replay_from(&job.label, &mut reader, observe)?, None)
         }
-        engine.reset();
-        let (mapping, layout) = build_mapping(&job.policy, workload, &job.geometry)?;
-        engine.apply(&mapping)?;
-        let (result, series) = engine_replay(&mut engine, &job.label, &workload.trace, opts);
-        out.push((
-            idx,
-            JobOutcome::Replay {
-                label: job.label.clone(),
-                result,
-                layout,
-                series,
-            },
-        ));
-    }
-    Ok(out)
+        _ => {
+            let workload = ctx.workload(job)?;
+            let (mapping, layout) = build_mapping(&job.policy, workload, &job.geometry)?;
+            engine.apply(&mapping)?;
+            let Ok(result) = engine.replay_from(&job.label, workload.trace.as_slice(), observe);
+            (result, layout)
+        }
+    };
+    Ok(JobOutcome::Replay {
+        label: job.label.clone(),
+        result,
+        layout,
+        series: recorder.map(SeriesRecorder::into_series),
+    })
 }
 
-fn run_single(
-    idx: usize,
-    plan: &Plan,
+fn run_job(
+    unit: &JobUnit,
     ctx: &Context,
     opts: &ExecOptions,
     tel: &ExpTelemetry,
-) -> Result<Vec<(usize, JobOutcome)>, ExpError> {
+) -> Result<JobOutcome, ExpError> {
     let _timed = tel.job.start();
-    let outcome = match &plan.jobs[idx] {
-        JobUnit::Replay(job) => match &job.policy {
-            PolicySpec::Shared => {
-                // A streaming replay: the trace file never has to fit in memory.
-                let path = match &job.workload {
-                    WorkloadSel::Trace { path } => path,
-                    WorkloadSel::Corpus { .. } => {
-                        unreachable!("corpus shared jobs run in engine groups")
-                    }
-                };
-                let mut engine = ReplayEngine::new(job.backend, job.geometry.system_config()?)?;
-                engine.set_telemetry(&tel.registry);
-                let mut reader = ccache_trace::binfmt::TraceReader::open(path)?;
-                let (result, series) = match opts.observe {
-                    Some(o) => {
-                        let mut recorder = SeriesRecorder::new(o.window);
-                        let result = engine.replay_reader_observed(
-                            &job.label,
-                            &mut reader,
-                            o.window,
-                            &mut recorder,
-                        )?;
-                        (result, Some(recorder.into_series()))
-                    }
-                    None => (engine.replay_reader(&job.label, &mut reader)?, None),
-                };
-                JobOutcome::Replay {
-                    label: job.label.clone(),
-                    result,
-                    layout: None,
-                    series,
-                }
-            }
-            PolicySpec::Partition { cache_columns } => {
-                let workload = ctx.workload(job)?;
-                let point = run_partition_point_on(
-                    job.backend,
-                    workload,
-                    &job.geometry.partition_config(),
-                    *cache_columns,
-                )?;
-                JobOutcome::Partition {
-                    label: job.label.clone(),
-                    workload: workload.name.clone(),
-                    point,
-                }
-            }
-            PolicySpec::DynamicPhases => {
-                let (phases, symbols) = ctx.phases.as_ref().expect("phases preloaded");
-                let config = job.geometry.partition_config();
-                let (run, series) = match opts.observe {
-                    Some(o) => {
-                        let mut recorder = SeriesRecorder::new(o.window);
-                        let run = run_dynamic_observed(
-                            phases,
-                            symbols,
-                            &config,
-                            o.window,
-                            &mut recorder,
-                        )?;
-                        (run, Some(recorder.into_series()))
-                    }
-                    None => (run_dynamic(phases, symbols, &config)?, None),
-                };
-                JobOutcome::Dynamic {
-                    label: job.label.clone(),
-                    run,
-                    series,
-                }
-            }
-            PolicySpec::Tuned {
-                strategy,
-                budget,
-                seed,
-            } => {
-                let workload = ctx.workload(job)?;
-                let request = TuneRequest {
-                    template: job.geometry.system_config()?,
-                    geometry: GeometrySearch::fixed(),
-                    strategy: *strategy,
-                    budget: *budget,
-                    seed: *seed,
-                    serial: false,
-                    forced: Vec::new(),
-                    baseline: BackendKind::SetAssociative,
-                };
-                let outcome = tune_observed(
-                    &workload.trace,
-                    &workload.symbols,
-                    &request,
-                    &tel.registry,
-                    None,
-                )?;
-                JobOutcome::Tuned {
-                    label: job.label.clone(),
-                    outcome,
-                }
-            }
-            other => {
-                return Err(ExpError::BadSpec {
-                    reason: format!("policy '{}' escaped the planner", other.short()),
-                })
-            }
-        },
-        JobUnit::Multitask(job) => run_multitask_job(job, ctx)?,
+    let job = match unit {
+        JobUnit::Replay(job) => job,
+        JobUnit::Multitask(job) => return run_multitask_job(job, ctx, tel),
     };
-    Ok(vec![(idx, outcome)])
+    let outcome = match &job.policy {
+        PolicySpec::Shared
+        | PolicySpec::Heuristic
+        | PolicySpec::RoundRobin
+        | PolicySpec::Fixed { .. } => run_replay(job, ctx, opts, tel)?,
+        PolicySpec::Partition { cache_columns } => {
+            let workload = ctx.workload(job)?;
+            let point = run_partition_point_in(
+                job.backend,
+                workload,
+                &job.geometry.partition_config(),
+                *cache_columns,
+                &tel.registry,
+            )?;
+            JobOutcome::Partition {
+                label: job.label.clone(),
+                workload: workload.name.clone(),
+                point,
+            }
+        }
+        PolicySpec::DynamicPhases => {
+            let (phases, symbols) = ctx.phases.as_ref().expect("phases preloaded");
+            let mut recorder = opts.observe.map(|o| SeriesRecorder::new(o.window));
+            let run = run_dynamic_in(
+                phases,
+                symbols,
+                &job.geometry.partition_config(),
+                &tel.registry,
+                recorder.as_mut().map(SeriesRecorder::as_observer),
+            )?;
+            JobOutcome::Dynamic {
+                label: job.label.clone(),
+                run,
+                series: recorder.map(SeriesRecorder::into_series),
+            }
+        }
+        PolicySpec::Tuned {
+            strategy,
+            budget,
+            seed,
+        } => {
+            let workload = ctx.workload(job)?;
+            let request = TuneRequest {
+                template: job.geometry.system_config()?,
+                geometry: GeometrySearch::fixed(),
+                strategy: *strategy,
+                budget: *budget,
+                seed: *seed,
+                serial: false,
+                forced: Vec::new(),
+                baseline: BackendKind::SetAssociative,
+            };
+            let outcome = tune_observed(
+                &workload.trace,
+                &workload.symbols,
+                &request,
+                &tel.registry,
+                None,
+            )?;
+            JobOutcome::Tuned {
+                label: job.label.clone(),
+                outcome,
+            }
+        }
+        PolicySpec::PartitionSweep => {
+            return Err(ExpError::BadSpec {
+                reason: format!("policy '{}' escaped the planner", job.policy.short()),
+            })
+        }
+    };
+    Ok(outcome)
 }
 
-fn run_multitask_job(job: &MultitaskJob, ctx: &Context) -> Result<JobOutcome, ExpError> {
+fn run_multitask_job(
+    job: &MultitaskJob,
+    ctx: &Context,
+    tel: &ExpTelemetry,
+) -> Result<JobOutcome, ExpError> {
     let jobs = ctx
-        .schedules
-        .get(&schedule_key(&job.jobs))
-        .expect("schedules preloaded");
-    let run = run_multitasking(jobs, job.quantum, &job.config.config(), job.policy)?;
+        .job_sets
+        .get(&job_set_key(&job.jobs))
+        .expect("job sets preloaded");
+    let run = run_multitasking_in(
+        BackendKind::ColumnCache,
+        jobs,
+        job.quantum,
+        &job.config.config(),
+        job.policy,
+        &tel.registry,
+    )?;
     Ok(JobOutcome::Multitask {
         series: job.series.clone(),
         quantum: job.quantum,
@@ -657,22 +549,10 @@ fn run_multitask_job(job: &MultitaskJob, ctx: &Context) -> Result<JobOutcome, Ex
 /// the first error (in plan order) is reported.
 pub fn execute(plan: &Plan, opts: &ExecOptions) -> Result<Vec<JobOutcome>, ExpError> {
     let ctx = Context::load(plan, opts)?;
-    let groups = group_jobs(plan)?;
     let tel = ExpTelemetry::bind(opts.registry());
-    let results = ccache_core::parallel::par_map(&groups, |group| {
-        if group.engine {
-            run_replay_group(&group.jobs, plan, &ctx, opts, &tel)
-        } else {
-            run_single(group.jobs[0], plan, &ctx, opts, &tel)
-        }
-    });
-    let mut indexed: Vec<(usize, JobOutcome)> = Vec::with_capacity(plan.jobs.len());
-    for group in results {
-        indexed.extend(group?);
-    }
-    indexed.sort_by_key(|(idx, _)| *idx);
-    debug_assert!(indexed.iter().enumerate().all(|(i, (idx, _))| i == *idx));
-    Ok(indexed.into_iter().map(|(_, outcome)| outcome).collect())
+    ccache_core::parallel::par_map(&plan.jobs, |unit| run_job(unit, &ctx, opts, &tel))
+        .into_iter()
+        .collect()
 }
 
 #[cfg(test)]
@@ -702,9 +582,9 @@ mod tests {
     }
 
     #[test]
-    fn engine_groups_match_fresh_engine_replays() {
-        // The same policies through the grouped executor and through one-off engines
-        // must produce identical statistics.
+    fn executor_replays_match_one_off_engine_replays() {
+        // The same policies through the executor and through one-off engines must
+        // produce identical statistics.
         let spec = fir_grid(vec![
             PolicySpec::Shared,
             PolicySpec::Heuristic,

@@ -1,8 +1,8 @@
 //! Experiment scales and the fixed figure configurations.
 //!
-//! This module moved here from `ccache-cli` so the experiment layer, the CLI, the thin
-//! figure binaries and the Criterion benches all resolve `--quick` and the paper's
-//! configurations through one definition (the CLI re-exports it).
+//! This module lives in the experiment layer so the spec presets and the CLI resolve
+//! `--quick` and the paper's configurations through one definition (the CLI re-exports
+//! it).
 
 use ccache_core::multitask::MultitaskConfig;
 use ccache_core::partition::PartitionConfig;

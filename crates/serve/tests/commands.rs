@@ -107,6 +107,45 @@ fn uploaded_traces_replay_by_name_everywhere() {
 }
 
 #[test]
+fn uploads_past_the_address_limit_are_refused_and_the_connection_keeps_serving() {
+    let mut server = spawn_test_server(|_| {}).expect("bind test server");
+    let mut client = Client::connect(server.addr()).expect("connect");
+    for text in [
+        "R 0xffffffffffffffff 8\nW 0x10 4\n",
+        "R 0xffffffffffffffe0 4\n",
+    ] {
+        let reply = client
+            .request(&Json::obj([
+                ("cmd", "upload".to_json()),
+                ("name", "wrapped".to_json()),
+                ("text", text.to_json()),
+            ]))
+            .expect("upload reply");
+        assert_eq!(reply.get("ok").and_then(Json::as_bool), Some(false));
+        let error = reply.get("error").expect("error object");
+        assert_eq!(
+            error.get("code").and_then(Json::as_str),
+            Some("bad_request")
+        );
+        let message = error.get("message").and_then(Json::as_str).unwrap_or("");
+        assert!(message.contains("line 1: "), "{message}");
+    }
+    // The refused name was never stored, and the same connection still serves.
+    let replay = client
+        .request(&Json::obj([
+            ("cmd", "replay".to_json()),
+            ("trace", "wrapped".to_json()),
+        ]))
+        .expect("replay reply");
+    assert_eq!(replay.get("ok").and_then(Json::as_bool), Some(false));
+    let status = client
+        .request(&Json::obj([("cmd", "status".to_json())]))
+        .expect("status reply");
+    assert_eq!(status.get("ok").and_then(Json::as_bool), Some(true));
+    server.shutdown();
+}
+
+#[test]
 fn subscribe_streams_windows_then_the_final_statistics() {
     let mut server = spawn_test_server(|_| {}).expect("bind test server");
     let mut client = Client::connect(server.addr()).expect("connect");

@@ -30,8 +30,9 @@
 //! annotations ([`MemAccess::var`]) are not preserved — the format records the address
 //! stream the simulator replays, not the symbol table.
 //!
-//! Format violations are reported as [`std::io::Error`] with
-//! [`std::io::ErrorKind::InvalidData`].
+//! Format violations — including an access extending past
+//! [`ADDRESS_LIMIT`](crate::event::ADDRESS_LIMIT) — are reported as [`std::io::Error`]
+//! with [`std::io::ErrorKind::InvalidData`].
 //!
 //! # Example
 //!
@@ -47,7 +48,7 @@
 //! # Ok::<(), std::io::Error>(())
 //! ```
 
-use crate::event::{AccessKind, MemAccess};
+use crate::event::{in_address_space, AccessKind, MemAccess};
 use crate::trace::Trace;
 use std::fs::File;
 use std::io::{self, BufRead, BufReader, Read, Write};
@@ -82,6 +83,15 @@ pub struct TraceHeader {
 
 fn invalid(msg: String) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg)
+}
+
+/// The error for the `index`-th (1-based) event extending past the address limit; kept
+/// out of line so the per-event decode path stays small.
+#[cold]
+fn past_address_limit(index: u64, addr: u64, size: u32) -> io::Error {
+    invalid(format!(
+        "event {index}: access {addr:#x}+{size} extends past the 2^63 address limit"
+    ))
 }
 
 fn write_varint<W: Write>(w: &mut W, mut v: u64) -> io::Result<()> {
@@ -315,7 +325,8 @@ impl<R: BufRead> TraceReader<R> {
     /// # Errors
     ///
     /// Fails on truncated or malformed input, including an event count that does not
-    /// match the header.
+    /// match the header and an access extending past
+    /// [`ADDRESS_LIMIT`](crate::event::ADDRESS_LIMIT).
     pub fn next_event(&mut self) -> io::Result<Option<MemAccess>> {
         if self.done {
             return Ok(None);
@@ -332,6 +343,9 @@ impl<R: BufRead> TraceReader<R> {
                 }
                 return Ok(None);
             }
+            if h == 1 {
+                return Err(invalid("empty write run".to_owned()));
+            }
             self.run_left = h >> 1;
             self.run_is_write = h & 1 == 1;
         }
@@ -339,7 +353,12 @@ impl<R: BufRead> TraceReader<R> {
         let size = read_varint(&mut self.source)?;
         let size = u32::try_from(size)
             .map_err(|_| invalid(format!("access size {size} exceeds 32 bits")))?;
-        self.prev_addr = self.prev_addr.wrapping_add(unzigzag(delta));
+        let addr = self.prev_addr.wrapping_add(unzigzag(delta));
+        // Checked before the event is built: this is the per-event decode path.
+        if !in_address_space(addr, size) {
+            return Err(past_address_limit(self.delivered + 1, addr, size));
+        }
+        self.prev_addr = addr;
         self.run_left -= 1;
         self.delivered += 1;
         if self.delivered > self.header.events {
@@ -349,7 +368,7 @@ impl<R: BufRead> TraceReader<R> {
             )));
         }
         Ok(Some(MemAccess {
-            addr: self.prev_addr,
+            addr,
             size,
             kind: if self.run_is_write {
                 AccessKind::Write
@@ -544,6 +563,19 @@ mod tests {
     }
 
     #[test]
+    fn empty_runs_are_rejected() {
+        // Run header 1 is a write run of length 0, which the writer never emits.
+        let mut bytes = Vec::new();
+        bytes.extend_from_slice(&MAGIC);
+        bytes.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+        bytes.extend_from_slice(&1u64.to_le_bytes());
+        bytes.extend_from_slice(&[1, 0, 4, 0]);
+        let err = read_trace(&bytes[..]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("empty write run"), "{err}");
+    }
+
+    #[test]
     fn truncated_body_is_an_error() {
         let trace = sequential_scan(0, 256, 32, 4, 1, None);
         let mut bytes = Vec::new();
@@ -593,11 +625,32 @@ mod tests {
     }
 
     #[test]
-    fn wrapping_deltas_handle_extreme_addresses() {
+    fn extreme_deltas_round_trip_up_to_the_address_limit() {
+        let top = crate::ADDRESS_LIMIT;
         let mut t = Trace::new();
-        t.push(MemAccess::read(u64::MAX - 4, 4));
+        t.push(MemAccess::read(top - 4, 4));
         t.push(MemAccess::read(0, 4));
-        t.push(MemAccess::write(u64::MAX, 1));
+        t.push(MemAccess::write(top - 1, 1));
         assert_eq!(round_trip(&t), t);
+    }
+
+    #[test]
+    fn accesses_past_the_address_limit_are_rejected() {
+        // The writer encodes any address; the reader refuses what the simulator's
+        // address arithmetic cannot hold.
+        for (addr, size) in [
+            (u64::MAX, 8),
+            (0xffff_ffff_ffff_ffe0, 4),
+            (crate::ADDRESS_LIMIT - 2, 4),
+        ] {
+            let mut t = Trace::new();
+            t.push(MemAccess::write(0x10, 4));
+            t.push(MemAccess::read(addr, size));
+            let mut bytes = Vec::new();
+            write_trace(&t, &mut bytes).unwrap();
+            let err = read_trace(&bytes[..]).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert!(err.to_string().starts_with("event 2: "), "{err}");
+        }
     }
 }

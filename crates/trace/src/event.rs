@@ -61,6 +61,19 @@ impl fmt::Display for AccessKind {
     }
 }
 
+/// Exclusive upper bound of the simulated address space, 2^63: every event the trace
+/// decoders ([`crate::binfmt`], [`crate::textfmt`]) accept ends at or below it, so
+/// address arithmetic downstream — [`MemAccess::last_byte`], regions rounded up to
+/// whole blocks by [`crate::infer::infer_symbols`] — cannot overflow.
+pub const ADDRESS_LIMIT: u64 = 1 << 63;
+
+/// Returns `true` if every byte of a `size`-byte access at `addr` lies below
+/// [`ADDRESS_LIMIT`] (size 0 counts as one byte, like [`MemAccess::last_byte`]).
+#[inline]
+pub(crate) fn in_address_space(addr: u64, size: u32) -> bool {
+    addr <= ADDRESS_LIMIT - u64::from(size.max(1))
+}
+
 /// A single memory reference in a trace.
 ///
 /// Addresses are byte addresses in a flat (simulated) physical address space. The optional
@@ -170,6 +183,15 @@ mod tests {
         assert_eq!(MemAccess::read(0x10, 1).last_byte(), 0x10);
         // degenerate zero-size access treated as one byte
         assert_eq!(MemAccess::read(0x10, 0).last_byte(), 0x10);
+    }
+
+    #[test]
+    fn address_space_ends_at_the_limit() {
+        assert!(in_address_space(ADDRESS_LIMIT - 8, 8));
+        assert!(in_address_space(ADDRESS_LIMIT - 1, 0));
+        assert!(!in_address_space(ADDRESS_LIMIT - 4, 8));
+        assert!(!in_address_space(ADDRESS_LIMIT, 1));
+        assert!(!in_address_space(u64::MAX, 8));
     }
 
     #[test]

@@ -59,7 +59,7 @@ pub mod trace;
 
 pub use binfmt::{TraceHeader, TraceReader, TraceWriter};
 pub use error::TraceError;
-pub use event::{AccessKind, MemAccess, VarId};
+pub use event::{AccessKind, MemAccess, VarId, ADDRESS_LIMIT};
 pub use infer::infer_symbols;
 pub use lifetime::Interval;
 pub use profile::{AccessProfile, VariableProfile};

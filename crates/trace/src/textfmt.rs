@@ -13,10 +13,11 @@
 //!
 //! This is the human-facing companion of the compact binary format in [`crate::binfmt`]:
 //! `ccache trace convert` translates between the two. Like the binary format, variable
-//! annotations are not represented. Parse problems are reported as [`std::io::Error`]
-//! with [`std::io::ErrorKind::InvalidData`] and a line number.
+//! annotations are not represented, and every access must end at or below
+//! [`ADDRESS_LIMIT`](crate::event::ADDRESS_LIMIT). Parse problems are reported as
+//! [`std::io::Error`] with [`std::io::ErrorKind::InvalidData`] and a line number.
 
-use crate::event::{AccessKind, MemAccess};
+use crate::event::{in_address_space, AccessKind, MemAccess};
 use crate::trace::Trace;
 use std::io::{self, BufRead, Write};
 
@@ -42,7 +43,8 @@ fn parse_u64(token: &str) -> Option<u64> {
 ///
 /// # Errors
 ///
-/// Fails with [`std::io::ErrorKind::InvalidData`] if the line is not `R|W <addr> <size>`.
+/// Fails with [`std::io::ErrorKind::InvalidData`] if the line is not `R|W <addr> <size>`
+/// or the access extends past [`ADDRESS_LIMIT`](crate::event::ADDRESS_LIMIT).
 pub fn parse_line(line_no: usize, line: &str) -> io::Result<MemAccess> {
     let mut tokens = line.split_whitespace();
     let kind = match tokens.next() {
@@ -61,6 +63,13 @@ pub fn parse_line(line_no: usize, line: &str) -> io::Result<MemAccess> {
         .ok_or_else(|| invalid(line_no, "expected a size in bytes", line))?;
     if tokens.next().is_some() {
         return Err(invalid(line_no, "trailing tokens after size", line));
+    }
+    if !in_address_space(addr, size) {
+        return Err(invalid(
+            line_no,
+            "access extends past the 2^63 address limit",
+            line,
+        ));
     }
     Ok(MemAccess {
         addr,
@@ -152,6 +161,22 @@ mod tests {
             let err = read_trace(format!("R 0x0 4\n{bad}\n").as_bytes()).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::InvalidData);
             assert!(err.to_string().contains("line 2"), "{err}");
+        }
+    }
+
+    #[test]
+    fn accesses_past_the_address_limit_are_rejected() {
+        let last = read_trace("R 0x7ffffffffffffff8 8\n".as_bytes()).unwrap();
+        assert_eq!(last.get(0).unwrap().last_byte(), crate::ADDRESS_LIMIT - 1);
+        for bad in [
+            "R 0xffffffffffffffff 8",
+            "R 0xffffffffffffffe0 4",
+            "W 0x7ffffffffffffffd 4",
+        ] {
+            let err = read_trace(format!("{bad}\nW 0x10 4\n").as_bytes()).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert!(err.to_string().starts_with("line 1: "), "{err}");
+            assert!(err.to_string().contains("address limit"), "{err}");
         }
     }
 }

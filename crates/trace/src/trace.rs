@@ -137,15 +137,6 @@ impl Trace {
                 .collect(),
         }
     }
-
-    /// Splits the trace into chunks of at most `quantum` events, preserving order.
-    ///
-    /// Used by the round-robin multitasking model: each chunk is the stream issued during
-    /// one scheduling quantum.
-    pub fn chunks(&self, quantum: usize) -> impl Iterator<Item = &[MemAccess]> {
-        assert!(quantum > 0, "quantum must be positive");
-        self.events.chunks(quantum)
-    }
 }
 
 impl FromIterator<MemAccess> for Trace {
@@ -277,22 +268,11 @@ mod tests {
     }
 
     #[test]
-    fn slice_and_chunks() {
+    fn slice_copies_a_range() {
         let t = sample();
         let s = t.slice(1, 3);
         assert_eq!(s.len(), 2);
         assert_eq!(s.get(0).unwrap().addr, 0x200);
-        let chunks: Vec<_> = t.chunks(2).collect();
-        assert_eq!(chunks.len(), 2);
-        assert_eq!(chunks[0].len(), 2);
-        assert_eq!(chunks[1].len(), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "quantum must be positive")]
-    fn chunks_rejects_zero_quantum() {
-        let t = sample();
-        let _ = t.chunks(0).count();
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use ccache_trace::synth::{interleave, pseudo_random, read_modify_write, sequential_scan};
 use ccache_trace::{
     binfmt, textfmt, AccessKind, AccessProfile, Interval, MemAccess, SymbolTable, Trace,
-    TraceRecorder,
+    TraceRecorder, ADDRESS_LIMIT,
 };
 use proptest::prelude::*;
 
@@ -58,16 +58,6 @@ proptest! {
         prop_assert!(f64b <= f32b);
         prop_assert!(f128b <= f64b);
         prop_assert!(f128b >= 1);
-    }
-
-    /// Chunking by any quantum partitions the trace exactly.
-    #[test]
-    fn chunks_partition_the_trace(len in 1u64..200, quantum in 1usize..64) {
-        let t = sequential_scan(0, len * 8, 8, 4, 1, None);
-        let total: usize = t.chunks(quantum).map(|c| c.len()).sum();
-        prop_assert_eq!(total, t.len());
-        let max = t.chunks(quantum).map(|c| c.len()).max().unwrap_or(0);
-        prop_assert!(max <= quantum);
     }
 
     /// Interleaving preserves per-source order and total length for any burst size.
@@ -140,13 +130,13 @@ proptest! {
         }
     }
 
-    /// The binary format round-trips any event stream exactly (modulo the variable
-    /// annotations it deliberately drops), whatever mix of kinds, sizes and address
-    /// jumps the trace contains.
+    /// The binary format round-trips any event stream inside the address space exactly
+    /// (modulo the variable annotations it deliberately drops), whatever mix of kinds,
+    /// sizes and address jumps the trace contains.
     #[test]
     fn binary_format_round_trips_arbitrary_traces(
         ops in prop::collection::vec(
-            (any::<u64>(), 1u32..4096, any::<bool>()),
+            (0u64..ADDRESS_LIMIT - 4096, 1u32..4096, any::<bool>()),
             0..500,
         )
     ) {
@@ -169,7 +159,7 @@ proptest! {
     #[test]
     fn text_format_round_trips_arbitrary_traces(
         ops in prop::collection::vec(
-            (0u64..u64::MAX / 2, 1u32..4096, any::<bool>()),
+            (0u64..ADDRESS_LIMIT - 4096, 1u32..4096, any::<bool>()),
             0..200,
         )
     ) {

@@ -9,7 +9,8 @@
 //! * [`mpeg`] — the paper's Figure 4 benchmark: `dequant`, `plus` and `idct`, plus the
 //!   combined application and its per-procedure phases.
 //! * [`gzipsim`] — the gzip-like compression job of Figure 5 (hash-chain LZ77).
-//! * [`multitask`] — the round-robin scheduler that interleaves several jobs' streams.
+//! * [`multitask`] — the lazy round-robin scheduler that interleaves several jobs'
+//!   streams.
 //! * [`kernels`] — additional embedded kernels (FIR, matmul, histogram, triad) for
 //!   ablations and examples.
 //! * [`mod@corpus`] — the named registry over all of the above, used by search tooling to
@@ -39,7 +40,7 @@ pub use corpus::{corpus, CORPUS_NAMES};
 pub use gzipsim::{run_gzip, run_gzip_job, GzipConfig};
 pub use instrument::{Tracked, WorkloadRun};
 pub use mpeg::{run_combined, run_dequant, run_idct, run_plus, MpegConfig};
-pub use multitask::{figure5_quanta, round_robin, Job, Schedule};
+pub use multitask::{figure5_quanta, round_robin, Job, RoundRobin};
 
 /// Convenient glob-import of the types most programs need.
 pub mod prelude {
@@ -48,5 +49,5 @@ pub mod prelude {
     pub use crate::instrument::{Tracked, WorkloadRun};
     pub use crate::kernels::{run_fir, run_histogram, run_matmul, run_triad};
     pub use crate::mpeg::{run_combined, run_dequant, run_idct, run_plus, MpegConfig};
-    pub use crate::multitask::{figure5_quanta, round_robin, Job, Schedule};
+    pub use crate::multitask::{figure5_quanta, round_robin, Job, RoundRobin};
 }

@@ -1,9 +1,10 @@
 //! Round-robin multitasking: interleaving several jobs' reference streams.
 //!
 //! The Figure 5 experiment runs three gzip jobs on one processor under a round-robin
-//! scheduler and varies the context-switch time quantum. This module interleaves the jobs'
-//! traces quantum-by-quantum and remembers which job issued every reference, so the
-//! experiment runner can attribute cycles (and therefore CPI) to individual jobs.
+//! scheduler and varies the context-switch time quantum. [`round_robin`] walks the jobs'
+//! traces quantum by quantum, lazily: each step lends one job's next slice of its own
+//! trace, tagged with the job's index, so the experiment runner can attribute cycles
+//! (and therefore CPI) to individual jobs without materializing the interleaved stream.
 
 use ccache_trace::{MemAccess, Trace};
 
@@ -26,28 +27,47 @@ impl Job {
     }
 }
 
-/// The interleaved execution of several jobs under round-robin scheduling.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct Schedule {
-    /// The merged reference stream in execution order.
-    pub merged: Trace,
-    /// For every event of `merged`, the index of the job that issued it.
-    pub owner: Vec<usize>,
-    /// Number of context switches performed (transitions between different jobs).
-    pub context_switches: u64,
-    /// The quantum used, in references.
-    pub quantum: usize,
+/// The lazy round-robin interleaving of several jobs' traces: an iterator over
+/// `(job index, quantum slice)` pairs in execution order. Created by [`round_robin`].
+#[derive(Debug, Clone)]
+pub struct RoundRobin<'a> {
+    jobs: &'a [Job],
+    quantum: usize,
+    /// Events of each job already handed out.
+    cursors: Vec<usize>,
+    /// The job whose turn is next.
+    turn: usize,
+    last_job: Option<usize>,
+    context_switches: u64,
 }
 
-impl Schedule {
-    /// Number of events issued by job `job`.
-    pub fn references_of(&self, job: usize) -> usize {
-        self.owner.iter().filter(|&&o| o == job).count()
+impl RoundRobin<'_> {
+    /// Context switches so far (transitions between different jobs).
+    pub fn context_switches(&self) -> u64 {
+        self.context_switches
     }
+}
 
-    /// Iterates over `(job, &event)` pairs in execution order.
-    pub fn iter(&self) -> impl Iterator<Item = (usize, &MemAccess)> {
-        self.owner.iter().copied().zip(self.merged.iter())
+impl<'a> Iterator for RoundRobin<'a> {
+    type Item = (usize, &'a [MemAccess]);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        for _ in 0..self.jobs.len() {
+            let job = self.turn;
+            self.turn = (job + 1) % self.jobs.len();
+            let events = &self.jobs[job].trace.as_slice()[self.cursors[job]..];
+            if events.is_empty() {
+                continue;
+            }
+            let slice = &events[..self.quantum.min(events.len())];
+            self.cursors[job] += slice.len();
+            if self.last_job.is_some_and(|last| last != job) {
+                self.context_switches += 1;
+            }
+            self.last_job = Some(job);
+            return Some((job, slice));
+        }
+        None
     }
 }
 
@@ -61,41 +81,15 @@ impl Schedule {
 /// # Panics
 ///
 /// Panics if `quantum` is zero.
-pub fn round_robin(jobs: &[Job], quantum: usize) -> Schedule {
+pub fn round_robin(jobs: &[Job], quantum: usize) -> RoundRobin<'_> {
     assert!(quantum > 0, "quantum must be positive");
-    let mut cursors = vec![0usize; jobs.len()];
-    let mut merged = Trace::with_capacity(jobs.iter().map(|j| j.trace.len()).sum());
-    let mut owner = Vec::with_capacity(merged.len());
-    let mut context_switches = 0u64;
-    let mut last_job: Option<usize> = None;
-    loop {
-        let mut progressed = false;
-        for (j, job) in jobs.iter().enumerate() {
-            let cur = cursors[j];
-            if cur >= job.trace.len() {
-                continue;
-            }
-            let end = (cur + quantum).min(job.trace.len());
-            if last_job.is_some() && last_job != Some(j) {
-                context_switches += 1;
-            }
-            last_job = Some(j);
-            for i in cur..end {
-                merged.push(*job.trace.get(i).expect("index in range"));
-                owner.push(j);
-            }
-            cursors[j] = end;
-            progressed = true;
-        }
-        if !progressed {
-            break;
-        }
-    }
-    Schedule {
-        merged,
-        owner,
-        context_switches,
+    RoundRobin {
+        jobs,
         quantum,
+        cursors: vec![0; jobs.len()],
+        turn: 0,
+        last_job: None,
+        context_switches: 0,
     }
 }
 
@@ -114,59 +108,61 @@ mod tests {
         Job::new(name, sequential_scan(base, events * 8, 8, 4, 1, None))
     }
 
+    /// The job index issuing each event, in execution order.
+    fn owners(jobs: &[Job], quantum: usize) -> Vec<usize> {
+        round_robin(jobs, quantum)
+            .flat_map(|(j, slice)| std::iter::repeat_n(j, slice.len()))
+            .collect()
+    }
+
     #[test]
-    fn all_events_appear_exactly_once() {
+    fn every_event_appears_exactly_once_in_job_order() {
         let jobs = vec![
             job("a", 0x1000, 10),
             job("b", 0x2000, 25),
             job("c", 0x3000, 5),
         ];
-        let s = round_robin(&jobs, 4);
-        assert_eq!(s.merged.len(), 40);
-        assert_eq!(s.owner.len(), 40);
-        assert_eq!(s.references_of(0), 10);
-        assert_eq!(s.references_of(1), 25);
-        assert_eq!(s.references_of(2), 5);
-        assert_eq!(s.quantum, 4);
-    }
-
-    #[test]
-    fn order_within_a_job_is_preserved() {
-        let jobs = vec![job("a", 0x1000, 12), job("b", 0x2000, 12)];
-        let s = round_robin(&jobs, 5);
-        let a_addrs: Vec<u64> = s
-            .iter()
-            .filter(|(j, _)| *j == 0)
-            .map(|(_, e)| e.addr)
-            .collect();
-        let mut sorted = a_addrs.clone();
-        sorted.sort_unstable();
-        assert_eq!(a_addrs, sorted);
+        let mut per_job = vec![Vec::new(); jobs.len()];
+        for (j, slice) in round_robin(&jobs, 4) {
+            assert!(!slice.is_empty() && slice.len() <= 4);
+            per_job[j].extend_from_slice(slice);
+        }
+        for (j, events) in per_job.iter().enumerate() {
+            assert_eq!(events.as_slice(), jobs[j].trace.as_slice());
+        }
+        assert_eq!(owners(&jobs, 4).len(), 40);
     }
 
     #[test]
     fn quantum_one_alternates_jobs() {
         let jobs = vec![job("a", 0x1000, 3), job("b", 0x2000, 3)];
-        let s = round_robin(&jobs, 1);
-        assert_eq!(s.owner, vec![0, 1, 0, 1, 0, 1]);
-        assert_eq!(s.context_switches, 5);
+        assert_eq!(owners(&jobs, 1), vec![0, 1, 0, 1, 0, 1]);
+        let mut slices = round_robin(&jobs, 1);
+        slices.by_ref().for_each(drop);
+        assert_eq!(slices.context_switches(), 5);
     }
 
     #[test]
     fn huge_quantum_is_batch_processing() {
         let jobs = vec![job("a", 0x1000, 5), job("b", 0x2000, 5)];
-        let s = round_robin(&jobs, 1_000_000);
-        assert_eq!(s.owner, vec![0, 0, 0, 0, 0, 1, 1, 1, 1, 1]);
-        assert_eq!(s.context_switches, 1);
+        assert_eq!(
+            owners(&jobs, usize::MAX),
+            vec![0, 0, 0, 0, 0, 1, 1, 1, 1, 1]
+        );
+        let mut slices = round_robin(&jobs, 1_000_000);
+        assert_eq!(slices.by_ref().count(), 2);
+        assert_eq!(slices.context_switches(), 1);
     }
 
     #[test]
     fn finished_jobs_drop_out_of_rotation() {
         let jobs = vec![job("a", 0x1000, 2), job("b", 0x2000, 8)];
-        let s = round_robin(&jobs, 2);
-        // after a finishes, b runs its remaining quanta back to back
-        let tail: Vec<usize> = s.owner[4..].to_vec();
-        assert!(tail.iter().all(|&j| j == 1));
+        // after a finishes, b runs its remaining quanta back to back, with no switches
+        assert_eq!(owners(&jobs, 2), vec![0, 0, 1, 1, 1, 1, 1, 1, 1, 1]);
+        let mut slices = round_robin(&jobs, 2);
+        slices.by_ref().for_each(drop);
+        assert_eq!(slices.context_switches(), 1);
+        assert_eq!(round_robin(&[], 2).next(), None);
     }
 
     #[test]

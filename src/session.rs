@@ -318,19 +318,12 @@ impl Session {
     ) -> Result<Replayed, SessionError> {
         let mut engine = self.engine()?;
         engine.apply(mapping)?;
-        Ok(match self.observe {
-            Some(window) => {
-                let mut recorder = SeriesRecorder::new(window);
-                let result = engine.replay_observed(name, trace, window, &mut recorder);
-                Replayed {
-                    result,
-                    series: Some(recorder.into_series()),
-                }
-            }
-            None => Replayed {
-                result: engine.replay(name, trace),
-                series: None,
-            },
+        let mut recorder = self.observe.map(SeriesRecorder::new);
+        let observe = recorder.as_mut().map(SeriesRecorder::as_observer);
+        let Ok(result) = engine.replay_from(name, trace.as_slice(), observe);
+        Ok(Replayed {
+            result,
+            series: recorder.map(SeriesRecorder::into_series),
         })
     }
 
@@ -348,7 +341,8 @@ impl Session {
         observer: &mut dyn ReplayObserver,
     ) -> Result<RunResult, SessionError> {
         let mut engine = self.engine()?;
-        Ok(engine.replay_observed(name, trace, window, observer))
+        let Ok(result) = engine.replay_from(name, trace.as_slice(), Some((window, observer)));
+        Ok(result)
     }
 
     /// Runs a named corpus workload (at the session's scale) and replays its trace.

@@ -71,7 +71,7 @@ proptest! {
         let mut observed = ReplayEngine::new(backend, config()).unwrap();
         observed.set_batch_size(batch);
         let mut recorder = SeriesRecorder::new(window);
-        let result = observed.replay_observed("x", &trace, window, &mut recorder);
+        let Ok(result) = observed.replay_from("x", trace.as_slice(), Some((window, &mut recorder)));
         prop_assert_eq!(&result, &expected);
 
         let series = recorder.into_series();
@@ -81,7 +81,8 @@ proptest! {
         let mut per_ref = ReplayEngine::new(backend, config()).unwrap();
         per_ref.set_batch_size(1);
         let mut per_ref_recorder = SeriesRecorder::new(window);
-        let per_ref_result = per_ref.replay_observed("x", &trace, window, &mut per_ref_recorder);
+        let Ok(per_ref_result) =
+            per_ref.replay_from("x", trace.as_slice(), Some((window, &mut per_ref_recorder)));
         prop_assert_eq!(&per_ref_result, &expected);
         prop_assert_eq!(&per_ref_recorder.into_series(), &series);
 
@@ -118,7 +119,7 @@ proptest! {
         let mut reader = column_caching::trace::binfmt::TraceReader::new(&bytes[..]).unwrap();
         let mut counter = CountingObserver::default();
         let streamed = engine
-            .replay_reader_observed("x", &mut reader, window, &mut counter)
+            .replay_from("x", &mut reader, Some((window, &mut counter)))
             .unwrap();
         prop_assert_eq!(&streamed, &expected);
         prop_assert_eq!(counter.windows as u64, expected.references.div_ceil(window));
@@ -126,14 +127,15 @@ proptest! {
     }
 }
 
-/// The dynamically remapped (multi-phase) path: `run_dynamic_observed` returns results
-/// byte-identical to `run_dynamic`, emits phase/remap events in order with run-global
-/// reference offsets, and the recorder's cross-phase rebasing keeps window starts
-/// contiguous across the whole run.
+/// The dynamically remapped (multi-phase) path: an observed `run_dynamic_in` returns
+/// results byte-identical to `run_dynamic`, emits phase/remap events in order with
+/// run-global reference offsets, and the recorder's cross-phase rebasing keeps window
+/// starts contiguous across the whole run.
 #[test]
 fn dynamic_observation_is_byte_identical_and_events_are_ordered() {
-    use column_caching::core::dynamic::{run_dynamic, run_dynamic_observed};
+    use column_caching::core::dynamic::{run_dynamic, run_dynamic_in};
     use column_caching::core::partition::PartitionConfig;
+    use column_caching::telemetry::Registry;
     use column_caching::workloads::mpeg::{run_phases, MpegConfig};
 
     let (phases, symbols) = run_phases(&MpegConfig::small());
@@ -142,7 +144,14 @@ fn dynamic_observation_is_byte_identical_and_events_are_ordered() {
 
     let window = 1000u64;
     let mut recorder = SeriesRecorder::new(window);
-    let observed = run_dynamic_observed(&phases, &symbols, &cfg, window, &mut recorder).unwrap();
+    let observed = run_dynamic_in(
+        &phases,
+        &symbols,
+        &cfg,
+        &Registry::global(),
+        Some((window, &mut recorder)),
+    )
+    .unwrap();
     assert_eq!(
         observed, plain,
         "observation must not change the dynamic run"
@@ -259,18 +268,19 @@ fn observed_artefacts_are_byte_identical_modulo_time_series() {
 
     // the registry actually watched the run: every job timed, every replay counted
     let snapshot = registry.snapshot_deterministic();
-    assert!(
-        registry.counter_value("engine.replays") >= observed.outcomes.len() as u64,
-        "each planned job replays at least once"
+    assert_eq!(
+        registry.counter_value("engine.replays"),
+        observed.outcomes.len() as u64,
+        "each planned job replays exactly once"
     );
     assert_eq!(
         snapshot
-            .get("counters")
-            .and_then(|c| c.get("exp.groups"))
-            .and_then(ccache_json::Json::as_u64)
-            .map(|groups| groups >= 1),
-        Some(true),
-        "the executor records its replay groups"
+            .get("spans")
+            .and_then(|s| s.get("exp.job"))
+            .and_then(|s| s.get("count"))
+            .and_then(ccache_json::Json::as_u64),
+        Some(observed.outcomes.len() as u64),
+        "the executor times every job"
     );
 
     // and the series totals reconcile with each job's final statistics

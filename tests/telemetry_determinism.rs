@@ -1,7 +1,8 @@
 //! Telemetry determinism: an observed tuning search must produce byte-identical
 //! deterministic snapshots (`Registry::snapshot_deterministic`, i.e. the full
 //! snapshot minus the quarantined `timing` block) across identical runs, and its
-//! counters must reconcile with one another. This is the contract that makes metrics
+//! counters must reconcile with one another, and so must the figure experiments'
+//! replay counters with their artefacts. This is the contract that makes metrics
 //! diffable in CI: any snapshot change signals a behaviour change, never host noise.
 //! (The serve-session half of the same contract lives in `ccache-serve`'s telemetry
 //! suite, next to the server it exercises.)
@@ -53,4 +54,54 @@ fn observed_tuning_reports_identical_metrics_across_runs() {
         registry.counter_value("engine.references"),
         replays * workload.trace.len() as u64
     );
+}
+
+/// The figure experiments count every replay in the execution's own registry: one
+/// engine replay per partition point, per dynamic phase and per multitask point, each
+/// over exactly the references its outcome reports.
+#[test]
+fn figure_experiments_count_every_replay_in_their_registry() {
+    use column_caching::exp::exec::JobOutcome;
+    use column_caching::exp::presets::{fig4_spec, fig5_spec};
+    use column_caching::exp::scale::Scale;
+    use column_caching::Session;
+
+    for spec in [fig4_spec("all"), fig5_spec(Scale::Quick.quanta())] {
+        let registry = Registry::new();
+        let session = Session::builder()
+            .quick(true)
+            .telemetry(registry.clone())
+            .build()
+            .expect("session");
+        let artefact = session.run_spec(&spec).expect("figure preset runs");
+        let (mut replays, mut references) = (0u64, 0u64);
+        for outcome in &artefact.outcomes {
+            let (n, refs) = match outcome {
+                JobOutcome::Partition { point, .. } => (1, point.result.references),
+                JobOutcome::Dynamic { run, .. } => (
+                    run.phases.len() as u64,
+                    run.phases.iter().map(|p| p.result.references).sum(),
+                ),
+                JobOutcome::Multitask { run, .. } => {
+                    (1, run.jobs.iter().map(|j| j.references).sum())
+                }
+                other => panic!("unexpected outcome '{}' in {}", other.label(), spec.name),
+            };
+            replays += n;
+            references += refs;
+        }
+        assert!(replays > 0);
+        assert_eq!(
+            registry.counter_value("engine.replays"),
+            replays,
+            "{}",
+            spec.name
+        );
+        assert_eq!(
+            registry.counter_value("engine.references"),
+            references,
+            "{}",
+            spec.name
+        );
+    }
 }

@@ -53,29 +53,20 @@ impl DynamicRunResult {
 }
 
 /// Runs an application phase-by-phase on one column cache, recomputing and applying the
-/// column assignment before each phase.
+/// column assignment before each phase, with the engine's telemetry reporting into
+/// `registry`.
 ///
 /// `phases` are `(name, trace)` pairs sharing `symbols`. The variables are first placed
 /// page-aligned (so per-variable tinting is exact), then each phase is laid out and run.
-pub fn run_dynamic(
-    phases: &[(String, Trace)],
-    symbols: &SymbolTable,
-    config: &PartitionConfig,
-) -> Result<DynamicRunResult, CoreError> {
-    run_dynamic_in(phases, symbols, config, &Registry::global(), None)
-}
-
-/// As [`run_dynamic`], with the engine's telemetry reporting into `registry` and, when
-/// `observe` is set, a streaming [`ReplayObserver`] receiving windowed samples every
-/// `window` references plus [`ReplayEvent::PhaseStart`], [`ReplayEvent::Remap`] and
-/// [`ReplayEvent::PhaseEnd`] markers with run-global reference offsets.
 ///
-/// The returned [`DynamicRunResult`] is byte-identical to an unobserved
-/// [`run_dynamic`] of the same phases.
+/// When `observe` is set, a streaming [`ReplayObserver`] receives windowed samples every
+/// `window` references plus [`ReplayEvent::PhaseStart`], [`ReplayEvent::Remap`] and
+/// [`ReplayEvent::PhaseEnd`] markers with run-global reference offsets. The returned
+/// [`DynamicRunResult`] is byte-identical to an unobserved run of the same phases.
 ///
 /// # Errors
 ///
-/// As [`run_dynamic`].
+/// Fails for an invalid geometry or a failed column assignment.
 pub fn run_dynamic_in(
     phases: &[(String, Trace)],
     symbols: &SymbolTable,
@@ -222,18 +213,13 @@ impl Figure4dResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::partition::partition_sweep;
-    use ccache_workloads::mpeg::{run_combined, run_phases, MpegConfig};
-
-    fn small_mpeg() -> MpegConfig {
-        MpegConfig::small()
-    }
+    use ccache_workloads::mpeg::{run_phases, MpegConfig};
 
     #[test]
     fn dynamic_run_executes_every_phase() {
         let cfg = PartitionConfig::default();
-        let (phases, symbols) = run_phases(&small_mpeg());
-        let result = run_dynamic(&phases, &symbols, &cfg).unwrap();
+        let (phases, symbols) = run_phases(&MpegConfig::small());
+        let result = run_dynamic_in(&phases, &symbols, &cfg, &Registry::new(), None).unwrap();
         assert_eq!(result.phases.len(), 3);
         assert!(result.cycles > 0);
         assert!(result.cycles_with_control() >= result.cycles);
@@ -243,40 +229,5 @@ mod tests {
         // dequant and plus have few variables, so their per-phase layouts are conflict-free
         let dequant = result.phases.iter().find(|p| p.name == "dequant").unwrap();
         assert_eq!(dequant.layout_cost, 0);
-    }
-
-    #[test]
-    fn column_cache_beats_or_matches_static_partitions() {
-        let cfg = PartitionConfig::default();
-        let mpeg = small_mpeg();
-        let combined = run_combined(&mpeg);
-        let sweep = partition_sweep(&combined, &cfg).unwrap();
-        let (phases, symbols) = run_phases(&mpeg);
-        let dynamic = run_dynamic(&phases, &symbols, &cfg).unwrap();
-
-        let fig4d = Figure4dResult {
-            static_cycles: sweep
-                .points
-                .iter()
-                .map(|p| (p.cache_columns, p.cycles))
-                .collect(),
-            column_cache_cycles: dynamic.cycles,
-            column_cache_control_cycles: dynamic.control_cycles,
-        };
-        let (best_cols, best_cycles) = fig4d.best_static();
-        assert!(best_cols <= 4);
-        // The dynamic column cache should be at least competitive with the best static
-        // partition, and strictly better than the worst one.
-        let worst = fig4d.static_cycles.iter().map(|&(_, c)| c).max().unwrap();
-        assert!(
-            fig4d.column_cache_cycles < worst,
-            "column cache ({}) should beat the worst static partition ({worst})",
-            fig4d.column_cache_cycles
-        );
-        assert!(
-            fig4d.column_cache_cycles as f64 <= best_cycles as f64 * 1.15,
-            "column cache ({}) should be competitive with the best static partition ({best_cycles})",
-            fig4d.column_cache_cycles
-        );
     }
 }

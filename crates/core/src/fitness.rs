@@ -7,7 +7,7 @@
 //! is_write)` reference arena and evaluates any number of candidates against it,
 //! serially or thread-parallel with order-preserving results (the same guarantee as
 //! [`par_map`](crate::parallel::par_map()), so a search that consumes results in order
-//! is byte-identical with the `parallel` feature on or off).
+//! is byte-identical either way).
 //!
 //! Each candidate is one independent simulation: a fresh engine, the candidate's
 //! mapping, one replay of the arena. Nothing but the read-only arena is shared between
@@ -86,8 +86,8 @@ pub struct ReplayFitness {
 
 impl ReplayFitness {
     /// Wraps a trace for repeated evaluation, decoding it once into the shared
-    /// reference arena. Evaluation batches run thread-parallel when the `parallel`
-    /// feature is enabled.
+    /// reference arena. Evaluation batches run thread-parallel unless
+    /// [`ReplayFitness::serial`] is requested.
     pub fn new(trace: Trace) -> Self {
         let arena: Vec<(u64, bool)> = trace
             .as_slice()
@@ -102,9 +102,8 @@ impl ReplayFitness {
         }
     }
 
-    /// Forces every batch onto the serial path even when the `parallel` feature is
-    /// compiled in. Searches use this to prove that their results do not depend on the
-    /// evaluation schedule.
+    /// Forces every batch onto the serial path. Searches use this to prove that their
+    /// results do not depend on the evaluation schedule.
     pub fn serial(mut self) -> Self {
         self.parallel = false;
         self
@@ -136,10 +135,10 @@ impl ReplayFitness {
         Ok(result)
     }
 
-    /// Evaluates a batch of candidates, returning results **in input order**. With the
-    /// `parallel` feature on (and [`ReplayFitness::serial`] not requested) the replays
-    /// fan out over worker threads; the output is identical either way, because every
-    /// candidate replays independently.
+    /// Evaluates a batch of candidates, returning results **in input order**. Unless
+    /// [`ReplayFitness::serial`] was requested the replays fan out over worker threads;
+    /// the output is identical either way, because every candidate replays
+    /// independently.
     pub fn evaluate_batch(&self, candidates: &[Candidate]) -> Vec<Result<RunResult, CoreError>> {
         let eval = |c: &Candidate| self.evaluate("candidate", c);
         if self.parallel {

@@ -7,21 +7,30 @@
 //! * [`engine`] — the [`ReplayEngine`], whose one batch loop
 //!   ([`ReplayEngine::replay_from`]) runs every replay below, over any [`RefSource`].
 //! * [`runner`] — program a [`ccache_sim::MemorySystem`] from a column assignment
-//!   ([`runner::CacheMapping`]) and replay traces ([`runner::run_trace`]).
+//!   ([`runner::CacheMapping`]), and the per-reference reference replay
+//!   ([`runner::run_on`]).
 //! * [`placement`] — relocate program variables (page alignment, scratchpad packing)
 //!   before an experiment.
 //! * [`fitness`] — the replay engine packaged as a fitness function for configuration
 //!   search ([`fitness::ReplayFitness`]): a shared trace arena, a fresh engine per
 //!   candidate, and order-preserving parallel batches.
-//! * [`partition`] — the Figure 4 scratchpad/cache partition sweep.
+//! * [`partition`] — one point of the Figure 4 scratchpad/cache partition sweep.
 //! * [`dynamic`] — the dynamically remapped column-cache run of Figure 4(d).
-//! * [`multitask`] — the Figure 5 multitasking CPI-vs-quantum experiment.
-//! * [`report`] — the tables printed by the benchmark harness.
+//! * [`multitask`] — one point of the Figure 5 multitasking CPI-vs-quantum experiment.
+//! * [`parallel`] — the order-preserving `par_map` the experiment executor and the
+//!   tuner's fitness batches fan out with.
+//! * [`observe`] — streaming windowed observation of a replay.
+//! * [`report`] — the figure tables and the JSON renderings of every result.
+//!
+//! The experiment layer (`ccache-exp`) plans the sweeps over these points and runs them
+//! in parallel.
 //!
 //! # Example: isolate a streaming variable from a hot table
 //!
 //! ```
-//! use ccache_core::runner::{run_trace, CacheMapping, RegionMapping};
+//! use ccache_core::runner::{CacheMapping, RegionMapping};
+//! use ccache_core::ReplayEngine;
+//! use ccache_sim::backend::BackendKind;
 //! use ccache_sim::{ColumnMask, SystemConfig};
 //! use ccache_trace::synth::sequential_scan;
 //! use ccache_trace::Trace;
@@ -36,9 +45,13 @@
 //! mapping.map(0x10_0000, 32 * 1024, RegionMapping::Columns { mask: ColumnMask::single(3) });
 //!
 //! let cfg = SystemConfig { page_size: 256, ..SystemConfig::default() };
-//! let partitioned = run_trace("partitioned", cfg, &mapping, &trace)?;
-//! let shared = run_trace("shared", cfg, &CacheMapping::new(), &trace)?;
-//! assert!(partitioned.total_cycles() < shared.total_cycles());
+//! let mut partitioned = ReplayEngine::new(BackendKind::ColumnCache, cfg)?;
+//! partitioned.apply(&mapping)?;
+//! let mut shared = ReplayEngine::new(BackendKind::ColumnCache, cfg)?;
+//! assert!(
+//!     partitioned.replay("partitioned", &trace).total_cycles()
+//!         < shared.replay("shared", &trace).total_cycles()
+//! );
 //! # Ok::<(), ccache_core::CoreError>(())
 //! ```
 
@@ -57,32 +70,30 @@ pub mod placement;
 pub mod report;
 pub mod runner;
 
-pub use dynamic::{run_dynamic, run_dynamic_in, DynamicRunResult, Figure4dResult};
+pub use dynamic::{run_dynamic_in, DynamicRunResult, Figure4dResult};
 pub use engine::{RefSource, ReplayEngine};
 pub use error::CoreError;
 pub use fitness::{Candidate, ReplayFitness};
 pub use multitask::{
-    quantum_sweep, run_multitasking, JobMetrics, MultitaskConfig, MultitaskRun, QuantumSeries,
-    SharingPolicy,
+    run_multitasking_in, run_multitasking_on, JobMetrics, MultitaskConfig, MultitaskRun,
+    QuantumSeries, SharingPolicy,
 };
 pub use observe::{
     NoopObserver, ReplayEvent, ReplayObserver, SeriesRecorder, TimeSeries, WindowSample,
 };
-pub use partition::{
-    partition_sweep, partition_sweep_serial, PartitionConfig, PartitionPoint, PartitionSweep,
-};
+pub use partition::{run_partition_point_in, PartitionConfig, PartitionPoint, PartitionSweep};
 pub use placement::{pack_scratchpad_first, page_aligned, relocate, PlacementPlan};
 pub use report::SweepReport;
-pub use runner::{run_on, run_trace, run_trace_on, CacheMapping, RegionMapping, RunResult};
+pub use runner::{run_on, CacheMapping, RegionMapping, RunResult};
 
 /// Convenient glob-import of the types most programs need.
 pub mod prelude {
-    pub use crate::dynamic::{run_dynamic, Figure4dResult};
+    pub use crate::dynamic::{run_dynamic_in, Figure4dResult};
     pub use crate::engine::ReplayEngine;
     pub use crate::error::CoreError;
     pub use crate::fitness::{Candidate, ReplayFitness};
-    pub use crate::multitask::{quantum_sweep, run_multitasking, MultitaskConfig, SharingPolicy};
-    pub use crate::partition::{partition_sweep, PartitionConfig, PartitionSweep};
+    pub use crate::multitask::{run_multitasking_on, MultitaskConfig, SharingPolicy};
+    pub use crate::partition::{run_partition_point_in, PartitionConfig, PartitionSweep};
     pub use crate::report::SweepReport;
-    pub use crate::runner::{run_trace, run_trace_on, CacheMapping, RegionMapping, RunResult};
+    pub use crate::runner::{CacheMapping, RegionMapping, RunResult};
 }

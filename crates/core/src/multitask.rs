@@ -12,7 +12,6 @@
 
 use crate::engine::{stage, take_front, RefSource, ReplayEngine};
 use crate::error::CoreError;
-use crate::parallel::par_map;
 use ccache_sim::backend::BackendKind;
 use ccache_sim::{CacheConfig, ColumnMask, LatencyConfig, SystemConfig, Tint};
 use ccache_telemetry::Registry;
@@ -184,21 +183,6 @@ impl RefSource for JobSlices<'_> {
     }
 }
 
-/// Runs one multitasking experiment point on the column cache.
-///
-/// # Errors
-///
-/// Returns an error if the cache geometry is invalid or the mapped configuration requests
-/// more exclusive columns than exist.
-pub fn run_multitasking(
-    jobs: &[Job],
-    quantum: usize,
-    config: &MultitaskConfig,
-    policy: SharingPolicy,
-) -> Result<MultitaskRun, CoreError> {
-    run_multitasking_on(BackendKind::ColumnCache, jobs, quantum, config, policy)
-}
-
 /// Runs one multitasking experiment point on any backend kind.
 ///
 /// With [`SharingPolicy::Mapped`] on a backend that ignores tint control (the baseline
@@ -331,29 +315,6 @@ impl QuantumSeries {
     }
 }
 
-/// Sweeps the quantum for one configuration and policy, reporting the critical job's CPI.
-///
-/// Quanta are independent sweep points (each replays its own system), so with the
-/// `parallel` feature they run on worker threads; points are collected in quantum order,
-/// making the series deterministic either way.
-pub fn quantum_sweep(
-    jobs: &[Job],
-    quanta: &[usize],
-    config: &MultitaskConfig,
-    policy: SharingPolicy,
-    label: &str,
-) -> Result<QuantumSeries, CoreError> {
-    let points = par_map(quanta, |&q| {
-        run_multitasking(jobs, q, config, policy).map(|run| (q, run.critical_job().cpi))
-    })
-    .into_iter()
-    .collect::<Result<Vec<_>, _>>()?;
-    Ok(QuantumSeries {
-        label: label.to_owned(),
-        points,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -385,10 +346,27 @@ mod tests {
         }
     }
 
+    fn run_point(
+        jobs: &[Job],
+        quantum: usize,
+        config: &MultitaskConfig,
+        policy: SharingPolicy,
+    ) -> Result<MultitaskRun, CoreError> {
+        let registry = Registry::new();
+        run_multitasking_in(
+            BackendKind::ColumnCache,
+            jobs,
+            quantum,
+            config,
+            policy,
+            &registry,
+        )
+    }
+
     #[test]
     fn every_reference_is_attributed_to_its_job() {
         let jobs = small_jobs();
-        let run = run_multitasking(&jobs, 64, &tiny_cache(), SharingPolicy::Shared).unwrap();
+        let run = run_point(&jobs, 64, &tiny_cache(), SharingPolicy::Shared).unwrap();
         for (j, job) in jobs.iter().enumerate() {
             assert_eq!(run.jobs[j].references, job.trace.len() as u64);
             assert!(run.jobs[j].cpi >= 1.0);
@@ -398,43 +376,12 @@ mod tests {
     }
 
     #[test]
-    fn mapping_reduces_cpi_sensitivity_to_the_quantum() {
-        let jobs = small_jobs();
-        let cfg = tiny_cache();
-        let quanta = [16usize, 256, 4096, 65536];
-        let shared = quantum_sweep(&jobs, &quanta, &cfg, SharingPolicy::Shared, "shared").unwrap();
-        let mapped = quantum_sweep(&jobs, &quanta, &cfg, SharingPolicy::Mapped, "mapped").unwrap();
-        assert!(
-            mapped.variation() < shared.variation(),
-            "mapped variation {} should be below shared variation {}",
-            mapped.variation(),
-            shared.variation()
-        );
-        // at the smallest quantum, mapping must help the critical job
-        assert!(mapped.points[0].1 <= shared.points[0].1);
-    }
-
-    #[test]
-    fn shared_cpi_improves_with_larger_quanta() {
-        let jobs = small_jobs();
-        let cfg = tiny_cache();
-        let small_q = run_multitasking(&jobs, 4, &cfg, SharingPolicy::Shared).unwrap();
-        let large_q = run_multitasking(&jobs, 1 << 20, &cfg, SharingPolicy::Shared).unwrap();
-        assert!(
-            large_q.critical_job().cpi <= small_q.critical_job().cpi,
-            "batch-style scheduling should not be slower ({} vs {})",
-            large_q.critical_job().cpi,
-            small_q.critical_job().cpi
-        );
-    }
-
-    #[test]
     fn bad_configurations_are_rejected() {
         let jobs = small_jobs();
         let mut cfg = tiny_cache();
         cfg.critical_job_columns = 8;
-        assert!(run_multitasking(&jobs, 16, &cfg, SharingPolicy::Mapped).is_err());
-        assert!(run_multitasking(&[], 16, &tiny_cache(), SharingPolicy::Shared).is_err());
+        assert!(run_point(&jobs, 16, &cfg, SharingPolicy::Mapped).is_err());
+        assert!(run_point(&[], 16, &tiny_cache(), SharingPolicy::Shared).is_err());
     }
 
     #[test]

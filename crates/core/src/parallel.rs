@@ -1,20 +1,18 @@
-//! Deterministic thread-parallel mapping for experiment sweeps.
+//! Deterministic thread-parallel mapping for experiment jobs and fitness batches.
 //!
-//! Sweep points (partition counts, scheduling quanta) are embarrassingly parallel: each
-//! builds and drives its own simulated memory system. [`par_map`] fans a slice out over
-//! scoped `std::thread` workers and returns results **in input order**, so a sweep's
-//! output — and therefore its serialized `SweepReport` — is byte-identical whether the
-//! `parallel` feature is on or off.
+//! Experiment jobs (partition points, scheduling quanta, replays) and candidate
+//! evaluations are embarrassingly parallel: each builds and drives its own simulated
+//! memory system. [`par_map`] fans a slice out over scoped `std::thread` workers and
+//! returns results **in input order**, so an artefact is byte-identical to the one
+//! [`seq_map`] would produce.
 //!
-//! With the `parallel` feature disabled (or a single-item input, or a single-CPU
-//! machine) the map degrades to a plain serial loop.
+//! With a single-item input or a single-CPU machine the map degrades to a plain serial
+//! loop.
 
 /// Upper bound on worker threads, to keep small machines responsive.
-#[cfg(feature = "parallel")]
 const MAX_THREADS: usize = 16;
 
 /// Applies `f` to every item, possibly in parallel, preserving input order.
-#[cfg(feature = "parallel")]
 pub fn par_map<T, R, F>(items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
@@ -30,7 +28,6 @@ where
 /// [`par_map`] with an explicit worker count (clamped to the item count and the
 /// 16-thread cap). Exposed so tests can exercise the threaded path even on single-CPU
 /// machines.
-#[cfg(feature = "parallel")]
 pub fn par_map_threads<T, R, F>(items: &[T], f: F, threads: usize) -> Vec<R>
 where
     T: Sync,
@@ -65,30 +62,8 @@ where
     tagged.into_iter().map(|(_, r)| r).collect()
 }
 
-/// Serial fallback when the `parallel` feature is disabled.
-#[cfg(not(feature = "parallel"))]
-pub fn par_map<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    items.iter().map(f).collect()
-}
-
-/// Serial stand-in for the explicit-thread variant when `parallel` is disabled.
-#[cfg(not(feature = "parallel"))]
-pub fn par_map_threads<T, R, F>(items: &[T], f: F, _threads: usize) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    items.iter().map(f).collect()
-}
-
-/// Always-serial mapping, for measuring the parallel speed-up and for the
-/// byte-identical-output tests.
+/// Always-serial mapping: the `TuneRequest::serial` path that proves schedule
+/// independence, and the reference the parallel map is tested against.
 pub fn seq_map<T, R, F>(items: &[T], f: F) -> Vec<R>
 where
     F: Fn(&T) -> R,

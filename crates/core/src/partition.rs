@@ -1,8 +1,10 @@
-//! The scratchpad/cache partition sweep of Figure 4.
+//! The scratchpad/cache partition points of Figure 4.
 //!
 //! For a fixed 2 KB, 4-column on-chip memory the experiment varies how many columns are
 //! used as cache (0–4) with the remainder dedicated as scratchpad, and measures the cycle
-//! count of each MPEG routine under the best data layout for that partition:
+//! count of each MPEG routine under the best data layout for that partition. The
+//! experiment layer's planner expands a `partition-sweep` policy into one job per point;
+//! [`run_partition_point_in`] runs one point:
 //!
 //! 1. variables are ranked by access density and greedily packed into the scratchpad
 //!    capacity (the paper's "critical data" selection, following Panda et al.);
@@ -16,7 +18,6 @@
 
 use crate::engine::ReplayEngine;
 use crate::error::CoreError;
-use crate::parallel::{par_map, seq_map};
 use crate::placement::{pack_scratchpad_first, relocate};
 use crate::runner::{CacheMapping, RegionMapping, RunResult};
 use ccache_layout::weights::conflict_graph_from_trace;
@@ -154,26 +155,16 @@ pub fn select_scratchpad_vars(trace: &Trace, symbols: &SymbolTable, capacity: u6
     selected
 }
 
-/// Runs one partition point for a workload on the column cache: `cache_columns` columns
-/// of cache, the rest scratchpad.
-pub fn run_partition_point(
-    workload: &WorkloadRun,
-    config: &PartitionConfig,
-    cache_columns: usize,
-) -> Result<PartitionPoint, CoreError> {
-    run_partition_point_in(
-        BackendKind::ColumnCache,
-        workload,
-        config,
-        cache_columns,
-        &Registry::global(),
-    )
-}
-
-/// Runs one partition point against any backend kind, with the engine's telemetry
-/// reporting into `registry`. On the set-associative baseline the scratchpad mapping
-/// degrades to ordinary cached accesses (the control operations are ignored), which is
-/// exactly the "standard cache" comparison line.
+/// Runs one partition point — `cache_columns` columns of cache, the rest scratchpad —
+/// against any backend kind, with the engine's telemetry reporting into `registry`. On
+/// the set-associative baseline the scratchpad mapping degrades to ordinary cached
+/// accesses (the control operations are ignored), which is exactly the "standard cache"
+/// comparison line.
+///
+/// # Errors
+///
+/// Fails for an invalid geometry, checked before any column mask is built, and for
+/// more cache columns than the geometry has.
 pub fn run_partition_point_in(
     kind: BackendKind,
     workload: &WorkloadRun,
@@ -181,6 +172,7 @@ pub fn run_partition_point_in(
     cache_columns: usize,
     registry: &Registry,
 ) -> Result<PartitionPoint, CoreError> {
+    let system_config = config.system_config()?;
     if cache_columns > config.columns {
         return Err(CoreError::BadPartition {
             scratchpad_columns: config.columns - cache_columns.min(config.columns),
@@ -286,7 +278,7 @@ pub fn run_partition_point_in(
     }
 
     // 4. Replay (batched, through the replay engine).
-    let mut engine = ReplayEngine::new(kind, config.system_config()?)?;
+    let mut engine = ReplayEngine::new(kind, system_config)?;
     engine.set_telemetry(registry);
     engine.apply(&mapping)?;
     let result = engine.replay(&format!("{}-cache{}", workload.name, cache_columns), &trace);
@@ -308,50 +300,10 @@ pub fn run_partition_point_in(
     })
 }
 
-/// Runs the full partition sweep (cache columns 0..=columns) for one workload.
-///
-/// Sweep points are independent — each builds, programs and replays its own system — so
-/// with the `parallel` feature (the default) they run on worker threads. Results are
-/// collected in point order; the sweep is byte-for-byte identical to
-/// [`partition_sweep_serial`].
-pub fn partition_sweep(
-    workload: &WorkloadRun,
-    config: &PartitionConfig,
-) -> Result<PartitionSweep, CoreError> {
-    let cache_columns: Vec<usize> = (0..=config.columns).collect();
-    let points = par_map(&cache_columns, |&cc| {
-        run_partition_point(workload, config, cc)
-    });
-    collect_sweep(workload, points)
-}
-
-/// The sweep of [`partition_sweep`], computed strictly serially. Used to verify that the
-/// parallel path changes nothing, and as the comparison baseline in benches.
-pub fn partition_sweep_serial(
-    workload: &WorkloadRun,
-    config: &PartitionConfig,
-) -> Result<PartitionSweep, CoreError> {
-    let cache_columns: Vec<usize> = (0..=config.columns).collect();
-    let points = seq_map(&cache_columns, |&cc| {
-        run_partition_point(workload, config, cc)
-    });
-    collect_sweep(workload, points)
-}
-
-fn collect_sweep(
-    workload: &WorkloadRun,
-    points: Vec<Result<PartitionPoint, CoreError>>,
-) -> Result<PartitionSweep, CoreError> {
-    Ok(PartitionSweep {
-        name: workload.name.clone(),
-        points: points.into_iter().collect::<Result<Vec<_>, _>>()?,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ccache_workloads::mpeg::{run_dequant, run_idct, MpegConfig};
+    use ccache_workloads::mpeg::{run_dequant, MpegConfig};
 
     fn fast_config() -> PartitionConfig {
         PartitionConfig::default()
@@ -377,82 +329,7 @@ mod tests {
     }
 
     #[test]
-    fn dequant_prefers_scratchpad_heavy_partitions() {
-        // Small configuration keeps the test fast while preserving the shape.
-        let run = run_dequant(&MpegConfig::small());
-        let sweep = partition_sweep(&run, &fast_config()).unwrap();
-        assert_eq!(sweep.points.len(), 5);
-        let all_scratchpad = sweep.cycles_at(0).unwrap();
-        let all_cache = sweep.cycles_at(4).unwrap();
-        assert!(
-            all_scratchpad < all_cache,
-            "dequant should prefer the all-scratchpad organisation ({all_scratchpad} vs {all_cache})"
-        );
-        assert_eq!(
-            sweep.best().cache_columns,
-            sweep
-                .points
-                .iter()
-                .min_by_key(|p| p.cycles)
-                .unwrap()
-                .cache_columns
-        );
-    }
-
-    #[test]
-    fn idct_prefers_cache_heavy_partitions() {
-        let run = run_idct(&MpegConfig::small());
-        let sweep = partition_sweep(&run, &fast_config()).unwrap();
-        let all_scratchpad = sweep.cycles_at(0).unwrap();
-        let all_cache = sweep.cycles_at(4).unwrap();
-        assert!(
-            all_cache < all_scratchpad,
-            "idct should prefer the cache organisation ({all_cache} vs {all_scratchpad})"
-        );
-    }
-
-    #[test]
-    fn parallel_and_serial_sweeps_serialize_identically() {
-        // The acceptance bar for the parallel path: byte-identical SweepReport JSON.
-        let run = run_dequant(&MpegConfig::small());
-        let cfg = fast_config();
-        let parallel = partition_sweep(&run, &cfg).unwrap();
-        let serial = partition_sweep_serial(&run, &cfg).unwrap();
-        assert_eq!(parallel, serial);
-
-        // Force real worker threads (machines with one CPU would otherwise degrade the
-        // parallel path to a serial loop) and re-check.
-        let cache_columns: Vec<usize> = (0..=cfg.columns).collect();
-        let threaded = collect_sweep(
-            &run,
-            crate::parallel::par_map_threads(
-                &cache_columns,
-                |&cc| run_partition_point(&run, &cfg, cc),
-                4,
-            ),
-        )
-        .unwrap();
-        assert_eq!(threaded, serial);
-
-        let report = |sweep: PartitionSweep| crate::report::SweepReport {
-            figure: "4".to_owned(),
-            config: cfg,
-            sweeps: vec![sweep],
-            figure4d: None,
-        };
-        assert_eq!(
-            report(parallel).to_json_string(),
-            report(threaded).to_json_string()
-        );
-        assert_eq!(
-            report(serial.clone()).to_json_string(),
-            report(serial).to_json_string()
-        );
-    }
-
-    #[test]
     fn baseline_backend_ignores_partitioning() {
-        use ccache_sim::backend::BackendKind;
         let run = run_dequant(&MpegConfig::small());
         let cfg = fast_config();
         // On a conventional cache the "partition" degrades to plain caching, so every
@@ -467,22 +344,49 @@ mod tests {
         assert_eq!(p2.result.misses, p4.result.misses);
         // The ideal scratchpad lower-bounds the column cache at every point.
         let ideal = point(BackendKind::IdealScratchpad, 2);
-        let column = run_partition_point(&run, &cfg, 2).unwrap();
+        let column = point(BackendKind::ColumnCache, 2);
         assert!(ideal.cycles <= column.cycles);
         // each point is one replay, counted in the registry it was given
-        assert_eq!(registry.counter_value("engine.replays"), 3);
+        assert_eq!(registry.counter_value("engine.replays"), 4);
+    }
+
+    fn column_point(
+        run: &WorkloadRun,
+        config: &PartitionConfig,
+        cache_columns: usize,
+    ) -> Result<PartitionPoint, CoreError> {
+        run_partition_point_in(
+            BackendKind::ColumnCache,
+            run,
+            config,
+            cache_columns,
+            &Registry::new(),
+        )
     }
 
     #[test]
     fn invalid_partition_is_rejected() {
         let run = run_dequant(&MpegConfig::small());
-        assert!(run_partition_point(&run, &fast_config(), 9).is_err());
+        assert!(column_point(&run, &fast_config(), 9).is_err());
+    }
+
+    #[test]
+    fn invalid_geometry_fails_before_building_masks() {
+        // 1,000,000 columns would build a mask past bit 63 if the geometry were not
+        // checked first.
+        let run = run_dequant(&MpegConfig::small());
+        let config = PartitionConfig {
+            columns: 1_000_000,
+            ..fast_config()
+        };
+        let err = column_point(&run, &config, 64).unwrap_err();
+        assert!(err.to_string().contains("1000000"), "{err}");
     }
 
     #[test]
     fn partition_point_reports_scratchpad_contents() {
         let run = run_dequant(&MpegConfig::small());
-        let point = run_partition_point(&run, &fast_config(), 2).unwrap();
+        let point = column_point(&run, &fast_config(), 2).unwrap();
         assert_eq!(point.scratchpad_columns, 2);
         assert!(!point.scratchpad_vars.is_empty());
         assert!(point.cycles > 0);

@@ -121,11 +121,6 @@ pub fn quantum_table(series: &[QuantumSeries]) -> String {
     out
 }
 
-/// Serialises any report payload to pretty JSON (for EXPERIMENTS.md artefacts).
-pub fn to_json<T: ToJson>(value: &T) -> String {
-    value.to_json().pretty()
-}
-
 /// The JSON artefact of one figure run: the sweeps of every routine plus the optional
 /// Figure 4(d) comparison, under a fixed configuration.
 ///
@@ -382,19 +377,5 @@ mod tests {
         assert!(t.contains("700"));
         assert!(t.contains("wins"));
         assert!(t.contains("750"));
-    }
-
-    #[test]
-    fn to_json_round_trips_simple_values() {
-        struct S {
-            x: u32,
-        }
-        impl ToJson for S {
-            fn to_json(&self) -> Json {
-                Json::obj([("x", self.x.to_json())])
-            }
-        }
-        let s = to_json(&S { x: 4 });
-        assert!(s.contains("\"x\": 4"));
     }
 }

@@ -3,13 +3,14 @@
 //! The runner is the glue between the three substrates: it takes a column assignment
 //! produced by `ccache-layout`, programs the tint table and page table of a
 //! `ccache-sim::MemorySystem` accordingly (one tint per column, exclusive tints and
-//! preloads for scratchpad-style regions), replays a trace and gathers cycle statistics.
+//! preloads for scratchpad-style regions); [`run_on`] replays a trace one reference at a
+//! time and gathers cycle statistics.
 
 use crate::error::CoreError;
 use ccache_layout::{ColumnAssignment, UnitMap};
-use ccache_sim::backend::{BackendKind, MemoryBackend};
-use ccache_sim::{ColumnMask, CycleReport, SystemConfig, Tint};
-use ccache_trace::{SymbolTable, Trace, VarId};
+use ccache_sim::backend::MemoryBackend;
+use ccache_sim::{ColumnMask, CycleReport, Tint};
+use ccache_trace::{SymbolTable, Trace};
 use std::collections::BTreeMap;
 
 /// How a region of memory is mapped onto the column cache.
@@ -189,38 +190,6 @@ impl RunResult {
     }
 }
 
-/// Builds a column-cache system, applies a mapping and replays a trace (batched).
-///
-/// # Errors
-///
-/// Returns an error if the system configuration or the mapping is invalid.
-pub fn run_trace(
-    name: &str,
-    config: SystemConfig,
-    mapping: &CacheMapping,
-    trace: &Trace,
-) -> Result<RunResult, CoreError> {
-    run_trace_on(BackendKind::ColumnCache, name, config, mapping, trace)
-}
-
-/// Builds a backend of the requested kind, applies a mapping and replays a trace through
-/// the batched [`ReplayEngine`](crate::engine::ReplayEngine) path.
-///
-/// # Errors
-///
-/// Returns an error if the system configuration or the mapping is invalid.
-pub fn run_trace_on(
-    kind: BackendKind,
-    name: &str,
-    config: SystemConfig,
-    mapping: &CacheMapping,
-    trace: &Trace,
-) -> Result<RunResult, CoreError> {
-    let mut engine = crate::engine::ReplayEngine::new(kind, config)?;
-    engine.apply(mapping)?;
-    Ok(engine.replay(name, trace))
-}
-
 /// Replays a trace on an already-configured backend one reference at a time, collecting
 /// a [`RunResult`] from the statistics accumulated *by this call only* (existing
 /// statistics are reset first; cache contents and mappings are preserved).
@@ -265,22 +234,12 @@ pub(crate) fn collect_result<B: MemoryBackend + ?Sized>(
     }
 }
 
-/// Convenience: variables of a workload sorted by decreasing access density
-/// (accesses per byte), the ranking used to pick scratchpad residents.
-pub fn rank_by_density(trace: &Trace, symbols: &SymbolTable) -> Vec<(VarId, u64, f64)> {
-    let profile = ccache_trace::AccessProfile::from_trace(trace, symbols);
-    let mut ranked: Vec<(VarId, u64, f64)> = profile
-        .iter()
-        .map(|p| (p.var, p.size, p.access_density()))
-        .collect();
-    ranked.sort_by(|a, b| b.2.partial_cmp(&a.2).unwrap_or(std::cmp::Ordering::Equal));
-    ranked
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ccache_sim::{LatencyConfig, MemorySystem};
+    use crate::engine::ReplayEngine;
+    use ccache_sim::backend::BackendKind;
+    use ccache_sim::{LatencyConfig, MemorySystem, SystemConfig};
     use ccache_trace::synth::sequential_scan;
 
     fn config() -> SystemConfig {
@@ -290,10 +249,22 @@ mod tests {
         }
     }
 
+    /// A fresh column cache programmed with `mapping`, replaying `trace`.
+    fn replay_mapped(
+        name: &str,
+        config: SystemConfig,
+        mapping: &CacheMapping,
+        trace: &Trace,
+    ) -> Result<RunResult, CoreError> {
+        let mut engine = ReplayEngine::new(BackendKind::ColumnCache, config)?;
+        engine.apply(mapping)?;
+        Ok(engine.replay(name, trace))
+    }
+
     #[test]
     fn empty_mapping_behaves_like_plain_cache() {
         let trace = sequential_scan(0x1000, 1024, 32, 4, 2, None);
-        let result = run_trace("plain", config(), &CacheMapping::new(), &trace).unwrap();
+        let result = replay_mapped("plain", config(), &CacheMapping::new(), &trace).unwrap();
         assert_eq!(result.references, trace.len() as u64);
         // second pass hits everything that fits: 1 KiB < 2 KiB cache
         assert!(result.hits >= 32);
@@ -311,7 +282,8 @@ mod tests {
         let trace = Trace::concat([&hot, &stream, &hot_again]);
 
         // Unprotected: the stream evicts the hot region.
-        let unprotected = run_trace("unprotected", config(), &CacheMapping::new(), &trace).unwrap();
+        let unprotected =
+            replay_mapped("unprotected", config(), &CacheMapping::new(), &trace).unwrap();
 
         // Protected: the hot region owns column 0 exclusively.
         let mut mapping = CacheMapping::new();
@@ -323,7 +295,7 @@ mod tests {
                 preload: true,
             },
         );
-        let protected = run_trace("protected", config(), &mapping, &trace).unwrap();
+        let protected = replay_mapped("protected", config(), &mapping, &trace).unwrap();
 
         assert!(
             protected.misses < unprotected.misses,
@@ -340,7 +312,7 @@ mod tests {
         let trace = sequential_scan(0x2000, 256, 32, 4, 3, None);
         let mut mapping = CacheMapping::new();
         mapping.map(0x2000, 256, RegionMapping::Uncached);
-        let result = run_trace("uncached", config(), &mapping, &trace).unwrap();
+        let result = replay_mapped("uncached", config(), &mapping, &trace).unwrap();
         assert_eq!(result.hits, 0);
         assert_eq!(result.uncached, trace.len() as u64);
     }
@@ -396,24 +368,6 @@ mod tests {
     }
 
     #[test]
-    fn rank_by_density_prefers_hot_small_variables() {
-        use ccache_trace::{AccessKind, TraceRecorder};
-        let mut rec = TraceRecorder::new();
-        let hot = rec.allocate("hot", 64, 8);
-        let cold = rec.allocate("cold", 4096, 8);
-        for i in 0..100u64 {
-            rec.record(hot, (i % 8) * 8, 8, AccessKind::Read);
-        }
-        for i in 0..100u64 {
-            rec.record(cold, i * 8, 8, AccessKind::Read);
-        }
-        let (trace, symbols) = rec.finish();
-        let ranked = rank_by_density(&trace, &symbols);
-        assert_eq!(ranked[0].0, hot);
-        assert!(ranked[0].2 > ranked[1].2);
-    }
-
-    #[test]
     fn zero_penalty_latency_counts_only_hits() {
         let cfg = SystemConfig {
             latency: LatencyConfig::zero_penalty(),
@@ -421,7 +375,7 @@ mod tests {
             ..SystemConfig::default()
         };
         let trace = sequential_scan(0x0, 256, 32, 4, 1, None);
-        let result = run_trace("zero", cfg, &CacheMapping::new(), &trace).unwrap();
+        let result = replay_mapped("zero", cfg, &CacheMapping::new(), &trace).unwrap();
         assert_eq!(result.memory_cycles, trace.len() as u64);
     }
 }

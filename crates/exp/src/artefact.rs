@@ -14,9 +14,8 @@
 //! Serialization is deterministic (fixed key order, order-preserving execution), so
 //! repeated runs of the same spec produce byte-identical artefacts — CI diffs them.
 
-use crate::error::ExpError;
-use crate::exec::{execute, ExecOptions, JobOutcome};
-use crate::plan::{plan, JobUnit, Plan};
+use crate::exec::JobOutcome;
+use crate::plan::{JobUnit, Plan};
 use crate::spec::ExperimentSpec;
 use ccache_json::{Json, ToJson};
 
@@ -258,21 +257,23 @@ impl ToJson for Artefact {
     }
 }
 
-/// Runs a spec end to end: plan, execute, package.
-///
-/// # Errors
-///
-/// Propagates planning and execution failures.
-pub fn run_spec(spec: &ExperimentSpec, opts: &ExecOptions) -> Result<Artefact, ExpError> {
-    let p = plan(spec);
-    let outcomes = execute(&p, opts)?;
-    Ok(Artefact::new(spec.clone(), opts.quick, p, outcomes))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::ExecOptions;
     use crate::spec::{LabelScheme, PolicySpec, ReplayGrid, WorkloadSel};
+
+    /// Plans, executes and packages `spec` at the quick scale.
+    fn run_quick(spec: &ExperimentSpec) -> Artefact {
+        let opts = ExecOptions {
+            quick: true,
+            telemetry: Some(ccache_telemetry::Registry::new()),
+            ..ExecOptions::default()
+        };
+        let p = crate::plan(spec);
+        let outcomes = crate::execute(&p, &opts).unwrap();
+        Artefact::new(spec.clone(), opts.quick, p, outcomes)
+    }
 
     fn tiny_spec() -> ExperimentSpec {
         ExperimentSpec {
@@ -289,12 +290,8 @@ mod tests {
 
     #[test]
     fn artefacts_serialize_deterministically() {
-        let opts = ExecOptions {
-            quick: true,
-            ..ExecOptions::default()
-        };
-        let a = run_spec(&tiny_spec(), &opts).unwrap();
-        let b = run_spec(&tiny_spec(), &opts).unwrap();
+        let a = run_quick(&tiny_spec());
+        let b = run_quick(&tiny_spec());
         let ja = a.to_json().pretty();
         assert_eq!(ja, b.to_json().pretty());
         assert!(ja.contains("\"artefact\": \"ccache-exp\""));
@@ -311,11 +308,7 @@ mod tests {
 
     #[test]
     fn summary_rows_cover_every_result() {
-        let opts = ExecOptions {
-            quick: true,
-            ..ExecOptions::default()
-        };
-        let a = run_spec(&tiny_spec(), &opts).unwrap();
+        let a = run_quick(&tiny_spec());
         let (header, rows) = a.summary_rows();
         assert_eq!(rows.len(), a.outcomes.len());
         assert!(rows.iter().all(|r| r.len() == header.len()));

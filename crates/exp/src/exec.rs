@@ -5,9 +5,9 @@
 //! remaps, multitask schedules and tuning runs go through the same experiment
 //! functions the legacy commands used, which is what makes the CLI presets
 //! byte-identical to their pre-refactor output. Every engine reports into the
-//! execution's registry. Jobs run thread-parallel (the `parallel` feature) through the
-//! order-preserving `par_map`, which balances work per job, so the outcome vector — and
-//! therefore the serialized artefact — is byte-identical with parallelism on or off.
+//! execution's registry. Jobs run thread-parallel through the order-preserving
+//! `par_map`, which balances work per job, so the outcome vector — and therefore the
+//! serialized artefact — is byte-identical to a serial run.
 
 use crate::error::ExpError;
 use crate::plan::{JobUnit, MultitaskJob, Plan, ReplayJob};
@@ -605,14 +605,12 @@ mod tests {
                 panic!("expected replay outcomes");
             };
             let (mapping, _) = build_mapping(&policy, &workload, &geometry).unwrap();
-            let fresh = ccache_core::runner::run_trace_on(
-                BackendKind::ColumnCache,
-                &policy.short(),
-                geometry.system_config().unwrap(),
-                &mapping,
-                &workload.trace,
-            )
-            .unwrap();
+            let mut engine =
+                ReplayEngine::new(BackendKind::ColumnCache, geometry.system_config().unwrap())
+                    .unwrap();
+            engine.set_telemetry(&Registry::new());
+            engine.apply(&mapping).unwrap();
+            let fresh = engine.replay(&policy.short(), &workload.trace);
             assert_eq!(result.total_cycles(), fresh.total_cycles());
             assert_eq!(result.misses, fresh.misses);
             assert_eq!(layout.is_some(), matches!(policy, PolicySpec::Heuristic));

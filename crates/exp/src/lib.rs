@@ -10,8 +10,7 @@
 //! * [`mod@plan`] — the [`Planner`](plan::plan): grid expansion with canonical-key dedup
 //!   (the same configuration is never replayed twice) in first-occurrence order;
 //! * [`exec`] — the [`Executor`](exec::execute): per-job, thread-parallel replay
-//!   through `ccache-core`'s batched `ReplayEngine`, byte-identical output with
-//!   parallelism on or off;
+//!   through `ccache-core`'s batched `ReplayEngine`, byte-identical to a serial run;
 //! * [`artefact`] — the unified [`Artefact`] report schema every run serializes to;
 //! * [`presets`] — the legacy CLI commands (`fig4`, `fig5`, `ablation`, `sweep`)
 //!   compiled to specs;
@@ -20,15 +19,15 @@
 //! # Example: a two-policy grid over one kernel
 //!
 //! ```
-//! use ccache_exp::exec::ExecOptions;
-//! use ccache_exp::run_spec;
-//! use ccache_exp::spec::ExperimentSpec;
+//! use ccache_exp::{execute, plan, Artefact, ExecOptions, ExperimentSpec};
 //!
 //! let spec = ExperimentSpec::parse_str(r#"{
 //!     "name": "fir-policies",
 //!     "replay": [{ "workloads": ["fir"], "policies": ["shared", "heuristic"] }]
 //! }"#)?;
-//! let artefact = run_spec(&spec, &ExecOptions { quick: true, ..ExecOptions::default() })?;
+//! let plan = plan(&spec);
+//! let outcomes = execute(&plan, &ExecOptions { quick: true, ..ExecOptions::default() })?;
+//! let artefact = Artefact::new(spec, true, plan, outcomes);
 //! assert_eq!(artefact.outcomes.len(), 2);
 //! # Ok::<(), ccache_exp::ExpError>(())
 //! ```
@@ -44,7 +43,7 @@ pub mod presets;
 pub mod scale;
 pub mod spec;
 
-pub use artefact::{run_spec, Artefact};
+pub use artefact::Artefact;
 pub use error::ExpError;
 pub use exec::{execute, ExecOptions, JobOutcome, LayoutInfo, ObserveOptions};
 pub use plan::{plan, JobUnit, Plan};

@@ -16,6 +16,7 @@ use crate::error::ExpError;
 use ccache_json::{Json, ToJson};
 use ccache_opt::StrategyKind;
 use ccache_sim::backend::BackendKind;
+use ccache_sim::mask::MAX_COLUMNS;
 use ccache_sim::{CacheConfig, LatencyConfig, ReplacementPolicy, SystemConfig};
 
 /// A full experiment: a named union of replay and multitask grids.
@@ -243,11 +244,6 @@ impl PolicySpec {
             PolicySpec::DynamicPhases => "dynamic".to_owned(),
             PolicySpec::Tuned { strategy, .. } => format!("tuned-{strategy}"),
         }
-    }
-
-    /// Whether this policy needs a symbol table (variable regions) to build a mapping.
-    pub fn needs_symbols(&self) -> bool {
-        !matches!(self, PolicySpec::Shared)
     }
 }
 
@@ -674,6 +670,15 @@ impl PolicySpec {
                 .iter()
                 .map(|(name, cols)| Ok((name.clone(), usize_list(cols, "'fixed' columns")?)))
                 .collect::<Result<Vec<_>, ExpError>>()?;
+            if let Some(col) = assignment
+                .iter()
+                .flat_map(|(_, cols)| cols)
+                .find(|&&col| col >= MAX_COLUMNS)
+            {
+                return Err(bad(format!(
+                    "'fixed' column {col} is out of range (a cache has at most {MAX_COLUMNS})"
+                )));
+            }
             return Ok(PolicySpec::Fixed { assignment });
         }
         if let Some(t) = value.get("tuned") {
@@ -720,13 +725,12 @@ impl ReplayGrid {
                     let raw = b
                         .as_str()
                         .ok_or_else(|| bad("'backends' entries must be strings"))?;
-                    // Resolution goes through the shared registry, so spec spellings
-                    // and the derived error list cannot drift from the CLI's.
-                    let registry = ccache_sim::BackendRegistry::global();
-                    registry.kind_of(raw).ok_or_else(|| {
+                    // The CLI resolves names through the same parse, so spec spellings
+                    // and the error list cannot drift from the CLI's.
+                    BackendKind::parse(raw).ok_or_else(|| {
                         bad(format!(
                             "unknown backend '{raw}' (expected {})",
-                            registry.expected_single()
+                            BackendKind::expected_single()
                         ))
                     })
                 })
@@ -741,6 +745,11 @@ impl ReplayGrid {
                 .map(GeometrySpec::from_json)
                 .collect::<Result<Vec<_>, _>>()?,
         };
+        for geometry in &geometries {
+            geometry
+                .system_config()
+                .map_err(|e| bad(format!("geometry {}: {e}", geometry.short())))?;
+        }
         let policies = match value.get("policies") {
             None => defaults.policies,
             Some(v) => v
@@ -775,6 +784,27 @@ impl ReplayGrid {
             label,
         })
     }
+
+    /// The jobs this grid expands to before deduplication — a partition sweep counts
+    /// `columns + 1` per geometry — or `None` if the count overflows.
+    fn expansion(&self) -> Option<usize> {
+        let sweeps = self
+            .policies
+            .iter()
+            .filter(|p| matches!(p, PolicySpec::PartitionSweep))
+            .count();
+        let points = self
+            .geometries
+            .iter()
+            .try_fold(0usize, |sum, g| sum.checked_add(g.columns.checked_add(1)?))?;
+        let per_pair = (self.policies.len() - sweeps)
+            .checked_mul(self.geometries.len())?
+            .checked_add(sweeps.checked_mul(points)?)?;
+        self.workloads
+            .len()
+            .checked_mul(self.backends.len())?
+            .checked_mul(per_pair)
+    }
 }
 
 impl MultitaskGrid {
@@ -803,6 +833,13 @@ impl MultitaskGrid {
         if jobs.is_empty() {
             return Err(bad("'jobs' must not be empty"));
         }
+        // Every planned point carries its own copy of the job set.
+        if jobs.len() > MAX_MULTITASK_JOBS {
+            return Err(bad(format!(
+                "'jobs' lists {} jobs; at most {MAX_MULTITASK_JOBS} are allowed",
+                jobs.len()
+            )));
+        }
         let configs = match value.get("configs") {
             None => defaults.configs,
             Some(v) => {
@@ -826,7 +863,7 @@ impl MultitaskGrid {
                                     .ok_or_else(|| bad(format!("unknown latency preset '{raw}'")))?
                             }
                         };
-                        Ok(MtConfigSpec {
+                        let config = MtConfigSpec {
                             label,
                             capacity: field_u64(c, "capacity", 16 * 1024)?,
                             columns: field_usize(c, "columns", 8)?,
@@ -834,7 +871,11 @@ impl MultitaskGrid {
                             page: field_u64(c, "page", 1024)?,
                             critical_columns: field_usize(c, "critical_columns", 6)?,
                             latency,
-                        })
+                        };
+                        config.config().system_config().map_err(|e| {
+                            bad(format!("multitask config '{}': {e}", config.label))
+                        })?;
+                        Ok(config)
                     })
                     .collect::<Result<Vec<_>, ExpError>>()?
             }
@@ -874,7 +915,24 @@ impl MultitaskGrid {
             quanta,
         })
     }
+
+    /// The jobs this grid expands to before deduplication, or `None` on overflow.
+    fn expansion(&self) -> Option<usize> {
+        self.configs
+            .len()
+            .checked_mul(self.policies.len())?
+            .checked_mul(self.quanta.len())
+    }
 }
+
+/// The most jobs a spec read from JSON may expand to before deduplication. Paper-scale
+/// `fig5` expands 44 and `ablation` 42, so the bound leaves about 100× headroom while a
+/// hostile spec is refused before the planner builds anything.
+pub const MAX_EXPANDED_JOBS: usize = 4096;
+
+/// The most concurrently scheduled jobs a multitask grid read from JSON may list
+/// (Figure 5 schedules three).
+pub const MAX_MULTITASK_JOBS: usize = 64;
 
 impl ExperimentSpec {
     /// Parses a spec from its JSON document.
@@ -882,7 +940,8 @@ impl ExperimentSpec {
     /// # Errors
     ///
     /// Fails with [`ExpError::BadSpec`] for structural problems (missing fields, unknown
-    /// names, empty axes).
+    /// names, empty axes), invalid cache geometries, and grids that expand to more than
+    /// [`MAX_EXPANDED_JOBS`] jobs.
     pub fn from_json(doc: &Json) -> Result<Self, ExpError> {
         if doc.as_obj().is_none() {
             return Err(bad("the spec must be a JSON object"));
@@ -914,6 +973,24 @@ impl ExperimentSpec {
             return Err(bad(
                 "the spec needs at least one 'replay' or 'multitask' grid",
             ));
+        }
+        let expanded = replay
+            .iter()
+            .map(ReplayGrid::expansion)
+            .chain(multitask.iter().map(MultitaskGrid::expansion))
+            .try_fold(0usize, |sum, jobs| sum.checked_add(jobs?));
+        match expanded {
+            Some(jobs) if jobs <= MAX_EXPANDED_JOBS => {}
+            Some(jobs) => {
+                return Err(bad(format!(
+                    "the grids expand to {jobs} jobs; at most {MAX_EXPANDED_JOBS} are allowed"
+                )))
+            }
+            None => {
+                return Err(bad(format!(
+                    "the grids expand to more than {MAX_EXPANDED_JOBS} jobs"
+                )))
+            }
         }
         Ok(ExperimentSpec {
             name,
@@ -1024,6 +1101,67 @@ mod tests {
                 "{text} should fail with {needle}, got: {err}"
             );
         }
+    }
+
+    #[test]
+    fn hostile_grids_are_refused_before_expansion() {
+        let repeated = |item: &str, n: usize| vec![item; n].join(",");
+        let huge_grid = format!(
+            r#"{{"name":"x","replay":[{{"workloads":[{}],"policies":[{}]}}]}}"#,
+            repeated(r#""fir""#, 3000),
+            repeated(r#""shared""#, 3000)
+        );
+        let huge_sweep = r#"{"name":"x","replay":[{"workloads":["fir"],
+            "geometries":[{"capacity":2048,"columns":1000000,"line":32}],
+            "policies":["partition-sweep"]}]}"#;
+        for (text, needle) in [
+            (huge_grid.as_str(), "9000000 jobs"),
+            (huge_sweep, "column count 1000000"),
+            (
+                r#"{"name":"x","multitask":[{"configs":[{"label":"m","columns":1000}]}]}"#,
+                "multitask config 'm'",
+            ),
+            (
+                r#"{"name":"x","replay":[{"workloads":["fir"],"policies":[{"fixed":{"x":[64]}}]}]}"#,
+                "'fixed' column 64",
+            ),
+        ] {
+            let err = ExperimentSpec::parse_str(text).unwrap_err();
+            assert!(err.to_string().contains(needle), "{needle}: {err}");
+        }
+        let many_jobs = format!(
+            r#"{{"name":"x","multitask":[{{"jobs":[{}]}}]}}"#,
+            repeated("{}", MAX_MULTITASK_JOBS + 1)
+        );
+        assert!(ExperimentSpec::parse_str(&many_jobs).is_err());
+    }
+
+    #[test]
+    fn expansion_counts_match_the_planner() {
+        // A partition sweep counts columns + 1 per geometry; the bound is inclusive.
+        let spec = ExperimentSpec::parse_str(
+            r#"{"name":"x","replay":[{"workloads":["fir","gzip"],"backends":["column","ideal"],
+                "geometries":[{"columns":2},{"columns":4}],
+                "policies":["shared","partition-sweep"]}],
+                "multitask":[{"quanta":[1,4,16]}]}"#,
+        )
+        .unwrap();
+        let counted: usize = spec
+            .replay
+            .iter()
+            .map(|g| g.expansion().unwrap())
+            .sum::<usize>()
+            + spec
+                .multitask
+                .iter()
+                .map(|g| g.expansion().unwrap())
+                .sum::<usize>();
+        assert_eq!(counted, crate::plan::expand(&spec).len());
+        let at_bound = format!(
+            r#"{{"name":"x","multitask":[{{"quanta":[{}]}}]}}"#,
+            vec!["1"; MAX_EXPANDED_JOBS / 4].join(",")
+        );
+        assert!(ExperimentSpec::parse_str(&at_bound).is_ok());
     }
 
     #[test]

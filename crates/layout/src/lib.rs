@@ -14,8 +14,9 @@
 //!    when it fits in the available columns, otherwise the paper's minimum-weight-edge
 //!    merging heuristic; variables can be forced into scratchpad columns (Step 3 and
 //!    Section 3.1.3).
-//! 4. **Dynamic layout** ([`dynamic::plan_phases`]) — re-run the algorithm per procedure
-//!    and quantify the remapping between phases (Section 3.2).
+//!
+//! The dynamic layout of Section 3.2 re-runs steps 1–3 per program phase; it lives with
+//! the replay that remaps between phases, in `ccache-core`'s `dynamic` module.
 //!
 //! # Example
 //!
@@ -46,7 +47,6 @@
 
 pub mod assignment;
 pub mod coloring;
-pub mod dynamic;
 pub mod error;
 pub mod graph;
 pub mod static_analysis;
@@ -56,7 +56,6 @@ pub use assignment::{
     assign_columns, assignment_from_vertex_columns, validate_vertex_columns, ColumnAssignment,
     LayoutOptions,
 };
-pub use dynamic::{plan_phases, remap_count, DynamicPlan, PhaseLayout};
 pub use error::LayoutError;
 pub use graph::{ConflictGraph, Vertex};
 pub use static_analysis::{ProgramIr, Stmt};
@@ -67,7 +66,6 @@ pub use weights::{
 /// Convenient glob-import of the types most programs need.
 pub mod prelude {
     pub use crate::assignment::{assign_columns, ColumnAssignment, LayoutOptions};
-    pub use crate::dynamic::{plan_phases, DynamicPlan};
     pub use crate::error::LayoutError;
     pub use crate::graph::ConflictGraph;
     pub use crate::static_analysis::{ProgramIr, Stmt};

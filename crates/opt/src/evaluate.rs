@@ -7,9 +7,9 @@
 //! replays count against the budget, which is what lets a strategy keep polishing a
 //! converged population for free.
 //!
-//! Batches preserve input order and fan out over threads when the `parallel` feature is
-//! on; because the cache is keyed canonically and filled in input order, the evaluator's
-//! observable behaviour is byte-identical with the feature on or off.
+//! Batches preserve input order and fan out over threads unless the evaluator was built
+//! serial; because the cache is keyed canonically and filled in input order, the
+//! evaluator's observable behaviour is byte-identical either way.
 
 use crate::error::OptError;
 use crate::space::{Genome, SearchSpace};
@@ -80,8 +80,8 @@ impl EvaluatorTelemetry {
 
 impl<'a> Evaluator<'a> {
     /// Creates an evaluator over `space` replaying `trace`, allowed `budget` real
-    /// replays. `serial` forces single-threaded evaluation even when the `parallel`
-    /// feature is compiled in (used to prove schedule independence).
+    /// replays. `serial` forces single-threaded evaluation (used to prove schedule
+    /// independence).
     pub fn new(space: &'a SearchSpace, trace: Trace, budget: usize, serial: bool) -> Self {
         let fitness = if serial {
             ReplayFitness::new(trace).serial()
@@ -177,10 +177,8 @@ impl<'a> Evaluator<'a> {
     /// Scores a non-genome reference point (e.g. the set-associative baseline) on the
     /// same trace, outside the cache and the budget.
     ///
-    /// Like every candidate replay, the backend is built through the shared
-    /// [`BackendRegistry`](ccache_sim::BackendRegistry) (via `ReplayEngine::new`), so
-    /// the optimizer cannot construct a backend the rest of the stack would not
-    /// resolve by name.
+    /// Like every candidate replay, the backend is built by `ReplayEngine::new`, the
+    /// constructor every other replay in the stack uses.
     ///
     /// # Errors
     ///

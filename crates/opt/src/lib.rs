@@ -13,10 +13,10 @@
 //!   mutation and crossover, all valid by construction.
 //! * [`evaluate`] — the budgeted [`Evaluator`]: canonical-key fitness cache (duplicate
 //!   candidates never re-replay) over [`ReplayFitness`](ccache_core::ReplayFitness)
-//!   batches (thread-parallel with the `parallel` feature, byte-identical without).
+//!   batches (thread-parallel, byte-identical to a serial run).
 //! * [`strategy`] — [`SearchStrategy`] implementations: [`Exhaustive`],
 //!   [`HillClimb`] and [`Evolutionary`] (μ+λ).
-//! * [`tuner`] — the one-call [`tune`] driver and its JSON-serialisable
+//! * [`tuner`] — the one-call [`tune_observed`] driver and its JSON-serialisable
 //!   [`TuneOutcome`].
 //!
 //! Determinism is a hard guarantee, not an aspiration: a fixed seed fixes the whole
@@ -26,8 +26,9 @@
 //! # Example
 //!
 //! ```
-//! use ccache_opt::{tune, GeometrySearch, StrategyKind, TuneRequest};
+//! use ccache_opt::{tune_observed, GeometrySearch, StrategyKind, TuneRequest};
 //! use ccache_sim::SystemConfig;
+//! use ccache_telemetry::Registry;
 //! use ccache_trace::{AccessKind, TraceRecorder};
 //!
 //! // Record a workload: two hot tables that conflict with a streaming buffer.
@@ -47,7 +48,7 @@
 //!     budget: 20,
 //!     ..TuneRequest::default()
 //! };
-//! let outcome = tune(&trace, &symbols, &request)?;
+//! let outcome = tune_observed(&trace, &symbols, &request, &Registry::new(), None)?;
 //! // the search can only match or beat the paper's heuristic layout
 //! assert!(outcome.best.fitness.miss_rate <= outcome.heuristic.fitness.miss_rate);
 //! # Ok::<(), ccache_opt::OptError>(())
@@ -69,7 +70,7 @@ pub use strategy::{
     BestCandidate, Evolutionary, Exhaustive, GenerationPoint, HillClimb, ProgressLog,
     SearchStrategy, StrategyKind, TuneProgress,
 };
-pub use tuner::{tune, tune_observed, BestConfig, ScoredLayout, TuneOutcome, TuneRequest};
+pub use tuner::{tune_observed, BestConfig, ScoredLayout, TuneOutcome, TuneRequest};
 
 /// Convenient glob-import of the types most programs need.
 pub mod prelude {
@@ -77,5 +78,5 @@ pub mod prelude {
     pub use crate::evaluate::{Evaluator, Fitness};
     pub use crate::space::{Genome, GeometrySearch, SearchSpace};
     pub use crate::strategy::{SearchStrategy, StrategyKind, TuneProgress};
-    pub use crate::tuner::{tune, tune_observed, TuneOutcome, TuneRequest};
+    pub use crate::tuner::{tune_observed, TuneOutcome, TuneRequest};
 }

@@ -1,9 +1,9 @@
 //! The top-level tuner: build the space, run a strategy, package the result.
 //!
-//! [`tune`] is the one-call interface the CLI and tests use. It is fully deterministic
-//! for a fixed [`TuneRequest`]: the convergence log, the winning genome and every
-//! reported number are identical across runs and across thread-parallel evaluation on or
-//! off. The heuristic seed is always evaluated first, so the reported best is never
+//! [`tune_observed`] is the one-call interface the session and tests use. It is fully
+//! deterministic for a fixed [`TuneRequest`]: the convergence log, the winning genome and
+//! every reported number are identical across runs and across parallel and serial
+//! evaluation. The heuristic seed is always evaluated first, so the reported best is never
 //! worse than the paper's `assign_columns` layout on the template geometry.
 
 use crate::error::OptError;
@@ -276,28 +276,11 @@ impl TuneProgress for TelemetryProgress<'_> {
     }
 }
 
-/// Runs one tuning search over a workload.
+/// Runs one tuning search over a workload, streaming per-generation progress.
 ///
-/// Equivalent to [`tune_observed`] with the process-wide registry and no live
-/// progress observer; the full convergence log is still available on the returned
-/// [`TuneOutcome`].
-///
-/// # Errors
-///
-/// Fails when the template geometry is invalid, the space is empty, the budget is zero,
-/// or evaluation fails.
-pub fn tune(
-    trace: &Trace,
-    symbols: &SymbolTable,
-    request: &TuneRequest,
-) -> Result<TuneOutcome, OptError> {
-    tune_observed(trace, symbols, request, &Registry::global(), None)
-}
-
-/// Runs one tuning search, streaming per-generation progress.
-///
-/// Identical search trajectory and result to [`tune`] — observation never steers the
-/// search. `telemetry` receives the `opt.*` counters and gauges (per-generation count,
+/// Observation never steers the search: the trajectory and result are the same with or
+/// without `progress`, and the full convergence log is on the returned [`TuneOutcome`]
+/// either way. `telemetry` receives the `opt.*` counters and gauges (per-generation count,
 /// best-so-far misses, fitness-cache traffic); `progress` — when given — is called once
 /// per completed generation, after the telemetry update, from the calling thread.
 ///
@@ -402,6 +385,14 @@ pub fn tune_observed(
 mod tests {
     use super::*;
     use ccache_trace::{AccessKind, TraceRecorder};
+
+    fn tune(
+        trace: &Trace,
+        symbols: &SymbolTable,
+        request: &TuneRequest,
+    ) -> Result<TuneOutcome, OptError> {
+        tune_observed(trace, symbols, request, &Registry::new(), None)
+    }
 
     fn workload() -> (Trace, SymbolTable) {
         let mut rec = TraceRecorder::new();

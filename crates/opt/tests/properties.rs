@@ -9,9 +9,10 @@
 //!   thread-parallel evaluation on and off.
 
 use ccache_opt::{
-    tune, Evaluator, GeometrySearch, ProgressLog, SearchSpace, StrategyKind, TuneRequest,
+    tune_observed, Evaluator, GeometrySearch, ProgressLog, SearchSpace, StrategyKind, TuneRequest,
 };
 use ccache_sim::SystemConfig;
+use ccache_telemetry::Registry;
 use ccache_trace::{AccessKind, SymbolTable, Trace, TraceRecorder, VarId};
 use proptest::prelude::*;
 use rand::{rngs::StdRng, SeedableRng};
@@ -136,17 +137,14 @@ fn tune_is_deterministic_and_never_worse_than_heuristic() {
             seed: 1234,
             ..TuneRequest::default()
         };
-        let a = tune(&t, &s, &request).unwrap();
-        let b = tune(&t, &s, &request).unwrap();
-        let serial = tune(
-            &t,
-            &s,
-            &TuneRequest {
-                serial: true,
-                ..request
-            },
-        )
-        .unwrap();
+        let tune =
+            |request: &TuneRequest| tune_observed(&t, &s, request, &Registry::new(), None).unwrap();
+        let a = tune(&request);
+        let b = tune(&request);
+        let serial = tune(&TuneRequest {
+            serial: true,
+            ..request
+        });
         use ccache_json::ToJson;
         assert_eq!(a.to_json().pretty(), b.to_json().pretty());
         assert_eq!(a.to_json().pretty(), serial.to_json().pretty());

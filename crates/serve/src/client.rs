@@ -59,16 +59,6 @@ impl Client {
         self.writer.write_all(bytes)
     }
 
-    /// Half-closes the write side, signalling EOF to the server while replies can
-    /// still be read.
-    ///
-    /// # Errors
-    ///
-    /// Propagates shutdown failures.
-    pub fn finish_writes(&mut self) -> io::Result<()> {
-        self.writer.shutdown(std::net::Shutdown::Write)
-    }
-
     /// Receives one raw reply line (without the newline); `None` on clean EOF.
     ///
     /// # Errors

@@ -146,6 +146,50 @@ fn uploads_past_the_address_limit_are_refused_and_the_connection_keeps_serving()
 }
 
 #[test]
+fn hostile_run_specs_are_refused_and_the_connection_keeps_serving() {
+    let mut server = spawn_test_server(|_| {}).expect("bind test server");
+    let mut client = Client::connect(server.addr()).expect("connect");
+    let repeated = |item: &str| vec![item; 3000].join(",");
+    let specs = [
+        // 3000 x 3000 duplicate grid entries: 9,000,000 jobs before deduplication.
+        format!(
+            r#"{{"name": "huge", "replay": [{{"workloads": [{}], "policies": [{}]}}]}}"#,
+            repeated(r#""fir""#),
+            repeated(r#""shared""#)
+        ),
+        // A partition sweep over a geometry with 1,000,000 columns.
+        r#"{"name": "wide", "replay": [{"workloads": ["fir"],
+            "geometries": [{"capacity": 2048, "columns": 1000000, "line": 32}],
+            "policies": ["partition-sweep"]}]}"#
+            .to_owned(),
+    ];
+    for spec in &specs {
+        let reply = client
+            .request(&Json::obj([
+                ("cmd", "run".to_json()),
+                ("spec", Json::parse(spec).unwrap()),
+            ]))
+            .expect("run reply");
+        assert_eq!(reply.get("ok").and_then(Json::as_bool), Some(false));
+        let error = reply.get("error").expect("error object");
+        assert_eq!(
+            error.get("code").and_then(Json::as_str),
+            Some("bad_request")
+        );
+        let message = error.get("message").and_then(Json::as_str).unwrap_or("");
+        assert!(
+            message.starts_with("invalid experiment spec: "),
+            "{message}"
+        );
+    }
+    let status = client
+        .request(&Json::obj([("cmd", "status".to_json())]))
+        .expect("status reply");
+    assert_eq!(status.get("ok").and_then(Json::as_bool), Some(true));
+    server.shutdown();
+}
+
+#[test]
 fn subscribe_streams_windows_then_the_final_statistics() {
     let mut server = spawn_test_server(|_| {}).expect("bind test server");
     let mut client = Client::connect(server.addr()).expect("connect");

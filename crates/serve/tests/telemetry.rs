@@ -211,14 +211,9 @@ fn subscribe_tune_streams_generation_events() {
     server.shutdown();
 }
 
-/// Runs a fixed request sequence against a fresh server and returns the final
-/// deterministic snapshot of its private registry (taken after shutdown has joined
-/// every worker, so queue/busy gauges have settled).
-fn serve_session_snapshot() -> String {
-    let mut server = spawn_test_server(|_| {}).expect("bind test server");
-    let service = std::sync::Arc::clone(server.service());
-    let mut client = Client::connect(server.addr()).expect("connect");
-    let requests = [
+/// The JSON-object frames of the fixed serve session, in order.
+fn session_requests() -> Vec<Json> {
+    vec![
         Json::obj([("cmd", "status".to_json()), ("tenant", "ci".to_json())]),
         Json::obj([
             ("cmd", "replay".to_json()),
@@ -239,21 +234,35 @@ fn serve_session_snapshot() -> String {
         ]),
         Json::obj([("cmd", "metrics".to_json())]),
         Json::obj([("cmd", "frobnicate".to_json())]),
-    ];
-    for request in &requests {
+    ]
+}
+
+/// Runs the fixed request sequence, then one malformed frame, against a fresh server
+/// and returns the final deterministic snapshot of its private registry (taken after
+/// shutdown has joined every worker, so queue/busy gauges have settled).
+fn serve_session_snapshot() -> Json {
+    let mut server = spawn_test_server(|_| {}).expect("bind test server");
+    let service = std::sync::Arc::clone(server.service());
+    let mut client = Client::connect(server.addr()).expect("connect");
+    for request in &session_requests() {
         let _ = client.request(request).expect("reply");
     }
+    client.send_raw(b"{not json\n").expect("send garbage");
+    let _ = client
+        .recv()
+        .expect("read error frame")
+        .expect("error frame");
     drop(client);
     server.shutdown();
-    service.telemetry().snapshot_deterministic().pretty()
+    service.telemetry().snapshot_deterministic()
 }
 
 /// Two identical serve sessions must report byte-identical deterministic snapshots:
 /// metrics are diffable in CI because only behaviour — never host noise — moves them.
 #[test]
 fn identical_serve_sessions_snapshot_identically() {
-    let first = serve_session_snapshot();
-    let second = serve_session_snapshot();
+    let first = serve_session_snapshot().pretty();
+    let second = serve_session_snapshot().pretty();
     assert_eq!(
         first, second,
         "the deterministic snapshot must not vary across identical serve sessions"
@@ -273,6 +282,39 @@ fn identical_serve_sessions_snapshot_identically() {
         !first.contains("timing"),
         "host-dependent timing must be quarantined out of the deterministic form"
     );
+}
+
+/// The verb counters reconcile with the request histograms and with the traffic:
+/// every JSON-object frame counts one `serve.verb.*` and records one
+/// `serve.request.<verb>` latency; a malformed frame records only
+/// `serve.request.invalid`.
+#[test]
+fn verb_counters_reconcile_with_request_histograms_and_frames() {
+    let snapshot = serve_session_snapshot();
+    let cells = |section: &str| snapshot.get(section).and_then(Json::as_obj).unwrap_or(&[]);
+    let verbs: u64 = cells("counters")
+        .iter()
+        .filter(|(name, _)| name.starts_with("serve.verb."))
+        .filter_map(|(_, value)| value.as_u64())
+        .sum();
+    let request_count = |name: &str| {
+        cells("histograms")
+            .iter()
+            .find(|(cell, _)| cell == name)
+            .and_then(|(_, h)| h.get("count").and_then(Json::as_u64))
+    };
+    let requests: u64 = cells("histograms")
+        .iter()
+        .filter(|(name, _)| name.starts_with("serve.request.") && name != "serve.request.invalid")
+        .filter_map(|(name, _)| request_count(name))
+        .sum();
+    assert_eq!(verbs, requests, "one verb count per recorded request");
+    assert_eq!(
+        verbs,
+        session_requests().len() as u64,
+        "one per JSON-object frame"
+    );
+    assert_eq!(request_count("serve.request.invalid"), Some(1));
 }
 
 /// With `log_ndjson` on, every handled request — including malformed frames — writes

@@ -472,31 +472,26 @@ impl BackendKind {
         }
     }
 
-    /// Additional accepted spellings (canonical and short names excluded).
-    pub const fn alias_names(self) -> &'static [&'static str] {
-        match self {
-            BackendKind::ColumnCache => &[],
-            BackendKind::SetAssociative => &["setassoc", "baseline"],
-            BackendKind::IdealScratchpad => &[],
-        }
-    }
-
-    /// A one-line description, surfaced by the registry.
-    pub const fn summary(self) -> &'static str {
-        match self {
-            BackendKind::ColumnCache => "the software-controlled column cache",
-            BackendKind::SetAssociative => "a conventional set-associative cache",
-            BackendKind::IdealScratchpad => "every reference at scratchpad latency",
-        }
-    }
-
-    /// Parses a backend name as used on experiment command lines.
-    ///
-    /// Resolution goes through the shared [`BackendRegistry`](crate::BackendRegistry),
-    /// so the accepted spellings cannot drift from what the CLI and the experiment
-    /// specs accept.
+    /// Parses a backend name: the canonical name, the short name, or one of the
+    /// set-associative baseline's aliases `setassoc` and `baseline`. The CLI flags and
+    /// the experiment-spec grammar both resolve names here.
     pub fn parse(s: &str) -> Option<BackendKind> {
-        crate::registry::BackendRegistry::global().kind_of(s)
+        match s {
+            "setassoc" | "baseline" => Some(BackendKind::SetAssociative),
+            _ => BackendKind::ALL
+                .into_iter()
+                .find(|kind| s == kind.canonical_name() || s == kind.short_name()),
+        }
+    }
+
+    /// The short names as usage text for single-backend flags.
+    pub const fn expected_single() -> &'static str {
+        "column, set-assoc or ideal"
+    }
+
+    /// As [`BackendKind::expected_single`], for flags that also accept `all`.
+    pub const fn expected_list() -> &'static str {
+        "column, set-assoc, ideal or all"
     }
 }
 
@@ -614,7 +609,27 @@ mod tests {
             assert_eq!(BackendKind::parse(&kind.to_string()), Some(kind));
         }
         assert_eq!(BackendKind::parse("column"), Some(BackendKind::ColumnCache));
+        assert_eq!(
+            BackendKind::parse("baseline"),
+            Some(BackendKind::SetAssociative)
+        );
         assert_eq!(BackendKind::parse("bogus"), None);
         assert_eq!(BackendKind::default(), BackendKind::ColumnCache);
+    }
+
+    #[test]
+    fn expected_lists_name_every_short_name_in_order() {
+        let shorts = BackendKind::ALL.map(BackendKind::short_name);
+        assert_eq!(
+            BackendKind::expected_single(),
+            format!("{}, {} or {}", shorts[0], shorts[1], shorts[2])
+        );
+        assert_eq!(
+            BackendKind::expected_list(),
+            format!("{}, {}, {} or all", shorts[0], shorts[1], shorts[2])
+        );
+        for short in shorts {
+            assert!(BackendKind::parse(short).is_some());
+        }
     }
 }

@@ -37,13 +37,6 @@ pub enum SimError {
         /// The offending address.
         addr: u64,
     },
-    /// A scratchpad region was configured with inconsistent bounds.
-    BadScratchpadRange {
-        /// Start of the region.
-        base: u64,
-        /// Size of the region in bytes.
-        size: u64,
-    },
     /// The TLB was configured with no entries; translation needs at least one slot.
     ZeroTlbEntries,
     /// The cache line is larger than the mapping granularity, so one line would span
@@ -53,18 +46,6 @@ pub enum SimError {
         line_size: u64,
         /// Configured page size in bytes.
         page_size: u64,
-    },
-    /// A backend name did not resolve in the [`BackendRegistry`](crate::BackendRegistry).
-    UnknownBackend {
-        /// The name that failed to resolve.
-        name: String,
-        /// The accepted names, for the error message (derived from the registry).
-        expected: String,
-    },
-    /// A backend registration collided with a name (or alias) already registered.
-    DuplicateBackend {
-        /// The colliding name.
-        name: String,
     },
 }
 
@@ -86,12 +67,6 @@ impl fmt::Display for SimError {
             SimError::UnmappedAddress { addr } => {
                 write!(f, "address {addr:#x} has no page-table entry")
             }
-            SimError::BadScratchpadRange { base, size } => {
-                write!(
-                    f,
-                    "scratchpad range at {base:#x} of {size} bytes is invalid"
-                )
-            }
             SimError::ZeroTlbEntries => write!(f, "TLB must have at least one entry"),
             SimError::LineExceedsPage {
                 line_size,
@@ -101,12 +76,6 @@ impl fmt::Display for SimError {
                 "cache line of {line_size} bytes exceeds the {page_size}-byte page, so one \
                  line would span pages with different tints"
             ),
-            SimError::UnknownBackend { name, expected } => {
-                write!(f, "unknown backend '{name}' (expected {expected})")
-            }
-            SimError::DuplicateBackend { name } => {
-                write!(f, "backend '{name}' is already registered")
-            }
         }
     }
 }

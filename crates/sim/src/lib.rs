@@ -2,9 +2,8 @@
 //!
 //! This crate implements the *hardware* half of the paper: a set-associative cache whose
 //! replacement unit can be restricted, per access, to a subset of its ways ("columns"), the
-//! TLB/page-table machinery that carries the mapping information (as *tints*), a dedicated
-//! scratchpad SRAM model for baselines, an off-chip memory model and a cycle-approximate
-//! timing model.
+//! TLB/page-table machinery that carries the mapping information (as *tints*), an
+//! off-chip memory model and a cycle-approximate timing model.
 //!
 //! The main entry point is [`system::MemorySystem`], which exposes both the datapath
 //! (replay memory references, collect hit/miss/cycle statistics) and the software control
@@ -40,9 +39,7 @@ pub mod json;
 pub mod mask;
 pub mod memory;
 pub mod page_table;
-pub mod registry;
 pub mod replacement;
-pub mod scratchpad;
 pub mod stats;
 pub mod system;
 pub mod tint;
@@ -55,9 +52,7 @@ pub use error::SimError;
 pub use mask::ColumnMask;
 pub use memory::MainMemory;
 pub use page_table::{PageEntry, PageTable};
-pub use registry::{BackendEntry, BackendFactory, BackendRegistry};
 pub use replacement::{ReplacementPolicy, ReplacementState};
-pub use scratchpad::Scratchpad;
 pub use stats::{BatchMemoStats, CacheStats, CycleReport, MemoryStats};
 pub use system::{MemorySystem, SystemConfig};
 pub use tint::{Tint, TintTable};

@@ -1,5 +1,5 @@
 //! The complete simulated memory system: column cache + TLB + page table + tint table +
-//! optional dedicated scratchpad + main memory, with a cycle-approximate timing model.
+//! main memory, with a cycle-approximate timing model.
 //!
 //! [`MemorySystem`] exposes the two halves of the paper's mechanism:
 //!
@@ -18,7 +18,6 @@ use crate::error::SimError;
 use crate::mask::ColumnMask;
 use crate::memory::MainMemory;
 use crate::page_table::PageTable;
-use crate::scratchpad::Scratchpad;
 use crate::stats::{BatchMemoStats, CacheStats, CycleReport, MemoryStats};
 use crate::tint::{Tint, TintTable};
 use crate::tlb::Tlb;
@@ -80,7 +79,6 @@ pub struct MemorySystem {
     tlb: Tlb,
     page_table: PageTable,
     tints: TintTable,
-    scratchpad: Option<Scratchpad>,
     memory: MainMemory,
     stats: MemoryStats,
     memo: BatchMemoStats,
@@ -106,7 +104,6 @@ impl MemorySystem {
             tlb: Tlb::new(config.tlb_entries),
             page_table,
             tints: TintTable::new(columns),
-            scratchpad: None,
             memory: MainMemory::new(
                 config.latency.miss_penalty,
                 config.latency.writeback_penalty,
@@ -152,11 +149,6 @@ impl MemorySystem {
         &self.memory
     }
 
-    /// Read-only view of the dedicated scratchpad, if one is configured.
-    pub fn scratchpad(&self) -> Option<&Scratchpad> {
-        self.scratchpad.as_ref()
-    }
-
     /// Memory-system statistics (references, cycles, TLB behaviour).
     pub fn stats(&self) -> &MemoryStats {
         &self.stats
@@ -186,7 +178,7 @@ impl MemorySystem {
     }
 
     /// Returns the system to its just-constructed state: cache and TLB contents, page
-    /// table, tint table, scratchpad and every statistic are cleared. This discards all
+    /// table, tint table and every statistic are cleared. This discards all
     /// programming; to restore a *programmed* warm state between sweep points, the replay
     /// engine snapshots with [`MemoryBackend::boxed_clone`](crate::backend::MemoryBackend)
     /// instead.
@@ -200,7 +192,6 @@ impl MemorySystem {
         self.tlb.clear();
         self.page_table.clear();
         self.tints.reset();
-        self.scratchpad = None;
         self.memory.reset();
         self.stats = MemoryStats::default();
         self.memo = BatchMemoStats::default();
@@ -286,30 +277,6 @@ impl MemorySystem {
         Ok(tint)
     }
 
-    /// Attaches a dedicated scratchpad SRAM covering `[base, base + size)`. Accesses to the
-    /// region are then served by the scratchpad at scratchpad latency and never touch the
-    /// cache. Used for the Panda-style static partition baseline.
-    pub fn attach_scratchpad(&mut self, base: u64, size: u64) -> Result<(), SimError> {
-        self.scratchpad = Some(Scratchpad::new(base, size)?);
-        Ok(())
-    }
-
-    /// Models the explicit software copy of `bytes` bytes into the dedicated scratchpad
-    /// (charging control cycles). Returns the cycles charged, or 0 if no scratchpad is
-    /// attached.
-    pub fn scratchpad_copy_in(&mut self, bytes: u64) -> u64 {
-        let line = self.config.cache.line_size();
-        let per_line = self.config.latency.hit_latency + self.config.latency.miss_penalty;
-        match self.scratchpad.as_mut() {
-            Some(sp) => {
-                let cycles = sp.copy_in(bytes, line, per_line);
-                self.control_cycles += cycles;
-                cycles
-            }
-            None => 0,
-        }
-    }
-
     // ------------------------------------------------------------------
     // Hardware datapath
     // ------------------------------------------------------------------
@@ -317,11 +284,6 @@ impl MemorySystem {
     /// Replays one memory reference and returns the cycles it took.
     pub fn access(&mut self, addr: u64, is_write: bool) -> u64 {
         self.stats.references += 1;
-
-        // Dedicated scratchpad is checked first: it is a separate address region.
-        if self.scratchpad_access(addr) {
-            return self.config.latency.scratchpad_latency;
-        }
 
         // Address translation: the TLB carries the tint to the replacement unit.
         let mut cycles = 0u64;
@@ -382,10 +344,6 @@ impl MemorySystem {
         let mut tint_hits = 0u64;
         for &(addr, is_write) in refs {
             self.stats.references += 1;
-            if self.scratchpad_access(addr) {
-                total += self.config.latency.scratchpad_latency;
-                continue;
-            }
             let vpn = addr >> page_shift;
             let way = (vpn as usize) % WAYS;
             let cached = tcache[way];
@@ -422,21 +380,6 @@ impl MemorySystem {
         self.memo.translation_hits += translation_hits;
         self.memo.tint_hits += tint_hits;
         total
-    }
-
-    /// Serves `addr` from the dedicated scratchpad if one covers it, charging cycles and
-    /// statistics. Returns whether the access was absorbed.
-    #[inline]
-    fn scratchpad_access(&mut self, addr: u64) -> bool {
-        if let Some(sp) = self.scratchpad.as_mut() {
-            if sp.contains(addr) {
-                sp.record_access();
-                self.stats.scratchpad_accesses += 1;
-                self.stats.memory_cycles += self.config.latency.scratchpad_latency;
-                return true;
-            }
-        }
-        false
     }
 
     /// The post-translation half of an access: drives the cache (or bypasses it) and
@@ -637,19 +580,6 @@ mod tests {
     }
 
     #[test]
-    fn dedicated_scratchpad_routes_accesses() {
-        let mut s = system();
-        s.attach_scratchpad(0x5_0000, 1024).unwrap();
-        let c = s.access(0x5_0000, false);
-        assert_eq!(c, s.config().latency.scratchpad_latency);
-        assert_eq!(s.stats().scratchpad_accesses, 1);
-        assert_eq!(s.cache_stats().accesses, 0);
-        let copied = s.scratchpad_copy_in(1024);
-        assert!(copied > 0);
-        assert_eq!(s.scratchpad().unwrap().bytes_copied_in, 1024);
-    }
-
-    #[test]
     fn dirty_evictions_cost_writeback_cycles() {
         let mut s = system();
         // write a line, then evict it with 4 conflicting lines (4 columns)
@@ -731,7 +661,6 @@ mod tests {
             .unwrap();
         s.tint_range(0..0x2000, Tint(1));
         s.set_cacheable(0x9000..0x9400, false);
-        s.attach_scratchpad(0x5_0000, 1024).unwrap();
         s.map_exclusive_region(0x8000, 512, ColumnMask::single(3), Tint(7), true)
             .unwrap();
         let refs: Vec<(u64, bool)> = (0..400u64)
@@ -761,15 +690,13 @@ mod tests {
     }
 
     #[test]
-    fn run_batch_respects_scratchpad_and_uncached_regions() {
+    fn run_batch_respects_uncached_regions() {
         let mut a = system();
-        a.attach_scratchpad(0x5_0000, 1024).unwrap();
         a.set_cacheable(0x9000..0x9400, false);
         let mut b = a.clone();
         let refs: Vec<(u64, bool)> = (0..300u64)
-            .map(|i| match i % 3 {
-                0 => (0x5_0000 + (i % 32) * 32, false),
-                1 => (0x9000 + (i % 32) * 32, true),
+            .map(|i| match i % 2 {
+                0 => (0x9000 + (i % 32) * 32, true),
                 _ => ((i * 64) % 0x4000, false),
             })
             .collect();
@@ -777,9 +704,5 @@ mod tests {
         let cycles_b = b.run_batch(&refs);
         assert_eq!(cycles_a, cycles_b);
         assert_eq!(a.stats(), b.stats());
-        assert_eq!(
-            a.scratchpad().unwrap().accesses,
-            b.scratchpad().unwrap().accesses
-        );
     }
 }

@@ -179,11 +179,6 @@ impl SymbolTable {
         self.regions.iter()
     }
 
-    /// Returns the lowest address past every allocated region.
-    pub fn high_water_mark(&self) -> u64 {
-        self.next_addr
-    }
-
     /// Total number of bytes occupied by all regions (not counting alignment gaps).
     pub fn total_bytes(&self) -> u64 {
         self.regions.iter().map(|r| r.size).sum()

@@ -8,6 +8,7 @@
 //!
 //! Run with: `cargo run --example dynamic_remap`
 
+use column_caching::core::partition::select_scratchpad_vars;
 use column_caching::layout::{
     assign_columns, conflict_graph_from_trace, LayoutOptions, WeightOptions,
 };
@@ -46,9 +47,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut system = MemorySystem::with_default_cache();
     let mut total = 0u64;
     for (i, run) in [&fir, &hist].iter().enumerate() {
-        // give this phase's hottest variable its own column, everything else the rest
-        let ranked = column_caching::core::runner::rank_by_density(&run.trace, &run.symbols);
-        let (hot_var, ..) = ranked[0];
+        // give this phase's densest variable that fits in a column its own column,
+        // everything else the rest
+        let column_bytes = system.config().cache.column_bytes();
+        let hot_var = select_scratchpad_vars(&run.trace, &run.symbols, column_bytes)[0];
         let hot = run.symbols.region(hot_var).unwrap();
         let tint = Tint(10 + i as u32);
         system.make_tint_exclusive(tint, ColumnMask::single(0))?;

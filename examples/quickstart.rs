@@ -6,6 +6,7 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
+use column_caching::exp::GeometrySpec;
 use column_caching::prelude::*;
 use column_caching::trace::synth::sequential_scan;
 
@@ -25,10 +26,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     println!("reference stream: {} accesses", trace.len());
 
-    let config = SystemConfig {
-        page_size: 256,
-        ..SystemConfig::default()
-    };
+    let session = Session::builder()
+        .geometry(GeometrySpec {
+            page: 256,
+            ..GeometrySpec::default()
+        })
+        .build()?;
+    let config = session.config();
     println!(
         "cache: {} bytes, {} columns of {} bytes, {}-byte lines",
         config.cache.capacity_bytes(),
@@ -38,7 +42,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // --- 1. Shared cache: every access may replace into any column -----------------------
-    let shared = run_trace("shared", config, &CacheMapping::new(), &trace)?;
+    let shared = session.replay("shared", &trace)?.result;
 
     // --- 2. Column cache: the stream is confined to column 3 -----------------------------
     let mut mapping = CacheMapping::new();
@@ -49,7 +53,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             mask: ColumnMask::single(3),
         },
     );
-    let partitioned = run_trace("partitioned", config, &mapping, &trace)?;
+    let partitioned = session
+        .replay_mapped("partitioned", &trace, &mapping)?
+        .result;
 
     // --- 3. Column cache with the table mapped as scratchpad -----------------------------
     let mut sp_mapping = CacheMapping::new();
@@ -68,7 +74,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             preload: true,
         },
     );
-    let scratchpad = run_trace("scratchpad", config, &sp_mapping, &trace)?;
+    let scratchpad = session
+        .replay_mapped("scratchpad", &trace, &sp_mapping)?
+        .result;
 
     println!();
     println!(

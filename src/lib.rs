@@ -16,11 +16,11 @@
 //!
 //! | Crate | Contents |
 //! |---|---|
-//! | [`sim`] (`ccache-sim`) | set-associative/column cache, tints, TLB, page table, scratchpad, memory system, timing model |
+//! | [`sim`] (`ccache-sim`) | set-associative/column cache, tints, TLB, page table, memory system, timing model, backends |
 //! | [`trace`] (`ccache-trace`) | memory-reference traces, variable regions, access profiles, lifetimes |
-//! | [`layout`] (`ccache-layout`) | conflict graph, profile/static weights, exact + heuristic coloring, column assignment, dynamic layout |
+//! | [`layout`] (`ccache-layout`) | conflict graph, profile/static weights, exact + heuristic coloring, column assignment |
 //! | [`workloads`] (`ccache-workloads`) | instrumented MPEG kernels (dequant/plus/idct), gzip-like compressor, FIR/matmul/histogram/triad, round-robin multitasking |
-//! | [`core`] (`ccache-core`) | placement, experiment runners: Figure 4 partition sweep, dynamic column-cache run, Figure 5 multitasking CPI sweep |
+//! | [`core`] (`ccache-core`) | the replay engine, placement, and one point of each experiment: a Figure 4 partition point, the dynamic column-cache run, a Figure 5 multitasking run |
 //! | [`opt`] (`ccache-opt`) | autotuning: joint search over cache geometries and column assignments with replay-driven fitness |
 //! | [`exp`] (`ccache-exp`) | declarative experiment layer: JSON specs, deduplicating planner, parallel executor, unified artefacts |
 //! | [`telemetry`] (`ccache-telemetry`) | process-wide counters, gauges, histograms and spans with deterministic snapshots (timing quarantined) |
@@ -29,8 +29,9 @@
 //! # Quick start: the `Session` facade
 //!
 //! [`Session`] is the library's front door: a builder configures geometry, backend
-//! (through the [`BackendRegistry`](sim::BackendRegistry)), scale and observation once,
-//! and the session then drives replays, experiment specs and tuning runs.
+//! (any name [`BackendKind::parse`](sim::backend::BackendKind::parse) accepts), scale and
+//! observation once, and the session then drives replays, experiment specs and tuning
+//! runs.
 //!
 //! ```
 //! use column_caching::Session;
@@ -52,9 +53,17 @@
 //! ```
 //! use column_caching::prelude::*;
 //!
-//! // Run the paper's dequant kernel and sweep the scratchpad/cache partition (Fig. 4a).
+//! // Run the paper's dequant kernel and sweep the scratchpad/cache partition (Fig. 4a),
+//! // one point per cache-column count.
 //! let run = run_dequant(&MpegConfig::small());
-//! let sweep = partition_sweep(&run, &PartitionConfig::default())?;
+//! let config = PartitionConfig::default();
+//! let points = (0..=config.columns)
+//!     .map(|cache_columns| {
+//!         let kind = BackendKind::ColumnCache;
+//!         run_partition_point_in(kind, &run, &config, cache_columns, &Registry::new())
+//!     })
+//!     .collect::<Result<Vec<_>, _>>()?;
+//! let sweep = PartitionSweep { name: run.name, points };
 //! // dequant's working set fits in 2 KiB, so the all-scratchpad point wins.
 //! assert_eq!(sweep.best().cache_columns, 0);
 //! # Ok::<(), column_caching::core::CoreError>(())

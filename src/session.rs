@@ -16,9 +16,7 @@
 //! # Ok::<(), column_caching::SessionError>(())
 //! ```
 //!
-//! The session owns a [`BackendRegistry`] clone, so user backends registered on the
-//! builder are replayable by name with the exact engine the built-ins use, and the
-//! configured observation window is honoured by every replay the session runs —
+//! The configured observation window is honoured by every replay the session runs —
 //! including full experiment specs ([`Session::run_spec`]), where it surfaces as the
 //! artefact's `time_series` blocks. The `ccache` CLI commands are thin clients of this
 //! type.
@@ -30,8 +28,8 @@ use ccache_exp::exec::{ExecOptions, ObserveOptions};
 use ccache_exp::{Artefact, ExpError, ExperimentSpec, GeometrySpec, Plan};
 use ccache_json::{Json, ToJson};
 use ccache_opt::{OptError, TuneOutcome, TuneProgress, TuneRequest};
-use ccache_sim::backend::MemoryBackend;
-use ccache_sim::{BackendRegistry, SimError, SystemConfig};
+use ccache_sim::backend::BackendKind;
+use ccache_sim::{SimError, SystemConfig};
 use ccache_telemetry::Registry;
 use ccache_trace::{SymbolTable, Trace};
 
@@ -41,7 +39,7 @@ use ccache_trace::{SymbolTable, Trace};
 pub enum SessionError {
     /// A name failed to resolve or a request was malformed.
     BadRequest(String),
-    /// A simulator configuration or registry operation failed.
+    /// A simulator configuration was invalid.
     Sim(SimError),
     /// A replay or experiment failed in the core layer.
     Core(CoreError),
@@ -112,15 +110,13 @@ pub struct Replayed {
 /// Configures and validates a [`Session`].
 ///
 /// Defaults: the paper's Figure 4 geometry ([`GeometrySpec::default`]), the
-/// column-cache backend, full-scale workloads, no observation, the built-in backend
-/// registry.
+/// column-cache backend, full-scale workloads, no observation.
 #[derive(Debug, Clone)]
 pub struct SessionBuilder {
     geometry: GeometrySpec,
     backend: String,
     quick: bool,
     observe: Option<u64>,
-    registry: BackendRegistry,
     telemetry: Option<Registry>,
 }
 
@@ -131,7 +127,6 @@ impl Default for SessionBuilder {
             backend: "column-cache".to_owned(),
             quick: false,
             observe: None,
-            registry: BackendRegistry::builtin(),
             telemetry: None,
         }
     }
@@ -150,8 +145,8 @@ impl SessionBuilder {
         self
     }
 
-    /// Selects the backend the session replays on, by any registered spelling
-    /// (built-in or user-registered). Validated at [`SessionBuilder::build`].
+    /// Selects the backend the session replays on, by any spelling
+    /// [`BackendKind::parse`] accepts. Validated at [`SessionBuilder::build`].
     pub fn backend(mut self, name: impl Into<String>) -> Self {
         self.backend = name.into();
         self
@@ -178,50 +173,27 @@ impl SessionBuilder {
         self
     }
 
-    /// Registers a user backend on the session's registry under `name` plus `aliases`.
-    ///
-    /// # Errors
-    ///
-    /// Fails if a name collides with an already registered backend.
-    pub fn register_backend<F>(
-        mut self,
-        name: &str,
-        aliases: &[&str],
-        summary: &str,
-        factory: F,
-    ) -> Result<Self, SessionError>
-    where
-        F: Fn(SystemConfig) -> Result<Box<dyn MemoryBackend>, SimError> + Send + Sync + 'static,
-    {
-        self.registry.register(name, aliases, summary, factory)?;
-        Ok(self)
-    }
-
     /// Validates the configuration and produces the session.
     ///
     /// # Errors
     ///
-    /// Fails for invalid geometries and for backend names the registry cannot resolve
-    /// (the message lists the accepted names, derived from the registry).
+    /// Fails for invalid geometries and for unknown backend names (the message lists the
+    /// accepted names, [`BackendKind::expected_single`]).
     pub fn build(self) -> Result<Session, SessionError> {
         let config = self.geometry.system_config()?;
-        let backend = match self.registry.resolve(&self.backend) {
-            Some(entry) => entry.name().to_owned(),
-            None => {
-                return Err(SessionError::BadRequest(format!(
-                    "unknown backend '{}' (expected {})",
-                    self.backend,
-                    self.registry.expected_single()
-                )))
-            }
-        };
+        let backend = BackendKind::parse(&self.backend).ok_or_else(|| {
+            SessionError::BadRequest(format!(
+                "unknown backend '{}' (expected {})",
+                self.backend,
+                BackendKind::expected_single()
+            ))
+        })?;
         Ok(Session {
             geometry: self.geometry,
             config,
             backend,
             quick: self.quick,
             observe: self.observe,
-            registry: self.registry,
             telemetry: self.telemetry.unwrap_or_else(Registry::global),
         })
     }
@@ -233,10 +205,9 @@ impl SessionBuilder {
 pub struct Session {
     geometry: GeometrySpec,
     config: SystemConfig,
-    backend: String,
+    backend: BackendKind,
     quick: bool,
     observe: Option<u64>,
-    registry: BackendRegistry,
     telemetry: Registry,
 }
 
@@ -244,11 +215,6 @@ impl Session {
     /// Starts configuring a session.
     pub fn builder() -> SessionBuilder {
         SessionBuilder::new()
-    }
-
-    /// The session's backend registry (built-ins plus any user registrations).
-    pub fn registry(&self) -> &BackendRegistry {
-        &self.registry
     }
 
     /// The cache geometry the session replays under.
@@ -263,17 +229,12 @@ impl Session {
 
     /// The canonical name of the session's backend.
     pub fn backend(&self) -> &str {
-        &self.backend
+        self.backend.canonical_name()
     }
 
     /// Whether workloads are built at the reduced quick scale.
     pub fn quick(&self) -> bool {
         self.quick
-    }
-
-    /// The observation window, when the session observes.
-    pub fn observe_window(&self) -> Option<u64> {
-        self.observe
     }
 
     /// The telemetry registry the session reports into (the process-wide global unless
@@ -287,9 +248,9 @@ impl Session {
     ///
     /// # Errors
     ///
-    /// Fails if the backend factory rejects the configuration.
+    /// Fails if the backend rejects the configuration.
     pub fn engine(&self) -> Result<ReplayEngine, SessionError> {
-        let mut engine = ReplayEngine::from_registry(&self.registry, &self.backend, self.config)?;
+        let mut engine = ReplayEngine::new(self.backend, self.config)?;
         engine.set_telemetry(&self.telemetry);
         Ok(engine)
     }
@@ -440,7 +401,7 @@ impl Session {
     }
 
     /// Tunes cache geometry and column assignments for a workload trace
-    /// (see [`ccache_opt::tune`]). The request is taken as-is — its own `template`
+    /// (see [`ccache_opt::tune_observed`]). The request is taken as-is — its own `template`
     /// geometry drives the search; use [`Session::tune_corpus`] to tune under the
     /// session's configured geometry.
     ///
@@ -514,13 +475,11 @@ impl Session {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ccache_sim::backend::IdealScratchpad;
 
     #[test]
     fn default_session_replays_a_corpus_workload() {
         let session = Session::builder().quick(true).build().unwrap();
         assert_eq!(session.backend(), "column-cache");
-        assert!(!session.registry().names().is_empty());
         let replayed = session.replay_corpus("fir").unwrap();
         assert!(replayed.result.references > 0);
         assert!(replayed.series.is_none());
@@ -555,21 +514,17 @@ mod tests {
     }
 
     #[test]
-    fn user_backends_are_replayable_by_name() {
-        let session = Session::builder()
-            .quick(true)
-            .register_backend("my-ideal", &[], "user-registered ideal", |cfg| {
-                Ok(Box::new(IdealScratchpad::new(cfg)?))
-            })
-            .unwrap()
-            .backend("my-ideal")
-            .build()
-            .unwrap();
-        assert_eq!(session.backend(), "my-ideal");
-        let replayed = session.replay_corpus("fir").unwrap();
-        // the ideal scratchpad never misses
-        assert_eq!(replayed.result.misses, 0);
-        assert!(session.registry().expected_single().contains("my-ideal"));
+    fn backends_are_replayable_by_any_spelling() {
+        for name in ["ideal", "ideal-scratchpad"] {
+            let session = Session::builder()
+                .quick(true)
+                .backend(name)
+                .build()
+                .unwrap();
+            assert_eq!(session.backend(), "ideal-scratchpad");
+            // the ideal scratchpad never misses
+            assert_eq!(session.replay_corpus("fir").unwrap().result.misses, 0);
+        }
     }
 
     #[test]

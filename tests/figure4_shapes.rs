@@ -1,15 +1,68 @@
 //! End-to-end integration test of the Figure 4 pipeline: workload generation → scratchpad
 //! selection → placement → data layout → simulation, asserting the qualitative shapes the
-//! paper reports (at a reduced scale so the test stays fast).
+//! paper reports (at the reduced quick scale so the test stays fast).
+//!
+//! The experiment runs once per test binary, the way `ccache fig4 --quick` runs it: the
+//! `fig4` preset spec through a quick [`Session`].
 
-use column_caching::core::dynamic::{run_dynamic, Figure4dResult};
-use column_caching::core::partition::{partition_sweep, PartitionConfig};
-use column_caching::workloads::mpeg::{
-    run_combined, run_dequant, run_idct, run_phases, run_plus, MpegConfig,
-};
+use column_caching::core::dynamic::{DynamicRunResult, Figure4dResult};
+use column_caching::core::partition::{PartitionConfig, PartitionSweep};
+use column_caching::exp::presets::fig4_spec;
+use column_caching::exp::JobOutcome;
+use column_caching::workloads::{corpus, WorkloadRun};
+use column_caching::Session;
+use std::sync::OnceLock;
 
-fn mpeg() -> MpegConfig {
-    MpegConfig::small()
+/// The quick Figure 4 run: one partition sweep per routine and the combined
+/// application's dynamically remapped run.
+struct Fig4 {
+    sweeps: Vec<PartitionSweep>,
+    dynamic: DynamicRunResult,
+}
+
+fn fig4() -> &'static Fig4 {
+    static RUN: OnceLock<Fig4> = OnceLock::new();
+    RUN.get_or_init(|| {
+        let session = Session::builder().quick(true).build().unwrap();
+        let artefact = session.run_spec(&fig4_spec("all")).unwrap();
+        let mut sweeps: Vec<PartitionSweep> = Vec::new();
+        let mut dynamic = None;
+        // Outcomes come in plan order: each routine's points 0..=4 in turn.
+        for outcome in artefact.outcomes {
+            match outcome {
+                JobOutcome::Partition {
+                    workload, point, ..
+                } => {
+                    if sweeps.last().map(|s| &s.name) != Some(&workload) {
+                        sweeps.push(PartitionSweep {
+                            name: workload,
+                            points: Vec::new(),
+                        });
+                    }
+                    sweeps.last_mut().unwrap().points.push(point);
+                }
+                JobOutcome::Dynamic { run, .. } => dynamic = Some(run),
+                other => panic!("fig4 planned an unexpected job '{}'", other.label()),
+            }
+        }
+        Fig4 {
+            sweeps,
+            dynamic: dynamic.expect("fig4 runs the dynamic comparison"),
+        }
+    })
+}
+
+fn sweep(routine: &str) -> &'static PartitionSweep {
+    fig4()
+        .sweeps
+        .iter()
+        .find(|s| s.name == routine)
+        .unwrap_or_else(|| panic!("fig4 has no {routine} sweep"))
+}
+
+/// The routine's workload at the scale the session ran it.
+fn workload(corpus_name: &str) -> WorkloadRun {
+    corpus(corpus_name, true).unwrap()
 }
 
 fn config() -> PartitionConfig {
@@ -18,7 +71,7 @@ fn config() -> PartitionConfig {
 
 #[test]
 fn figure4a_dequant_all_scratchpad_is_optimal() {
-    let sweep = partition_sweep(&run_dequant(&mpeg()), &config()).unwrap();
+    let sweep = sweep("dequant");
     assert_eq!(sweep.points.len(), 5);
     let all_scratchpad = sweep.cycles_at(0).unwrap();
     let all_cache = sweep.cycles_at(4).unwrap();
@@ -30,7 +83,7 @@ fn figure4a_dequant_all_scratchpad_is_optimal() {
 
 #[test]
 fn figure4b_plus_all_scratchpad_is_optimal() {
-    let sweep = partition_sweep(&run_plus(&mpeg()), &config()).unwrap();
+    let sweep = sweep("plus");
     let all_scratchpad = sweep.cycles_at(0).unwrap();
     let all_cache = sweep.cycles_at(4).unwrap();
     assert!(all_scratchpad < all_cache);
@@ -39,7 +92,7 @@ fn figure4b_plus_all_scratchpad_is_optimal() {
 
 #[test]
 fn figure4c_idct_prefers_the_cache() {
-    let sweep = partition_sweep(&run_idct(&mpeg()), &config()).unwrap();
+    let sweep = sweep("idct");
     let all_scratchpad = sweep.cycles_at(0).unwrap();
     let all_cache = sweep.cycles_at(4).unwrap();
     assert!(
@@ -53,17 +106,15 @@ fn figure4c_idct_prefers_the_cache() {
 fn figure4_optimal_partition_differs_across_routines() {
     // The paper's central observation: the optimum partition varies per procedure, so any
     // static partition is a compromise.
-    let dequant = partition_sweep(&run_dequant(&mpeg()), &config()).unwrap();
-    let idct = partition_sweep(&run_idct(&mpeg()), &config()).unwrap();
+    let dequant = sweep("dequant");
+    let idct = sweep("idct");
     assert_ne!(dequant.best().cache_columns, idct.best().cache_columns);
 }
 
 #[test]
 fn figure4d_column_cache_beats_every_static_partition_it_must_beat() {
-    let combined = run_combined(&mpeg());
-    let static_sweep = partition_sweep(&combined, &config()).unwrap();
-    let (phases, symbols) = run_phases(&mpeg());
-    let dynamic = run_dynamic(&phases, &symbols, &config()).unwrap();
+    let static_sweep = sweep("mpeg-combined");
+    let dynamic = &fig4().dynamic;
     let fig = Figure4dResult {
         static_cycles: static_sweep
             .points
@@ -88,8 +139,8 @@ fn figure4d_column_cache_beats_every_static_partition_it_must_beat() {
 
 #[test]
 fn partition_sweep_accounts_every_reference_at_every_point() {
-    let run = run_dequant(&mpeg());
-    let sweep = partition_sweep(&run, &config()).unwrap();
+    let run = workload("mpeg-dequant");
+    let sweep = sweep("dequant");
     for p in &sweep.points {
         assert_eq!(p.result.references, run.trace.len() as u64);
         assert_eq!(p.cache_columns + p.scratchpad_columns, 4);
@@ -99,9 +150,9 @@ fn partition_sweep_accounts_every_reference_at_every_point() {
 
 #[test]
 fn scratchpad_points_store_only_what_fits() {
-    let run = run_idct(&mpeg());
+    let run = workload("mpeg-idct");
     let cfg = config();
-    let sweep = partition_sweep(&run, &cfg).unwrap();
+    let sweep = sweep("idct");
     for p in &sweep.points {
         let scratch_bytes: u64 = p
             .scratchpad_vars

@@ -2,10 +2,12 @@
 //! recording → conflict graph → column assignment → cache mapping → measurable improvement
 //! over an unmanaged cache.
 
-use column_caching::core::runner::{run_trace, CacheMapping, RegionMapping};
+use column_caching::core::dynamic::run_dynamic_in;
+use column_caching::core::observe::{ReplayEvent, ReplayObserver};
+use column_caching::core::partition::PartitionConfig;
+use column_caching::core::runner::{CacheMapping, RegionMapping, RunResult};
 use column_caching::layout::{
-    assign_columns, conflict_graph_from_trace, plan_phases, LayoutOptions, ProgramIr, Stmt,
-    WeightOptions,
+    assign_columns, conflict_graph_from_trace, LayoutOptions, ProgramIr, Stmt, WeightOptions,
 };
 use column_caching::prelude::*;
 use column_caching::sim::SystemConfig;
@@ -19,6 +21,19 @@ fn sys_config() -> SystemConfig {
     }
 }
 
+/// Replays `trace` on a fresh column cache programmed with `mapping`.
+fn replay_mapped(
+    name: &str,
+    config: SystemConfig,
+    mapping: &CacheMapping,
+    trace: &Trace,
+) -> RunResult {
+    let mut engine = ReplayEngine::new(BackendKind::ColumnCache, config).unwrap();
+    engine.set_telemetry(&Registry::new());
+    engine.apply(mapping).unwrap();
+    engine.replay(name, trace)
+}
+
 #[test]
 fn layout_driven_mapping_never_loses_to_shared_cache_on_kernels() {
     for run in [
@@ -29,8 +44,8 @@ fn layout_driven_mapping_never_loses_to_shared_cache_on_kernels() {
             conflict_graph_from_trace(&run.trace, &run.symbols, &WeightOptions::default());
         let assignment = assign_columns(&graph, &LayoutOptions::new(4, 512)).unwrap();
         let mapping = CacheMapping::from_assignment(&assignment, &units, &run.symbols, &[]);
-        let managed = run_trace("managed", sys_config(), &mapping, &run.trace).unwrap();
-        let shared = run_trace("shared", sys_config(), &CacheMapping::new(), &run.trace).unwrap();
+        let managed = replay_mapped("managed", sys_config(), &mapping, &run.trace);
+        let shared = replay_mapped("shared", sys_config(), &CacheMapping::new(), &run.trace);
         assert!(
             managed.total_cycles() <= shared.total_cycles() * 102 / 100,
             "{}: managed {} vs shared {}",
@@ -61,7 +76,7 @@ fn conflicting_streams_are_separated_and_conflict_misses_disappear() {
     let assignment = assign_columns(&graph, &LayoutOptions::new(4, 512)).unwrap();
     assert_ne!(assignment.columns_of(a), assignment.columns_of(b));
     let mapping = CacheMapping::from_assignment(&assignment, &units, &symbols, &[]);
-    let managed = run_trace("managed", sys_config(), &mapping, &trace).unwrap();
+    let managed = replay_mapped("managed", sys_config(), &mapping, &trace);
     // each array is 512 bytes = 16 lines; after the cold pass everything must hit
     assert_eq!(managed.misses, 32);
 }
@@ -106,21 +121,35 @@ fn static_analysis_agrees_with_profile_on_a_simple_loop_nest() {
 
 #[test]
 fn per_phase_plans_require_remapping_only_when_access_patterns_change() {
+    /// The regions each phase's remap programs, in phase order.
+    struct Remaps(Vec<usize>);
+    impl ReplayObserver for Remaps {
+        fn on_event(&mut self, event: &ReplayEvent) {
+            if let ReplayEvent::Remap { regions, .. } = event {
+                self.0.push(*regions);
+            }
+        }
+    }
+
+    // The dynamic run lays out each phase on its own profile and remaps before it.
     let (phases, symbols) = run_phases(&MpegConfig::small());
-    let plan = plan_phases(
+    let mut remaps = Remaps(Vec::new());
+    let run = run_dynamic_in(
         &phases,
         &symbols,
-        &WeightOptions::default(),
-        &LayoutOptions::new(4, 512),
+        &PartitionConfig::default(),
+        &Registry::new(),
+        Some((u64::MAX, &mut remaps)),
     )
     .unwrap();
-    assert_eq!(plan.phases.len(), 3);
+    assert_eq!(run.phases.len(), 3);
     // phases use disjoint variables here, so every transition remaps something (new
     // variables appear) but each phase's own layout is conflict-free or nearly so
-    assert_eq!(plan.remap_counts.len(), 2);
-    assert!(plan.total_remaps() > 0);
-    for phase in &plan.phases {
-        assert!(phase.references > 0);
+    assert_eq!(remaps.0.len(), 3);
+    assert!(remaps.0.iter().all(|&regions| regions > 0));
+    assert!(run.control_cycles > 0);
+    for phase in &run.phases {
+        assert!(phase.result.references > 0);
     }
 }
 
@@ -130,7 +159,7 @@ fn uncached_mapping_is_honoured_end_to_end() {
     let input = run.symbols.by_name("hist_input").unwrap();
     let mut mapping = CacheMapping::new();
     mapping.map(input.base, input.size, RegionMapping::Uncached);
-    let result = run_trace("uncached-input", sys_config(), &mapping, &run.trace).unwrap();
+    let result = replay_mapped("uncached-input", sys_config(), &mapping, &run.trace);
     // every input access bypasses the cache; the table still caches normally
     assert!(result.uncached >= run.trace.count_for(input.id) as u64);
     assert!(result.hits > 0);

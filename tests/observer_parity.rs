@@ -9,7 +9,6 @@
 use ccache_json::{Json, ToJson};
 use column_caching::core::engine::ReplayEngine;
 use column_caching::core::observe::{ReplayEvent, ReplayObserver, SeriesRecorder, WindowSample};
-use column_caching::exp::exec::{ExecOptions, ObserveOptions};
 use column_caching::exp::ExperimentSpec;
 use column_caching::prelude::*;
 use column_caching::sim::{BackendKind, SystemConfig};
@@ -128,19 +127,19 @@ proptest! {
 }
 
 /// The dynamically remapped (multi-phase) path: an observed `run_dynamic_in` returns
-/// results byte-identical to `run_dynamic`, emits phase/remap events in order with
+/// results byte-identical to an unobserved one, emits phase/remap events in order with
 /// run-global reference offsets, and the recorder's cross-phase rebasing keeps window
 /// starts contiguous across the whole run.
 #[test]
 fn dynamic_observation_is_byte_identical_and_events_are_ordered() {
-    use column_caching::core::dynamic::{run_dynamic, run_dynamic_in};
+    use column_caching::core::dynamic::run_dynamic_in;
     use column_caching::core::partition::PartitionConfig;
     use column_caching::telemetry::Registry;
     use column_caching::workloads::mpeg::{run_phases, MpegConfig};
 
     let (phases, symbols) = run_phases(&MpegConfig::small());
     let cfg = PartitionConfig::default();
-    let plain = run_dynamic(&phases, &symbols, &cfg).unwrap();
+    let plain = run_dynamic_in(&phases, &symbols, &cfg, &Registry::new(), None).unwrap();
 
     let window = 1000u64;
     let mut recorder = SeriesRecorder::new(window);
@@ -148,7 +147,7 @@ fn dynamic_observation_is_byte_identical_and_events_are_ordered() {
         &phases,
         &symbols,
         &cfg,
-        &Registry::global(),
+        &Registry::new(),
         Some((window, &mut recorder)),
     )
     .unwrap();
@@ -216,27 +215,25 @@ fn observed_artefacts_are_byte_identical_modulo_time_series() {
         }]}"#,
     )
     .unwrap();
-    let plain = column_caching::exp::run_spec(
-        &spec,
-        &ExecOptions {
-            quick: true,
-            ..ExecOptions::default()
-        },
-    )
-    .unwrap();
+    let plain = Session::builder()
+        .quick(true)
+        .telemetry(Registry::new())
+        .build()
+        .unwrap()
+        .run_spec(&spec)
+        .unwrap();
     // Observation AND telemetry together must still leave the artefact byte-identical
     // (modulo the time_series blocks observation adds): metrics are quarantined in the
     // registry, never in result bytes.
-    let registry = column_caching::telemetry::Registry::new();
-    let observed = column_caching::exp::run_spec(
-        &spec,
-        &ExecOptions {
-            quick: true,
-            observe: Some(ObserveOptions { window: 777 }),
-            telemetry: Some(registry.clone()),
-        },
-    )
-    .unwrap();
+    let registry = Registry::new();
+    let observed = Session::builder()
+        .quick(true)
+        .observe(777)
+        .telemetry(registry.clone())
+        .build()
+        .unwrap()
+        .run_spec(&spec)
+        .unwrap();
 
     fn strip_time_series(doc: &mut Json) {
         match doc {

@@ -45,11 +45,18 @@ fn observed_tuning_reports_identical_metrics_across_runs() {
     assert!(snapshot_a.contains("opt.evaluations"));
     assert!(snapshot_a.contains("opt.best.misses"));
 
-    // The counters reconcile: every fitness evaluation is exactly one engine replay,
-    // plus one for the baseline reference point the tuner scores outside its budget,
-    // and every engine replay covers the whole trace.
+    // The counters reconcile: every fitness evaluation is exactly one fitness-cache
+    // miss (a cached candidate is never replayed again) and one engine replay, plus one
+    // replay for the baseline reference point the tuner scores outside its budget, and
+    // every engine replay covers the whole trace.
+    let evaluations = registry.counter_value("opt.evaluations");
+    assert!(evaluations > 0);
+    assert_eq!(
+        evaluations,
+        registry.counter_value("opt.fitness_cache.misses")
+    );
     let replays = registry.counter_value("engine.replays");
-    assert_eq!(replays, registry.counter_value("opt.evaluations") + 1);
+    assert_eq!(replays, evaluations + 1);
     assert_eq!(
         registry.counter_value("engine.references"),
         replays * workload.trace.len() as u64

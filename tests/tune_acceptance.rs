@@ -1,15 +1,25 @@
 //! Acceptance tests for the `ccache-opt` search subsystem on the paper's workloads.
 //!
-//! The PR contract: `ccache tune` with a fixed seed is fully deterministic (identical
-//! JSON across runs and across `parallel` on/off) and finds an assignment whose replayed
-//! miss rate on the Fig-4 combined trace is better than or equal to the paper's
+//! The contract: `ccache tune` with a fixed seed is fully deterministic (identical JSON
+//! across runs and across parallel and serial evaluation) and finds an assignment whose
+//! replayed miss rate on the Fig-4 combined trace is better than or equal to the paper's
 //! heuristic `assign_columns` layout, with the improvement visible in the convergence
 //! table.
 
 use ccache_json::ToJson;
-use ccache_opt::{tune, GeometrySearch, StrategyKind, TuneRequest};
+use ccache_opt::{tune_observed, GeometrySearch, OptError, StrategyKind, TuneOutcome, TuneRequest};
 use ccache_sim::{CacheConfig, LatencyConfig, SystemConfig};
+use ccache_telemetry::Registry;
+use ccache_trace::{SymbolTable, Trace};
 use ccache_workloads::corpus;
+
+fn tune(
+    trace: &Trace,
+    symbols: &SymbolTable,
+    request: &TuneRequest,
+) -> Result<TuneOutcome, OptError> {
+    tune_observed(trace, symbols, request, &Registry::new(), None)
+}
 
 fn fig4_template() -> SystemConfig {
     SystemConfig {

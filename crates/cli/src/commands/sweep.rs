@@ -28,7 +28,7 @@ bounded memory; text traces are loaded first.
 options:
   --trace FILE      the trace to replay (binary .cct or text; detected by magic)
   --backend KIND    column | set-assoc | ideal | all (default: all)
-  --capacity BYTES  total cache capacity (default: 2048)
+  --capacity BYTES  total cache capacity, a power of two up to 1 MiB (default: 2048)
   --columns N       number of columns/ways (default: 4)
   --line BYTES      cache-line size (default: 32)
   --page BYTES      page size (default: 128)

@@ -35,7 +35,7 @@ options:
   --seed N          search RNG seed (default: 42)
   --fixed-geometry  search column assignments only, keeping the template geometry
   --baseline KIND   comparison backend: column, set-assoc or ideal (default: set-assoc)
-  --capacity BYTES  total cache capacity (default: 2048)
+  --capacity BYTES  total cache capacity, a power of two up to 1 MiB (default: 2048)
   --columns N       template columns/ways (default: 4)
   --line BYTES      template line size (default: 32)
   --page BYTES      page size (default: 128)

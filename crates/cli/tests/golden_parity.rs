@@ -3,9 +3,11 @@
 //! **byte-identical** artefacts to the pre-refactor binary.
 //!
 //! The goldens under `tests/golden/` were recorded from the pre-refactor `ccache`
-//! binary (commit 60edaf9) with exactly the flags named in each test. If a golden ever
-//! needs regenerating on purpose, rebuild at that commit and re-run the commands — the
-//! artefacts are deterministic, so any machine records the same bytes.
+//! binary (commit 60edaf9) with exactly the flags named in each test; the dense-layout
+//! golden was recorded at commit c04737c, before the column-assignment merge loop was
+//! rewritten. If a golden ever needs regenerating on purpose, rebuild at its commit and
+//! re-run the commands — the artefacts are deterministic, so any machine records the
+//! same bytes.
 
 use std::path::{Path, PathBuf};
 
@@ -109,5 +111,41 @@ fn sweep_json_artefact_is_byte_identical() {
         std::fs::read_to_string(&out).unwrap(),
         golden("sweep-quick.json"),
         "sweep JSON artefact drifted from the pre-refactor output"
+    );
+}
+
+#[test]
+fn dense_layout_artefact_is_byte_identical() {
+    // 64 units whose conflict graph is complete: the heuristic needs 60 merges to fit
+    // 4 columns, and every partition point lays out what the scratchpad leaves over.
+    // The artefact embeds the trace path, which the golden replaces with `<trace>`.
+    let trace = tmp("dense-layout.cct");
+    let trace_path = trace.to_str().unwrap();
+    run_cli(&[
+        "trace", "record", "--gen", "random", "--len", "32768", "--count", "20000", "--seed", "7",
+        "--out", trace_path,
+    ]);
+    let spec = tmp("dense-layout-spec.json");
+    std::fs::write(
+        &spec,
+        format!(
+            r#"{{"name": "dense-layout", "replay": [{{"workloads": [{{"trace": "{trace_path}"}}],
+                "policies": ["shared", "heuristic", "round-robin", "partition-sweep"]}}]}}"#
+        ),
+    )
+    .expect("write spec");
+    let out = tmp("dense-layout.json");
+    run_cli(&[
+        "run",
+        spec.to_str().unwrap(),
+        "--out",
+        out.to_str().unwrap(),
+    ]);
+    assert_eq!(
+        std::fs::read_to_string(&out)
+            .unwrap()
+            .replace(trace_path, "<trace>"),
+        golden("dense-layout.json"),
+        "dense heuristic/partition layout drifted from the recorded artefact"
     );
 }

@@ -48,3 +48,47 @@ fn partition_sweeps_over_invalid_geometries_are_refused() {
         "policies": ["partition-sweep"]}]}"#;
     assert_refused("wide-sweep", spec, "column count 1000000 must be in 1..=64");
 }
+
+#[test]
+fn capacities_past_the_simulator_limit_are_refused_before_allocating() {
+    // 2^40 bytes once asked the engine for 256 GiB of set state and aborted the process.
+    for capacity in [1u64 << 34, 1 << 40] {
+        let spec = format!(
+            r#"{{"name": "vast", "replay": [{{"workloads": ["fir"],
+                "geometries": [{{"capacity": {capacity}, "columns": 4, "line": 32}}],
+                "policies": ["shared"]}}]}}"#
+        );
+        assert_refused(
+            &format!("vast-{capacity}"),
+            &spec,
+            &format!("capacity {capacity} exceeds the 1048576-byte limit"),
+        );
+    }
+}
+
+#[test]
+fn capacity_flags_past_the_simulator_limit_are_refused() {
+    let trace = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("vast-flag.cct");
+    let record = Command::new(env!("CARGO_BIN_EXE_ccache"))
+        .args(["trace", "record", "--count", "64", "--out"])
+        .arg(&trace)
+        .output()
+        .expect("spawn ccache");
+    assert!(record.status.success());
+    let trace = trace.to_str().expect("utf-8 path");
+    for args in [
+        vec!["sweep", "--trace", trace, "--capacity", "1099511627776"],
+        vec!["tune", "--quick", "--capacity", "1099511627776"],
+    ] {
+        let output = Command::new(env!("CARGO_BIN_EXE_ccache"))
+            .args(&args)
+            .output()
+            .expect("spawn ccache");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains("capacity 1099511627776 exceeds the 1048576-byte limit"),
+            "{args:?}: {stderr}"
+        );
+    }
+}

@@ -11,9 +11,9 @@ use crate::engine::ReplayEngine;
 use crate::error::CoreError;
 use crate::observe::{ReplayEvent, ReplayObserver};
 use crate::placement::{page_aligned, relocate};
-use crate::runner::{CacheMapping, RunResult};
+use crate::runner::{assign_columns_in, CacheMapping, RunResult};
 use ccache_layout::weights::conflict_graph_from_trace;
-use ccache_layout::{assign_columns, LayoutOptions, WeightOptions};
+use ccache_layout::{LayoutOptions, WeightOptions};
 use ccache_sim::backend::{BackendKind, MemoryBackend};
 use ccache_sim::ColumnMask;
 use ccache_telemetry::Registry;
@@ -101,7 +101,7 @@ pub fn run_dynamic_in(
     for (name, trace, new_symbols) in &relocated {
         // Per-phase layout.
         let (graph, units) = conflict_graph_from_trace(trace, new_symbols, &weight_opts);
-        let assignment = assign_columns(&graph, &layout_opts)?;
+        let assignment = assign_columns_in(&graph, &layout_opts, registry)?;
 
         // Columns whose resident data fits entirely in the column are pre-loaded and made
         // exclusive: they behave as scratchpad for this phase.

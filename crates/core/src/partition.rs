@@ -19,9 +19,9 @@
 use crate::engine::ReplayEngine;
 use crate::error::CoreError;
 use crate::placement::{pack_scratchpad_first, relocate};
-use crate::runner::{CacheMapping, RegionMapping, RunResult};
+use crate::runner::{assign_columns_in, CacheMapping, RegionMapping, RunResult};
 use ccache_layout::weights::conflict_graph_from_trace;
-use ccache_layout::{assign_columns, ConflictGraph, LayoutOptions, WeightOptions};
+use ccache_layout::{ConflictGraph, LayoutOptions, WeightOptions};
 use ccache_sim::backend::BackendKind;
 use ccache_sim::{CacheConfig, ColumnMask, LatencyConfig, SystemConfig};
 use ccache_telemetry::Registry;
@@ -256,7 +256,7 @@ pub fn run_partition_point_in(
         }
     } else {
         let layout_opts = LayoutOptions::new(cache_columns, column_bytes);
-        let assignment = assign_columns(&reduced, &layout_opts)?;
+        let assignment = assign_columns_in(&reduced, &layout_opts, registry)?;
         for (ri, &unit_idx) in reduced_to_unit.iter().enumerate() {
             let unit = units.unit(unit_idx).expect("unit index valid");
             let column = assignment

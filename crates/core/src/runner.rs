@@ -1,15 +1,17 @@
 //! Applying a data layout to the simulated memory system and replaying traces.
 //!
 //! The runner is the glue between the three substrates: it takes a column assignment
-//! produced by `ccache-layout`, programs the tint table and page table of a
+//! produced by `ccache-layout` (through [`assign_columns_in`], which reports the layout
+//! layer's telemetry), programs the tint table and page table of a
 //! `ccache-sim::MemorySystem` accordingly (one tint per column, exclusive tints and
 //! preloads for scratchpad-style regions); [`run_on`] replays a trace one reference at a
 //! time and gathers cycle statistics.
 
 use crate::error::CoreError;
-use ccache_layout::{ColumnAssignment, UnitMap};
+use ccache_layout::{ColumnAssignment, ConflictGraph, LayoutError, LayoutOptions, UnitMap};
 use ccache_sim::backend::MemoryBackend;
 use ccache_sim::{ColumnMask, CycleReport, Tint};
+use ccache_telemetry::Registry;
 use ccache_trace::{SymbolTable, Trace};
 use std::collections::BTreeMap;
 
@@ -188,6 +190,29 @@ impl RunResult {
             self.misses as f64 / self.references as f64
         }
     }
+}
+
+/// Runs the paper's column assignment ([`ccache_layout::assign_columns`]) inside the
+/// `layout.assign` span of `registry`, counting each assignment in `layout.assignments`
+/// and its merges in `layout.merges`.
+///
+/// # Errors
+///
+/// Propagates the assignment's [`LayoutError`].
+pub fn assign_columns_in(
+    graph: &ConflictGraph,
+    options: &LayoutOptions,
+    registry: &Registry,
+) -> Result<ColumnAssignment, LayoutError> {
+    let assignment = {
+        let _timed = registry.span("layout.assign").start();
+        ccache_layout::assign_columns(graph, options)?
+    };
+    registry.counter("layout.assignments").incr();
+    registry
+        .counter("layout.merges")
+        .add(assignment.merges as u64);
+    Ok(assignment)
 }
 
 /// Replays a trace on an already-configured backend one reference at a time, collecting

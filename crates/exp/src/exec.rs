@@ -18,9 +18,9 @@ use ccache_core::engine::ReplayEngine;
 use ccache_core::multitask::{run_multitasking_in, MultitaskRun};
 use ccache_core::observe::{SeriesRecorder, TimeSeries};
 use ccache_core::partition::{run_partition_point_in, PartitionPoint};
-use ccache_core::runner::{CacheMapping, RegionMapping, RunResult};
+use ccache_core::runner::{assign_columns_in, CacheMapping, RegionMapping, RunResult};
 use ccache_layout::weights::conflict_graph_from_trace;
-use ccache_layout::{assign_columns, LayoutOptions, WeightOptions};
+use ccache_layout::{LayoutOptions, UnitMap, WeightOptions};
 use ccache_opt::{tune_observed, GeometrySearch, TuneOutcome, TuneRequest};
 use ccache_sim::backend::BackendKind;
 use ccache_sim::ColumnMask;
@@ -316,11 +316,13 @@ fn load_trace(path: &str) -> Result<Trace, ExpError> {
     }
 }
 
-/// Builds the cache mapping of a policy over a loaded workload.
+/// Builds the cache mapping of a policy over a loaded workload; the layout algorithm
+/// reports into `registry`.
 fn build_mapping(
     policy: &PolicySpec,
     workload: &WorkloadRun,
     geometry: &GeometrySpec,
+    registry: &Registry,
 ) -> Result<(CacheMapping, Option<LayoutInfo>), ExpError> {
     let column_bytes = geometry.capacity / geometry.columns.max(1) as u64;
     let weight_opts = WeightOptions {
@@ -333,9 +335,12 @@ fn build_mapping(
         PolicySpec::Heuristic => {
             let (graph, units) =
                 conflict_graph_from_trace(&workload.trace, &workload.symbols, &weight_opts);
-            let layout =
-                assign_columns(&graph, &LayoutOptions::new(geometry.columns, column_bytes))
-                    .map_err(ccache_core::CoreError::from)?;
+            let layout = assign_columns_in(
+                &graph,
+                &LayoutOptions::new(geometry.columns, column_bytes),
+                registry,
+            )
+            .map_err(ccache_core::CoreError::from)?;
             let mapping = CacheMapping::from_assignment(&layout, &units, &workload.symbols, &[]);
             Ok((
                 mapping,
@@ -347,8 +352,7 @@ fn build_mapping(
             ))
         }
         PolicySpec::RoundRobin => {
-            let (_, units) =
-                conflict_graph_from_trace(&workload.trace, &workload.symbols, &weight_opts);
+            let units = UnitMap::from_symbols(&workload.symbols, &weight_opts);
             let mut mapping = CacheMapping::new();
             for (i, unit) in units.iter().enumerate() {
                 if let Some(region) = workload.symbols.region(unit.var) {
@@ -419,7 +423,8 @@ fn run_replay(
         }
         _ => {
             let workload = ctx.workload(job)?;
-            let (mapping, layout) = build_mapping(&job.policy, workload, &job.geometry)?;
+            let (mapping, layout) =
+                build_mapping(&job.policy, workload, &job.geometry, &tel.registry)?;
             engine.apply(&mapping)?;
             let Ok(result) = engine.replay_from(&job.label, workload.trace.as_slice(), observe);
             (result, layout)
@@ -604,7 +609,8 @@ mod tests {
             let JobOutcome::Replay { result, layout, .. } = outcome else {
                 panic!("expected replay outcomes");
             };
-            let (mapping, _) = build_mapping(&policy, &workload, &geometry).unwrap();
+            let (mapping, _) =
+                build_mapping(&policy, &workload, &geometry, &Registry::new()).unwrap();
             let mut engine =
                 ReplayEngine::new(BackendKind::ColumnCache, geometry.system_config().unwrap())
                     .unwrap();

@@ -3,8 +3,9 @@
 //! Given the conflict graph (zero-weight edges already absent), try an exact minimum
 //! coloring. If it needs at most `k` colors, assign each color to a column — the cost `W`
 //! is zero and the solution is optimal. Otherwise repeatedly merge the vertices joined by
-//! the minimum-weight edge and re-color, stopping as soon as `k` colors suffice; merged
-//! vertices share a column.
+//! the minimum-weight edge, stopping as soon as `k` colors suffice; merged vertices share
+//! a column. Each round only decides `k`-colorability: a clique larger than `k` proves
+//! the answer is no without coloring, and the merges happen in place.
 //!
 //! Variables can also be *forced* into designated scratchpad columns (Section 3.1.3): they
 //! are removed from the coloring problem and the remaining variables are colored over the
@@ -12,9 +13,9 @@
 
 use crate::coloring;
 use crate::error::LayoutError;
-use crate::graph::ConflictGraph;
+use crate::graph::{ConflictGraph, Vertex};
 use ccache_trace::VarId;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Options controlling column assignment.
 #[derive(Debug, Clone, PartialEq)]
@@ -157,57 +158,52 @@ pub fn assign_columns(
     }
     let k = available_columns.len();
 
-    // Build the sub-graph over the free vertices (keeping only nonzero edges).
-    let mut sub = ConflictGraph::new();
-    let mut sub_to_full = Vec::with_capacity(free_vertices.len());
-    for &idx in &free_vertices {
-        sub.add_vertex(graph.vertex(idx).expect("index valid").clone());
-        sub_to_full.push(idx);
+    // The sub-graph over the free vertices (keeping only nonzero edges).
+    let mut sub_of = vec![None; graph.vertex_count()];
+    for (i, &idx) in free_vertices.iter().enumerate() {
+        sub_of[idx] = Some(i);
     }
-    for (i, &fi) in sub_to_full.iter().enumerate() {
-        for (j, &fj) in sub_to_full.iter().enumerate().skip(i + 1) {
-            let w = graph.weight(fi, fj);
-            if w > 0 {
-                sub.set_weight(i, j, w);
-            }
+    let mut current = MergeGraph::new(free_vertices.len());
+    for (a, b, w) in graph.edges() {
+        if let (Some(i), Some(j)) = (sub_of[a], sub_of[b]) {
+            current.add_edge(i, j, w);
         }
     }
 
-    // The merging loop of Section 3.1.2: color exactly, merge the minimum-weight edge
-    // until at most k colors are needed. `vertex_of` maps original sub-graph vertices to
-    // vertices of the current (merged) graph.
-    let mut current = sub.clone();
-    let mut vertex_of: Vec<usize> = (0..sub.vertex_count()).collect();
+    // The merging loop of Section 3.1.2: merge the minimum-weight edge until k colors
+    // suffice. A clique larger than k settles a round without coloring; otherwise the
+    // round colors exactly, as `minimum_coloring` would, up to k colors. `vertex_of`
+    // maps sub-graph vertices to the vertex they were merged into.
+    let mut vertex_of: Vec<usize> = (0..free_vertices.len()).collect();
     let mut merges = 0usize;
     let mut optimal = true;
-    let coloring = loop {
-        if current.vertex_count() == 0 {
-            break Vec::new();
-        }
-        let result = coloring::minimum_coloring(&current, options.search_budget);
-        let (colors_needed, coloring) = match result {
-            Ok(pair) => pair,
-            Err(LayoutError::SearchBudgetExceeded { .. }) => {
-                // graph too large for the exact colorer — fall back to greedy
-                optimal = false;
-                let c = coloring::greedy_coloring(&current);
-                (coloring::color_count(&c), c)
+    let (survivors, coloring) = loop {
+        if !current.clique_exceeds(k) {
+            let compact =
+                current.compacted(|v| graph.vertex(free_vertices[v]).expect("index valid").clone());
+            match coloring::coloring_within(&compact, k, options.search_budget) {
+                Ok(Some((_, coloring))) => break (current.alive, coloring),
+                Ok(None) => {}
+                Err(LayoutError::SearchBudgetExceeded { .. }) => {
+                    // graph too large for the exact colorer — fall back to greedy
+                    optimal = false;
+                    let greedy = coloring::greedy_coloring(&compact);
+                    if coloring::color_count(&greedy) <= k {
+                        break (current.alive, greedy);
+                    }
+                }
+                Err(e) => return Err(e),
             }
-            Err(e) => return Err(e),
-        };
-        if colors_needed <= k {
-            break coloring;
         }
         // not k-colorable: merge the minimum-weight edge and retry
         optimal = false;
-        let (a, b, _w) = current
+        let (keep, drop) = current
             .min_weight_edge()
             .expect("a graph needing more colors than k has at least one edge");
-        let (merged, mapping) = current.merged(a, b);
-        for slot in vertex_of.iter_mut() {
-            *slot = mapping[*slot];
+        current.merge(keep, drop);
+        for slot in vertex_of.iter_mut().filter(|slot| **slot == drop) {
+            *slot = keep;
         }
-        current = merged;
         merges += 1;
     };
 
@@ -225,9 +221,11 @@ pub fn assign_columns(
     for (&idx, &col) in &forced_vertices {
         vertex_columns[idx] = col;
     }
-    for (sub_idx, &full_idx) in sub_to_full.iter().enumerate() {
-        let color = coloring.get(vertex_of[sub_idx]).copied().unwrap_or(0);
-        vertex_columns[full_idx] = color_to_column(color);
+    for (&full_idx, &vertex) in free_vertices.iter().zip(&vertex_of) {
+        let position = survivors
+            .binary_search(&vertex)
+            .expect("merge targets survive");
+        vertex_columns[full_idx] = color_to_column(coloring[position]);
     }
 
     let mut var_columns: BTreeMap<VarId, Vec<usize>> = BTreeMap::new();
@@ -251,6 +249,88 @@ pub fn assign_columns(
         optimal: optimal && cost == 0,
         merges,
     })
+}
+
+/// The free sub-graph of [`assign_columns`], merged in place: vertices keep their
+/// sub-graph indices, a merged-away vertex leaves `alive`, and the vertex it merges into
+/// absorbs its edge weights. Dropping vertices keeps the survivors' relative order, so
+/// every tie-break on indices picks what [`ConflictGraph::merged`] would.
+struct MergeGraph {
+    /// Neighbors and edge weights of every vertex (empty once merged away).
+    adj: Vec<BTreeMap<usize, u64>>,
+    /// The surviving vertices, in index order.
+    alive: Vec<usize>,
+    /// The edges as `(weight, a, b)` with `a < b`, kept in step with `adj`: the first is
+    /// the minimum-weight edge, ties broken on the smallest pair.
+    edges: BTreeSet<(u64, usize, usize)>,
+}
+
+impl MergeGraph {
+    fn new(vertices: usize) -> Self {
+        MergeGraph {
+            adj: vec![BTreeMap::new(); vertices],
+            alive: (0..vertices).collect(),
+            edges: BTreeSet::new(),
+        }
+    }
+
+    fn add_edge(&mut self, a: usize, b: usize, weight: u64) {
+        self.adj[a].insert(b, weight);
+        self.adj[b].insert(a, weight);
+        self.edges.insert((weight, a.min(b), a.max(b)));
+    }
+
+    /// Whether the greedy clique bound exceeds `k`, which proves the graph needs more
+    /// than `k` colors.
+    fn clique_exceeds(&self, k: usize) -> bool {
+        coloring::greedy_clique(&self.alive, self.adj.len(), k, |v| {
+            self.adj[v].keys().copied()
+        }) > k
+    }
+
+    /// The minimum-weight edge `(a, b)`, `a < b`, breaking ties on the smallest pair as
+    /// [`ConflictGraph::min_weight_edge`] does.
+    fn min_weight_edge(&self) -> Option<(usize, usize)> {
+        self.edges.first().map(|&(_, a, b)| (a, b))
+    }
+
+    /// Merges `drop` into `keep`: for every other vertex `x` the weight of `(keep, x)`
+    /// becomes `w(keep, x) + w(drop, x)`, and the edge between the two disappears.
+    fn merge(&mut self, keep: usize, drop: usize) {
+        for (x, weight) in std::mem::take(&mut self.adj[drop]) {
+            self.adj[x].remove(&drop);
+            self.edges.remove(&(weight, drop.min(x), drop.max(x)));
+            if x == keep {
+                continue;
+            }
+            let merged = self.adj[keep].entry(x).or_insert(0);
+            self.edges.remove(&(*merged, keep.min(x), keep.max(x)));
+            *merged += weight;
+            let merged = *merged;
+            self.adj[x].insert(keep, merged);
+            self.edges.insert((merged, keep.min(x), keep.max(x)));
+        }
+        if let Ok(i) = self.alive.binary_search(&drop) {
+            self.alive.remove(i);
+        }
+    }
+
+    /// The surviving vertices as a [`ConflictGraph`], in index order. Coloring reads
+    /// only the edges; `vertex` supplies each survivor's payload.
+    fn compacted(&self, vertex: impl Fn(usize) -> Vertex) -> ConflictGraph {
+        let mut graph = ConflictGraph::new();
+        let mut position = vec![0; self.adj.len()];
+        for (i, &v) in self.alive.iter().enumerate() {
+            position[v] = i;
+            graph.add_vertex(vertex(v));
+        }
+        for &a in &self.alive {
+            for (&b, &weight) in self.adj[a].range(a + 1..) {
+                graph.set_weight(position[a], position[b], weight);
+            }
+        }
+        graph
+    }
 }
 
 /// Checks that a raw per-vertex column list is a legal assignment for `graph` under
@@ -359,7 +439,6 @@ pub fn assignment_from_vertex_columns(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::Vertex;
 
     fn vertex(i: u32, size: u64, accesses: u64) -> Vertex {
         Vertex {

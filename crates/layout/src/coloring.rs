@@ -63,26 +63,53 @@ pub fn is_proper(graph: &ConflictGraph, coloring: &[usize]) -> bool {
 
 /// Greedy maximum-clique heuristic, used as a lower bound for the exact search.
 pub fn clique_lower_bound(graph: &ConflictGraph) -> usize {
-    let n = graph.vertex_count();
-    if n == 0 {
+    let adj = adjacency(graph);
+    let vertices: Vec<usize> = (0..adj.len()).collect();
+    greedy_clique(&vertices, adj.len(), usize::MAX, |v| adj[v].iter().copied())
+}
+
+/// The greedy clique bound over `vertices` (in index order, each below `slots`): grows a
+/// clique from each of the 16 highest-degree vertices, scanning every vertex in degree
+/// order (a stable sort, so ties keep index order) and keeping each one adjacent to all
+/// members so far. A vertex is adjacent to all members exactly when it neighbours as
+/// many of them as there are, so counting costs O(n + Σ deg) per start vertex.
+///
+/// Returns the size of the first clique that grows past `cap` as soon as it does, so a
+/// caller asking only "more than `cap`?" stops early; otherwise the largest clique.
+pub(crate) fn greedy_clique<N, I>(
+    vertices: &[usize],
+    slots: usize,
+    cap: usize,
+    neighbors: N,
+) -> usize
+where
+    N: Fn(usize) -> I,
+    I: ExactSizeIterator<Item = usize>,
+{
+    if vertices.is_empty() {
         return 0;
     }
-    let adj = adjacency(graph);
+    let mut order = vertices.to_vec();
+    order.sort_by_key(|&v| std::cmp::Reverse(neighbors(v).len()));
+    // links[v]: how many clique members v neighbours (a member neighbours size - 1)
+    let mut links = vec![0usize; slots];
     let mut best = 1;
-    // grow a clique greedily from each vertex, highest degree first
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by_key(|&v| std::cmp::Reverse(adj[v].len()));
     for &start in order.iter().take(16) {
-        let mut clique = vec![start];
-        for &cand in &order {
-            if clique.contains(&cand) {
+        links.fill(0);
+        let mut size = 0;
+        for &cand in std::iter::once(&start).chain(&order) {
+            if links[cand] != size {
                 continue;
             }
-            if clique.iter().all(|&c| adj[cand].contains(&c)) {
-                clique.push(cand);
+            size += 1;
+            for u in neighbors(cand) {
+                links[u] += 1;
+            }
+            if size > cap {
+                return size;
             }
         }
-        best = best.max(clique.len());
+        best = best.max(size);
     }
     best
 }
@@ -167,28 +194,38 @@ pub fn minimum_coloring(
     graph: &ConflictGraph,
     budget: u64,
 ) -> Result<(usize, Vec<usize>), LayoutError> {
-    let n = graph.vertex_count();
-    if n == 0 {
-        return Ok((0, Vec::new()));
+    Ok(coloring_within(graph, usize::MAX, budget)?.expect("every graph has a coloring"))
+}
+
+/// The decision form of [`minimum_coloring`]: the same color count and coloring when it
+/// needs at most `k` colors, `Ok(None)` when the graph needs more. A clique bound above
+/// `k` decides without coloring, and no search asks for more than `k` colors.
+///
+/// # Errors
+///
+/// Returns [`LayoutError::SearchBudgetExceeded`] when a search for at most `k` colors
+/// exhausts the budget; [`minimum_coloring`] runs that same search first and fails too.
+pub(crate) fn coloring_within(
+    graph: &ConflictGraph,
+    k: usize,
+    budget: u64,
+) -> Result<Option<(usize, Vec<usize>)>, LayoutError> {
+    if graph.is_empty() {
+        return Ok(Some((0, Vec::new())));
+    }
+    let lower = clique_lower_bound(graph);
+    if lower > k {
+        return Ok(None);
     }
     let greedy = greedy_coloring(graph);
     let upper = color_count(&greedy);
-    let lower = clique_lower_bound(graph);
-    let mut best = greedy;
-    let mut best_k = upper;
     // try to beat the greedy bound from the clique bound upwards
-    let mut k = lower.max(1);
-    while k < best_k {
-        match k_colorable(graph, k, budget)? {
-            Some(coloring) => {
-                best = coloring;
-                best_k = k;
-                break;
-            }
-            None => k += 1,
+    for colors in lower.max(1)..upper.min(k.saturating_add(1)) {
+        if let Some(coloring) = k_colorable(graph, colors, budget)? {
+            return Ok(Some((colors, coloring)));
         }
     }
-    Ok((best_k, best))
+    Ok((upper <= k).then_some((upper, greedy)))
 }
 
 #[cfg(test)]

@@ -116,10 +116,18 @@ impl UnitMap {
     }
 
     /// Finds the unit containing byte `offset` of variable `var`.
+    ///
+    /// Units follow the symbol table, whose variable ids ascend, and a variable's units
+    /// are consecutive pieces from offset 0, all the size of the first but the last. So
+    /// the unit is found by arithmetic: the variable's first unit plus `offset` divided
+    /// by that first unit's size.
     pub fn resolve(&self, var: VarId, offset: u64) -> Option<usize> {
-        self.units
-            .iter()
-            .position(|u| u.var == var && offset >= u.offset && offset < u.offset + u.size)
+        let first = self.units.partition_point(|u| u.var < var);
+        let piece = offset.checked_div(self.units.get(first)?.size)?;
+        let index = first.checked_add(usize::try_from(piece).ok()?)?;
+        let unit = self.units.get(index)?;
+        (unit.var == var && offset >= unit.offset && offset < unit.offset + unit.size)
+            .then_some(index)
     }
 
     /// All unit indices belonging to a variable.

@@ -162,6 +162,10 @@ fn hostile_run_specs_are_refused_and_the_connection_keeps_serving() {
             "geometries": [{"capacity": 2048, "columns": 1000000, "line": 32}],
             "policies": ["partition-sweep"]}]}"#
             .to_owned(),
+        // A 2^40-byte cache, whose set state once aborted the whole server.
+        r#"{"name": "vast", "replay": [{"workloads": ["fir"],
+            "geometries": [{"capacity": 1099511627776, "columns": 4, "line": 32}]}]}"#
+            .to_owned(),
     ];
     for spec in &specs {
         let reply = client

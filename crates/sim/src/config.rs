@@ -96,6 +96,12 @@ impl Default for CacheConfig {
     }
 }
 
+/// The largest capacity [`CacheConfigBuilder::build`] accepts: 1 MiB, eight times the
+/// largest cache the paper's experiments model (Figure 5's 128 KiB). Engines allocate
+/// their per-set state up front, so this bound is what keeps a geometry from a spec
+/// file, a CLI flag or a serve request from exhausting memory before any replay starts.
+pub const MAX_CAPACITY_BYTES: u64 = 1 << 20;
+
 /// Builder for [`CacheConfig`].
 #[derive(Debug, Clone, Copy)]
 pub struct CacheConfigBuilder {
@@ -146,13 +152,21 @@ impl CacheConfigBuilder {
     /// # Errors
     ///
     /// Returns [`SimError::BadSize`] if capacity or line size is zero or not a power of two
-    /// and [`SimError::BadGeometry`] if capacity is not divisible into at least one full set
-    /// per column or the column count is unsupported.
+    /// and [`SimError::BadGeometry`] if capacity exceeds [`MAX_CAPACITY_BYTES`], is not
+    /// divisible into at least one full set per column, or the column count is unsupported.
     pub fn build(self) -> Result<CacheConfig, SimError> {
         if self.capacity_bytes == 0 || !self.capacity_bytes.is_power_of_two() {
             return Err(SimError::BadSize {
                 what: "capacity",
                 value: self.capacity_bytes,
+            });
+        }
+        if self.capacity_bytes > MAX_CAPACITY_BYTES {
+            return Err(SimError::BadGeometry {
+                reason: format!(
+                    "capacity {} exceeds the {MAX_CAPACITY_BYTES}-byte limit",
+                    self.capacity_bytes
+                ),
             });
         }
         if self.line_size == 0 || !self.line_size.is_power_of_two() {
@@ -299,6 +313,28 @@ mod tests {
             CacheConfig::builder().columns(65).build(),
             Err(SimError::BadGeometry { .. })
         ));
+    }
+
+    #[test]
+    fn builder_bounds_capacity_before_anything_is_allocated() {
+        let at_limit = CacheConfig::builder()
+            .capacity_bytes(MAX_CAPACITY_BYTES)
+            .build()
+            .unwrap();
+        assert_eq!(at_limit.capacity_bytes(), MAX_CAPACITY_BYTES);
+        for capacity in [MAX_CAPACITY_BYTES << 1, 1 << 34, 1 << 40, 1 << 63] {
+            let err = CacheConfig::builder()
+                .capacity_bytes(capacity)
+                .build()
+                .unwrap_err();
+            assert_eq!(
+                err.to_string(),
+                format!(
+                    "inconsistent cache geometry: capacity {capacity} exceeds the \
+                     1048576-byte limit"
+                )
+            );
+        }
     }
 
     #[test]

@@ -47,7 +47,7 @@ pub mod tlb;
 
 pub use backend::{build_backend, BackendKind, IdealScratchpad, MemoryBackend, SetAssocBaseline};
 pub use cache::{AccessOutcome, CacheLine, ColumnCache, Eviction};
-pub use config::{CacheConfig, CacheConfigBuilder, LatencyConfig};
+pub use config::{CacheConfig, CacheConfigBuilder, LatencyConfig, MAX_CAPACITY_BYTES};
 pub use error::SimError;
 pub use mask::ColumnMask;
 pub use memory::MainMemory;

@@ -112,3 +112,67 @@ fn figure_experiments_count_every_replay_in_their_registry() {
         );
     }
 }
+
+/// The layout layer reports into the execution's registry: one `layout.assign` span and
+/// one `layout.assignments` count per column assignment, and `layout.merges` sums the
+/// merges the artefact reports for each heuristic mapping.
+#[test]
+fn layout_assignments_and_merges_are_counted_in_their_registry() {
+    use column_caching::exp::exec::JobOutcome;
+    use column_caching::exp::presets::fig4_spec;
+    use column_caching::Session;
+
+    let session_with = |registry: &Registry| {
+        Session::builder()
+            .quick(true)
+            .telemetry(registry.clone())
+            .build()
+            .expect("session")
+    };
+
+    let registry = Registry::new();
+    let artefact = session_with(&registry)
+        .run_spec_str(
+            r#"{"name": "heuristic", "replay": [{"workloads": ["fir", "mpeg-idct", "gzip"],
+                "policies": ["heuristic"]}]}"#,
+        )
+        .expect("heuristic spec runs");
+    let merges: usize = artefact
+        .outcomes
+        .iter()
+        .map(|outcome| match outcome {
+            JobOutcome::Replay {
+                layout: Some(layout),
+                ..
+            } => layout.merges,
+            other => panic!("unexpected outcome '{}'", other.label()),
+        })
+        .sum();
+    assert!(merges > 0, "some heuristic layout merges");
+    assert_eq!(registry.counter_value("layout.merges"), merges as u64);
+    assert_eq!(
+        registry.counter_value("layout.assignments"),
+        artefact.outcomes.len() as u64
+    );
+    assert_eq!(
+        registry.span("layout.assign").count(),
+        artefact.outcomes.len() as u64
+    );
+
+    // Figure 4 assigns columns at every partition point that keeps a cache column and
+    // once per phase of the dynamically remapped run.
+    let registry = Registry::new();
+    let artefact = session_with(&registry)
+        .run_spec(&fig4_spec("all"))
+        .expect("fig4 runs");
+    let mut assignments = 0u64;
+    for outcome in &artefact.outcomes {
+        assignments += match outcome {
+            JobOutcome::Partition { point, .. } => u64::from(point.cache_columns > 0),
+            JobOutcome::Dynamic { run, .. } => run.phases.len() as u64,
+            other => panic!("unexpected outcome '{}'", other.label()),
+        };
+    }
+    assert!(assignments > 0);
+    assert_eq!(registry.counter_value("layout.assignments"), assignments);
+}

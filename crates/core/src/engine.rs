@@ -9,9 +9,8 @@
 //!   buffer, pre-decoded `(addr, is_write)` references lent without a copy, a streaming
 //!   [`TraceReader`], or a caller-defined source such as the multitask scheduler;
 //! * they are fed to the backend in **batches** ([`MemoryBackend::run_batch`]), which
-//!   lets the column-cache backend short-circuit address translation for consecutive
-//!   same-page references — statistics stay identical to per-reference replay
-//!   ([`run_on`](crate::runner::run_on)), only wall-clock time changes;
+//!   runs each reference through the backend's one per-reference datapath, so
+//!   statistics are those of per-reference replay ([`run_on`](crate::runner::run_on));
 //! * observation is an `Option`: with an observer attached, window boundaries shorten
 //!   batches and a [`ReplayObserver`] receives one sample per window; without one the
 //!   loop is the same code minus those calls;
@@ -34,8 +33,8 @@ use std::io::BufRead;
 
 /// References handed to the backend per [`MemoryBackend::run_batch`] call.
 ///
-/// Large enough to amortise the per-batch bookkeeping and keep the last-page translation
-/// cache effective, small enough that the staging buffer stays in L1/L2.
+/// Large enough to amortise the per-batch bookkeeping, small enough that the staging
+/// buffer stays in L1/L2.
 const DEFAULT_BATCH: usize = 4096;
 
 /// A stream of `(address, is_write)` references that [`ReplayEngine::replay_from`]
@@ -189,8 +188,6 @@ struct EngineTelemetry {
     references: Counter,
     tlb_hits: Counter,
     tlb_misses: Counter,
-    memo_translation_hits: Counter,
-    memo_tint_hits: Counter,
     coalesced_windows: Counter,
 }
 
@@ -202,8 +199,6 @@ impl EngineTelemetry {
             references: registry.counter("engine.references"),
             tlb_hits: registry.counter("engine.tlb.hits"),
             tlb_misses: registry.counter("engine.tlb.misses"),
-            memo_translation_hits: registry.counter("engine.memo.translation_hits"),
-            memo_tint_hits: registry.counter("engine.memo.tint_hits"),
             coalesced_windows: registry.counter("engine.observe.coalesced_windows"),
         }
     }
@@ -212,14 +207,11 @@ impl EngineTelemetry {
     /// the `reset_stats` at replay start) into the counters.
     fn record_replay(&self, backend: &dyn MemoryBackend, batches: u64) {
         let stats = backend.stats();
-        let memo = backend.memo_stats();
         self.replays.incr();
         self.batches.add(batches);
         self.references.add(stats.references);
         self.tlb_hits.add(stats.tlb_hits);
         self.tlb_misses.add(stats.tlb_misses);
-        self.memo_translation_hits.add(memo.translation_hits);
-        self.memo_tint_hits.add(memo.tint_hits);
     }
 
     /// Counts the coalesced tail of an observed replay: when `window` does not divide

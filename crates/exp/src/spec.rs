@@ -122,7 +122,8 @@ impl GeometrySpec {
     /// # Errors
     ///
     /// Fails when the cache geometry is invalid (non-power-of-two sizes, line larger
-    /// than a column, ...).
+    /// than a column, ...) or the system around it is (page size, TLB entries; see
+    /// [`SystemConfig::validate`]).
     pub fn system_config(&self) -> Result<SystemConfig, ExpError> {
         let cache = CacheConfig::builder()
             .capacity_bytes(self.capacity)
@@ -130,12 +131,14 @@ impl GeometrySpec {
             .line_size(self.line)
             .replacement(self.replacement)
             .build()?;
-        Ok(SystemConfig {
+        let config = SystemConfig {
             cache,
             latency: self.latency.config(),
             page_size: self.page,
             tlb_entries: self.tlb,
-        })
+        };
+        config.validate()?;
+        Ok(config)
     }
 
     /// The partition-experiment configuration for this geometry. Partition jobs replay

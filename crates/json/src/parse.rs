@@ -31,7 +31,9 @@ impl std::error::Error for ParseError {}
 const MAX_DEPTH: usize = 128;
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
+    /// Byte offset of the next unread character; always on a scalar boundary.
     pos: usize,
     depth: usize,
 }
@@ -53,6 +55,7 @@ impl Json {
     /// ```
     pub fn parse(text: &str) -> Result<Json, ParseError> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
             depth: 0,
@@ -298,16 +301,17 @@ impl Parser<'_> {
                     }
                 }
                 Some(_) => {
-                    // Consume one full UTF-8 scalar (the input is a &str, so boundaries
-                    // are guaranteed valid).
-                    let rest = &self.bytes[self.pos..];
-                    let text = std::str::from_utf8(rest).expect("input was a valid &str");
-                    let c = text.chars().next().expect("peek saw a byte");
-                    if (c as u32) < 0x20 {
+                    // Copy the run of plain characters up to the next quote, backslash or
+                    // control character. Those are ASCII, so the run starts and ends on
+                    // scalar boundaries, and each byte is read once.
+                    let start = self.pos;
+                    while matches!(self.peek(), Some(b) if b >= 0x20 && b != b'"' && b != b'\\') {
+                        self.pos += 1;
+                    }
+                    if self.pos == start {
                         return Err(self.error("unescaped control character in string"));
                     }
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    out.push_str(&self.text[start..self.pos]);
                 }
             }
         }

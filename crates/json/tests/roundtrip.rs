@@ -8,6 +8,7 @@
 
 use ccache_json::{Json, ToJson};
 use proptest::prelude::*;
+use std::time::{Duration, Instant};
 
 /// Asserts both renderings of `doc` reparse to an equal document.
 fn assert_round_trips(doc: &Json) {
@@ -80,6 +81,23 @@ fn signed_to_json_normalizes_to_the_parser_variants() {
 }
 
 #[test]
+fn a_one_mebibyte_string_parses_in_linear_time() {
+    // Parsing once re-validated the rest of the input for every character: 5.2 s for a
+    // 520 KB document. Mixed-width scalars exercise every UTF-8 length.
+    let mut text = String::new();
+    while text.len() < 1 << 20 {
+        text.push_str("aé€😀\"\\\n");
+    }
+    let doc = Json::obj([("text", Json::Str(text))]);
+    let rendered = doc.compact();
+    let start = Instant::now();
+    let back = Json::parse(&rendered).expect("the rendered document parses");
+    let elapsed = start.elapsed();
+    assert_eq!(back, doc);
+    assert!(elapsed < Duration::from_secs(1), "took {elapsed:?}");
+}
+
+#[test]
 fn non_finite_floats_render_null_by_design() {
     // The one deliberate non-identity: non-finite values serialize as null (the
     // serde_json convention), so they parse back as Json::Null.
@@ -105,14 +123,19 @@ proptest! {
         i in any::<i64>(),
         bits in any::<u64>(),
         b in any::<bool>(),
+        scalars in prop::collection::vec(0u32..0x11_0000, 0..32),
     ) {
         let f = f64::from_bits(bits);
+        // Any string: control characters, quotes, backslashes and multi-byte scalars
+        // (surrogate code points are not scalars and are skipped).
+        let any_string: String = scalars.into_iter().filter_map(char::from_u32).collect();
         let doc = Json::obj([
             ("u", u.to_json()),
             ("i", i.to_json()),
             ("f", if f.is_finite() { Json::Float(f) } else { Json::Null }),
             ("b", b.to_json()),
             ("s", format!("s{u}\n\"{i}\"").to_json()),
+            ("any", any_string.to_json()),
             ("arr", Json::arr([Json::Null, u.to_json(), i.to_json()])),
         ]);
         assert_round_trips(&doc);

@@ -500,7 +500,7 @@ impl Service {
             _ => {
                 return Err(Refusal::bad_request(
                     "the request needs exactly one of 'workload' (a corpus name) or \
-                     'trace' (an uploaded name or server-side path)",
+                     'trace' (an uploaded name or a binary trace file)",
                 ))
             }
         };
@@ -534,7 +534,7 @@ impl Service {
     }
 
     fn run_spec_doc(&self, mut spec_doc: Json, doc: &Json, tenant: &str) -> Result<Reply, Refusal> {
-        self.rewrite_uploads(&mut spec_doc);
+        self.resolve_traces(&mut spec_doc)?;
         let spec = ExperimentSpec::from_json(&spec_doc)
             .map_err(|e| Refusal::bad_request(e.to_string()))?;
         let session = self.session_for(doc)?;
@@ -693,8 +693,7 @@ impl Service {
             })?;
             (run.name, run.trace)
         } else if let Some(t) = doc.get("trace").and_then(Json::as_str) {
-            let path = self.upload_path(t).unwrap_or_else(|| PathBuf::from(t));
-            let trace = load_trace(&path)
+            let trace = load_trace(&self.trace_path(t)?)
                 .map_err(|e| Refusal::bad_request(format!("cannot load trace '{t}': {e}")))?;
             (t.to_owned(), trace)
         } else {
@@ -745,8 +744,7 @@ impl Service {
             })?;
             (run.name, run.trace, run.symbols)
         } else if let Some(t) = doc.get("trace").and_then(Json::as_str) {
-            let path = self.upload_path(t).unwrap_or_else(|| PathBuf::from(t));
-            let trace = load_trace(&path)
+            let trace = load_trace(&self.trace_path(t)?)
                 .map_err(|e| Refusal::bad_request(format!("cannot load trace '{t}': {e}")))?;
             let config = session.config();
             let symbols = ccache_trace::infer::infer_symbols(
@@ -927,39 +925,28 @@ impl Service {
             .map_err(|e| Refusal::bad_request(e.to_string()))
     }
 
-    fn upload_path(&self, name: &str) -> Option<PathBuf> {
-        self.uploads
-            .lock()
-            .unwrap()
-            .get(name)
-            .map(|up| up.path.clone())
+    /// The file a `trace` name refers to; see [`resolve_trace`].
+    fn trace_path(&self, name: &str) -> Result<PathBuf, Refusal> {
+        resolve_trace(&self.uploads.lock().unwrap(), name)
     }
 
-    /// Rewrites `{"trace": NAME}` workload selectors naming an uploaded trace to the
-    /// stored file path, anywhere in a spec document.
-    fn rewrite_uploads(&self, doc: &mut Json) {
-        fn rewrite(node: &mut Json, uploads: &BTreeMap<String, Upload>) {
+    /// Rewrites every `{"trace": NAME}` workload selector in a spec document to the file
+    /// [`resolve_trace`] resolves it to.
+    fn resolve_traces(&self, doc: &mut Json) -> Result<(), Refusal> {
+        fn resolve(node: &mut Json, uploads: &BTreeMap<String, Upload>) -> Result<(), Refusal> {
             match node {
-                Json::Arr(items) => items.iter_mut().for_each(|i| rewrite(i, uploads)),
-                Json::Obj(pairs) => {
-                    for (key, value) in pairs.iter_mut() {
-                        if key == "trace" {
-                            if let Json::Str(name) = value {
-                                if let Some(up) = uploads.get(name.as_str()) {
-                                    *value = Json::Str(up.path.display().to_string());
-                                }
-                            }
-                        }
-                        rewrite(value, uploads);
+                Json::Arr(items) => items.iter_mut().try_for_each(|i| resolve(i, uploads)),
+                Json::Obj(pairs) => pairs.iter_mut().try_for_each(|(key, value)| match value {
+                    Json::Str(name) if key == "trace" => {
+                        *value = Json::Str(resolve_trace(uploads, name)?.display().to_string());
+                        Ok(())
                     }
-                }
-                _ => {}
+                    _ => resolve(value, uploads),
+                }),
+                _ => Ok(()),
             }
         }
-        let uploads = self.uploads.lock().unwrap();
-        if !uploads.is_empty() {
-            rewrite(doc, &uploads);
-        }
+        resolve(doc, &self.uploads.lock().unwrap())
     }
 
     /// Bumps one per-tenant registry counter (`serve.tenant.<tenant>.<field>`). The
@@ -1069,6 +1056,33 @@ impl ReplayObserver for Streamer<'_> {
             ("event", "replay".to_json()),
             ("data", event.to_json()),
         ]));
+    }
+}
+
+/// The file a `trace` name refers to: the stored file of an upload, or a binary (`.cct`)
+/// trace on the server.
+///
+/// # Errors
+///
+/// Refuses anything else with one message, whether the path is missing, unreadable, not
+/// a regular file or not a binary trace. So serve never opens a text file it did not
+/// store itself (the text reader quotes the first line it cannot parse), and a client can
+/// neither read a server-side file nor learn whether one exists unless it is a binary
+/// trace.
+fn resolve_trace(uploads: &BTreeMap<String, Upload>, name: &str) -> Result<PathBuf, Refusal> {
+    if let Some(up) = uploads.get(name) {
+        return Ok(up.path.clone());
+    }
+    let path = PathBuf::from(name);
+    let binary = path.metadata().is_ok_and(|m| m.is_file())
+        && ccache_trace::binfmt::is_binary_trace_file(&path).unwrap_or(false);
+    if binary {
+        Ok(path)
+    } else {
+        Err(Refusal::bad_request(format!(
+            "unknown trace '{name}': 'trace' takes the name of an uploaded trace or the path \
+             of a binary (.cct) trace file"
+        )))
     }
 }
 

@@ -4,6 +4,7 @@
 use ccache_json::{Json, ToJson};
 use ccache_serve::{spawn_test_server, Client};
 use std::fmt::Write as _;
+use std::path::Path;
 
 #[test]
 fn run_executes_inline_specs() {
@@ -166,6 +167,10 @@ fn hostile_run_specs_are_refused_and_the_connection_keeps_serving() {
         r#"{"name": "vast", "replay": [{"workloads": ["fir"],
             "geometries": [{"capacity": 1099511627776, "columns": 4, "line": 32}]}]}"#
             .to_owned(),
+        // A billion-entry TLB, which scanned every resident entry on each miss.
+        r#"{"name": "vast-tlb", "replay": [{"workloads": ["fir"],
+            "geometries": [{"capacity": 2048, "columns": 4, "line": 32, "tlb": 1000000000}]}]}"#
+            .to_owned(),
     ];
     for spec in &specs {
         let reply = client
@@ -186,6 +191,76 @@ fn hostile_run_specs_are_refused_and_the_connection_keeps_serving() {
             "{message}"
         );
     }
+    let status = client
+        .request(&Json::obj([("cmd", "status".to_json())]))
+        .expect("status reply");
+    assert_eq!(status.get("ok").and_then(Json::as_bool), Some(true));
+    server.shutdown();
+}
+
+#[test]
+fn traces_that_are_neither_uploads_nor_binary_files_are_refused_by_every_command() {
+    let mut server = spawn_test_server(|_| {}).expect("bind test server");
+    let mut client = Client::connect(server.addr()).expect("connect");
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR"));
+    let trace = ccache_trace::textfmt::read_trace("R 0x1000 4\nW 0x2000 4\n".as_bytes())
+        .expect("the text trace parses");
+    let text_file = dir.join("serve-not-uploaded.trace");
+    std::fs::write(&text_file, "R 0x1000 4\nW 0x2000 4\n").expect("write text trace");
+    // `/etc/passwd` once came back as its first line in the error message, and
+    // `/dev/zero` made the text reader buffer one endless line. A text file the server
+    // did not store is refused like a missing one.
+    let text_file = text_file.to_str().expect("utf-8 path");
+    for path in ["/etc/passwd", "/dev/zero", "/no/such/file", text_file] {
+        let spec = Json::obj([
+            ("name", "leak".to_json()),
+            (
+                "replay",
+                Json::arr([Json::obj([(
+                    "workloads",
+                    Json::arr([Json::obj([("trace", path.to_json())])]),
+                )])]),
+            ),
+        ]);
+        let requests = [
+            Json::obj([("cmd", "replay".to_json()), ("trace", path.to_json())]),
+            Json::obj([("cmd", "tune".to_json()), ("trace", path.to_json())]),
+            Json::obj([("cmd", "run".to_json()), ("spec", spec)]),
+            Json::obj([("cmd", "subscribe".to_json()), ("trace", path.to_json())]),
+            Json::obj([
+                ("cmd", "subscribe".to_json()),
+                ("trace", path.to_json()),
+                ("tune", Json::obj([("budget", 2u64.to_json())])),
+            ]),
+        ];
+        for request in &requests {
+            let reply = client.request(request).expect("reply");
+            assert_eq!(reply.get("ok").and_then(Json::as_bool), Some(false));
+            let error = reply.get("error").expect("error object");
+            assert_eq!(
+                error.get("code").and_then(Json::as_str),
+                Some("bad_request"),
+                "{}",
+                request.compact()
+            );
+            let message = error.get("message").and_then(Json::as_str).unwrap_or("");
+            assert!(message.starts_with("unknown trace '"), "{message}");
+            for leak in ["root:", "os error", "No such file", "line 1"] {
+                assert!(!message.contains(leak), "{message}");
+            }
+        }
+    }
+    // A binary trace file on the server still replays by path.
+    let binary_file = dir.join("serve-by-path.cct");
+    let file = std::fs::File::create(&binary_file).expect("create binary trace");
+    ccache_trace::binfmt::write_trace(&trace, file).expect("write binary trace");
+    let replay = client
+        .request(&Json::obj([
+            ("cmd", "replay".to_json()),
+            ("trace", binary_file.to_str().expect("utf-8 path").to_json()),
+        ]))
+        .expect("replay reply");
+    assert_eq!(replay.get("ok").and_then(Json::as_bool), Some(true));
     let status = client
         .request(&Json::obj([("cmd", "status".to_json())]))
         .expect("status reply");

@@ -16,7 +16,7 @@
 
 use crate::error::SimError;
 use crate::mask::ColumnMask;
-use crate::stats::{BatchMemoStats, CacheStats, CycleReport, MemoryStats};
+use crate::stats::{CacheStats, CycleReport, MemoryStats};
 use crate::system::{MemorySystem, SystemConfig};
 use crate::tint::Tint;
 use std::ops::Range;
@@ -58,9 +58,8 @@ pub trait MemoryBackend: Send + Sync {
     /// Replays one memory reference and returns the cycles it took.
     fn access(&mut self, addr: u64, is_write: bool) -> u64;
 
-    /// Replays a slice of references and returns the total cycles. Implementations may
-    /// batch internally (e.g. short-circuit same-page translations) but must produce
-    /// statistics identical to per-reference [`MemoryBackend::access`] calls.
+    /// Replays a slice of references through [`MemoryBackend::access`] and returns the
+    /// total cycles.
     fn run_batch(&mut self, refs: &[(u64, bool)]) -> u64 {
         refs.iter().map(|&(a, w)| self.access(a, w)).sum()
     }
@@ -95,13 +94,6 @@ pub trait MemoryBackend: Send + Sync {
     /// Cache statistics accumulated since the last reset.
     fn cache_stats(&self) -> &CacheStats;
 
-    /// Batch-replay memo counters ([`MemoryBackend::run_batch`] short-circuits)
-    /// accumulated since the last reset. Informational — not architectural state.
-    /// Backends without a batched fast path report zeros.
-    fn memo_stats(&self) -> BatchMemoStats {
-        BatchMemoStats::default()
-    }
-
     /// Cycles spent in software control operations since the last reset.
     fn control_cycles(&self) -> u64;
 
@@ -129,12 +121,9 @@ impl MemoryBackend for MemorySystem {
         MemorySystem::config(self)
     }
 
+    #[inline]
     fn access(&mut self, addr: u64, is_write: bool) -> u64 {
         MemorySystem::access(self, addr, is_write)
-    }
-
-    fn run_batch(&mut self, refs: &[(u64, bool)]) -> u64 {
-        MemorySystem::run_batch(self, refs)
     }
 
     fn define_tint(&mut self, tint: Tint, mask: ColumnMask) -> Result<(), SimError> {
@@ -170,10 +159,6 @@ impl MemoryBackend for MemorySystem {
 
     fn cache_stats(&self) -> &CacheStats {
         MemorySystem::cache_stats(self)
-    }
-
-    fn memo_stats(&self) -> BatchMemoStats {
-        MemorySystem::memo_stats(self)
     }
 
     fn control_cycles(&self) -> u64 {
@@ -236,12 +221,9 @@ impl MemoryBackend for SetAssocBaseline {
         MemorySystem::config(&self.inner)
     }
 
+    #[inline]
     fn access(&mut self, addr: u64, is_write: bool) -> u64 {
         self.inner.access(addr, is_write)
-    }
-
-    fn run_batch(&mut self, refs: &[(u64, bool)]) -> u64 {
-        self.inner.run_batch(refs)
     }
 
     fn define_tint(&mut self, _tint: Tint, _mask: ColumnMask) -> Result<(), SimError> {
@@ -283,10 +265,6 @@ impl MemoryBackend for SetAssocBaseline {
 
     fn cache_stats(&self) -> &CacheStats {
         self.inner.cache_stats()
-    }
-
-    fn memo_stats(&self) -> BatchMemoStats {
-        self.inner.memo_stats()
     }
 
     fn control_cycles(&self) -> u64 {
@@ -356,15 +334,6 @@ impl MemoryBackend for IdealScratchpad {
         self.stats.scratchpad_accesses += 1;
         self.stats.memory_cycles += cycles;
         cycles
-    }
-
-    fn run_batch(&mut self, refs: &[(u64, bool)]) -> u64 {
-        let cycles = self.config.latency.scratchpad_latency;
-        let n = refs.len() as u64;
-        self.stats.references += n;
-        self.stats.scratchpad_accesses += n;
-        self.stats.memory_cycles += cycles * n;
-        cycles * n
     }
 
     fn define_tint(&mut self, _tint: Tint, _mask: ColumnMask) -> Result<(), SimError> {

@@ -27,18 +27,22 @@ pub enum SimError {
     },
     /// A column mask was empty (no replacement candidates) where one is required.
     EmptyMask,
-    /// A tint was used without first being defined in the tint table.
-    UnknownTint {
-        /// The numeric identifier of the tint.
+    /// A tint number was at or above the tint table's limit.
+    TintOutOfRange {
+        /// The rejected tint number.
         tint: u32,
-    },
-    /// An address could not be translated because no page-table entry covers it.
-    UnmappedAddress {
-        /// The offending address.
-        addr: u64,
+        /// The number of tints the table can hold ([`MAX_TINTS`](crate::tint::MAX_TINTS)).
+        limit: u32,
     },
     /// The TLB was configured with no entries; translation needs at least one slot.
     ZeroTlbEntries,
+    /// The TLB was configured with more entries than the simulator allows.
+    TlbTooLarge {
+        /// The rejected entry count.
+        entries: usize,
+        /// The largest allowed count ([`MAX_TLB_ENTRIES`](crate::system::MAX_TLB_ENTRIES)).
+        limit: usize,
+    },
     /// The cache line is larger than the mapping granularity, so one line would span
     /// pages with potentially different tints.
     LineExceedsPage {
@@ -63,11 +67,19 @@ impl fmt::Display for SimError {
                 )
             }
             SimError::EmptyMask => write!(f, "column mask selects no columns"),
-            SimError::UnknownTint { tint } => write!(f, "tint {tint} is not defined"),
-            SimError::UnmappedAddress { addr } => {
-                write!(f, "address {addr:#x} has no page-table entry")
+            SimError::TintOutOfRange { tint, limit } => {
+                write!(
+                    f,
+                    "tint {tint} is out of range: the tint table holds {limit} tints"
+                )
             }
             SimError::ZeroTlbEntries => write!(f, "TLB must have at least one entry"),
+            SimError::TlbTooLarge { entries, limit } => {
+                write!(
+                    f,
+                    "a TLB of {entries} entries exceeds the {limit}-entry limit"
+                )
+            }
             SimError::LineExceedsPage {
                 line_size,
                 page_size,
@@ -100,9 +112,12 @@ mod tests {
         }
         .to_string()
         .contains('9'));
-        assert!(SimError::UnmappedAddress { addr: 0x1234 }
-            .to_string()
-            .contains("0x1234"));
+        assert!(SimError::TintOutOfRange {
+            tint: 70000,
+            limit: 65536
+        }
+        .to_string()
+        .contains("70000"));
     }
 
     #[test]

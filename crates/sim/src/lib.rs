@@ -53,10 +53,10 @@ pub use mask::ColumnMask;
 pub use memory::MainMemory;
 pub use page_table::{PageEntry, PageTable};
 pub use replacement::{ReplacementPolicy, ReplacementState};
-pub use stats::{BatchMemoStats, CacheStats, CycleReport, MemoryStats};
-pub use system::{MemorySystem, SystemConfig};
-pub use tint::{Tint, TintTable};
-pub use tlb::{Tlb, TlbStats};
+pub use stats::{CacheStats, CycleReport, MemoryStats};
+pub use system::{MemorySystem, SystemConfig, MAX_TLB_ENTRIES};
+pub use tint::{Tint, TintTable, MAX_TINTS};
+pub use tlb::Tlb;
 
 /// Convenient glob-import of the types most programs need.
 pub mod prelude {

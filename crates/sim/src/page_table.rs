@@ -30,7 +30,8 @@ impl Default for PageEntry {
 /// A sparse page table: pages not explicitly configured use [`PageEntry::default`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PageTable {
-    page_size: u64,
+    /// log2 of the page size.
+    page_shift: u32,
     entries: BTreeMap<u64, PageEntry>,
     /// Number of page-table-entry writes performed (each re-tinted page costs one).
     pub entry_writes: u64,
@@ -50,7 +51,7 @@ impl PageTable {
             });
         }
         Ok(PageTable {
-            page_size,
+            page_shift: page_size.trailing_zeros(),
             entries: BTreeMap::new(),
             entry_writes: 0,
         })
@@ -58,13 +59,13 @@ impl PageTable {
 
     /// The page size in bytes.
     pub fn page_size(&self) -> u64 {
-        self.page_size
+        1 << self.page_shift
     }
 
     /// Virtual page number of an address.
     #[inline]
     pub fn page_of(&self, addr: u64) -> u64 {
-        addr / self.page_size
+        addr >> self.page_shift
     }
 
     /// Returns the entry of the page containing `addr` (default if unconfigured).

@@ -73,29 +73,6 @@ impl AddAssign<&CacheStats> for CacheStats {
     }
 }
 
-/// Counters for the batch-replay memo caches: how often [`run_batch`]'s short-circuit
-/// paths absorbed a full lookup. Purely informational — they are deliberately *not* part
-/// of [`MemoryStats`], which stays identical between batched and per-reference replay
-/// (the memo only exists on the batched path).
-///
-/// [`run_batch`]: crate::system::MemorySystem::run_batch
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BatchMemoStats {
-    /// References whose translation was revalidated through the cached TLB slot
-    /// instead of a full TLB scan.
-    pub translation_hits: u64,
-    /// Cacheable references whose tint→mask resolution came from the tint memo
-    /// instead of the tint table.
-    pub tint_hits: u64,
-}
-
-impl AddAssign<&BatchMemoStats> for BatchMemoStats {
-    fn add_assign(&mut self, rhs: &BatchMemoStats) {
-        self.translation_hits += rhs.translation_hits;
-        self.tint_hits += rhs.tint_hits;
-    }
-}
-
 /// Counters maintained by the memory system wrapper (cache + TLB + DRAM).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MemoryStats {

@@ -5,10 +5,11 @@
 //!
 //! * the **hardware datapath** — [`MemorySystem::access`] replays one memory reference,
 //!   consults the TLB for the page's tint, resolves the tint to a column mask and drives
-//!   the column cache, charging cycles for hits, misses, writebacks and TLB walks;
+//!   the column cache, charging cycles for hits, misses, writebacks and TLB walks. It is
+//!   the only per-reference path: batched replay calls it for every reference;
 //! * the **software control interface** — defining and remapping tints
-//!   ([`MemorySystem::define_tint`], [`MemorySystem::remap_tint`]), re-tinting address
-//!   ranges ([`MemorySystem::tint_range`], which updates page-table entries and flushes the
+//!   ([`MemorySystem::define_tint`]), re-tinting address ranges
+//!   ([`MemorySystem::tint_range`], which updates page-table entries and flushes the
 //!   affected TLB entries exactly as Figure 3 describes), dedicating columns as scratchpad
 //!   ([`MemorySystem::map_exclusive_region`]) and marking regions uncacheable.
 
@@ -18,10 +19,15 @@ use crate::error::SimError;
 use crate::mask::ColumnMask;
 use crate::memory::MainMemory;
 use crate::page_table::PageTable;
-use crate::stats::{BatchMemoStats, CacheStats, CycleReport, MemoryStats};
+use crate::stats::{CacheStats, CycleReport, MemoryStats};
 use crate::tint::{Tint, TintTable};
 use crate::tlb::Tlb;
 use std::ops::Range;
+
+/// Most TLB entries a [`SystemConfig`] may ask for: 16 times the 64-entry default. A TLB
+/// miss scans every resident entry, so an unbounded TLB would make each miss unboundedly
+/// slow.
+pub const MAX_TLB_ENTRIES: usize = 1024;
 
 /// Configuration of a [`MemorySystem`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -49,8 +55,13 @@ impl Default for SystemConfig {
 
 impl SystemConfig {
     /// Validates the configuration: the page size must be a nonzero power of two, the
-    /// TLB needs at least one entry, and a cache line must not span pages (tints are
-    /// per-page, so a line crossing pages could carry two different mappings).
+    /// TLB needs at least one and at most [`MAX_TLB_ENTRIES`] entries, and a cache line
+    /// must not span pages (tints are per-page, so a line crossing pages could carry two
+    /// different mappings).
+    ///
+    /// # Errors
+    ///
+    /// Names the first violated condition.
     pub fn validate(&self) -> Result<(), SimError> {
         if self.page_size == 0 || !self.page_size.is_power_of_two() {
             return Err(SimError::BadSize {
@@ -60,6 +71,12 @@ impl SystemConfig {
         }
         if self.tlb_entries == 0 {
             return Err(SimError::ZeroTlbEntries);
+        }
+        if self.tlb_entries > MAX_TLB_ENTRIES {
+            return Err(SimError::TlbTooLarge {
+                entries: self.tlb_entries,
+                limit: MAX_TLB_ENTRIES,
+            });
         }
         if self.cache.line_size() > self.page_size {
             return Err(SimError::LineExceedsPage {
@@ -81,7 +98,6 @@ pub struct MemorySystem {
     tints: TintTable,
     memory: MainMemory,
     stats: MemoryStats,
-    memo: BatchMemoStats,
     /// Cycles spent in software control operations (tint remaps, re-tints, preloads,
     /// explicit copies). Reported separately so experiments can include or exclude them.
     pub control_cycles: u64,
@@ -109,7 +125,6 @@ impl MemorySystem {
                 config.latency.writeback_penalty,
             ),
             stats: MemoryStats::default(),
-            memo: BatchMemoStats::default(),
             control_cycles: 0,
         })
     }
@@ -154,14 +169,6 @@ impl MemorySystem {
         &self.stats
     }
 
-    /// Batch-replay memo counters ([`MemorySystem::run_batch`] short-circuits). Not part
-    /// of [`MemorySystem::stats`]: the memo only exists on the batched path, and the
-    /// architectural statistics must stay identical between batched and per-reference
-    /// replay.
-    pub fn memo_stats(&self) -> BatchMemoStats {
-        self.memo
-    }
-
     /// Cache statistics (hits, misses, per-column counters).
     pub fn cache_stats(&self) -> &CacheStats {
         self.cache.stats()
@@ -170,9 +177,7 @@ impl MemorySystem {
     /// Resets every statistic (but not cache/TLB contents or mappings).
     pub fn reset_stats(&mut self) {
         self.stats = MemoryStats::default();
-        self.memo = BatchMemoStats::default();
         self.cache.reset_stats();
-        self.tlb.reset_stats();
         self.memory.reset();
         self.control_cycles = 0;
     }
@@ -194,7 +199,6 @@ impl MemorySystem {
         self.tints.reset();
         self.memory.reset();
         self.stats = MemoryStats::default();
-        self.memo = BatchMemoStats::default();
         self.control_cycles = 0;
     }
 
@@ -204,15 +208,14 @@ impl MemorySystem {
 
     /// Defines (or redefines) the column mask of a tint. This is the cheap operation of the
     /// paper: a single tint-table write.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if the mask is invalid for this cache or the tint is at or above
+    /// [`MAX_TINTS`](crate::tint::MAX_TINTS).
     pub fn define_tint(&mut self, tint: Tint, mask: ColumnMask) -> Result<(), SimError> {
         self.control_cycles += 1;
         self.tints.define(tint, mask)
-    }
-
-    /// Synonym of [`MemorySystem::define_tint`] that reads better at call sites performing
-    /// dynamic repartitioning.
-    pub fn remap_tint(&mut self, tint: Tint, mask: ColumnMask) -> Result<(), SimError> {
-        self.define_tint(tint, mask)
     }
 
     /// Gives `tint` exclusive use of the columns in `mask`: other tints lose those columns
@@ -282,6 +285,7 @@ impl MemorySystem {
     // ------------------------------------------------------------------
 
     /// Replays one memory reference and returns the cycles it took.
+    #[inline]
     pub fn access(&mut self, addr: u64, is_write: bool) -> u64 {
         self.stats.references += 1;
 
@@ -294,103 +298,6 @@ impl MemorySystem {
             self.stats.tlb_misses += 1;
             cycles += self.config.latency.tlb_miss_penalty;
         }
-        self.finish_access(addr, is_write, entry, cycles)
-    }
-
-    /// Replays a slice of references through a batched fast path.
-    ///
-    /// A small direct-mapped translation cache maps recently-seen pages to their TLB slot;
-    /// a cached page revalidates its slot in O(1) ([`Tlb::probe_slot`]) instead of
-    /// re-scanning the TLB. The probe performs exactly the state transitions of a full
-    /// lookup hit (clock, LRU touch, hit counter), and a slot that was reused for another
-    /// page falls back to the full lookup, so cycle counts, statistics **and TLB state**
-    /// are identical to per-reference replay — batching only changes wall-clock time. The
-    /// cached slots cannot go stale semantically because no control operation (re-tint,
-    /// cacheability change) can interleave with a batch.
-    pub fn run_batch(&mut self, refs: &[(u64, bool)]) -> u64 {
-        /// Direct-mapped translation-cache size; covers several interleaved streams.
-        const WAYS: usize = 16;
-        /// Direct-mapped tint-mask cache size; tints are few and stable within a batch.
-        const TINT_WAYS: usize = 8;
-        const EMPTY: u64 = u64::MAX;
-        // (vpn, TLB slot index) per way; the entry itself always comes from the TLB.
-        let mut tcache: [(u64, usize); WAYS] = [(EMPTY, 0); WAYS];
-        // (tint, resolved mask) per way. The tint table cannot change inside a batch
-        // (no control operation interleaves), so memoising `mask_or_default` here is
-        // exact — it lifts a tree lookup off every cacheable reference.
-        let mut mcache: [(u64, ColumnMask); TINT_WAYS] = [(EMPTY, ColumnMask::EMPTY); TINT_WAYS];
-
-        // Page size is a validated power of two, so page-number extraction is a shift.
-        let page_shift = self.config.page_size.trailing_zeros();
-        let tlb_miss_penalty = self.config.latency.tlb_miss_penalty;
-        // The full lookup, shared by the two slow paths (translation-cache miss and
-        // stale slot), so miss accounting can never diverge between them.
-        let full_lookup =
-            |sys: &mut Self, tcache: &mut [(u64, usize); WAYS], addr: u64, vpn: u64, way: usize| {
-                let (entry, hit, slot) = sys.tlb.lookup_slot(addr, &sys.page_table);
-                tcache[way] = (vpn, slot);
-                if hit {
-                    sys.stats.tlb_hits += 1;
-                    (entry, 0)
-                } else {
-                    sys.stats.tlb_misses += 1;
-                    (entry, tlb_miss_penalty)
-                }
-            };
-        let mut total = 0u64;
-        // Memo-hit tallies stay in registers inside the loop and flush once at the end,
-        // so the instrumentation costs two adds per batch, not per reference.
-        let mut translation_hits = 0u64;
-        let mut tint_hits = 0u64;
-        for &(addr, is_write) in refs {
-            self.stats.references += 1;
-            let vpn = addr >> page_shift;
-            let way = (vpn as usize) % WAYS;
-            let cached = tcache[way];
-            let (entry, cycles) = if cached.0 == vpn {
-                match self.tlb.probe_slot(cached.1, vpn) {
-                    Some(entry) => {
-                        self.stats.tlb_hits += 1;
-                        translation_hits += 1;
-                        (entry, 0)
-                    }
-                    // The TLB slot was reused for another page since we cached it.
-                    None => full_lookup(self, &mut tcache, addr, vpn, way),
-                }
-            } else {
-                full_lookup(self, &mut tcache, addr, vpn, way)
-            };
-            if !entry.cacheable {
-                self.stats.uncached_accesses += 1;
-                total += self.uncached_access(is_write, cycles);
-                continue;
-            }
-            let tint = u64::from(entry.tint.0);
-            let mway = (tint as usize) % TINT_WAYS;
-            let mask = if mcache[mway].0 == tint {
-                tint_hits += 1;
-                mcache[mway].1
-            } else {
-                let mask = self.tints.mask_or_default(entry.tint);
-                mcache[mway] = (tint, mask);
-                mask
-            };
-            total += self.cacheable_access(addr, is_write, mask, cycles);
-        }
-        self.memo.translation_hits += translation_hits;
-        self.memo.tint_hits += tint_hits;
-        total
-    }
-
-    /// The post-translation half of an access: drives the cache (or bypasses it) and
-    /// charges cycles. `cycles` carries whatever the translation step already cost.
-    fn finish_access(
-        &mut self,
-        addr: u64,
-        is_write: bool,
-        entry: crate::page_table::PageEntry,
-        cycles: u64,
-    ) -> u64 {
         if !entry.cacheable {
             self.stats.uncached_accesses += 1;
             return self.uncached_access(is_write, cycles);
@@ -485,6 +392,7 @@ impl Default for MemorySystem {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::MemoryBackend;
 
     fn system() -> MemorySystem {
         MemorySystem::with_default_cache()
@@ -620,15 +528,23 @@ mod tests {
     }
 
     #[test]
-    fn config_validation_rejects_zero_tlb_entries() {
-        let cfg = SystemConfig {
-            tlb_entries: 0,
+    fn config_validation_bounds_tlb_entries() {
+        let vast = SimError::TlbTooLarge {
+            entries: 1_000_000_000,
+            limit: MAX_TLB_ENTRIES,
+        };
+        for (tlb_entries, refused) in [(0, SimError::ZeroTlbEntries), (1_000_000_000, vast)] {
+            let cfg = SystemConfig {
+                tlb_entries,
+                ..SystemConfig::default()
+            };
+            assert_eq!(MemorySystem::new(cfg).unwrap_err(), refused);
+        }
+        let at_limit = SystemConfig {
+            tlb_entries: MAX_TLB_ENTRIES,
             ..SystemConfig::default()
         };
-        assert_eq!(
-            MemorySystem::new(cfg).unwrap_err(),
-            SimError::ZeroTlbEntries
-        );
+        assert!(MemorySystem::new(at_limit).is_ok());
     }
 
     #[test]
@@ -686,7 +602,6 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(per_ref.stats(), batched.stats());
         assert_eq!(per_ref.cache_stats(), batched.cache_stats());
-        assert_eq!(per_ref.tlb().stats(), batched.tlb().stats());
     }
 
     #[test]

@@ -8,7 +8,6 @@
 
 use crate::error::SimError;
 use crate::mask::ColumnMask;
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// A named virtual grouping of address regions (the paper's "red", "blue", ...).
@@ -32,11 +31,20 @@ impl From<u32> for Tint {
     }
 }
 
+/// Tints a [`TintTable`] can hold: tint numbers run from 0 to `MAX_TINTS - 1`. The table
+/// is a vector indexed by tint number, so the bound caps its size at 512 KiB.
+pub const MAX_TINTS: u32 = 1 << 16;
+
 /// The tint → column-bit-vector table.
+///
+/// Tints are small dense numbers ([`Tint::DEFAULT`] plus the 1, 2, 3, … a mapping hands
+/// out), so the table is a vector indexed by tint number. [`ColumnMask::EMPTY`] marks an
+/// undefined tint: a defined tint never has an empty mask.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TintTable {
     columns: usize,
-    map: BTreeMap<Tint, ColumnMask>,
+    /// The mask of tint `t` at index `t`; never ends in an undefined slot.
+    masks: Vec<ColumnMask>,
     /// Number of tint remappings performed (each is a cheap table write).
     pub remaps: u64,
 }
@@ -45,11 +53,9 @@ impl TintTable {
     /// Creates a table for a `columns`-column cache with [`Tint::DEFAULT`] mapped to every
     /// column (so an unconfigured system behaves exactly like a normal cache).
     pub fn new(columns: usize) -> Self {
-        let mut map = BTreeMap::new();
-        map.insert(Tint::DEFAULT, ColumnMask::all(columns));
         TintTable {
             columns,
-            map,
+            masks: vec![ColumnMask::all(columns)],
             remaps: 0,
         }
     }
@@ -64,9 +70,8 @@ impl TintTable {
     /// backend reset to pristine state — a reset engine starts from a pristine table
     /// before the next mapping is applied.
     pub fn reset(&mut self) {
-        self.map.clear();
-        self.map
-            .insert(Tint::DEFAULT, ColumnMask::all(self.columns));
+        self.masks.clear();
+        self.masks.push(ColumnMask::all(self.columns));
         self.remaps = 0;
     }
 
@@ -75,36 +80,46 @@ impl TintTable {
     /// # Errors
     ///
     /// Returns [`SimError::EmptyMask`] or [`SimError::ColumnOutOfRange`] if the mask is not
-    /// valid for this cache.
+    /// valid for this cache, and [`SimError::TintOutOfRange`] for a tint at or above
+    /// [`MAX_TINTS`].
     pub fn define(&mut self, tint: Tint, mask: ColumnMask) -> Result<(), SimError> {
         mask.validate(self.columns)?;
-        self.map.insert(tint, mask);
+        if tint.0 >= MAX_TINTS {
+            return Err(SimError::TintOutOfRange {
+                tint: tint.0,
+                limit: MAX_TINTS,
+            });
+        }
+        let idx = tint.0 as usize;
+        if idx >= self.masks.len() {
+            self.masks.resize(idx + 1, ColumnMask::EMPTY);
+        }
+        self.masks[idx] = mask;
         self.remaps += 1;
         Ok(())
     }
 
     /// Returns the mask of `tint`, if defined.
     pub fn mask_of(&self, tint: Tint) -> Option<ColumnMask> {
-        self.map.get(&tint).copied()
+        self.masks
+            .get(tint.0 as usize)
+            .copied()
+            .filter(|m| !m.is_empty())
     }
 
     /// Returns the mask of `tint`, falling back to the default tint's mask for unknown
     /// tints (hardware would treat an unknown tint as "anywhere").
+    #[inline]
     pub fn mask_or_default(&self, tint: Tint) -> ColumnMask {
-        self.mask_of(tint)
-            .or_else(|| self.mask_of(Tint::DEFAULT))
-            .unwrap_or_else(|| ColumnMask::all(self.columns))
-    }
-
-    /// Returns the mask of `tint` or an error naming the missing tint.
-    pub fn try_mask_of(&self, tint: Tint) -> Result<ColumnMask, SimError> {
-        self.mask_of(tint)
-            .ok_or(SimError::UnknownTint { tint: tint.0 })
+        match self.masks.get(tint.0 as usize) {
+            Some(&mask) if !mask.is_empty() => mask,
+            _ => self.masks[Tint::DEFAULT.0 as usize],
+        }
     }
 
     /// Number of tints defined (including the default tint).
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.iter().count()
     }
 
     /// The table always contains at least the default tint.
@@ -114,7 +129,10 @@ impl TintTable {
 
     /// Iterates over `(tint, mask)` pairs in tint order.
     pub fn iter(&self) -> impl Iterator<Item = (Tint, ColumnMask)> + '_ {
-        self.map.iter().map(|(t, m)| (*t, *m))
+        (0..MAX_TINTS)
+            .zip(&self.masks)
+            .filter(|(_, m)| !m.is_empty())
+            .map(|(t, m)| (Tint(t), *m))
     }
 
     /// Removes every column in `mask` from every *other* tint's mask, leaving at least one
@@ -123,22 +141,22 @@ impl TintTable {
     /// must stop replacing into it.
     ///
     /// Tints whose mask would become empty are left unchanged and reported back.
+    ///
+    /// # Errors
+    ///
+    /// As [`TintTable::define`].
     pub fn make_exclusive(&mut self, owner: Tint, mask: ColumnMask) -> Result<Vec<Tint>, SimError> {
-        mask.validate(self.columns)?;
-        self.map.insert(owner, mask);
-        self.remaps += 1;
+        self.define(owner, mask)?;
         let mut skipped = Vec::new();
-        let keys: Vec<Tint> = self.map.keys().copied().collect();
-        for t in keys {
-            if t == owner {
+        for (t, cur) in (0..MAX_TINTS).map(Tint).zip(self.masks.iter_mut()) {
+            if t == owner || cur.is_empty() {
                 continue;
             }
-            let cur = self.map[&t];
-            let reduced = cur & !mask;
+            let reduced = *cur & !mask;
             if reduced.is_empty() {
                 skipped.push(t);
-            } else if reduced != cur {
-                self.map.insert(t, reduced);
+            } else if reduced != *cur {
+                *cur = reduced;
                 self.remaps += 1;
             }
         }
@@ -185,11 +203,32 @@ mod tests {
     fn unknown_tints_fall_back_to_default() {
         let mut t = TintTable::new(4);
         assert_eq!(t.mask_or_default(Tint(9)), ColumnMask::all(4));
-        assert!(t.try_mask_of(Tint(9)).is_err());
+        assert_eq!(t.mask_of(Tint(9)), None);
         // and the fallback follows the default tint if it is remapped
         t.define(Tint::DEFAULT, ColumnMask::from_columns([0, 1]))
             .unwrap();
         assert_eq!(t.mask_or_default(Tint(9)), ColumnMask::from_columns([0, 1]));
+    }
+
+    #[test]
+    fn tints_past_the_limit_are_refused() {
+        let mut t = TintTable::new(4);
+        for tint in [MAX_TINTS, u32::MAX] {
+            let refused = Err(SimError::TintOutOfRange {
+                tint,
+                limit: MAX_TINTS,
+            });
+            assert_eq!(t.define(Tint(tint), ColumnMask::single(0)), refused);
+            assert_eq!(
+                t.make_exclusive(Tint(tint), ColumnMask::single(0)),
+                refused.map(|()| Vec::new())
+            );
+        }
+        assert_eq!(t, TintTable::new(4));
+        t.define(Tint(MAX_TINTS - 1), ColumnMask::single(0))
+            .unwrap();
+        assert_eq!(t.len(), 2);
+        assert_eq!(t.mask_of(Tint(MAX_TINTS - 1)), Some(ColumnMask::single(0)));
     }
 
     #[test]

@@ -2,35 +2,13 @@
 //!
 //! The TLB is the hardware structure that delivers the column-mapping information to the
 //! replacement unit on every reference (Section 2.1). Re-tinting a page therefore requires
-//! flushing or updating that page's TLB entry; the [`Tlb`] tracks how often that happens so
-//! the cost of re-tinting versus tint-remapping can be measured.
+//! flushing that page's TLB entry; [`MemorySystem`](crate::MemorySystem) counts the
+//! lookups and flushes in its [`MemoryStats`](crate::MemoryStats).
 
 use crate::page_table::{PageEntry, PageTable};
 
-/// Statistics of TLB behaviour.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TlbStats {
-    /// Lookups that found the page in the TLB.
-    pub hits: u64,
-    /// Lookups that had to walk the page table.
-    pub misses: u64,
-    /// Entries invalidated by flushes (page-targeted or global).
-    pub flushed_entries: u64,
-    /// Global flush operations.
-    pub global_flushes: u64,
-}
-
-impl TlbStats {
-    /// Fraction of lookups that hit; 0 with no lookups.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
+/// Buckets of the slot hint, indexed by `vpn % HINTS`.
+const HINTS: usize = 64;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct TlbSlot {
@@ -40,12 +18,18 @@ struct TlbSlot {
 }
 
 /// A fully-associative, LRU-replaced translation-look-aside buffer.
+///
+/// A direct-mapped hint per `vpn % 64` bucket remembers the slot that last held a page of
+/// that bucket, so a lookup usually finds its page without scanning. The hint only
+/// chooses where to look first: it counts when that slot holds the page, and a stale hint
+/// falls back to the scan. Resident pages are unique, so both find the same slot, and
+/// hits, misses and LRU victims are those of the plain fully-associative TLB.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Tlb {
     capacity: usize,
     slots: Vec<TlbSlot>,
     clock: u64,
-    stats: TlbStats,
+    hints: [usize; HINTS],
 }
 
 impl Tlb {
@@ -55,7 +39,7 @@ impl Tlb {
             capacity: capacity.max(1),
             slots: Vec::new(),
             clock: 0,
-            stats: TlbStats::default(),
+            hints: [0; HINTS],
         }
     }
 
@@ -74,88 +58,65 @@ impl Tlb {
         self.slots.is_empty()
     }
 
-    /// Accumulated statistics.
-    pub fn stats(&self) -> &TlbStats {
-        &self.stats
-    }
-
-    /// Resets statistics without evicting entries.
-    pub fn reset_stats(&mut self) {
-        self.stats = TlbStats::default();
-    }
-
     /// Returns the TLB to its just-constructed state: no resident entries, clock and
-    /// statistics zeroed. Unlike [`Tlb::flush_all`] this is not a modelled hardware
-    /// operation — nothing is counted — which is what a backend reset to pristine
-    /// state needs.
+    /// hints zeroed. This is not a modelled hardware operation — nothing is counted —
+    /// which is what a backend reset to pristine state needs.
     pub fn clear(&mut self) {
         self.slots.clear();
         self.clock = 0;
-        self.stats = TlbStats::default();
+        self.hints = [0; HINTS];
     }
 
     /// Looks up the page containing `addr`, filling from `page_table` on a miss.
     ///
     /// Returns the page entry and whether the lookup hit in the TLB.
+    #[inline]
     pub fn lookup(&mut self, addr: u64, page_table: &PageTable) -> (PageEntry, bool) {
-        let (entry, hit, _slot) = self.lookup_slot(addr, page_table);
-        (entry, hit)
-    }
-
-    /// [`Tlb::lookup`], additionally reporting the slot index now holding the page.
-    ///
-    /// The returned index is the handle for [`Tlb::probe_slot`]: the batched replay path
-    /// remembers it per page and revalidates instead of re-scanning the slot vector.
-    pub fn lookup_slot(&mut self, addr: u64, page_table: &PageTable) -> (PageEntry, bool, usize) {
         self.clock += 1;
         let vpn = page_table.page_of(addr);
-        if let Some(idx) = self.slots.iter().position(|s| s.vpn == vpn) {
-            let slot = &mut self.slots[idx];
-            slot.last_use = self.clock;
-            self.stats.hits += 1;
-            return (slot.entry, true, idx);
+        let bucket = (vpn % HINTS as u64) as usize;
+        if let Some(slot) = self.slots.get_mut(self.hints[bucket]) {
+            if slot.vpn == vpn {
+                slot.last_use = self.clock;
+                return (slot.entry, true);
+            }
         }
-        self.stats.misses += 1;
-        let entry = page_table.entry(vpn);
-        let idx = if self.slots.len() < self.capacity {
-            self.slots.push(TlbSlot {
-                vpn,
-                entry,
-                last_use: self.clock,
-            });
-            self.slots.len() - 1
-        } else {
-            let idx = self
-                .slots
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, s)| s.last_use)
-                .expect("capacity >= 1")
-                .0;
-            self.slots[idx] = TlbSlot {
-                vpn,
-                entry,
-                last_use: self.clock,
-            };
-            idx
-        };
-        (entry, false, idx)
+        self.scan(vpn, bucket, page_table)
     }
 
-    /// O(1) revalidating lookup: if slot `idx` still holds page `vpn`, touches it exactly
-    /// as a full [`Tlb::lookup`] hit would (clock advance, LRU update, hit counted) and
-    /// returns its entry. Returns `None` — with **no** state change — when the slot was
-    /// reused for another page, in which case the caller falls back to a full lookup.
-    #[inline]
-    pub fn probe_slot(&mut self, idx: usize, vpn: u64) -> Option<PageEntry> {
-        let slot = self.slots.get_mut(idx)?;
-        if slot.vpn != vpn {
-            return None;
-        }
-        self.clock += 1;
-        slot.last_use = self.clock;
-        self.stats.hits += 1;
-        Some(slot.entry)
+    /// [`Tlb::lookup`] past a missing or stale hint: the fully associative scan, an LRU
+    /// fill on a miss, and the hint update.
+    fn scan(&mut self, vpn: u64, bucket: usize, page_table: &PageTable) -> (PageEntry, bool) {
+        let (entry, hit, idx) = if let Some(idx) = self.slots.iter().position(|s| s.vpn == vpn) {
+            let slot = &mut self.slots[idx];
+            slot.last_use = self.clock;
+            (slot.entry, true, idx)
+        } else {
+            let fill = TlbSlot {
+                vpn,
+                entry: page_table.entry(vpn),
+                last_use: self.clock,
+            };
+            let idx = if self.slots.len() < self.capacity {
+                self.slots.push(fill);
+                self.slots.len() - 1
+            } else {
+                // `last_use` values are distinct (the clock ticks once per lookup), so
+                // the LRU victim is unique.
+                let idx = self
+                    .slots
+                    .iter()
+                    .enumerate()
+                    .min_by_key(|(_, s)| s.last_use)
+                    .expect("capacity >= 1")
+                    .0;
+                self.slots[idx] = fill;
+                idx
+            };
+            (fill.entry, false, idx)
+        };
+        self.hints[bucket] = idx;
+        (entry, hit)
     }
 
     /// Returns `true` if the TLB currently holds a translation for page `vpn`.
@@ -163,29 +124,11 @@ impl Tlb {
         self.slots.iter().any(|s| s.vpn == vpn)
     }
 
-    /// Invalidates the entry for page `vpn`, if resident. Returns `true` if one was dropped.
-    pub fn flush_page(&mut self, vpn: u64) -> bool {
-        let before = self.slots.len();
-        self.slots.retain(|s| s.vpn != vpn);
-        let dropped = before - self.slots.len();
-        self.stats.flushed_entries += dropped as u64;
-        dropped > 0
-    }
-
     /// Invalidates the entries of all listed pages. Returns how many were dropped.
     pub fn flush_pages(&mut self, vpns: &[u64]) -> usize {
         let before = self.slots.len();
         self.slots.retain(|s| !vpns.contains(&s.vpn));
-        let dropped = before - self.slots.len();
-        self.stats.flushed_entries += dropped as u64;
-        dropped
-    }
-
-    /// Invalidates every entry.
-    pub fn flush_all(&mut self) {
-        self.stats.flushed_entries += self.slots.len() as u64;
-        self.stats.global_flushes += 1;
-        self.slots.clear();
+        before - self.slots.len()
     }
 }
 
@@ -213,9 +156,6 @@ mod tests {
         assert!(!hit);
         let (_, hit) = tlb.lookup(0x1abc, &pt); // same page
         assert!(hit);
-        assert_eq!(tlb.stats().hits, 1);
-        assert_eq!(tlb.stats().misses, 1);
-        assert!((tlb.stats().hit_rate() - 0.5).abs() < 1e-12);
         assert_eq!(tlb.len(), 1);
     }
 
@@ -252,26 +192,26 @@ mod tests {
         let (e, hit) = tlb.lookup(0x1000, &table);
         assert!(hit);
         assert_eq!(e.tint, Tint::DEFAULT); // stale!
-        tlb.flush_page(1);
+        tlb.flush_pages(&[1]);
         let (e, hit) = tlb.lookup(0x1000, &table);
         assert!(!hit);
         assert_eq!(e.tint, Tint(5));
     }
 
     #[test]
-    fn flush_operations_count_entries() {
+    fn flush_pages_counts_dropped_entries() {
         let mut tlb = Tlb::new(8);
         let pt = pt();
         for p in 0..4u64 {
             tlb.lookup(p * 4096, &pt);
         }
-        assert_eq!(tlb.flush_pages(&[0, 2]), 2);
-        assert_eq!(tlb.stats().flushed_entries, 2);
-        tlb.flush_all();
-        assert!(tlb.is_empty());
-        assert_eq!(tlb.stats().flushed_entries, 4);
-        assert_eq!(tlb.stats().global_flushes, 1);
-        assert!(!tlb.flush_page(99));
+        assert_eq!(tlb.flush_pages(&[0, 2, 99]), 2);
+        assert_eq!(tlb.len(), 2);
+        // The flush shifted the survivors' slots; their stale hints fall back to the scan.
+        assert!(tlb.lookup(3 * 4096, &pt).1);
+        assert!(!tlb.lookup(0, &pt).1);
+        tlb.clear();
+        assert_eq!(tlb, Tlb::new(8));
     }
 
     #[test]

@@ -3,8 +3,9 @@
 use ccache_sim::cache::{AccessOutcome, Eviction};
 use ccache_sim::prelude::*;
 use ccache_sim::replacement::ReplacementState;
-use ccache_sim::{CacheConfig, ColumnCache, Tint};
+use ccache_sim::{CacheConfig, ColumnCache, PageEntry, PageTable, Tint, TintTable, Tlb};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 /// A straight transcription of the pre-rewrite array-of-structs cache: one struct per
 /// line, linear `position` probe, validity gathered per miss. The struct-of-arrays
@@ -72,6 +73,118 @@ impl ReferenceCache {
             column: way,
             evicted,
         }
+    }
+}
+
+/// A transcription of the scan-only LRU TLB the hinted [`Tlb`] replaced: a linear
+/// `position` scan per lookup, and on a miss a fill into a free slot or over the slot
+/// with the smallest `last_use`.
+struct ReferenceTlb {
+    capacity: usize,
+    /// `(vpn, entry, last_use)` per resident page.
+    slots: Vec<(u64, PageEntry, u64)>,
+    clock: u64,
+}
+
+impl ReferenceTlb {
+    fn new(capacity: usize) -> Self {
+        ReferenceTlb {
+            capacity: capacity.max(1),
+            slots: Vec::new(),
+            clock: 0,
+        }
+    }
+
+    fn lookup(&mut self, addr: u64, page_table: &PageTable) -> (PageEntry, bool) {
+        self.clock += 1;
+        let vpn = page_table.page_of(addr);
+        if let Some(slot) = self.slots.iter_mut().find(|s| s.0 == vpn) {
+            slot.2 = self.clock;
+            return (slot.1, true);
+        }
+        let fill = (vpn, page_table.entry(vpn), self.clock);
+        if self.slots.len() < self.capacity {
+            self.slots.push(fill);
+        } else {
+            let victim = self
+                .slots
+                .iter()
+                .enumerate()
+                .min_by_key(|(_, s)| s.2)
+                .expect("capacity >= 1")
+                .0;
+            self.slots[victim] = fill;
+        }
+        (fill.1, false)
+    }
+
+    fn flush_pages(&mut self, vpns: &[u64]) -> usize {
+        let before = self.slots.len();
+        self.slots.retain(|s| !vpns.contains(&s.0));
+        before - self.slots.len()
+    }
+
+    fn clear(&mut self) {
+        self.slots.clear();
+        self.clock = 0;
+    }
+}
+
+/// A transcription of the `BTreeMap` tint table the dense [`TintTable`] replaced.
+struct ReferenceTints {
+    columns: usize,
+    map: BTreeMap<Tint, ColumnMask>,
+    remaps: u64,
+}
+
+impl ReferenceTints {
+    fn new(columns: usize) -> Self {
+        ReferenceTints {
+            columns,
+            map: BTreeMap::from([(Tint::DEFAULT, ColumnMask::all(columns))]),
+            remaps: 0,
+        }
+    }
+
+    fn define(&mut self, tint: Tint, mask: ColumnMask) -> Result<(), SimError> {
+        mask.validate(self.columns)?;
+        self.map.insert(tint, mask);
+        self.remaps += 1;
+        Ok(())
+    }
+
+    fn mask_or_default(&self, tint: Tint) -> ColumnMask {
+        self.map
+            .get(&tint)
+            .or_else(|| self.map.get(&Tint::DEFAULT))
+            .copied()
+            .unwrap_or_else(|| ColumnMask::all(self.columns))
+    }
+
+    fn make_exclusive(&mut self, owner: Tint, mask: ColumnMask) -> Result<Vec<Tint>, SimError> {
+        mask.validate(self.columns)?;
+        self.map.insert(owner, mask);
+        self.remaps += 1;
+        let mut skipped = Vec::new();
+        let keys: Vec<Tint> = self.map.keys().copied().collect();
+        for t in keys {
+            if t == owner {
+                continue;
+            }
+            let cur = self.map[&t];
+            let reduced = cur & !mask;
+            if reduced.is_empty() {
+                skipped.push(t);
+            } else if reduced != cur {
+                self.map.insert(t, reduced);
+                self.remaps += 1;
+            }
+        }
+        Ok(skipped)
+    }
+
+    fn reset(&mut self) {
+        *self = ReferenceTints::new(self.columns);
     }
 }
 
@@ -241,5 +354,81 @@ proptest! {
         prop_assert_eq!(s.column_hits.iter().sum::<u64>(), s.hits);
         prop_assert_eq!(s.column_fills.iter().sum::<u64>(), s.misses);
         prop_assert!(s.writebacks <= s.evictions + 1);
+    }
+
+    /// The hinted TLB is observationally identical to the scan-only LRU model: the same
+    /// `(entry, hit)` for every lookup, the same count for every flush, and the same
+    /// resident pages at the end, for every capacity from 1 to 70 entries. The streams
+    /// mix page-table writes without a flush (stale entries), page flushes (which shift
+    /// slot indices under the hints) and clears.
+    #[test]
+    fn hinted_tlb_matches_scan_only_reference_model(
+        capacity in 1usize..71,
+        ops in prop::collection::vec((0u8..100, 0u64..200, 0u64..4096), 1..600),
+    ) {
+        let mut table = PageTable::new(4096).unwrap();
+        let mut tlb = Tlb::new(capacity);
+        let mut model = ReferenceTlb::new(capacity);
+        for (kind, vpn, offset) in ops {
+            match kind {
+                0..=89 => {
+                    let addr = vpn * 4096 + offset;
+                    prop_assert_eq!(tlb.lookup(addr, &table), model.lookup(addr, &table));
+                }
+                90..=94 => {
+                    table.set_page_tint(vpn, Tint((offset % 5) as u32));
+                }
+                95..=98 => {
+                    let vpns = [vpn, vpn + 64, offset % 200];
+                    prop_assert_eq!(tlb.flush_pages(&vpns), model.flush_pages(&vpns));
+                }
+                _ => {
+                    tlb.clear();
+                    model.clear();
+                }
+            }
+        }
+        prop_assert_eq!(tlb.len(), model.slots.len());
+        for vpn in 0..264 {
+            prop_assert_eq!(tlb.contains(vpn), model.slots.iter().any(|s| s.0 == vpn));
+        }
+    }
+
+    /// The dense tint table is observationally identical to the `BTreeMap` model under
+    /// random `define` / `make_exclusive` / `reset` sequences: the same results (errors
+    /// and skipped-tint lists included), the same mask for every defined and undefined
+    /// tint, the same `iter()` order, `len()` and remap count.
+    #[test]
+    fn dense_tint_table_matches_btreemap_reference_model(
+        columns in 1usize..9,
+        ops in prop::collection::vec((0u8..10, 0u32..40, 0u64..512), 1..200),
+    ) {
+        let mut table = TintTable::new(columns);
+        let mut model = ReferenceTints::new(columns);
+        for (kind, tint, bits) in ops {
+            // Bits at or above `columns` (and the empty mask) are kept on purpose: both
+            // tables must refuse them with the same error.
+            let mask = ColumnMask::from_bits(bits);
+            match kind {
+                0..=5 => {
+                    prop_assert_eq!(table.define(Tint(tint), mask), model.define(Tint(tint), mask));
+                }
+                6..=8 => prop_assert_eq!(
+                    table.make_exclusive(Tint(tint), mask),
+                    model.make_exclusive(Tint(tint), mask)
+                ),
+                _ => {
+                    table.reset();
+                    model.reset();
+                }
+            }
+            for t in 0..48 {
+                prop_assert_eq!(table.mask_or_default(Tint(t)), model.mask_or_default(Tint(t)));
+            }
+        }
+        let listed: Vec<(Tint, ColumnMask)> = model.map.iter().map(|(t, m)| (*t, *m)).collect();
+        prop_assert_eq!(table.iter().collect::<Vec<_>>(), listed);
+        prop_assert_eq!(table.len(), model.map.len());
+        prop_assert_eq!(table.remaps, model.remaps);
     }
 }

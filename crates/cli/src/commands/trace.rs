@@ -16,7 +16,7 @@ use ccache_trace::synth;
 use ccache_trace::textfmt;
 use ccache_trace::Trace;
 use std::fmt::Write as _;
-use std::io::{BufRead, BufReader, BufWriter};
+use std::io::{BufReader, BufWriter};
 
 /// Help text for `ccache trace`.
 pub const USAGE: &str = "\
@@ -252,14 +252,8 @@ fn info(args: Vec<String>) -> Result<(), CliError> {
         }
         ("binary", Some(version))
     } else {
-        let source = BufReader::new(std::fs::File::open(&path)?);
-        for (i, line) in source.lines().enumerate() {
-            let line = line?;
-            let trimmed = line.trim();
-            if trimmed.is_empty() || trimmed.starts_with('#') {
-                continue;
-            }
-            let ev = textfmt::parse_line(i + 1, trimmed)?;
+        for ev in textfmt::events(BufReader::new(std::fs::File::open(&path)?)) {
+            let ev = ev?;
             tally(ev.addr, ev.last_byte(), ev.is_write());
         }
         ("text", None)

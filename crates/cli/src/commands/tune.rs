@@ -11,6 +11,7 @@ use crate::args::ArgParser;
 use crate::backend::backend_from_parser;
 use crate::error::CliError;
 use crate::output::{csv_field, markdown_table, Render, ReportArgs};
+use ccache_exp::WorkloadSel;
 use ccache_json::{Json, ToJson};
 use ccache_opt::{GeometrySearch, StrategyKind, TuneOutcome, TuneRequest};
 use ccache_sim::backend::BackendKind;
@@ -107,8 +108,8 @@ pub fn run(args: Vec<String>) -> Result<(), CliError> {
 
     // Validate the workload name while the parser is still alive, so usage errors
     // (unknown names, leftover flags) surface before any workload build or file I/O.
-    let workload = match (&trace_path, workload) {
-        (Some(_), _) => None,
+    let selection = match (trace_path, workload) {
+        (Some(path), _) => WorkloadSel::Trace { path },
         (None, name) => {
             let name = name.unwrap_or_else(|| "mpeg-combined".to_owned());
             if !ccache_workloads::CORPUS_NAMES.contains(&name.as_str()) {
@@ -117,32 +118,13 @@ pub fn run(args: Vec<String>) -> Result<(), CliError> {
                     ccache_workloads::CORPUS_NAMES.join(", ")
                 )));
             }
-            Some(name)
+            WorkloadSel::Corpus { name }
         }
     };
     p.finish()?;
 
-    // Select the workload: a named corpus entry or a trace file with inferred regions.
-    let (name, trace, symbols) = match trace_path {
-        Some(path) => {
-            let trace = if ccache_trace::binfmt::is_binary_trace_file(&path)? {
-                let mut reader = ccache_trace::binfmt::TraceReader::open(&path)?;
-                reader.read_to_trace()?
-            } else {
-                ccache_trace::textfmt::read_trace(std::io::BufReader::new(std::fs::File::open(
-                    &path,
-                )?))?
-            };
-            let symbols =
-                ccache_trace::infer::infer_symbols(&trace, template.page_size.max(4096), line);
-            (path, trace, symbols)
-        }
-        None => {
-            let name = workload.expect("validated above");
-            let run = ccache_workloads::corpus(&name, quick).expect("name validated above");
-            (name, run.trace, run.symbols)
-        }
-    };
+    // A named corpus entry, or a trace file with inferred regions.
+    let run = selection.load(template.page_size, line, quick)?;
 
     let request = TuneRequest {
         template,
@@ -159,7 +141,7 @@ pub fn run(args: Vec<String>) -> Result<(), CliError> {
         baseline,
     };
     let session = column_caching::Session::builder().quick(quick).build()?;
-    let outcome = session.tune(&trace, &symbols, &request)?;
+    let outcome = session.tune(&run.trace, &run.symbols, &request)?;
 
     // Deterministic (counter-only) telemetry snapshot: identical runs produce
     // byte-identical files, which is what the CI determinism smoke diffs.
@@ -169,7 +151,7 @@ pub fn run(args: Vec<String>) -> Result<(), CliError> {
     }
 
     let report = TuneReport {
-        workload: name,
+        workload: selection.short().to_owned(),
         outcome,
     };
     report_args.emit(&report)

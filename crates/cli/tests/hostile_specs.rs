@@ -119,3 +119,31 @@ fn flags_past_the_simulator_limits_are_refused() {
         assert!(stderr.contains(message), "{args:?}: {stderr}");
     }
 }
+
+#[test]
+fn traces_without_line_breaks_are_refused_within_seconds() {
+    // A text trace is read line by line; `/dev/zero` is one endless line, which the
+    // reader once buffered until the allocation failed and the process aborted.
+    let spec = r#"{"name": "zero", "replay": [{"workloads": [{"trace": "/dev/zero"}]}]}"#;
+    let (code, stderr, elapsed) = run_spec("dev-zero", spec);
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(
+        stderr.contains("line 1: longer than 4096 bytes"),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(elapsed < Duration::from_secs(10), "took {elapsed:?}");
+
+    let start = Instant::now();
+    let output = Command::new(env!("CARGO_BIN_EXE_ccache"))
+        .args(["trace", "info", "/dev/zero"])
+        .output()
+        .expect("spawn ccache");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("line 1: longer than 4096 bytes"),
+        "{stderr}"
+    );
+    assert!(start.elapsed() < Duration::from_secs(10));
+}

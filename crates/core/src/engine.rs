@@ -232,18 +232,13 @@ impl ReplayEngine {
     ///
     /// Returns an error if the configuration is invalid.
     pub fn new(kind: BackendKind, config: SystemConfig) -> Result<Self, CoreError> {
-        Ok(ReplayEngine::from_backend(build_backend(kind, config)?))
-    }
-
-    /// Creates an engine over an existing backend.
-    pub fn from_backend(backend: Box<dyn MemoryBackend>) -> Self {
-        ReplayEngine {
-            backend,
+        Ok(ReplayEngine {
+            backend: build_backend(kind, config)?,
             snapshot: None,
             batch: DEFAULT_BATCH,
             buffer: Vec::new(),
             telemetry: EngineTelemetry::bind(&Registry::global()),
-        }
+        })
     }
 
     /// Rebinds the engine's telemetry to `registry` (the process-wide
@@ -322,18 +317,6 @@ impl ReplayEngine {
     /// ```
     pub fn snapshot(&mut self) {
         self.snapshot = Some(self.backend.boxed_clone());
-    }
-
-    /// Returns `true` if a snapshot has been taken (and [`ReplayEngine::reset`] will
-    /// restore it rather than the just-constructed state).
-    pub fn has_snapshot(&self) -> bool {
-        self.snapshot.is_some()
-    }
-
-    /// Drops the snapshot, so the next [`ReplayEngine::reset`] returns the backend to its
-    /// just-constructed state.
-    pub fn clear_snapshot(&mut self) {
-        self.snapshot = None;
     }
 
     /// Restores the backend to the last snapshot; with no snapshot taken, returns it to
@@ -564,11 +547,9 @@ mod tests {
     #[test]
     fn snapshot_and_reset_are_safe_before_any_replay() {
         let mut engine = ReplayEngine::new(BackendKind::ColumnCache, config()).unwrap();
-        assert!(!engine.has_snapshot());
         engine.reset(); // no snapshot, nothing replayed: must not panic
         engine.reset(); // idempotent
         engine.snapshot(); // snapshot of a pristine engine
-        assert!(engine.has_snapshot());
         engine.reset();
 
         // the pristine snapshot behaves exactly like a fresh engine
@@ -576,11 +557,6 @@ mod tests {
         let from_snapshot = engine.replay("x", &t);
         let mut fresh = ReplayEngine::new(BackendKind::ColumnCache, config()).unwrap();
         assert_eq!(from_snapshot, fresh.replay("x", &t));
-
-        engine.clear_snapshot();
-        assert!(!engine.has_snapshot());
-        engine.reset(); // back to full_reset semantics, still panic-free
-        assert_eq!(engine.replay("x", &t), fresh.replay("x", &t));
     }
 
     #[test]

@@ -11,9 +11,6 @@
 //!   ([`runner::run_on`]).
 //! * [`placement`] — relocate program variables (page alignment, scratchpad packing)
 //!   before an experiment.
-//! * [`fitness`] — the replay engine packaged as a fitness function for configuration
-//!   search ([`fitness::ReplayFitness`]): a shared trace arena, a fresh engine per
-//!   candidate, and order-preserving parallel batches.
 //! * [`partition`] — one point of the Figure 4 scratchpad/cache partition sweep.
 //! * [`dynamic`] — the dynamically remapped column-cache run of Figure 4(d).
 //! * [`multitask`] — one point of the Figure 5 multitasking CPI-vs-quantum experiment.
@@ -61,7 +58,6 @@
 pub mod dynamic;
 pub mod engine;
 pub mod error;
-pub mod fitness;
 pub mod multitask;
 pub mod observe;
 pub mod parallel;
@@ -73,7 +69,6 @@ pub mod runner;
 pub use dynamic::{run_dynamic_in, DynamicRunResult, Figure4dResult};
 pub use engine::{RefSource, ReplayEngine};
 pub use error::CoreError;
-pub use fitness::{Candidate, ReplayFitness};
 pub use multitask::{
     run_multitasking_in, run_multitasking_on, JobMetrics, MultitaskConfig, MultitaskRun,
     QuantumSeries, SharingPolicy,
@@ -91,7 +86,6 @@ pub mod prelude {
     pub use crate::dynamic::{run_dynamic_in, Figure4dResult};
     pub use crate::engine::ReplayEngine;
     pub use crate::error::CoreError;
-    pub use crate::fitness::{Candidate, ReplayFitness};
     pub use crate::multitask::{run_multitasking_on, MultitaskConfig, SharingPolicy};
     pub use crate::partition::{run_partition_point_in, PartitionConfig, PartitionSweep};
     pub use crate::report::SweepReport;

@@ -25,9 +25,9 @@ use ccache_layout::{ConflictGraph, LayoutOptions, WeightOptions};
 use ccache_sim::backend::BackendKind;
 use ccache_sim::{CacheConfig, ColumnMask, LatencyConfig, SystemConfig};
 use ccache_telemetry::Registry;
-use ccache_trace::{AccessProfile, SymbolTable, Trace, VarId};
+use ccache_trace::{SymbolTable, Trace, VarId};
 use ccache_workloads::WorkloadRun;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Base address of the packed scratchpad block in the relocated memory map.
 const SCRATCHPAD_BASE: u64 = 0x4_0000;
@@ -132,24 +132,43 @@ impl PartitionSweep {
 
 /// Greedily selects the variables to hold in `capacity` bytes of scratchpad, by decreasing
 /// access density, skipping variables that do not fit in the remaining space.
+///
+/// An event counts for its annotated variable, else for the region its address resolves
+/// to. A variable's density is its access count per byte of its region, or the bare count
+/// when the symbol table does not size it; ties go to the lower [`VarId`].
 pub fn select_scratchpad_vars(trace: &Trace, symbols: &SymbolTable, capacity: u64) -> Vec<VarId> {
     if capacity == 0 {
         return Vec::new();
     }
-    let profile = AccessProfile::from_trace(trace, symbols);
-    let mut ranked: Vec<_> = profile.iter().collect();
+    let mut accesses: BTreeMap<VarId, u64> = BTreeMap::new();
+    for ev in trace {
+        if let Some(var) = ev.var.or_else(|| symbols.resolve(ev.addr)) {
+            *accesses.entry(var).or_default() += 1;
+        }
+    }
+    let mut ranked: Vec<(VarId, u64, f64)> = accesses
+        .into_iter()
+        .map(|(var, count)| {
+            let size = symbols.region(var).map_or(0, |r| r.size);
+            let density = if size == 0 {
+                count as f64
+            } else {
+                count as f64 / size as f64
+            };
+            (var, size, density)
+        })
+        .collect();
     ranked.sort_by(|a, b| {
-        b.access_density()
-            .partial_cmp(&a.access_density())
+        b.2.partial_cmp(&a.2)
             .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.var.cmp(&b.var))
+            .then(a.0.cmp(&b.0))
     });
     let mut selected = Vec::new();
     let mut used = 0u64;
-    for p in ranked {
-        if p.size > 0 && used + p.size <= capacity {
-            selected.push(p.var);
-            used += p.size;
+    for (var, size, _) in ranked {
+        if size > 0 && used + size <= capacity {
+            selected.push(var);
+            used += size;
         }
     }
     selected

@@ -159,22 +159,21 @@ impl JobOutcome {
 /// Workloads and multitask job sets loaded once per execution, shared read-only by the
 /// workers.
 struct Context {
-    /// Corpus entries by name.
-    corpus: BTreeMap<String, WorkloadRun>,
-    /// Materialized trace files by (path, page, line) — symbols are inferred with the
-    /// geometry's page/line granularity, exactly like `ccache tune --trace`.
-    traces: BTreeMap<(String, u64, u64), WorkloadRun>,
+    /// Loaded workloads by [`workload_key`].
+    workloads: BTreeMap<(WorkloadSel, Option<(u64, u64)>), WorkloadRun>,
     /// The MPEG phase recordings, when a dynamic job needs them.
     phases: Option<(Vec<(String, Trace)>, SymbolTable)>,
     /// Multitask job sets by canonical descriptor.
     job_sets: BTreeMap<String, Vec<Job>>,
 }
 
-/// Cache key of a materialized trace file: the path plus the values symbol inference
-/// actually depends on, so geometries differing only in a sub-4096 page size share one
-/// loaded copy.
-fn trace_key(path: &str, geometry: &GeometrySpec) -> (String, u64, u64) {
-    (path.to_owned(), geometry.page.max(4096), geometry.line)
+/// Cache key of a job's workload: the selector plus what symbol inference depends on
+/// under the job's geometry ([`WorkloadSel::inference`]). So a corpus entry loads once
+/// by name, and geometries differing only in a sub-4096 page size share one loaded copy
+/// of a trace file.
+fn workload_key(job: &ReplayJob) -> (WorkloadSel, Option<(u64, u64)>) {
+    let inference = job.workload.inference(job.geometry.page, job.geometry.line);
+    (job.workload.clone(), inference)
 }
 
 fn job_set_key(jobs: &[crate::spec::GzipJobSpec]) -> String {
@@ -197,8 +196,7 @@ impl Context {
     fn load(plan: &Plan, opts: &ExecOptions) -> Result<Self, ExpError> {
         let scale = opts.scale();
         let mut ctx = Context {
-            corpus: BTreeMap::new(),
-            traces: BTreeMap::new(),
+            workloads: BTreeMap::new(),
             phases: None,
             job_sets: BTreeMap::new(),
         };
@@ -229,43 +227,13 @@ impl Context {
                     if is_streaming(job)? {
                         continue;
                     }
-                    match &job.workload {
-                        WorkloadSel::Corpus { name } => {
-                            if let std::collections::btree_map::Entry::Vacant(slot) =
-                                ctx.corpus.entry(name.clone())
-                            {
-                                // The JSON path validates names at parse time, but specs
-                                // can also be built programmatically — fail cleanly.
-                                let run = ccache_workloads::corpus(name, opts.quick).ok_or_else(
-                                    || ExpError::BadSpec {
-                                        reason: format!(
-                                            "unknown workload '{name}' (expected one of: {})",
-                                            ccache_workloads::CORPUS_NAMES.join(", ")
-                                        ),
-                                    },
-                                )?;
-                                slot.insert(run);
-                            }
-                        }
-                        WorkloadSel::Trace { path } => {
-                            let key = trace_key(path, &job.geometry);
-                            if let std::collections::btree_map::Entry::Vacant(slot) =
-                                ctx.traces.entry(key)
-                            {
-                                let trace = load_trace(path)?;
-                                let symbols = ccache_trace::infer::infer_symbols(
-                                    &trace,
-                                    job.geometry.page.max(4096),
-                                    job.geometry.line,
-                                );
-                                slot.insert(WorkloadRun {
-                                    name: path.clone(),
-                                    trace,
-                                    symbols,
-                                    checksum: 0,
-                                });
-                            }
-                        }
+                    if let std::collections::btree_map::Entry::Vacant(slot) =
+                        ctx.workloads.entry(workload_key(job))
+                    {
+                        // The JSON path validates corpus names at parse time, but specs
+                        // can also be built programmatically; the loader refuses cleanly.
+                        let (page, line) = (job.geometry.page, job.geometry.line);
+                        slot.insert(job.workload.load(page, line, opts.quick)?);
                     }
                 }
                 JobUnit::Multitask(job) => {
@@ -289,30 +257,11 @@ impl Context {
     }
 
     fn workload(&self, job: &ReplayJob) -> Result<&WorkloadRun, ExpError> {
-        match &job.workload {
-            WorkloadSel::Corpus { name } => {
-                self.corpus.get(name).ok_or_else(|| ExpError::BadSpec {
-                    reason: format!("workload '{name}' was not preloaded"),
-                })
-            }
-            WorkloadSel::Trace { path } => self
-                .traces
-                .get(&trace_key(path, &job.geometry))
-                .ok_or_else(|| ExpError::BadSpec {
-                    reason: format!("trace '{path}' was not preloaded"),
-                }),
-        }
-    }
-}
-
-fn load_trace(path: &str) -> Result<Trace, ExpError> {
-    if ccache_trace::binfmt::is_binary_trace_file(path)? {
-        let mut reader = ccache_trace::binfmt::TraceReader::open(path)?;
-        Ok(reader.read_to_trace()?)
-    } else {
-        Ok(ccache_trace::textfmt::read_trace(std::io::BufReader::new(
-            std::fs::File::open(path)?,
-        ))?)
+        self.workloads
+            .get(&workload_key(job))
+            .ok_or_else(|| ExpError::BadSpec {
+                reason: format!("workload '{}' was not preloaded", job.workload.short()),
+            })
     }
 }
 

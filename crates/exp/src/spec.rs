@@ -18,6 +18,7 @@ use ccache_opt::StrategyKind;
 use ccache_sim::backend::BackendKind;
 use ccache_sim::mask::MAX_COLUMNS;
 use ccache_sim::{CacheConfig, LatencyConfig, ReplacementPolicy, SystemConfig};
+use ccache_workloads::WorkloadRun;
 
 /// A full experiment: a named union of replay and multitask grids.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -80,6 +81,57 @@ impl WorkloadSel {
             WorkloadSel::Trace { path } => path,
         }
     }
+
+    /// The inputs a load at page size `page` and line size `line` depends on beyond the
+    /// selector: the region gap and granularity symbol inference uses for a trace file,
+    /// nothing for a corpus entry, which carries its recorded symbols. Loads with equal
+    /// selectors and equal inputs are identical.
+    pub(crate) fn inference(&self, page: u64, line: u64) -> Option<(u64, u64)> {
+        matches!(self, WorkloadSel::Trace { .. }).then(|| trace_inference(page, line))
+    }
+
+    /// Loads the workload for a geometry with page size `page` and line size `line`: a
+    /// corpus entry built at the quick or paper scale, or a trace file (either format)
+    /// with symbols inferred from its addresses, using a region gap of the page size but
+    /// at least 4 KiB, at line granularity. A trace's name is its path.
+    ///
+    /// # Errors
+    ///
+    /// Fails for corpus names not in `ccache_workloads::CORPUS_NAMES` and for trace files
+    /// that cannot be read or decoded.
+    pub fn load(&self, page: u64, line: u64, quick: bool) -> Result<WorkloadRun, ExpError> {
+        match self {
+            WorkloadSel::Corpus { name } => {
+                ccache_workloads::corpus(name, quick).ok_or_else(|| bad(unknown_workload(name)))
+            }
+            WorkloadSel::Trace { path } => {
+                let trace = ccache_trace::read_trace_file(path)?;
+                let (gap, granularity) = trace_inference(page, line);
+                let symbols = ccache_trace::infer_symbols(&trace, gap, granularity);
+                Ok(WorkloadRun {
+                    name: path.clone(),
+                    trace,
+                    symbols,
+                    checksum: 0,
+                })
+            }
+        }
+    }
+}
+
+/// The region gap and granularity of symbol inference for a trace file: the page size,
+/// but never under 4 KiB, so small pages do not split variables; and the line size.
+fn trace_inference(page: u64, line: u64) -> (u64, u64) {
+    (page.max(4096), line)
+}
+
+/// The refusal for a corpus name that is not in `ccache_workloads::CORPUS_NAMES`, which
+/// it lists.
+pub fn unknown_workload(name: &str) -> String {
+    format!(
+        "unknown workload '{name}' (expected one of: {})",
+        ccache_workloads::CORPUS_NAMES.join(", ")
+    )
 }
 
 /// A cache geometry plus the latency model, the unit the grid crosses over.
@@ -584,10 +636,7 @@ impl WorkloadSel {
     /// Fails for names not in `ccache_workloads::CORPUS_NAMES`.
     pub fn corpus(name: &str) -> Result<Self, ExpError> {
         if !ccache_workloads::CORPUS_NAMES.contains(&name) {
-            return Err(bad(format!(
-                "unknown workload '{name}' (expected one of: {})",
-                ccache_workloads::CORPUS_NAMES.join(", ")
-            )));
+            return Err(bad(unknown_workload(name)));
         }
         Ok(WorkloadSel::Corpus {
             name: name.to_owned(),

@@ -59,9 +59,7 @@ pub use assignment::{
 pub use error::LayoutError;
 pub use graph::{ConflictGraph, Vertex};
 pub use static_analysis::{ProgramIr, Stmt};
-pub use weights::{
-    conflict_graph_from_profile, conflict_graph_from_trace, LayoutUnit, UnitMap, WeightOptions,
-};
+pub use weights::{conflict_graph_from_trace, LayoutUnit, UnitMap, WeightOptions};
 
 /// Convenient glob-import of the types most programs need.
 pub mod prelude {

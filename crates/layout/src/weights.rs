@@ -12,7 +12,7 @@
 //! *assignable units* that become graph vertices.
 
 use crate::graph::{ConflictGraph, Vertex};
-use ccache_trace::{AccessProfile, Interval, SymbolTable, Trace, VarId};
+use ccache_trace::{Interval, SymbolTable, Trace, VarId};
 
 /// One assignable unit: a whole variable, or one column-sized piece of a large variable.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -227,36 +227,6 @@ pub fn conflict_graph_from_trace(
     (graph, unit_map)
 }
 
-/// Builds a conflict graph directly from an [`AccessProfile`] without splitting variables
-/// (one vertex per profiled variable). Useful when only a profile, not a full trace, is
-/// available.
-pub fn conflict_graph_from_profile(profile: &AccessProfile) -> (ConflictGraph, Vec<VarId>) {
-    let vars = profile.variables();
-    let mut graph = ConflictGraph::new();
-    for v in &vars {
-        let p = profile.get(*v).expect("variable from profile");
-        graph.add_vertex(Vertex {
-            var: *v,
-            name: if p.name.is_empty() {
-                v.to_string()
-            } else {
-                p.name.clone()
-            },
-            size: p.size,
-            accesses: p.accesses,
-        });
-    }
-    for i in 0..vars.len() {
-        for j in (i + 1)..vars.len() {
-            let w = profile.potential_conflicts(vars[i], vars[j]);
-            if w > 0 {
-                graph.set_weight(i, j, w);
-            }
-        }
-    }
-    (graph, vars)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -351,23 +321,6 @@ mod tests {
         let (trace, symbols) = rec.finish();
         let (g, um) = conflict_graph_from_trace(&trace, &symbols, &WeightOptions::default());
         assert_eq!(um.len(), 2);
-        assert!(g.weight(0, 1) > 0);
-    }
-
-    #[test]
-    fn graph_from_profile_matches_potential_conflicts() {
-        let mut rec = TraceRecorder::new();
-        let a = rec.allocate("a", 64, 8);
-        let b = rec.allocate("b", 64, 8);
-        for i in 0..6u64 {
-            rec.record(a, (i % 8) * 8, 8, AccessKind::Read);
-            rec.record(b, (i % 8) * 8, 8, AccessKind::Read);
-        }
-        let (trace, symbols) = rec.finish();
-        let profile = AccessProfile::from_trace(&trace, &symbols);
-        let (g, vars) = conflict_graph_from_profile(&profile);
-        assert_eq!(vars.len(), 2);
-        assert_eq!(g.weight(0, 1), profile.potential_conflicts(a, b));
         assert!(g.weight(0, 1) > 0);
     }
 

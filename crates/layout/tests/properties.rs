@@ -7,7 +7,7 @@ use ccache_layout::weights::{conflict_graph_from_trace, UnitMap, WeightOptions};
 use ccache_layout::{
     assign_columns, ColumnAssignment, ConflictGraph, LayoutError, LayoutOptions, Vertex,
 };
-use ccache_trace::{AccessKind, SymbolTable, TraceRecorder, VarId};
+use ccache_trace::{AccessKind, MemAccess, SymbolTable, Trace, TraceRecorder, VarId};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -339,6 +339,54 @@ proptest! {
         }
         let coloring = greedy_coloring(&graph);
         prop_assert!(is_proper(&graph, &coloring));
+    }
+
+    /// Conflict graphs account for every access that resolves to a variable, whether
+    /// annotated or found by address, and drop the ones outside every region. Every
+    /// weight is symmetric and at most the smaller endpoint's access count, as
+    /// `MIN(n^j_i, n^i_j)` must be.
+    #[test]
+    fn conflict_graphs_account_for_every_access(
+        ops in prop::collection::vec((0usize..7, 0u64..32, any::<bool>()), 1..400),
+    ) {
+        let mut rec = TraceRecorder::new();
+        let vars: Vec<VarId> = (0..5).map(|i| rec.allocate(&format!("v{i}"), 256, 8)).collect();
+        let (_, symbols) = rec.finish();
+        let mut trace = Trace::new();
+        let mut resolved = 0u64;
+        for (v, off, w) in &ops {
+            let (addr, var) = match *v {
+                // annotated events
+                v @ 0..=4 => (symbols.region(vars[v]).unwrap().base + off * 8, Some(vars[v])),
+                // an unannotated event inside a region, found by address
+                5 => (symbols.region(vars[*off as usize % 5]).unwrap().base + off * 8, None),
+                // an unannotated event outside every region
+                _ => (0xdead_0000 + off * 8, None),
+            };
+            let ev = if *w { MemAccess::write(addr, 8) } else { MemAccess::read(addr, 8) };
+            let ev = match var {
+                Some(var) => ev.with_var(var),
+                None => ev,
+            };
+            resolved += u64::from(ev.var.or_else(|| symbols.resolve(addr)).is_some());
+            trace.push(ev);
+        }
+        for split in [false, true] {
+            let opts = WeightOptions { column_bytes: 64, split_large_variables: split, min_accesses: 1 };
+            let (graph, _) = conflict_graph_from_trace(&trace, &symbols, &opts);
+            let total: u64 = graph.vertices().map(|(_, v)| v.accesses).sum();
+            prop_assert_eq!(total, resolved);
+            for a in 0..graph.vertex_count() {
+                for b in 0..graph.vertex_count() {
+                    if a == b { continue; }
+                    let w = graph.weight(a, b);
+                    prop_assert_eq!(w, graph.weight(b, a));
+                    let ca = graph.vertex(a).unwrap().accesses;
+                    let cb = graph.vertex(b).unwrap().accesses;
+                    prop_assert!(w <= ca.min(cb));
+                }
+            }
+        }
     }
 
     /// Resolving a unit by arithmetic agrees with scanning every unit, for every offset

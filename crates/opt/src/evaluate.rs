@@ -1,21 +1,25 @@
 //! Replay-backed fitness with a canonical-genome cache and an evaluation budget.
 //!
 //! Search strategies propose genomes; the [`Evaluator`] decodes each into a concrete
-//! candidate (geometry + [`CacheMapping`]), replays the trace
-//! through [`ReplayFitness`], and memoises the result under the genome's canonical key —
-//! so a duplicate candidate, however it was produced, **never replays twice**. Only real
+//! candidate (geometry + [`CacheMapping`]), replays the trace on a fresh
+//! [`ReplayEngine`], and memoises the result under the genome's canonical key — so a
+//! duplicate candidate, however it was produced, **never replays twice**. Only real
 //! replays count against the budget, which is what lets a strategy keep polishing a
 //! converged population for free.
 //!
-//! Batches preserve input order and fan out over threads unless the evaluator was built
-//! serial; because the cache is keyed canonically and filled in input order, the
-//! evaluator's observable behaviour is byte-identical either way.
+//! The trace is decoded once into the `(address, is_write)` references every replay
+//! reads; nothing else is shared between candidates, so every evaluation is exactly one
+//! `engine.replays` tick. Batches preserve input order and fan out over threads unless
+//! the evaluator was built serial; because the cache is keyed canonically and filled in
+//! input order, the evaluator's observable behaviour is byte-identical either way.
 
 use crate::error::OptError;
 use crate::space::{Genome, SearchSpace};
-use ccache_core::{CacheMapping, Candidate, ReplayFitness, RunResult};
+use ccache_core::parallel::{par_map, seq_map};
+use ccache_core::{CacheMapping, CoreError, ReplayEngine, RunResult};
 use ccache_layout::assignment_from_vertex_columns;
 use ccache_sim::backend::BackendKind;
+use ccache_sim::SystemConfig;
 use ccache_telemetry::{Counter, Registry};
 use ccache_trace::Trace;
 use std::collections::BTreeMap;
@@ -54,7 +58,11 @@ impl Fitness {
 /// Memoising, budgeted fitness evaluation over one search space.
 pub struct Evaluator<'a> {
     space: &'a SearchSpace,
-    fitness: ReplayFitness,
+    /// The trace decoded once into the form every candidate replay runs over.
+    references: Vec<(u64, bool)>,
+    serial: bool,
+    /// The registry every candidate engine reports into.
+    registry: Registry,
     cache: BTreeMap<Vec<u8>, Fitness>,
     budget: usize,
     replays: usize,
@@ -82,29 +90,27 @@ impl<'a> Evaluator<'a> {
     /// Creates an evaluator over `space` replaying `trace`, allowed `budget` real
     /// replays. `serial` forces single-threaded evaluation (used to prove schedule
     /// independence).
-    pub fn new(space: &'a SearchSpace, trace: Trace, budget: usize, serial: bool) -> Self {
-        let fitness = if serial {
-            ReplayFitness::new(trace).serial()
-        } else {
-            ReplayFitness::new(trace)
-        };
+    pub fn new(space: &'a SearchSpace, trace: &Trace, budget: usize, serial: bool) -> Self {
+        let registry = Registry::global();
         Evaluator {
             space,
-            fitness,
+            references: trace.iter().map(|ev| (ev.addr, ev.is_write())).collect(),
+            serial,
             cache: BTreeMap::new(),
             budget,
             replays: 0,
-            telemetry: EvaluatorTelemetry::bind(&Registry::global()),
+            telemetry: EvaluatorTelemetry::bind(&registry),
+            registry,
         }
     }
 
-    /// Rebinds the evaluator's telemetry to `registry` (the process-wide
-    /// [`Registry::global`] is bound at construction), forwarding to the underlying
-    /// [`ReplayFitness`] so its `engine.*` counters land in the same registry. Purely
-    /// observational — cache behaviour, budget accounting and results are unaffected.
+    /// Rebinds the evaluator's telemetry, and the `engine.*` counters of every replay it
+    /// runs, to `registry` (the process-wide [`Registry::global`] is bound at
+    /// construction). Purely observational — cache behaviour, budget accounting and
+    /// results are unaffected.
     pub fn set_telemetry(&mut self, registry: &Registry) {
         self.telemetry = EvaluatorTelemetry::bind(registry);
-        self.fitness.set_telemetry(registry);
+        self.registry = registry.clone();
     }
 
     /// Real replays performed so far (cache hits are free).
@@ -157,11 +163,19 @@ impl<'a> Evaluator<'a> {
         self.telemetry.cache_hits.add(cache_hits);
         self.telemetry.cache_misses.add(new_keys.len() as u64);
 
-        let candidates: Vec<Candidate> = new_genomes
+        // Decode everything first, so a decode error surfaces before any replay runs.
+        let candidates: Vec<(SystemConfig, CacheMapping)> = new_genomes
             .iter()
-            .map(|g| self.candidate(g))
+            .map(|g| self.decode(g))
             .collect::<Result<_, _>>()?;
-        let results = self.fitness.evaluate_batch(&candidates);
+        let replay = |(config, mapping): &(SystemConfig, CacheMapping)| {
+            self.replay("candidate", BackendKind::ColumnCache, *config, mapping)
+        };
+        let results = if self.serial {
+            seq_map(&candidates, replay)
+        } else {
+            par_map(&candidates, replay)
+        };
         self.replays += results.len();
         self.telemetry.evaluations.add(results.len() as u64);
         for (key, result) in new_keys.into_iter().zip(results) {
@@ -177,35 +191,42 @@ impl<'a> Evaluator<'a> {
     /// Scores a non-genome reference point (e.g. the set-associative baseline) on the
     /// same trace, outside the cache and the budget.
     ///
-    /// Like every candidate replay, the backend is built by `ReplayEngine::new`, the
-    /// constructor every other replay in the stack uses.
-    ///
     /// # Errors
     ///
     /// Fails if the configuration is invalid.
     pub fn reference_point(
         &self,
         backend: BackendKind,
-        config: ccache_sim::SystemConfig,
+        config: SystemConfig,
         mapping: &CacheMapping,
     ) -> Result<Fitness, OptError> {
-        let candidate = Candidate {
-            config,
-            mapping: mapping.clone(),
-            backend,
-        };
-        Ok(Fitness::from_run(
-            &self.fitness.evaluate("reference", &candidate)?,
-        ))
+        let run = self.replay("reference", backend, config, mapping)?;
+        Ok(Fitness::from_run(&run))
     }
 
-    /// Decodes a genome into the candidate the replay engine understands.
-    fn candidate(&self, genome: &Genome) -> Result<Candidate, OptError> {
+    /// One candidate replay: a fresh engine bound to the evaluator's registry, the
+    /// mapping applied, then the references replayed once.
+    fn replay(
+        &self,
+        name: &str,
+        backend: BackendKind,
+        config: SystemConfig,
+        mapping: &CacheMapping,
+    ) -> Result<RunResult, CoreError> {
+        let mut engine = ReplayEngine::new(backend, config)?;
+        engine.set_telemetry(&self.registry);
+        engine.apply(mapping)?;
+        let Ok(result) = engine.replay_from(name, &self.references[..], None);
+        Ok(result)
+    }
+
+    /// Decodes a genome into the geometry and mapping its replay programs.
+    fn decode(&self, genome: &Genome) -> Result<(SystemConfig, CacheMapping), OptError> {
         let geo = &self.space.geometries[genome.geometry];
         let assignment = assignment_from_vertex_columns(&geo.graph, &geo.options, &genome.columns)?;
         let mapping =
             CacheMapping::from_assignment(&assignment, &geo.units, &self.space.symbols, &[]);
-        Ok(Candidate::column_cache(geo.config, mapping))
+        Ok((geo.config, mapping))
     }
 }
 
@@ -238,7 +259,7 @@ mod tests {
     fn duplicates_never_replay_twice() {
         let (t, s) = workload();
         let space = SearchSpace::build(&t, &s, template(), &GeometrySearch::fixed(), &[]).unwrap();
-        let mut eval = Evaluator::new(&space, t, 100, false);
+        let mut eval = Evaluator::new(&space, &t, 100, false);
         let seed = space.seeded(0);
         let batch = vec![seed.clone(), seed.clone(), seed.clone()];
         let scores = eval.evaluate_batch(&batch).unwrap();
@@ -255,7 +276,7 @@ mod tests {
     fn budget_caps_real_replays_only() {
         let (t, s) = workload();
         let space = SearchSpace::build(&t, &s, template(), &GeometrySearch::fixed(), &[]).unwrap();
-        let mut eval = Evaluator::new(&space, t, 2, false);
+        let mut eval = Evaluator::new(&space, &t, 2, false);
         let genomes = space.enumerate(5);
         let scores = eval.evaluate_batch(&genomes).unwrap();
         assert_eq!(eval.replays(), 2);
@@ -273,8 +294,8 @@ mod tests {
         let space =
             SearchSpace::build(&t, &s, template(), &GeometrySearch::standard(), &[]).unwrap();
         let genomes = space.enumerate(12);
-        let mut par = Evaluator::new(&space, t.clone(), 100, false);
-        let mut ser = Evaluator::new(&space, t, 100, true);
+        let mut par = Evaluator::new(&space, &t, 100, false);
+        let mut ser = Evaluator::new(&space, &t, 100, true);
         let a = par.evaluate_batch(&genomes).unwrap();
         let b = ser.evaluate_batch(&genomes).unwrap();
         assert_eq!(a, b);
@@ -285,7 +306,7 @@ mod tests {
     fn reference_points_do_not_touch_the_budget() {
         let (t, s) = workload();
         let space = SearchSpace::build(&t, &s, template(), &GeometrySearch::fixed(), &[]).unwrap();
-        let eval = Evaluator::new(&space, t, 1, false);
+        let eval = Evaluator::new(&space, &t, 1, false);
         let fit = eval
             .reference_point(
                 BackendKind::SetAssociative,
@@ -295,5 +316,55 @@ mod tests {
             .unwrap();
         assert!(fit.references > 0);
         assert_eq!(eval.replays(), 0);
+    }
+
+    #[test]
+    fn reference_points_equal_a_hand_built_engine_replay_on_every_backend() {
+        let (t, s) = workload();
+        let space = SearchSpace::build(&t, &s, template(), &GeometrySearch::fixed(), &[]).unwrap();
+        let registry = Registry::new();
+        let mut eval = Evaluator::new(&space, &t, 1, false);
+        eval.set_telemetry(&registry);
+        let b = s.iter().find(|r| r.name == "b").unwrap();
+        let mut steered = CacheMapping::new();
+        steered.map(
+            b.base,
+            b.size,
+            ccache_core::RegionMapping::Columns {
+                mask: ccache_sim::ColumnMask::single(3),
+            },
+        );
+        for backend in BackendKind::ALL {
+            for mapping in [CacheMapping::new(), steered.clone()] {
+                let fit = eval.reference_point(backend, template(), &mapping).unwrap();
+                let mut engine = ReplayEngine::new(backend, template()).unwrap();
+                engine.set_telemetry(&Registry::new());
+                engine.apply(&mapping).unwrap();
+                assert_eq!(fit, Fitness::from_run(&engine.replay("hand-built", &t)));
+            }
+        }
+        // every reference point is one replay, counted in the evaluator's registry
+        let replays = 2 * BackendKind::ALL.len() as u64;
+        assert_eq!(registry.counter_value("engine.replays"), replays);
+        assert_eq!(
+            registry.counter_value("engine.references"),
+            replays * t.len() as u64
+        );
+    }
+
+    #[test]
+    fn invalid_geometry_is_an_error_not_a_panic() {
+        let (t, s) = workload();
+        let space = SearchSpace::build(&t, &s, template(), &GeometrySearch::fixed(), &[]).unwrap();
+        let eval = Evaluator::new(&space, &t, 1, false);
+        let bad = SystemConfig {
+            tlb_entries: 0,
+            ..template()
+        };
+        for backend in BackendKind::ALL {
+            assert!(eval
+                .reference_point(backend, bad, &CacheMapping::new())
+                .is_err());
+        }
     }
 }

@@ -12,8 +12,8 @@
 //! * [`space`] — the [`SearchSpace`]: materialised geometries, genome encode/decode,
 //!   mutation and crossover, all valid by construction.
 //! * [`evaluate`] — the budgeted [`Evaluator`]: canonical-key fitness cache (duplicate
-//!   candidates never re-replay) over [`ReplayFitness`](ccache_core::ReplayFitness)
-//!   batches (thread-parallel, byte-identical to a serial run).
+//!   candidates never re-replay) over candidate replays on fresh engines, batched
+//!   thread-parallel and byte-identical to a serial run.
 //! * [`strategy`] — [`SearchStrategy`] implementations: [`Exhaustive`],
 //!   [`HillClimb`] and [`Evolutionary`] (μ+λ).
 //! * [`tuner`] — the one-call [`tune_observed`] driver and its JSON-serialisable

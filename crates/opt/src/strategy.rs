@@ -526,7 +526,7 @@ mod tests {
     ) -> (BestCandidate, Vec<GenerationPoint>) {
         let (t, s) = workload();
         let space = SearchSpace::build(&t, &s, template(), &GeometrySearch::fixed(), &[]).unwrap();
-        let mut eval = Evaluator::new(&space, t, budget, false);
+        let mut eval = Evaluator::new(&space, &t, budget, false);
         let mut rng = StdRng::seed_from_u64(seed);
         let mut log = ProgressLog::new();
         let best = kind
@@ -540,7 +540,7 @@ mod tests {
     fn every_strategy_is_at_least_as_good_as_the_heuristic() {
         let (t, s) = workload();
         let space = SearchSpace::build(&t, &s, template(), &GeometrySearch::fixed(), &[]).unwrap();
-        let mut eval = Evaluator::new(&space, t, 1, false);
+        let mut eval = Evaluator::new(&space, &t, 1, false);
         let heuristic = eval
             .evaluate_batch(&[space.seeded(0)])
             .unwrap()

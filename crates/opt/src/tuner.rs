@@ -307,7 +307,7 @@ pub fn tune_observed(
         &request.geometry,
         &request.forced,
     )?;
-    let mut eval = Evaluator::new(&space, trace.clone(), request.budget, request.serial);
+    let mut eval = Evaluator::new(&space, trace, request.budget, request.serial);
     eval.set_telemetry(telemetry);
 
     // Reference points: the paper's heuristic layout (geometry 0 is always the

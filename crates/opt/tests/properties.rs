@@ -107,7 +107,7 @@ proptest! {
             .expect("space builds");
 
         let run = |serial: bool| {
-            let mut eval = Evaluator::new(&space, t.clone(), 30, serial);
+            let mut eval = Evaluator::new(&space, &t, 30, serial);
             let mut rng = StdRng::seed_from_u64(seed);
             let mut log = ProgressLog::new();
             let best = kind.build().search(&space, &mut eval, &mut rng, &mut log).unwrap();

@@ -16,15 +16,16 @@ use crate::queue::{JobQueue, SubmitError};
 use crate::store::{Claim, ResultStore, StoreCounters, StoredError, StoredResult};
 use crate::ServeConfig;
 use ccache_core::observe::{ReplayEvent, ReplayObserver, WindowSample};
-use ccache_exp::ExperimentSpec;
+use ccache_exp::{ExpError, ExperimentSpec, WorkloadSel};
 use ccache_json::{Json, ToJson};
 use ccache_opt::{GenerationPoint, StrategyKind, TuneProgress, TuneRequest};
 use ccache_telemetry::{bucket_of, Counter, Gauge, Registry};
+use ccache_workloads::WorkloadRun;
 use column_caching::Session;
 use std::collections::BTreeMap;
-use std::io::{BufReader, Write};
+use std::io::Write;
 use std::panic::AssertUnwindSafe;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -166,6 +167,12 @@ struct ServeTelemetry {
     store_publishes: Counter,
     /// `serve.store.abandons` — claims released without publishing (shed/closed).
     store_abandons: Counter,
+    /// `serve.jobs.executed` — jobs a worker finished successfully.
+    jobs_executed: Counter,
+    /// `serve.jobs.failed` — jobs that failed or panicked.
+    jobs_failed: Counter,
+    /// `serve.jobs.shed` — requests shed with `overloaded`.
+    jobs_shed: Counter,
 }
 
 impl ServeTelemetry {
@@ -176,6 +183,9 @@ impl ServeTelemetry {
             store_claims: registry.counter("serve.store.claims"),
             store_publishes: registry.counter("serve.store.publishes"),
             store_abandons: registry.counter("serve.store.abandons"),
+            jobs_executed: registry.counter("serve.jobs.executed"),
+            jobs_failed: registry.counter("serve.jobs.failed"),
+            jobs_shed: registry.counter("serve.jobs.shed"),
         }
     }
 }
@@ -192,10 +202,6 @@ pub struct Service {
     metrics: ServeTelemetry,
     started: Instant,
     log: Mutex<Option<Box<dyn Write + Send>>>,
-    executed: AtomicU64,
-    failed: AtomicU64,
-    shed: AtomicU64,
-    running: AtomicU64,
     shutting_down: AtomicBool,
     shutdown_latch: Mutex<bool>,
     shutdown_signal: Condvar,
@@ -230,10 +236,6 @@ impl Service {
             metrics,
             started: Instant::now(),
             log: Mutex::new(log),
-            executed: AtomicU64::new(0),
-            failed: AtomicU64::new(0),
-            shed: AtomicU64::new(0),
-            running: AtomicU64::new(0),
             shutting_down: AtomicBool::new(false),
             shutdown_latch: Mutex::new(false),
             shutdown_signal: Condvar::new(),
@@ -271,16 +273,6 @@ impl Service {
         self.store.counters()
     }
 
-    /// Jobs a worker finished successfully.
-    pub fn jobs_executed(&self) -> u64 {
-        self.executed.load(Ordering::Relaxed)
-    }
-
-    /// Requests shed with `overloaded`.
-    pub fn jobs_shed(&self) -> u64 {
-        self.shed.load(Ordering::Relaxed)
-    }
-
     /// Whether [`Service::begin_shutdown`] has been called.
     pub fn is_shutting_down(&self) -> bool {
         self.shutting_down.load(Ordering::SeqCst)
@@ -314,13 +306,12 @@ impl Service {
     /// job can never wedge its waiters or kill the pool.
     pub fn worker_loop(&self) {
         while let Some(job) = self.queue.pop() {
-            self.running.fetch_add(1, Ordering::SeqCst);
             self.metrics.queue_depth.set(self.queue.len() as u64);
             self.metrics.workers_busy.add(1);
             let outcome = match job.task {
                 Task::DebugSleep(pause) => {
                     std::thread::sleep(pause);
-                    self.executed.fetch_add(1, Ordering::Relaxed);
+                    self.metrics.jobs_executed.incr();
                     Ok(Arc::new(StoredResult::new(Json::obj([(
                         "slept_ms",
                         (pause.as_millis() as u64).to_json(),
@@ -329,18 +320,18 @@ impl Service {
                 Task::Spec { session, spec } => {
                     match std::panic::catch_unwind(AssertUnwindSafe(|| session.run_spec(&spec))) {
                         Ok(Ok(artefact)) => {
-                            self.executed.fetch_add(1, Ordering::Relaxed);
+                            self.metrics.jobs_executed.incr();
                             Ok(Arc::new(StoredResult::new(artefact.to_json())))
                         }
                         Ok(Err(e)) => {
-                            self.failed.fetch_add(1, Ordering::Relaxed);
+                            self.metrics.jobs_failed.incr();
                             Err(Arc::new(StoredError {
                                 code: code::JOB_FAILED,
                                 message: e.to_string(),
                             }))
                         }
                         Err(_) => {
-                            self.failed.fetch_add(1, Ordering::Relaxed);
+                            self.metrics.jobs_failed.incr();
                             Err(Arc::new(StoredError {
                                 code: code::INTERNAL,
                                 message: "the job panicked".to_owned(),
@@ -354,7 +345,6 @@ impl Service {
             self.metrics.store_publishes.incr();
             self.store.publish(&job.key, outcome);
             self.metrics.workers_busy.sub(1);
-            self.running.fetch_sub(1, Ordering::SeqCst);
         }
     }
 
@@ -580,7 +570,7 @@ impl Service {
                 Err(SubmitError::Full) => {
                     self.store.abandon(&key);
                     self.metrics.store_abandons.incr();
-                    self.shed.fetch_add(1, Ordering::Relaxed);
+                    self.metrics.jobs_shed.incr();
                     return Err(Refusal::new(
                         code::OVERLOADED,
                         format!(
@@ -684,34 +674,18 @@ impl Service {
             .telemetry(self.telemetry.clone())
             .build()
             .map_err(|e| Refusal::bad_request(e.to_string()))?;
-        let (name, trace) = if let Some(w) = doc.get("workload").and_then(Json::as_str) {
-            let run = ccache_workloads::corpus(w, quick).ok_or_else(|| {
-                Refusal::bad_request(format!(
-                    "unknown workload '{w}' (expected one of: {})",
-                    ccache_workloads::CORPUS_NAMES.join(", ")
-                ))
-            })?;
-            (run.name, run.trace)
-        } else if let Some(t) = doc.get("trace").and_then(Json::as_str) {
-            let trace = load_trace(&self.trace_path(t)?)
-                .map_err(|e| Refusal::bad_request(format!("cannot load trace '{t}': {e}")))?;
-            (t.to_owned(), trace)
-        } else {
-            return Err(Refusal::bad_request(
-                "subscribe needs 'workload' (a corpus name) or 'trace' (an uploaded name)",
-            ));
-        };
+        let run = self.subscribe_workload(doc, &session)?;
         let mut streamer = Streamer {
             emit,
             id,
             windows: 0,
         };
         let result = session
-            .replay_with(&name, &trace, window, &mut streamer)
+            .replay_with(&run.name, &run.trace, window, &mut streamer)
             .map_err(|e| Refusal::new(code::JOB_FAILED, e.to_string()))?;
         let windows = streamer.windows;
         Ok(Reply::keep(Json::obj([
-            ("workload", name.to_json()),
+            ("workload", run.name.to_json()),
             ("window", window.to_json()),
             ("windows", windows.to_json()),
             ("result", result.to_json()),
@@ -735,29 +709,7 @@ impl Service {
             .telemetry(self.telemetry.clone())
             .build()
             .map_err(|e| Refusal::bad_request(e.to_string()))?;
-        let (name, trace, symbols) = if let Some(w) = doc.get("workload").and_then(Json::as_str) {
-            let run = ccache_workloads::corpus(w, quick).ok_or_else(|| {
-                Refusal::bad_request(format!(
-                    "unknown workload '{w}' (expected one of: {})",
-                    ccache_workloads::CORPUS_NAMES.join(", ")
-                ))
-            })?;
-            (run.name, run.trace, run.symbols)
-        } else if let Some(t) = doc.get("trace").and_then(Json::as_str) {
-            let trace = load_trace(&self.trace_path(t)?)
-                .map_err(|e| Refusal::bad_request(format!("cannot load trace '{t}': {e}")))?;
-            let config = session.config();
-            let symbols = ccache_trace::infer::infer_symbols(
-                &trace,
-                config.page_size.max(4096),
-                config.cache.line_size(),
-            );
-            (t.to_owned(), trace, symbols)
-        } else {
-            return Err(Refusal::bad_request(
-                "subscribe needs 'workload' (a corpus name) or 'trace' (an uploaded name)",
-            ));
-        };
+        let run = self.subscribe_workload(doc, &session)?;
         let strategy = match tune.get("strategy") {
             None => StrategyKind::default(),
             Some(v) => {
@@ -796,15 +748,44 @@ impl Service {
             generations: 0,
         };
         let outcome = session
-            .tune_with_progress(&trace, &symbols, &request, &mut streamer)
+            .tune_with_progress(&run.trace, &run.symbols, &request, &mut streamer)
             .map_err(|e| Refusal::new(code::JOB_FAILED, e.to_string()))?;
         let generations = streamer.generations;
         Ok(Reply::keep(Json::obj([
-            ("workload", name.to_json()),
+            ("workload", run.name.to_json()),
             ("strategy", outcome.strategy.to_json()),
             ("generations", generations.to_json()),
             ("result", outcome.to_json()),
         ])))
+    }
+
+    /// The workload a `subscribe` names: a corpus entry at the session's scale, or a
+    /// `trace` name ([`resolve_trace`]) loaded with symbols inferred under the session's
+    /// geometry and named as the client named it.
+    fn subscribe_workload(&self, doc: &Json, session: &Session) -> Result<WorkloadRun, Refusal> {
+        let (selection, trace) = if let Some(w) = doc.get("workload").and_then(Json::as_str) {
+            let name = w.to_owned();
+            (WorkloadSel::Corpus { name }, None)
+        } else if let Some(t) = doc.get("trace").and_then(Json::as_str) {
+            let path = self.trace_path(t)?.display().to_string();
+            (WorkloadSel::Trace { path }, Some(t))
+        } else {
+            return Err(Refusal::bad_request(
+                "subscribe needs 'workload' (a corpus name) or 'trace' (an uploaded name)",
+            ));
+        };
+        let config = session.config();
+        let mut run = selection
+            .load(config.page_size, config.cache.line_size(), session.quick())
+            .map_err(|e| match (trace, e) {
+                (Some(t), e) => Refusal::bad_request(format!("cannot load trace '{t}': {e}")),
+                (None, ExpError::BadSpec { reason }) => Refusal::bad_request(reason),
+                (None, e) => Refusal::bad_request(e.to_string()),
+            })?;
+        if let Some(t) = trace {
+            run.name = t.to_owned();
+        }
+        Ok(run)
     }
 
     /// `debug_sleep`: occupy one worker slot for `ms` milliseconds. Every call gets a
@@ -835,7 +816,7 @@ impl Service {
                     ("workers", self.config.workers.to_json()),
                     ("queue_depth", self.config.queue_depth.to_json()),
                     ("queued", self.queue.len().to_json()),
-                    ("running", self.running.load(Ordering::SeqCst).to_json()),
+                    ("running", self.metrics.workers_busy.get().to_json()),
                     ("quick", self.config.quick.to_json()),
                     ("shutting_down", self.is_shutting_down().to_json()),
                     ("uptime_ms", self.uptime_ms().to_json()),
@@ -852,9 +833,9 @@ impl Service {
             (
                 "jobs",
                 Json::obj([
-                    ("executed", self.executed.load(Ordering::Relaxed).to_json()),
-                    ("failed", self.failed.load(Ordering::Relaxed).to_json()),
-                    ("shed", self.shed.load(Ordering::Relaxed).to_json()),
+                    ("executed", self.metrics.jobs_executed.get().to_json()),
+                    ("failed", self.metrics.jobs_failed.get().to_json()),
+                    ("shed", self.metrics.jobs_shed.get().to_json()),
                 ]),
             ),
             (
@@ -1083,13 +1064,5 @@ fn resolve_trace(uploads: &BTreeMap<String, Upload>, name: &str) -> Result<PathB
             "unknown trace '{name}': 'trace' takes the name of an uploaded trace or the path \
              of a binary (.cct) trace file"
         )))
-    }
-}
-
-fn load_trace(path: &Path) -> std::io::Result<ccache_trace::Trace> {
-    if ccache_trace::binfmt::is_binary_trace_file(path)? {
-        ccache_trace::binfmt::read_trace(std::fs::File::open(path)?)
-    } else {
-        ccache_trace::textfmt::read_trace(BufReader::new(std::fs::File::open(path)?))
     }
 }

@@ -147,6 +147,44 @@ fn uploads_past_the_address_limit_are_refused_and_the_connection_keeps_serving()
 }
 
 #[test]
+fn uploads_with_overlong_lines_are_refused_and_the_connection_keeps_serving() {
+    let mut server = spawn_test_server(|_| {}).expect("bind test server");
+    let mut client = Client::connect(server.addr()).expect("connect");
+    let text = format!("R 0x10 4\nW 0x20 4{}\n", " ".repeat(4096));
+    let reply = client
+        .request(&Json::obj([
+            ("cmd", "upload".to_json()),
+            ("name", "overlong".to_json()),
+            ("text", text.to_json()),
+        ]))
+        .expect("upload reply");
+    assert_eq!(reply.get("ok").and_then(Json::as_bool), Some(false));
+    let error = reply.get("error").expect("error object");
+    assert_eq!(
+        error.get("code").and_then(Json::as_str),
+        Some("bad_request")
+    );
+    let message = error.get("message").and_then(Json::as_str).unwrap_or("");
+    assert!(
+        message.ends_with("line 2: longer than 4096 bytes"),
+        "{message}"
+    );
+    let status = client
+        .request(&Json::obj([("cmd", "status".to_json())]))
+        .expect("status reply");
+    assert_eq!(status.get("ok").and_then(Json::as_bool), Some(true));
+    assert_eq!(
+        status
+            .get("result")
+            .and_then(|r| r.get("uploads"))
+            .and_then(Json::as_obj)
+            .map(|uploads| uploads.len()),
+        Some(0)
+    );
+    server.shutdown();
+}
+
+#[test]
 fn hostile_run_specs_are_refused_and_the_connection_keeps_serving() {
     let mut server = spawn_test_server(|_| {}).expect("bind test server");
     let mut client = Client::connect(server.addr()).expect("connect");

@@ -87,7 +87,13 @@ fn stress_32_clients_compute_each_key_exactly_once() {
     );
     assert_eq!(counters.hits, (CLIENTS - policies.len()) as u64);
     assert_eq!(counters.entries, policies.len() as u64);
-    assert_eq!(server.service().jobs_executed(), policies.len() as u64);
+    assert_eq!(
+        server
+            .service()
+            .telemetry()
+            .counter_value("serve.jobs.executed"),
+        policies.len() as u64
+    );
 
     let oracle = Session::builder().quick(true).build().expect("session");
     for (variant, lines) in &by_variant {

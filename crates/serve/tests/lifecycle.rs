@@ -104,7 +104,13 @@ fn graceful_shutdown_drains_inflight_jobs_and_refuses_new_ones() {
     assert_eq!(second.get("ok").and_then(Json::as_bool), Some(true));
 
     server.shutdown();
-    assert_eq!(server.service().jobs_executed(), 2);
+    assert_eq!(
+        server
+            .service()
+            .telemetry()
+            .counter_value("serve.jobs.executed"),
+        2
+    );
 }
 
 #[test]
@@ -143,7 +149,13 @@ fn full_queue_sheds_overloaded_without_stalling_other_clients() {
         started.elapsed() < Duration::from_millis(300),
         "shedding must not wait for capacity"
     );
-    assert!(server.service().jobs_shed() >= 1);
+    assert!(
+        server
+            .service()
+            .telemetry()
+            .counter_value("serve.jobs.shed")
+            >= 1
+    );
 
     // ... and the shed request did not stall anyone: status answers, accepted jobs run.
     assert!(server_gauge(&status(addr), "running") == 1);
@@ -163,6 +175,98 @@ fn full_queue_sheds_overloaded_without_stalling_other_clients() {
             .and_then(Json::as_bool),
         Some(true)
     );
+    server.shutdown();
+}
+
+/// The job counters `metrics` exports (`serve.jobs.*` and the `serve.workers.busy`
+/// gauge) next to the values `status` reports for them.
+fn status_and_metrics_job_counters(addr: SocketAddr) -> (Vec<u64>, Vec<u64>) {
+    let status = status(addr);
+    let jobs = |field: &str| {
+        status
+            .get("jobs")
+            .and_then(|j| j.get(field))
+            .and_then(Json::as_u64)
+            .unwrap()
+    };
+    let mut client = Client::connect(addr).expect("connect for metrics");
+    let metrics = client
+        .request(&Json::obj([("cmd", "metrics".to_json())]))
+        .expect("metrics")
+        .get("result")
+        .cloned()
+        .expect("metrics result");
+    let cell = |kind: &str, name: &str| {
+        metrics
+            .get(kind)
+            .and_then(|cells| cells.get(name))
+            .and_then(Json::as_u64)
+            .unwrap()
+    };
+    (
+        vec![
+            jobs("executed"),
+            jobs("failed"),
+            jobs("shed"),
+            server_gauge(&status, "running"),
+        ],
+        vec![
+            cell("counters", "serve.jobs.executed"),
+            cell("counters", "serve.jobs.failed"),
+            cell("counters", "serve.jobs.shed"),
+            cell("gauges", "serve.workers.busy"),
+        ],
+    )
+}
+
+#[test]
+fn status_and_metrics_agree_after_the_lifecycle_scenario() {
+    let mut server = spawn_test_server(|config| {
+        config.workers = 1;
+        config.queue_depth = 1;
+    })
+    .expect("bind test server");
+    let addr = server.addr();
+
+    // One job running, one queued, one shed, then one that fails. The running job is
+    // long enough for both snapshots to see the same state.
+    let running = thread::spawn(move || {
+        let mut client = Client::connect(addr).expect("connect");
+        client.request(&sleep_request(1500)).expect("reply")
+    });
+    wait_for(addr, "the worker to pick the job up", |doc| {
+        server_gauge(doc, "running") == 1
+    });
+    let queued = thread::spawn(move || {
+        let mut client = Client::connect(addr).expect("connect");
+        client.request(&sleep_request(50)).expect("reply")
+    });
+    wait_for(addr, "the queue slot to fill", |doc| {
+        server_gauge(doc, "queued") == 1
+    });
+    let mut client = Client::connect(addr).expect("connect");
+    let shed = client.request(&sleep_request(10)).expect("overload reply");
+    assert_eq!(error_code(&shed).as_deref(), Some("overloaded"));
+    let (status, metrics) = status_and_metrics_job_counters(addr);
+    assert_eq!(status, metrics, "while a job runs");
+    assert_eq!(status[2..], [1, 1]);
+
+    running.join().expect("running client");
+    queued.join().expect("queued client");
+    let failing = Json::parse(
+        r#"{"cmd": "run", "spec": {"name": "f", "replay": [{"workloads": ["fir"],
+            "policies": [{"fixed": {"no_such_var": [0]}}]}]}}"#,
+    )
+    .unwrap();
+    let failed = client.request(&failing).expect("failure reply");
+    assert_eq!(error_code(&failed).as_deref(), Some("job_failed"));
+    // The worker leaves the busy gauge just after publishing the reply.
+    wait_for(addr, "the worker to go idle", |doc| {
+        server_gauge(doc, "running") == 0
+    });
+    let (status, metrics) = status_and_metrics_job_counters(addr);
+    assert_eq!(status, metrics, "after every job finished");
+    assert_eq!(status, [2, 1, 1, 0]);
     server.shutdown();
 }
 

@@ -7,8 +7,13 @@
 
 use crate::page_table::{PageEntry, PageTable};
 
-/// Buckets of the slot hint, indexed by `vpn % HINTS`.
-const HINTS: usize = 64;
+/// Bits of the slot-hint bucket index.
+const HINT_BITS: u32 = 6;
+/// Buckets of the slot hint.
+const HINTS: usize = 1 << HINT_BITS;
+/// Fibonacci-hashing multiplier (2^64 / golden ratio) that spreads page numbers over the
+/// hint buckets.
+const HINT_MULTIPLIER: u64 = 0x9E37_79B9_7F4A_7C15;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct TlbSlot {
@@ -19,11 +24,14 @@ struct TlbSlot {
 
 /// A fully-associative, LRU-replaced translation-look-aside buffer.
 ///
-/// A direct-mapped hint per `vpn % 64` bucket remembers the slot that last held a page of
-/// that bucket, so a lookup usually finds its page without scanning. The hint only
-/// chooses where to look first: it counts when that slot holds the page, and a stale hint
-/// falls back to the scan. Resident pages are unique, so both find the same slot, and
-/// hits, misses and LRU victims are those of the plain fully-associative TLB.
+/// A direct-mapped hint per bucket of 64 remembers the slot that last held a page of that
+/// bucket, so a lookup usually finds its page without scanning. The bucket is the top 6
+/// bits of the page number times a Fibonacci-hashing constant, not `vpn % 64`: jobs at
+/// widely aligned bases (Figure 5's gzip jobs sit 16 MiB apart) would otherwise put page
+/// p of every job in one bucket and scan on most lookups. The hint only chooses where to
+/// look first: it counts when that slot holds the page, and a stale hint falls back to
+/// the scan. Resident pages are unique, so both find the same slot, and hits, misses and
+/// LRU victims are those of the plain fully-associative TLB.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Tlb {
     capacity: usize,
@@ -74,7 +82,7 @@ impl Tlb {
     pub fn lookup(&mut self, addr: u64, page_table: &PageTable) -> (PageEntry, bool) {
         self.clock += 1;
         let vpn = page_table.page_of(addr);
-        let bucket = (vpn % HINTS as u64) as usize;
+        let bucket = (vpn.wrapping_mul(HINT_MULTIPLIER) >> (u64::BITS - HINT_BITS)) as usize;
         if let Some(slot) = self.slots.get_mut(self.hints[bucket]) {
             if slot.vpn == vpn {
                 slot.last_use = self.clock;

@@ -360,16 +360,20 @@ proptest! {
     /// `(entry, hit)` for every lookup, the same count for every flush, and the same
     /// resident pages at the end, for every capacity from 1 to 70 entries. The streams
     /// mix page-table writes without a flush (stale entries), page flushes (which shift
-    /// slot indices under the hints) and clears.
+    /// slot indices under the hints) and clears. Pages come from three interleaved jobs
+    /// 2^14 pages apart, the layout of Figure 5's 16 MiB-aligned jobs at 1 KiB pages,
+    /// where page p of every job falls into the same bucket of a `vpn % 64` hint.
     #[test]
     fn hinted_tlb_matches_scan_only_reference_model(
         capacity in 1usize..71,
-        ops in prop::collection::vec((0u8..100, 0u64..200, 0u64..4096), 1..600),
+        ops in prop::collection::vec((0u8..100, 0u64..200, 0u64..4096, 0u64..3), 1..600),
     ) {
+        const JOB_PAGES: u64 = 1 << 14;
         let mut table = PageTable::new(4096).unwrap();
         let mut tlb = Tlb::new(capacity);
         let mut model = ReferenceTlb::new(capacity);
-        for (kind, vpn, offset) in ops {
+        for (kind, page, offset, job) in ops {
+            let vpn = job * JOB_PAGES + page;
             match kind {
                 0..=89 => {
                     let addr = vpn * 4096 + offset;
@@ -379,7 +383,7 @@ proptest! {
                     table.set_page_tint(vpn, Tint((offset % 5) as u32));
                 }
                 95..=98 => {
-                    let vpns = [vpn, vpn + 64, offset % 200];
+                    let vpns = [vpn, vpn + 64, offset % 200, (job + 1) % 3 * JOB_PAGES + page];
                     prop_assert_eq!(tlb.flush_pages(&vpns), model.flush_pages(&vpns));
                 }
                 _ => {
@@ -389,7 +393,7 @@ proptest! {
             }
         }
         prop_assert_eq!(tlb.len(), model.slots.len());
-        for vpn in 0..264 {
+        for vpn in (0..3).flat_map(|job| (0..264).map(move |page| job * JOB_PAGES + page)) {
             prop_assert_eq!(tlb.contains(vpn), model.slots.iter().any(|s| s.0 == vpn));
         }
     }

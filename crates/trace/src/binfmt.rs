@@ -449,16 +449,22 @@ pub fn is_binary_trace(bytes: &[u8]) -> bool {
 /// Propagates errors from opening or reading the file.
 pub fn is_binary_trace_file<P: AsRef<Path>>(path: P) -> io::Result<bool> {
     let mut head = [0u8; MAGIC.len()];
-    let mut file = File::open(path)?;
+    let filled = read_head(&mut File::open(path)?, &mut head)?;
+    Ok(is_binary_trace(&head[..filled]))
+}
+
+/// Fills `head` from `source` as far as the source allows and returns how many bytes
+/// were read (fewer than `head.len()` only at the end of the source).
+pub(crate) fn read_head<R: Read>(source: &mut R, head: &mut [u8]) -> io::Result<usize> {
     let mut filled = 0;
     while filled < head.len() {
-        let n = file.read(&mut head[filled..])?;
+        let n = source.read(&mut head[filled..])?;
         if n == 0 {
             break;
         }
         filled += n;
     }
-    Ok(is_binary_trace(&head[..filled]))
+    Ok(filled)
 }
 
 #[cfg(test)]

@@ -14,12 +14,18 @@
 //! This is the human-facing companion of the compact binary format in [`crate::binfmt`]:
 //! `ccache trace convert` translates between the two. Like the binary format, variable
 //! annotations are not represented, and every access must end at or below
-//! [`ADDRESS_LIMIT`](crate::event::ADDRESS_LIMIT). Parse problems are reported as
+//! [`ADDRESS_LIMIT`](crate::event::ADDRESS_LIMIT). A line may hold at most
+//! [`MAX_LINE_BYTES`] bytes before its newline, so a reader never buffers more than that
+//! of a file with no line breaks (such as `/dev/zero`). Parse problems are reported as
 //! [`std::io::Error`] with [`std::io::ErrorKind::InvalidData`] and a line number.
 
 use crate::event::{in_address_space, AccessKind, MemAccess};
 use crate::trace::Trace;
-use std::io::{self, BufRead, Write};
+use std::io::{self, BufRead, Read, Write};
+
+/// The longest line, in bytes before its newline, the reader accepts. A written event
+/// line is under 40 bytes; a longer line is refused without reading past the limit.
+pub const MAX_LINE_BYTES: usize = 4096;
 
 fn invalid(line_no: usize, msg: &str, line: &str) -> io::Error {
     io::Error::new(
@@ -45,7 +51,7 @@ fn parse_u64(token: &str) -> Option<u64> {
 ///
 /// Fails with [`std::io::ErrorKind::InvalidData`] if the line is not `R|W <addr> <size>`
 /// or the access extends past [`ADDRESS_LIMIT`](crate::event::ADDRESS_LIMIT).
-pub fn parse_line(line_no: usize, line: &str) -> io::Result<MemAccess> {
+fn parse_line(line_no: usize, line: &str) -> io::Result<MemAccess> {
     let mut tokens = line.split_whitespace();
     let kind = match tokens.next() {
         Some("R") | Some("r") => AccessKind::Read,
@@ -79,22 +85,69 @@ pub fn parse_line(line_no: usize, line: &str) -> io::Result<MemAccess> {
     })
 }
 
+/// Decodes the events of a text trace one line at a time, skipping blank and `#` lines.
+///
+/// This is the one text decoding loop: [`read_trace`] collects it and `ccache trace info`
+/// streams it. Iteration ends after the first error.
+///
+/// # Errors
+///
+/// Each item fails on an I/O error, a line longer than [`MAX_LINE_BYTES`], a line that is
+/// not UTF-8 or a malformed line; every decoding error names the line.
+pub fn events<R: BufRead>(mut source: R) -> impl Iterator<Item = io::Result<MemAccess>> {
+    let mut raw = Vec::new();
+    let mut line_no = 0usize;
+    let mut failed = false;
+    std::iter::from_fn(move || loop {
+        if failed {
+            return None;
+        }
+        raw.clear();
+        // One byte past the limit tells an overlong line from one that fits.
+        let item = match (&mut source)
+            .take(MAX_LINE_BYTES as u64 + 1)
+            .read_until(b'\n', &mut raw)
+        {
+            Ok(0) => return None,
+            Ok(_) => {
+                line_no += 1;
+                decode_line(line_no, &raw).transpose()
+            }
+            Err(e) => Some(Err(e)),
+        };
+        failed = matches!(item, Some(Err(_)));
+        if item.is_some() {
+            return item;
+        }
+    })
+}
+
+/// Decodes one raw line, newline included if present: `None` for blank and comment
+/// lines.
+fn decode_line(line_no: usize, raw: &[u8]) -> io::Result<Option<MemAccess>> {
+    let bytes = raw.strip_suffix(b"\n").unwrap_or(raw);
+    let refuse = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
+    if bytes.len() > MAX_LINE_BYTES {
+        return Err(refuse(format!(
+            "line {line_no}: longer than {MAX_LINE_BYTES} bytes"
+        )));
+    }
+    let text = std::str::from_utf8(bytes)
+        .map_err(|_| refuse(format!("line {line_no}: not valid UTF-8")))?
+        .trim();
+    if text.is_empty() || text.starts_with('#') {
+        return Ok(None);
+    }
+    parse_line(line_no, text).map(Some)
+}
+
 /// Reads a whole text trace from a buffered source.
 ///
 /// # Errors
 ///
-/// Fails on I/O errors or malformed lines.
+/// Fails on I/O errors, overlong lines or malformed lines.
 pub fn read_trace<R: BufRead>(source: R) -> io::Result<Trace> {
-    let mut trace = Trace::new();
-    for (i, line) in source.lines().enumerate() {
-        let line = line?;
-        let trimmed = line.trim();
-        if trimmed.is_empty() || trimmed.starts_with('#') {
-            continue;
-        }
-        trace.push(parse_line(i + 1, trimmed)?);
-    }
-    Ok(trace)
+    events(source).collect()
 }
 
 /// Writes one event as a text line (`R 0x1000 4`). This is the single definition of the
@@ -162,6 +215,71 @@ mod tests {
             assert_eq!(err.kind(), io::ErrorKind::InvalidData);
             assert!(err.to_string().contains("line 2"), "{err}");
         }
+    }
+
+    #[test]
+    fn a_line_of_exactly_the_limit_parses_and_one_byte_more_is_refused() {
+        let fitting = format!("{:<width$}", "W 0x40 8", width = MAX_LINE_BYTES);
+        let trace = read_trace(format!("R 0x0 4\n{fitting}\n").as_bytes()).unwrap();
+        assert_eq!(trace.len(), 2);
+        assert!(trace.get(1).unwrap().is_write());
+        let comment = format!("#{}", "x".repeat(MAX_LINE_BYTES - 1));
+        assert_eq!(read_trace(comment.as_bytes()).unwrap().len(), 0);
+
+        for overlong in [format!("{fitting} "), format!("{comment}x")] {
+            for text in [
+                format!("R 0x0 4\n{overlong}\n"),
+                format!("R 0x0 4\n{overlong}"),
+            ] {
+                let err = read_trace(text.as_bytes()).unwrap_err();
+                assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+                assert_eq!(err.to_string(), "line 2: longer than 4096 bytes");
+            }
+        }
+    }
+
+    #[test]
+    fn a_file_without_line_breaks_is_refused_after_one_line_of_reading() {
+        /// Counts the bytes pulled from the wrapped reader.
+        struct Counting<R> {
+            inner: R,
+            read: u64,
+        }
+        impl<R: Read> Read for Counting<R> {
+            fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+                let n = self.inner.read(buf)?;
+                self.read += n as u64;
+                Ok(n)
+            }
+        }
+        let mut source = Counting {
+            inner: io::repeat(0).take(64 << 20),
+            read: 0,
+        };
+        let buffered = io::BufReader::new(&mut source);
+        let capacity = buffered.capacity() as u64;
+        let err = read_trace(buffered).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(err.to_string(), "line 1: longer than 4096 bytes");
+        assert!(
+            source.read <= MAX_LINE_BYTES as u64 + 1 + capacity,
+            "read {} bytes",
+            source.read
+        );
+    }
+
+    #[test]
+    fn events_stop_after_the_first_error() {
+        let items: Vec<_> = events("R 0x0 4\nbogus\nR 0x8 4\n".as_bytes()).collect();
+        assert_eq!(items.len(), 2);
+        assert!(items[0].is_ok());
+        assert!(items[1]
+            .as_ref()
+            .unwrap_err()
+            .to_string()
+            .contains("line 2"));
+        let err = read_trace(&[b'R', b' ', 0xff, b'\n'][..]).unwrap_err();
+        assert_eq!(err.to_string(), "line 1: not valid UTF-8");
     }
 
     #[test]

@@ -1,10 +1,7 @@
 //! Property-based tests of the trace substrate.
 
 use ccache_trace::synth::{interleave, pseudo_random, read_modify_write, sequential_scan};
-use ccache_trace::{
-    binfmt, textfmt, AccessKind, AccessProfile, Interval, MemAccess, SymbolTable, Trace,
-    TraceRecorder, ADDRESS_LIMIT,
-};
+use ccache_trace::{binfmt, textfmt, Interval, MemAccess, SymbolTable, Trace, ADDRESS_LIMIT};
 use proptest::prelude::*;
 
 proptest! {
@@ -70,41 +67,6 @@ proptest! {
         let from_t1: Vec<u64> = merged.iter().filter(|e| e.addr < 0x2000).map(|e| e.addr).collect();
         let expected: Vec<u64> = t1.iter().map(|e| e.addr).collect();
         prop_assert_eq!(from_t1, expected);
-    }
-
-    /// Profiles account for every annotated access: per-variable counts sum to the trace
-    /// length and lifetimes are consistent with the per-variable positions.
-    #[test]
-    fn profiles_account_for_every_access(ops in prop::collection::vec((0usize..5, 0u64..32, any::<bool>()), 1..400)) {
-        let mut rec = TraceRecorder::new();
-        let vars: Vec<_> = (0..5).map(|i| rec.allocate(&format!("v{i}"), 256, 8)).collect();
-        for (v, off, w) in &ops {
-            let kind = if *w { AccessKind::Write } else { AccessKind::Read };
-            rec.record(vars[*v], *off * 8, 8, kind);
-        }
-        let (trace, symbols) = rec.finish();
-        let profile = AccessProfile::from_trace(&trace, &symbols);
-        let total: u64 = profile.iter().map(|p| p.accesses).sum();
-        prop_assert_eq!(total, trace.len() as u64);
-        for p in profile.iter() {
-            prop_assert_eq!(p.accesses as usize, p.positions.len());
-            prop_assert!(p.positions.windows(2).all(|w| w[0] < w[1]));
-            prop_assert_eq!(p.lifetime.first, *p.positions.first().unwrap());
-            prop_assert_eq!(p.lifetime.last, *p.positions.last().unwrap());
-            prop_assert!(p.writes <= p.accesses);
-        }
-        // pairwise conflicts are symmetric and bounded by the smaller access count
-        let vids = profile.variables();
-        for &a in &vids {
-            for &b in &vids {
-                if a == b { continue; }
-                let w = profile.potential_conflicts(a, b);
-                prop_assert_eq!(w, profile.potential_conflicts(b, a));
-                let ca = profile.get(a).unwrap().accesses;
-                let cb = profile.get(b).unwrap().accesses;
-                prop_assert!(w <= ca.min(cb));
-            }
-        }
     }
 
     /// Symbol tables never hand out overlapping regions and always resolve an address to

@@ -25,6 +25,7 @@ use ccache_core::observe::{ReplayObserver, SeriesRecorder, TimeSeries};
 use ccache_core::runner::CacheMapping;
 use ccache_core::{CoreError, ReplayEngine, RunResult};
 use ccache_exp::exec::{ExecOptions, ObserveOptions};
+use ccache_exp::spec::unknown_workload;
 use ccache_exp::{Artefact, ExpError, ExperimentSpec, GeometrySpec, Plan};
 use ccache_json::{Json, ToJson};
 use ccache_opt::{OptError, TuneOutcome, TuneProgress, TuneRequest};
@@ -243,13 +244,9 @@ impl Session {
         &self.telemetry
     }
 
-    /// A fresh [`ReplayEngine`] over the session's backend and geometry — the escape
-    /// hatch for snapshot/reset-style driving beyond what the facade offers.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the backend rejects the configuration.
-    pub fn engine(&self) -> Result<ReplayEngine, SessionError> {
+    /// A fresh [`ReplayEngine`] over the session's backend and geometry, reporting into
+    /// the session's registry.
+    fn engine(&self) -> Result<ReplayEngine, SessionError> {
         let mut engine = ReplayEngine::new(self.backend, self.config)?;
         engine.set_telemetry(&self.telemetry);
         Ok(engine)
@@ -312,12 +309,8 @@ impl Session {
     ///
     /// Fails for unknown corpus names; the message lists the accepted ones.
     pub fn replay_corpus(&self, name: &str) -> Result<Replayed, SessionError> {
-        let run = ccache_workloads::corpus(name, self.quick).ok_or_else(|| {
-            SessionError::BadRequest(format!(
-                "unknown workload '{name}' (expected one of: {})",
-                ccache_workloads::CORPUS_NAMES.join(", ")
-            ))
-        })?;
+        let run = ccache_workloads::corpus(name, self.quick)
+            .ok_or_else(|| SessionError::BadRequest(unknown_workload(name)))?;
         self.replay(&run.name, &run.trace)
     }
 
@@ -382,17 +375,8 @@ impl Session {
         Ok((key, artefact.to_json().pretty()))
     }
 
-    /// As [`Session::run_spec`], parsing the spec from JSON text first.
-    ///
-    /// # Errors
-    ///
-    /// Fails on JSON syntax errors, structural spec problems and execution failures.
-    pub fn run_spec_str(&self, text: &str) -> Result<Artefact, SessionError> {
-        self.run_spec(&ExperimentSpec::parse_str(text)?)
-    }
-
     /// The execution options the session's settings compile to.
-    pub fn exec_options(&self) -> ExecOptions {
+    fn exec_options(&self) -> ExecOptions {
         ExecOptions {
             quick: self.quick,
             observe: self.observe.map(|window| ObserveOptions { window }),
@@ -402,8 +386,8 @@ impl Session {
 
     /// Tunes cache geometry and column assignments for a workload trace
     /// (see [`ccache_opt::tune_observed`]). The request is taken as-is — its own `template`
-    /// geometry drives the search; use [`Session::tune_corpus`] to tune under the
-    /// session's configured geometry.
+    /// geometry drives the search, not the session's; pass `*session.config()` as the
+    /// template to tune under the session's geometry.
     ///
     /// # Errors
     ///
@@ -444,31 +428,6 @@ impl Session {
             &self.telemetry,
             Some(progress),
         )?)
-    }
-
-    /// Tunes a named corpus workload (at the session's scale) with the **session's
-    /// geometry** as the search template — the request's `template` field is replaced
-    /// by the session's validated configuration.
-    ///
-    /// # Errors
-    ///
-    /// Fails for unknown corpus names and propagates search failures.
-    pub fn tune_corpus(
-        &self,
-        name: &str,
-        request: &TuneRequest,
-    ) -> Result<TuneOutcome, SessionError> {
-        let run = ccache_workloads::corpus(name, self.quick).ok_or_else(|| {
-            SessionError::BadRequest(format!(
-                "unknown workload '{name}' (expected one of: {})",
-                ccache_workloads::CORPUS_NAMES.join(", ")
-            ))
-        })?;
-        let request = TuneRequest {
-            template: self.config,
-            ..request.clone()
-        };
-        self.tune(&run.trace, &run.symbols, &request)
     }
 }
 
@@ -528,7 +487,7 @@ mod tests {
     }
 
     #[test]
-    fn tune_corpus_searches_under_the_session_geometry() {
+    fn tune_searches_under_the_request_template() {
         use ccache_opt::{GeometrySearch, StrategyKind};
         let geometry = ccache_exp::GeometrySpec {
             capacity: 4096,
@@ -541,13 +500,15 @@ mod tests {
             .build()
             .unwrap();
         let request = ccache_opt::TuneRequest {
+            template: *session.config(),
             geometry: GeometrySearch::fixed(),
             strategy: StrategyKind::HillClimb,
             budget: 4,
             ..ccache_opt::TuneRequest::default()
         };
-        let outcome = session.tune_corpus("fir", &request).unwrap();
-        // the session's geometry, not the request's default template, drove the search
+        let run = ccache_workloads::corpus("fir", session.quick()).unwrap();
+        let outcome = session.tune(&run.trace, &run.symbols, &request).unwrap();
+        // the request's template, here the session's geometry, drove the search
         assert_eq!(outcome.best_config.capacity_bytes, 4096);
         assert_eq!(outcome.best_config.columns, 8);
     }
@@ -585,8 +546,9 @@ mod tests {
                        "policies": ["shared", "heuristic"], "label": "policy"}]}"#;
         let plain = Session::builder().quick(true).build().unwrap();
         let observing = Session::builder().quick(true).observe(512).build().unwrap();
-        let a = plain.run_spec_str(spec).unwrap();
-        let b = observing.run_spec_str(spec).unwrap();
+        let spec = ExperimentSpec::parse_str(spec).unwrap();
+        let a = plain.run_spec(&spec).unwrap();
+        let b = observing.run_spec(&spec).unwrap();
         assert_eq!(a.outcomes.len(), 2);
         for (x, y) in a.outcomes.iter().zip(&b.outcomes) {
             let (

@@ -4,6 +4,7 @@
 //! generated configurations, traces or graphs and exercises the public APIs end to end.
 
 use column_caching::core::engine::ReplayEngine;
+use column_caching::core::partition::select_scratchpad_vars;
 use column_caching::layout::coloring::{color_count, greedy_coloring, is_proper, minimum_coloring};
 use column_caching::layout::{assign_columns, ConflictGraph, LayoutOptions, Vertex};
 use column_caching::prelude::*;
@@ -341,5 +342,105 @@ proptest! {
             "replay", reference.as_mut(), &trace,
         ).unwrap();
         prop_assert_eq!(batched, per_ref);
+    }
+}
+
+// ---------------------------------------------------------------------------------------
+// Scratchpad selection
+// ---------------------------------------------------------------------------------------
+
+/// A transcription of the access-profile ranking `select_scratchpad_vars` used before it
+/// counted accesses itself: one profile per variable an event resolves to (its
+/// annotation, else its address), sized from the symbol table or 0, ranked by accesses
+/// per byte (the bare count when unsized), ties by id, then packed greedily.
+fn reference_scratchpad_selection(
+    trace: &Trace,
+    symbols: &SymbolTable,
+    capacity: u64,
+) -> Vec<VarId> {
+    struct Profile {
+        var: VarId,
+        size: u64,
+        accesses: u64,
+    }
+    impl Profile {
+        fn access_density(&self) -> f64 {
+            if self.size == 0 {
+                self.accesses as f64
+            } else {
+                self.accesses as f64 / self.size as f64
+            }
+        }
+    }
+    if capacity == 0 {
+        return Vec::new();
+    }
+    let mut profiles: std::collections::BTreeMap<VarId, Profile> = Default::default();
+    for ev in trace.iter() {
+        let Some(var) = ev.var.or_else(|| symbols.resolve(ev.addr)) else {
+            continue;
+        };
+        let entry = profiles.entry(var).or_insert_with(|| Profile {
+            var,
+            size: symbols.region(var).map(|r| r.size).unwrap_or(0),
+            accesses: 0,
+        });
+        entry.accesses += 1;
+    }
+    let mut ranked: Vec<&Profile> = profiles.values().collect();
+    ranked.sort_by(|a, b| {
+        b.access_density()
+            .partial_cmp(&a.access_density())
+            .unwrap_or(std::cmp::Ordering::Equal)
+            .then(a.var.cmp(&b.var))
+    });
+    let mut selected = Vec::new();
+    let mut used = 0u64;
+    for p in ranked {
+        if p.size > 0 && used + p.size <= capacity {
+            selected.push(p.var);
+            used += p.size;
+        }
+    }
+    selected
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The scratchpad selection equals the access-profile ranking it replaced, over
+    /// annotated events (including ids the symbol table does not know), unannotated
+    /// events found by address, events outside every region, and capacities from 0 to
+    /// twice the footprint.
+    #[test]
+    fn scratchpad_selection_matches_the_access_profile_ranking(
+        sizes in prop::collection::vec(1u64..600, 1..8),
+        ops in prop::collection::vec((0usize..4, 0usize..8, 0u64..600), 0..300),
+        capacity_share in 0u64..=200,
+    ) {
+        let mut symbols = SymbolTable::new();
+        let vars: Vec<VarId> = sizes
+            .iter()
+            .enumerate()
+            .map(|(i, s)| symbols.allocate(&format!("v{i}"), *s, 8).unwrap())
+            .collect();
+        let mut trace = Trace::new();
+        for (kind, v, off) in &ops {
+            let var = vars[v % vars.len()];
+            let region = symbols.region(var).unwrap();
+            let inside = region.base + off % region.size;
+            trace.push(match kind {
+                0 => MemAccess::read(inside, 4).with_var(var),
+                1 => MemAccess::write(inside, 4),
+                2 => MemAccess::read(0x4000_0000 + off, 4),
+                _ => MemAccess::read(inside, 4).with_var(VarId(100 + *v as u32)),
+            });
+        }
+        let footprint: u64 = sizes.iter().sum();
+        let capacity = footprint * capacity_share / 100;
+        prop_assert_eq!(
+            select_scratchpad_vars(&trace, &symbols, capacity),
+            reference_scratchpad_selection(&trace, &symbols, capacity)
+        );
     }
 }

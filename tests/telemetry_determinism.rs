@@ -131,11 +131,13 @@ fn layout_assignments_and_merges_are_counted_in_their_registry() {
     };
 
     let registry = Registry::new();
+    let spec = column_caching::exp::ExperimentSpec::parse_str(
+        r#"{"name": "heuristic", "replay": [{"workloads": ["fir", "mpeg-idct", "gzip"],
+            "policies": ["heuristic"]}]}"#,
+    )
+    .expect("heuristic spec parses");
     let artefact = session_with(&registry)
-        .run_spec_str(
-            r#"{"name": "heuristic", "replay": [{"workloads": ["fir", "mpeg-idct", "gzip"],
-                "policies": ["heuristic"]}]}"#,
-        )
+        .run_spec(&spec)
         .expect("heuristic spec runs");
     let merges: usize = artefact
         .outcomes

@@ -6,8 +6,8 @@
 //! [`run`] executes arbitrary declarative spec files through the same pipeline;
 //! [`sweep`] replays an arbitrary trace file across backends; [`trace`] records,
 //! inspects and converts trace files; [`tune`] searches cache geometries and column
-//! assignments with replay-driven fitness; [`serve`] runs the concurrent cache-advisory
-//! service (or drives one as a scriptable client).
+//! assignments with simulation-driven fitness; [`serve`] runs the concurrent
+//! cache-advisory service (or drives one as a scriptable client).
 
 pub mod ablation;
 pub mod fig4;

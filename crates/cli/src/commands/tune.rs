@@ -23,7 +23,7 @@ pub const USAGE: &str = "\
 usage: ccache tune [options]
 
 Jointly searches cache geometry (columns, line size, TLB entries) and per-variable
-column assignments, scoring every candidate by replaying the workload; reports the
+column assignments, scoring every candidate by simulating the workload; reports the
 best configuration found, the miss-rate improvement over the paper's heuristic layout
 and over the baseline cache, and a per-generation convergence table. Fully
 deterministic for a fixed --seed.
@@ -32,7 +32,7 @@ options:
   --workload NAME   built-in workload (default: mpeg-combined; see ccache-workloads)
   --trace FILE      tune a trace file instead (variables inferred by address clustering)
   --strategy NAME   exhaustive | hill-climb | evolutionary (default: evolutionary)
-  --budget N        maximum candidate replays (default: 192; 48 with --quick)
+  --budget N        maximum candidates scored (default: 192; 48 with --quick)
   --seed N          search RNG seed (default: 42)
   --fixed-geometry  search column assignments only, keeping the template geometry
   --baseline KIND   comparison backend: column, set-assoc or ideal (default: set-assoc)
@@ -44,7 +44,7 @@ options:
   --quick, -q       reduced working sets (and budget) for smoke tests
   --metrics FILE    write the session's deterministic telemetry snapshot (JSON,
                     counters only: opt.* search counters and the engine.*
-                    counters of every candidate replay) to FILE
+                    counters of every engine replay) to FILE
   --format FMT      json | csv | markdown (default: json)
   --out FILE        write the report in FMT to FILE instead of stdout
   --help, -h        show this help

@@ -132,18 +132,17 @@ mod tests {
         ] {
             let path = dir.join(name).to_string_lossy().into_owned();
             std::fs::write(&path, text).unwrap();
-            for command in [
-                &["trace", "info"][..],
-                &["sweep", "--trace"],
-                &["tune", "--budget", "4", "--trace"],
+            // `sweep` and `tune` load the trace as a workload, whose errors name the file.
+            let named = format!("trace '{path}': line 1: ");
+            for (command, prefix) in [
+                (&["trace", "info"][..], "line 1: "),
+                (&["sweep", "--trace"], named.as_str()),
+                (&["tune", "--budget", "4", "--trace"], named.as_str()),
             ] {
                 let args = command.iter().map(|s| s.to_string()).chain([path.clone()]);
                 let err = run(args).unwrap_err();
                 assert_eq!(err.exit_code(), 1, "{command:?}: {err}");
-                assert!(
-                    err.to_string().starts_with("line 1: "),
-                    "{command:?}: {err}"
-                );
+                assert!(err.to_string().starts_with(prefix), "{command:?}: {err}");
             }
         }
     }

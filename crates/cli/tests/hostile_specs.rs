@@ -147,3 +147,42 @@ fn traces_without_line_breaks_are_refused_within_seconds() {
     );
     assert!(start.elapsed() < Duration::from_secs(10));
 }
+
+#[test]
+fn trace_errors_name_the_file_that_failed() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
+    let good = dir.join("named-good.cct");
+    let record = Command::new(env!("CARGO_BIN_EXE_ccache"))
+        .args(["trace", "record", "--count", "64", "--out"])
+        .arg(&good)
+        .output()
+        .expect("spawn ccache");
+    assert!(record.status.success());
+    // A binary trace cut short fails while it streams; a text trace with a bad line
+    // fails while it loads.
+    let truncated = dir.join("named-truncated.cct");
+    let bytes = std::fs::read(&good).expect("read trace");
+    std::fs::write(&truncated, &bytes[..bytes.len() / 2]).expect("write trace");
+    let garbled = dir.join("named-garbled.trace");
+    std::fs::write(&garbled, "R 0x10 8\nbogus line\n").expect("write trace");
+
+    let good = good.to_str().expect("utf-8 path");
+    for (bad, reason) in [
+        (
+            truncated.to_str().expect("utf-8 path"),
+            "failed to fill whole buffer",
+        ),
+        (garbled.to_str().expect("utf-8 path"), "line 2: "),
+    ] {
+        let spec = format!(
+            r#"{{"name": "named", "replay": [{{"workloads": [{{"trace": "{good}"}}, {{"trace": "{bad}"}}]}}]}}"#
+        );
+        let (code, stderr, _) = run_spec("named", &spec);
+        assert_eq!(code, Some(1), "{stderr}");
+        assert!(
+            stderr.contains(&format!("error: trace '{bad}': {reason}")),
+            "{stderr}"
+        );
+        assert!(!stderr.contains(good), "{stderr}");
+    }
+}

@@ -1,13 +1,14 @@
 //! The replay engine: batched trace replay over a pluggable memory backend, with cheap
 //! snapshot/reset.
 //!
-//! Every replay in the workspace — experiment jobs, tuner fitness evaluations, streamed
-//! trace files, the Figure 5 round-robin schedule — runs through the one batch loop of
+//! Every replay in the workspace — experiment jobs, tuner reference points and the
+//! candidates its per-column model does not score, streamed trace files, the Figure 5
+//! round-robin schedule — runs through the one batch loop of
 //! [`ReplayEngine::replay_from`]:
 //!
 //! * references come from a [`RefSource`]: in-memory events staged into the engine's
-//!   buffer, pre-decoded `(addr, is_write)` references lent without a copy, a streaming
-//!   [`TraceReader`], or a caller-defined source such as the multitask scheduler;
+//!   buffer, a streaming [`TraceReader`], or a caller-defined source such as the
+//!   multitask scheduler;
 //! * they are fed to the backend in **batches** ([`MemoryBackend::run_batch`]), which
 //!   runs each reference through the backend's one per-reference datapath, so
 //!   statistics are those of per-reference replay ([`run_on`](crate::runner::run_on));
@@ -40,10 +41,9 @@ const DEFAULT_BATCH: usize = 4096;
 /// A stream of `(address, is_write)` references that [`ReplayEngine::replay_from`]
 /// pulls one batch at a time.
 ///
-/// Implemented for in-memory events (`&[MemAccess]`, staged into the engine's buffer),
-/// pre-decoded references (`&[(u64, bool)]`, lent to the backend without a copy) and
-/// the streaming binary [`TraceReader`] (decoded into the buffer), plus `&mut` of any
-/// source.
+/// Implemented for in-memory events (`&[MemAccess]`, staged into the engine's buffer)
+/// and the streaming binary [`TraceReader`] (decoded into the buffer), plus `&mut` of
+/// any source.
 pub trait RefSource {
     /// The decode failure; [`Infallible`] for in-memory sources.
     type Error;
@@ -93,18 +93,6 @@ impl RefSource for &[MemAccess] {
     ) -> Result<&'a [(u64, bool)], Infallible> {
         let events = take_front(self, max);
         Ok(stage(staging, events))
-    }
-}
-
-impl RefSource for &[(u64, bool)] {
-    type Error = Infallible;
-
-    fn next_batch<'a>(
-        &'a mut self,
-        _staging: &'a mut Vec<(u64, bool)>,
-        max: usize,
-    ) -> Result<&'a [(u64, bool)], Infallible> {
-        Ok(take_front(self, max))
     }
 }
 
@@ -171,8 +159,7 @@ pub struct ReplayEngine {
     snapshot: Option<Box<dyn MemoryBackend>>,
     batch: usize,
     /// Staging for sources that convert events into `run_batch` input. Starts empty and
-    /// grows on first use, so engines that only replay pre-decoded references never
-    /// allocate it.
+    /// grows on first use.
     buffer: Vec<(u64, bool)>,
     telemetry: EngineTelemetry,
 }
@@ -497,24 +484,6 @@ mod tests {
         let mut large = ReplayEngine::new(BackendKind::ColumnCache, config()).unwrap();
         large.set_batch_size(1 << 20);
         assert_eq!(small.replay("x", &t), large.replay("x", &t));
-    }
-
-    #[test]
-    fn refs_paths_match_the_trace_paths() {
-        let t = trace();
-        let refs: Vec<(u64, bool)> = t
-            .as_slice()
-            .iter()
-            .map(|ev| (ev.addr, ev.is_write()))
-            .collect();
-        let m = mapping();
-
-        let mut a = ReplayEngine::new(BackendKind::ColumnCache, config()).unwrap();
-        a.apply(&m).unwrap();
-        let mut b = a.clone();
-        let from_trace = a.replay("x", &t);
-        let Ok(from_refs) = b.replay_from("x", &refs[..], None);
-        assert_eq!(from_trace, from_refs);
     }
 
     #[test]

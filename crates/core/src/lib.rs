@@ -5,7 +5,8 @@
 //! instrumented workloads (`ccache-workloads`) into the experiments the paper reports.
 //!
 //! * [`engine`] — the [`ReplayEngine`], whose one batch loop
-//!   ([`ReplayEngine::replay_from`]) runs every replay below, over any [`RefSource`].
+//!   ([`ReplayEngine::replay_from`]) runs every replay below, over any [`RefSource`]:
+//!   in-memory events, a streaming trace reader or the multitask scheduler.
 //! * [`runner`] — program a [`ccache_sim::MemorySystem`] from a column assignment
 //!   ([`runner::CacheMapping`]), and the per-reference reference replay
 //!   ([`runner::run_on`]).

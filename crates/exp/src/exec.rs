@@ -12,7 +12,7 @@
 use crate::error::ExpError;
 use crate::plan::{JobUnit, MultitaskJob, Plan, ReplayJob};
 use crate::scale::Scale;
-use crate::spec::{GeometrySpec, PolicySpec, WorkloadSel};
+use crate::spec::{in_trace_file, GeometrySpec, PolicySpec, WorkloadSel};
 use ccache_core::dynamic::{run_dynamic_in, DynamicRunResult};
 use ccache_core::engine::ReplayEngine;
 use ccache_core::multitask::{run_multitasking_in, MultitaskRun};
@@ -186,7 +186,7 @@ fn job_set_key(jobs: &[crate::spec::GzipJobSpec]) -> String {
 fn is_streaming(job: &ReplayJob) -> Result<bool, ExpError> {
     match (&job.workload, &job.policy) {
         (WorkloadSel::Trace { path }, PolicySpec::Shared) => {
-            Ok(ccache_trace::binfmt::is_binary_trace_file(path)?)
+            Ok(ccache_trace::binfmt::is_binary_trace_file(path).map_err(in_trace_file(path))?)
         }
         _ => Ok(false),
     }
@@ -367,8 +367,12 @@ fn run_replay(
     let observe = recorder.as_mut().map(SeriesRecorder::as_observer);
     let (result, layout) = match &job.workload {
         WorkloadSel::Trace { path } if is_streaming(job)? => {
-            let mut reader = ccache_trace::binfmt::TraceReader::open(path)?;
-            (engine.replay_from(&job.label, &mut reader, observe)?, None)
+            let mut reader =
+                ccache_trace::binfmt::TraceReader::open(path).map_err(in_trace_file(path))?;
+            let result = engine
+                .replay_from(&job.label, &mut reader, observe)
+                .map_err(in_trace_file(path))?;
+            (result, None)
         }
         _ => {
             let workload = ctx.workload(job)?;

@@ -98,14 +98,14 @@ impl WorkloadSel {
     /// # Errors
     ///
     /// Fails for corpus names not in `ccache_workloads::CORPUS_NAMES` and for trace files
-    /// that cannot be read or decoded.
+    /// that cannot be read or decoded, naming the file: `trace '<path>': <error>`.
     pub fn load(&self, page: u64, line: u64, quick: bool) -> Result<WorkloadRun, ExpError> {
         match self {
             WorkloadSel::Corpus { name } => {
                 ccache_workloads::corpus(name, quick).ok_or_else(|| bad(unknown_workload(name)))
             }
             WorkloadSel::Trace { path } => {
-                let trace = ccache_trace::read_trace_file(path)?;
+                let trace = ccache_trace::read_trace_file(path).map_err(in_trace_file(path))?;
                 let (gap, granularity) = trace_inference(page, line);
                 let symbols = ccache_trace::infer_symbols(&trace, gap, granularity);
                 Ok(WorkloadRun {
@@ -117,6 +117,12 @@ impl WorkloadSel {
             }
         }
     }
+}
+
+/// Prefixes a read or decode error of the trace file at `path` with its path, as in
+/// `trace '/dev/zero': line 1: longer than 4096 bytes`, keeping the error's kind.
+pub(crate) fn in_trace_file(path: &str) -> impl Fn(std::io::Error) -> std::io::Error + '_ {
+    move |e| std::io::Error::new(e.kind(), format!("trace '{path}': {e}"))
 }
 
 /// The region gap and granularity of symbol inference for a trace file: the page size,
@@ -279,7 +285,7 @@ pub enum PolicySpec {
     Tuned {
         /// Search strategy.
         strategy: StrategyKind,
-        /// Maximum candidate replays.
+        /// Maximum candidates scored.
         budget: usize,
         /// Search RNG seed.
         seed: u64,

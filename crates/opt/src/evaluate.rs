@@ -1,19 +1,23 @@
-//! Replay-backed fitness with a canonical-genome cache and an evaluation budget.
+//! Simulation-backed fitness with a canonical-genome cache and an evaluation budget.
 //!
 //! Search strategies propose genomes; the [`Evaluator`] decodes each into a concrete
-//! candidate (geometry + [`CacheMapping`]), replays the trace on a fresh
-//! [`ReplayEngine`], and memoises the result under the genome's canonical key — so a
-//! duplicate candidate, however it was produced, **never replays twice**. Only real
-//! replays count against the budget, which is what lets a strategy keep polishing a
-//! converged population for free.
+//! candidate (geometry + [`CacheMapping`]), scores it, and memoises the result under the
+//! genome's canonical key — so a duplicate candidate, however it was produced, **is
+//! never scored twice**. Only new candidates count against the budget, which is what
+//! lets a strategy keep polishing a converged population for free.
 //!
-//! The trace is decoded once into the `(address, is_write)` references every replay
-//! reads; nothing else is shared between candidates, so every evaluation is exactly one
-//! `engine.replays` tick. Batches preserve input order and fan out over threads unless
-//! the evaluator was built serial; because the cache is keyed canonically and filled in
-//! input order, the evaluator's observable behaviour is byte-identical either way.
+//! A candidate that tints every referenced page to one column is scored by an exact
+//! per-column model of the column cache (`crates/opt/src/model.rs`), which the evaluator
+//! packs the trace for once; any other candidate, and every reference point, is replayed
+//! on a fresh [`ReplayEngine`]. Both give the same fitness, so which path scored a
+//! candidate shows only in telemetry: every evaluation is one `opt.evaluations` tick and
+//! either one `opt.model.evaluations` tick or one `engine.replays` tick. Batches
+//! preserve input order and fan out over threads unless the evaluator was built serial;
+//! because the cache is keyed canonically and filled in input order, the evaluator's
+//! observable behaviour is byte-identical either way.
 
 use crate::error::OptError;
+use crate::model::ColumnModel;
 use crate::space::{Genome, SearchSpace};
 use ccache_core::parallel::{par_map, seq_map};
 use ccache_core::{CacheMapping, CoreError, ReplayEngine, RunResult};
@@ -24,7 +28,7 @@ use ccache_telemetry::{Counter, Registry};
 use ccache_trace::Trace;
 use std::collections::BTreeMap;
 
-/// The replayed quality of one candidate, ordered by `(misses, cycles)` — exact integer
+/// The quality of one candidate, ordered by `(misses, cycles)` — exact integer
 /// comparison, so rankings cannot drift with float rounding.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Fitness {
@@ -58,8 +62,10 @@ impl Fitness {
 /// Memoising, budgeted fitness evaluation over one search space.
 pub struct Evaluator<'a> {
     space: &'a SearchSpace,
-    /// The trace decoded once into the form every candidate replay runs over.
-    references: Vec<(u64, bool)>,
+    /// The trace the engine path replays.
+    trace: &'a Trace,
+    /// The trace packed for the model; `None` when the model cannot represent it.
+    model: Option<ColumnModel>,
     serial: bool,
     /// The registry every candidate engine reports into.
     registry: Registry,
@@ -72,6 +78,7 @@ pub struct Evaluator<'a> {
 /// Pre-resolved telemetry handles, updated once per batch (never per genome).
 struct EvaluatorTelemetry {
     evaluations: Counter,
+    model_evaluations: Counter,
     cache_hits: Counter,
     cache_misses: Counter,
 }
@@ -80,6 +87,7 @@ impl EvaluatorTelemetry {
     fn bind(registry: &Registry) -> Self {
         EvaluatorTelemetry {
             evaluations: registry.counter("opt.evaluations"),
+            model_evaluations: registry.counter("opt.model.evaluations"),
             cache_hits: registry.counter("opt.fitness_cache.hits"),
             cache_misses: registry.counter("opt.fitness_cache.misses"),
         }
@@ -87,14 +95,24 @@ impl EvaluatorTelemetry {
 }
 
 impl<'a> Evaluator<'a> {
-    /// Creates an evaluator over `space` replaying `trace`, allowed `budget` real
-    /// replays. `serial` forces single-threaded evaluation (used to prove schedule
+    /// Creates an evaluator over `space` scoring candidates on `trace`, allowed `budget`
+    /// evaluations. `serial` forces single-threaded evaluation (used to prove schedule
     /// independence).
-    pub fn new(space: &'a SearchSpace, trace: &Trace, budget: usize, serial: bool) -> Self {
+    pub fn new(space: &'a SearchSpace, trace: &'a Trace, budget: usize, serial: bool) -> Self {
         let registry = Registry::global();
+        let tlb_sizes: Vec<usize> = space
+            .geometries
+            .iter()
+            .map(|g| g.config.tlb_entries)
+            .collect();
+        let model = space
+            .geometries
+            .first()
+            .and_then(|g| ColumnModel::new(trace, g.config.page_size, &tlb_sizes));
         Evaluator {
             space,
-            references: trace.iter().map(|ev| (ev.addr, ev.is_write())).collect(),
+            trace,
+            model,
             serial,
             cache: BTreeMap::new(),
             budget,
@@ -113,12 +131,12 @@ impl<'a> Evaluator<'a> {
         self.registry = registry.clone();
     }
 
-    /// Real replays performed so far (cache hits are free).
+    /// Candidates scored so far, by the model or a replay (cache hits are free).
     pub fn replays(&self) -> usize {
         self.replays
     }
 
-    /// Replays still allowed.
+    /// Evaluations still allowed.
     pub fn remaining(&self) -> usize {
         self.budget.saturating_sub(self.replays)
     }
@@ -134,9 +152,8 @@ impl<'a> Evaluator<'a> {
     }
 
     /// Evaluates a batch of genomes, returning fitness **in input order**. Cached
-    /// genomes cost nothing; new distinct genomes are replayed (in parallel when
-    /// enabled) until the budget runs out, after which unevaluated entries come back as
-    /// `None`.
+    /// genomes cost nothing; new distinct genomes are scored (in parallel when enabled)
+    /// until the budget runs out, after which unevaluated entries come back as `None`.
     ///
     /// # Errors
     ///
@@ -163,23 +180,15 @@ impl<'a> Evaluator<'a> {
         self.telemetry.cache_hits.add(cache_hits);
         self.telemetry.cache_misses.add(new_keys.len() as u64);
 
-        // Decode everything first, so a decode error surfaces before any replay runs.
+        // Decode everything first, so a decode error surfaces before anything is scored.
         let candidates: Vec<(SystemConfig, CacheMapping)> = new_genomes
             .iter()
             .map(|g| self.decode(g))
             .collect::<Result<_, _>>()?;
-        let replay = |(config, mapping): &(SystemConfig, CacheMapping)| {
-            self.replay("candidate", BackendKind::ColumnCache, *config, mapping)
-        };
-        let results = if self.serial {
-            seq_map(&candidates, replay)
-        } else {
-            par_map(&candidates, replay)
-        };
+        let results = self.score(&candidates);
         self.replays += results.len();
-        self.telemetry.evaluations.add(results.len() as u64);
         for (key, result) in new_keys.into_iter().zip(results) {
-            self.cache.insert(key, Fitness::from_run(&result?));
+            self.cache.insert(key, result?);
         }
 
         Ok(genomes
@@ -189,7 +198,8 @@ impl<'a> Evaluator<'a> {
     }
 
     /// Scores a non-genome reference point (e.g. the set-associative baseline) on the
-    /// same trace, outside the cache and the budget.
+    /// same trace, outside the cache and the budget. Reference points always replay on
+    /// the engine.
     ///
     /// # Errors
     ///
@@ -204,8 +214,39 @@ impl<'a> Evaluator<'a> {
         Ok(Fitness::from_run(&run))
     }
 
-    /// One candidate replay: a fresh engine bound to the evaluator's registry, the
-    /// mapping applied, then the references replayed once.
+    /// Scores column-cache candidates in input order — with the model when it scores a
+    /// candidate exactly, on a fresh engine otherwise — and counts them in
+    /// `opt.evaluations` and `opt.model.evaluations`.
+    fn score(
+        &self,
+        candidates: &[(SystemConfig, CacheMapping)],
+    ) -> Vec<Result<Fitness, CoreError>> {
+        let score_one = |(config, mapping): &(SystemConfig, CacheMapping)| {
+            if let Some(fitness) = self.model.as_ref().and_then(|m| m.score(config, mapping)) {
+                return Ok((fitness, true));
+            }
+            let run = self.replay("candidate", BackendKind::ColumnCache, *config, mapping)?;
+            Ok((Fitness::from_run(&run), false))
+        };
+        let results = if self.serial {
+            seq_map(candidates, score_one)
+        } else {
+            par_map(candidates, score_one)
+        };
+        let modelled = results
+            .iter()
+            .filter(|r| matches!(r, Ok((_, true))))
+            .count();
+        self.telemetry.evaluations.add(results.len() as u64);
+        self.telemetry.model_evaluations.add(modelled as u64);
+        results
+            .into_iter()
+            .map(|r| r.map(|(fitness, _)| fitness))
+            .collect()
+    }
+
+    /// One engine replay: a fresh engine bound to the evaluator's registry, the mapping
+    /// applied, then the trace replayed once.
     fn replay(
         &self,
         name: &str,
@@ -216,11 +257,10 @@ impl<'a> Evaluator<'a> {
         let mut engine = ReplayEngine::new(backend, config)?;
         engine.set_telemetry(&self.registry);
         engine.apply(mapping)?;
-        let Ok(result) = engine.replay_from(name, &self.references[..], None);
-        Ok(result)
+        Ok(engine.replay(name, self.trace))
     }
 
-    /// Decodes a genome into the geometry and mapping its replay programs.
+    /// Decodes a genome into the geometry and mapping its candidate programs.
     fn decode(&self, genome: &Genome) -> Result<(SystemConfig, CacheMapping), OptError> {
         let geo = &self.space.geometries[genome.geometry];
         let assignment = assignment_from_vertex_columns(&geo.graph, &geo.options, &genome.columns)?;
@@ -234,7 +274,8 @@ impl<'a> Evaluator<'a> {
 mod tests {
     use super::*;
     use crate::space::GeometrySearch;
-    use ccache_sim::SystemConfig;
+    use ccache_core::RegionMapping;
+    use ccache_sim::{ColumnMask, SystemConfig};
     use ccache_trace::{AccessKind, SymbolTable, TraceRecorder};
 
     fn workload() -> (Trace, SymbolTable) {
@@ -330,8 +371,8 @@ mod tests {
         steered.map(
             b.base,
             b.size,
-            ccache_core::RegionMapping::Columns {
-                mask: ccache_sim::ColumnMask::single(3),
+            RegionMapping::Columns {
+                mask: ColumnMask::single(3),
             },
         );
         for backend in BackendKind::ALL {
@@ -350,6 +391,126 @@ mod tests {
             registry.counter_value("engine.references"),
             replays * t.len() as u64
         );
+    }
+
+    fn single(column: usize) -> RegionMapping {
+        RegionMapping::Columns {
+            mask: ColumnMask::single(column),
+        }
+    }
+
+    /// `a` on column 0 and `b` on column 1: every page the workload references is tinted
+    /// to one column.
+    fn covering(s: &SymbolTable) -> CacheMapping {
+        let mut mapping = CacheMapping::new();
+        for (region, column) in s.iter().zip([0, 1]) {
+            mapping.map(region.base, region.size, single(column));
+        }
+        mapping
+    }
+
+    /// Scores `mapping` as a candidate under the template geometry and returns the
+    /// result, whether the model scored it, and the engine replays it took; then checks
+    /// the result against a hand-built engine replay of the same mapping.
+    fn score_checked(mapping: &CacheMapping) -> (Result<Fitness, CoreError>, bool, u64) {
+        let (t, s) = workload();
+        let space = SearchSpace::build(&t, &s, template(), &GeometrySearch::fixed(), &[]).unwrap();
+        let registry = Registry::new();
+        let mut eval = Evaluator::new(&space, &t, 1, true);
+        eval.set_telemetry(&registry);
+        let result = eval.score(&[(template(), mapping.clone())]).pop().unwrap();
+        assert_eq!(registry.counter_value("opt.evaluations"), 1);
+        let modelled = registry.counter_value("opt.model.evaluations") == 1;
+
+        let mut engine = ReplayEngine::new(BackendKind::ColumnCache, template()).unwrap();
+        engine.set_telemetry(&Registry::new());
+        let by_engine = engine
+            .apply(mapping)
+            .map(|()| Fitness::from_run(&engine.replay("hand-built", &t)));
+        assert_eq!(result, by_engine, "{mapping:?}");
+        (result, modelled, registry.counter_value("engine.replays"))
+    }
+
+    #[test]
+    fn single_column_mappings_are_scored_by_the_model() {
+        let (_, s) = workload();
+        let (result, modelled, replays) = score_checked(&covering(&s));
+        assert!(result.is_ok());
+        assert!(modelled);
+        assert_eq!(replays, 0);
+    }
+
+    #[test]
+    fn ineligible_mappings_replay_on_the_engine() {
+        let (_, s) = workload();
+        let with_b = |mapping: RegionMapping| {
+            let mut m = covering(&s);
+            m.regions[1].2 = mapping;
+            m
+        };
+        let mut defaulted = covering(&s);
+        defaulted.default_mask = Some(ColumnMask::from_columns([2, 3]));
+        let mut uncovered = covering(&s);
+        uncovered.regions.truncate(1);
+        let cases = [
+            (
+                "multi-column mask",
+                with_b(RegionMapping::Columns {
+                    mask: ColumnMask::from_columns([1, 2]),
+                }),
+            ),
+            ("default mask", defaulted),
+            (
+                "exclusive region",
+                with_b(RegionMapping::Exclusive {
+                    mask: ColumnMask::single(2),
+                    preload: true,
+                }),
+            ),
+            ("uncached region", with_b(RegionMapping::Uncached)),
+            ("uncovered page", uncovered),
+        ];
+        for (name, mapping) in cases {
+            let (result, modelled, replays) = score_checked(&mapping);
+            assert!(result.is_ok(), "{name}");
+            assert!(!modelled, "{name}");
+            assert_eq!(replays, 1, "{name}");
+        }
+    }
+
+    #[test]
+    fn a_page_covered_twice_takes_the_last_regions_column() {
+        let (_, s) = workload();
+        let a = s.iter().find(|r| r.name == "a").unwrap();
+        // `a` re-tinted onto `b`'s column, where the two conflict
+        let mut shadowed = covering(&s);
+        shadowed.map(a.base, a.size, single(1));
+        let (result, modelled, _) = score_checked(&shadowed);
+        assert!(modelled);
+        let (separate, _, _) = score_checked(&covering(&s));
+        assert_ne!(result.unwrap(), separate.unwrap());
+    }
+
+    #[test]
+    fn zero_size_regions_are_ignored() {
+        let (_, s) = workload();
+        let a = s.iter().find(|r| r.name == "a").unwrap();
+        let mut mapping = covering(&s);
+        mapping.map(a.base, 0, single(1));
+        let (result, modelled, _) = score_checked(&mapping);
+        assert!(modelled);
+        assert_eq!(result, score_checked(&covering(&s)).0);
+    }
+
+    #[test]
+    fn out_of_range_columns_return_the_engines_error() {
+        let (_, s) = workload();
+        let mut mapping = covering(&s);
+        mapping.regions[1].2 = single(template().cache.columns());
+        let (result, modelled, replays) = score_checked(&mapping);
+        assert!(matches!(result, Err(CoreError::Sim(_))), "{result:?}");
+        assert!(!modelled);
+        assert_eq!(replays, 0);
     }
 
     #[test]

@@ -1,19 +1,20 @@
 //! Autotuning for software-controlled caches: search cache geometries and column
-//! assignments with replay-driven fitness.
+//! assignments with simulation-driven fitness.
 //!
 //! The paper's premise is that software can pick better column mappings than hardware
 //! LRU — but its Section 3 algorithm is a single heuristic. This crate searches the
 //! *joint* space of cache geometry (columns, line size, TLB entries) and per-unit column
-//! assignment, scoring every candidate by actually replaying the workload through
-//! `ccache-core`'s batched [`ReplayEngine`](ccache_core::ReplayEngine) — the
+//! assignment, scoring every candidate by simulating the workload on it — the
 //! simulation-in-the-loop fitness used by evolutionary memory-subsystem design (Díaz
-//! Álvarez et al.; Risco-Martín et al.).
+//! Álvarez et al.; Risco-Martín et al.). A candidate that tints every referenced page to
+//! one column is scored by an exact per-column cache model; any other is replayed through
+//! `ccache-core`'s batched [`ReplayEngine`](ccache_core::ReplayEngine).
 //!
 //! * [`space`] — the [`SearchSpace`]: materialised geometries, genome encode/decode,
 //!   mutation and crossover, all valid by construction.
 //! * [`evaluate`] — the budgeted [`Evaluator`]: canonical-key fitness cache (duplicate
-//!   candidates never re-replay) over candidate replays on fresh engines, batched
-//!   thread-parallel and byte-identical to a serial run.
+//!   candidates are never scored twice) over the per-column model or a replay on a
+//!   fresh engine, batched thread-parallel and byte-identical to a serial run.
 //! * [`strategy`] — [`SearchStrategy`] implementations: [`Exhaustive`],
 //!   [`HillClimb`] and [`Evolutionary`] (μ+λ).
 //! * [`tuner`] — the one-call [`tune_observed`] driver and its JSON-serialisable
@@ -59,6 +60,7 @@
 
 pub mod error;
 pub mod evaluate;
+mod model;
 pub mod space;
 pub mod strategy;
 pub mod tuner;

@@ -6,16 +6,22 @@
 //!   range, forced placements respected;
 //! * `decode(encode(g)) == g` for every genome the space can produce;
 //! * a fixed seed produces an identical best result (and convergence log) with
-//!   thread-parallel evaluation on and off.
+//!   thread-parallel evaluation on and off;
+//! * the evaluator's fitness — from the per-column model or an engine replay — equals a
+//!   hand-built engine replay of every candidate's mapping.
 
+use ccache_core::{CacheMapping, ReplayEngine};
+use ccache_layout::assignment_from_vertex_columns;
 use ccache_opt::{
-    tune_observed, Evaluator, GeometrySearch, ProgressLog, SearchSpace, StrategyKind, TuneRequest,
+    tune_observed, Evaluator, Fitness, Genome, GeometrySearch, ProgressLog, SearchSpace,
+    StrategyKind, TuneRequest,
 };
-use ccache_sim::SystemConfig;
+use ccache_sim::backend::BackendKind;
+use ccache_sim::{CacheConfig, LatencyConfig, ReplacementPolicy, SystemConfig};
 use ccache_telemetry::Registry;
-use ccache_trace::{AccessKind, SymbolTable, Trace, TraceRecorder, VarId};
+use ccache_trace::{AccessKind, MemAccess, SymbolTable, Trace, TraceRecorder, VarId};
 use proptest::prelude::*;
-use rand::{rngs::StdRng, SeedableRng};
+use rand::{rngs::StdRng, Rng, SeedableRng};
 
 /// Builds a random small workload: `vars` variables with varied sizes, `events` accesses
 /// round-robining with a drifting stride.
@@ -119,6 +125,140 @@ proptest! {
         prop_assert_eq!(best_par.fitness.key(), best_ser.fitness.key());
         prop_assert_eq!(replays_par, replays_ser);
         prop_assert_eq!(log_par, log_ser);
+    }
+}
+
+/// A random workload for the model check: 1–6 variables of 8 B–1 KiB, and 200–1,200
+/// accesses that mix reads and writes.
+fn mixed_workload(rng: &mut StdRng) -> (Trace, SymbolTable) {
+    let mut rec = TraceRecorder::new();
+    let vars: Vec<(VarId, u64)> = (0..rng.random_range(1..=6usize))
+        .map(|i| {
+            let size = 8 * rng.random_range(1..=128u64);
+            (rec.allocate(&format!("v{i}"), size, 8), size)
+        })
+        .collect();
+    let writes = f64::from(rng.random_range(1..6u32)) / 10.0;
+    for _ in 0..rng.random_range(200..=1200) {
+        let (var, size) = vars[rng.random_range(0..vars.len())];
+        let kind = if rng.random_bool(writes) {
+            AccessKind::Write
+        } else {
+            AccessKind::Read
+        };
+        rec.record(var, 8 * rng.random_range(0..size / 8), 8, kind);
+    }
+    rec.finish()
+}
+
+/// A random valid template: capacity 256 B–8 KiB, 1–16 columns, 8–64 B lines, pages of
+/// one line to 4 KiB, 1–128 TLB entries, any replacement policy and nonzero penalties.
+fn random_template(rng: &mut StdRng) -> SystemConfig {
+    loop {
+        let line = 8u64 << rng.random_range(0..4u32);
+        let Ok(cache) = CacheConfig::builder()
+            .capacity_bytes(256 << rng.random_range(0..6u32))
+            .columns(1 << rng.random_range(0..5u32))
+            .line_size(line)
+            .replacement(ReplacementPolicy::ALL[rng.random_range(0..5usize)])
+            .build()
+        else {
+            continue;
+        };
+        let latency = LatencyConfig {
+            hit_latency: rng.random_range(1..4),
+            miss_penalty: rng.random_range(5..40),
+            writeback_penalty: rng.random_range(1..30),
+            scratchpad_latency: 1,
+            uncached_latency: rng.random_range(1..50),
+            tlb_miss_penalty: rng.random_range(1..25),
+            compute_cycles_per_instruction: rng.random_range(1..3),
+            instructions_per_reference: rng.random_range(1..4),
+        };
+        let config = SystemConfig {
+            cache,
+            latency,
+            page_size: line << rng.random_range(0..=(4096 / line).trailing_zeros()),
+            tlb_entries: rng.random_range(1..=128),
+        };
+        if config.validate().is_ok() {
+            return config;
+        }
+    }
+}
+
+/// `trace` with a read or write outside every variable after roughly one reference in 40.
+fn with_strays(trace: &Trace, rng: &mut StdRng) -> Trace {
+    let mut out = Trace::new();
+    for ev in trace {
+        out.push(*ev);
+        if rng.random_bool(0.025) {
+            let addr = 0x4000_0000 + 8 * rng.random_range(0..4096u64);
+            out.push(if rng.random_bool(0.5) {
+                MemAccess::write(addr, 8)
+            } else {
+                MemAccess::read(addr, 8)
+            });
+        }
+    }
+    out
+}
+
+/// The fitness of a fresh column-cache engine replaying `trace` under `genome`'s mapping.
+fn hand_built_replay(space: &SearchSpace, genome: &Genome, trace: &Trace) -> Fitness {
+    let geo = &space.geometries[genome.geometry];
+    let assignment = assignment_from_vertex_columns(&geo.graph, &geo.options, &genome.columns)
+        .expect("in-space genome");
+    let mapping = CacheMapping::from_assignment(&assignment, &geo.units, &space.symbols, &[]);
+    let mut engine = ReplayEngine::new(BackendKind::ColumnCache, geo.config).expect("valid");
+    engine.set_telemetry(&Registry::new());
+    engine.apply(&mapping).expect("valid mapping");
+    Fitness::from_run(&engine.replay("hand-built", trace))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The per-column model checks the simulator, and the simulator checks the model: for
+    /// random workloads, geometries, replacement policies and latencies, every in-space
+    /// genome's evaluator fitness equals a hand-built engine replay of its mapping. Every
+    /// reference of the workload lies in a variable, so the model scores each candidate;
+    /// with stray references outside every variable added, the engine does.
+    #[test]
+    fn evaluator_fitness_equals_a_hand_built_engine_replay(seed in 0u64..1_000_000) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (trace, symbols) = mixed_workload(&mut rng);
+        let template = random_template(&mut rng);
+        let search = GeometrySearch {
+            columns: vec![1 << rng.random_range(0..5u32)],
+            line_sizes: Vec::new(),
+            tlb_entries: vec![rng.random_range(1..=128)],
+        };
+        let space = SearchSpace::build(&trace, &symbols, template, &search, &[])
+            .expect("space builds");
+        let mut genomes: Vec<Genome> = (0..space.geometries.len()).map(|g| space.seeded(g)).collect();
+        genomes.extend((0..6).map(|_| space.random(&mut rng)));
+        let strays = with_strays(&trace, &mut rng);
+
+        for (trace, modelled) in [(&trace, true), (&strays, false)] {
+            let registry = Registry::new();
+            let mut eval = Evaluator::new(&space, trace, genomes.len(), rng.random_bool(0.5));
+            eval.set_telemetry(&registry);
+            let scores = eval.evaluate_batch(&genomes).expect("in-space genomes");
+            for (genome, score) in genomes.iter().zip(scores) {
+                let expected = hand_built_replay(&space, genome, trace);
+                prop_assert_eq!(score, Some(expected), "{:?} under {:?}", genome, template);
+            }
+            let evaluations = registry.counter_value("opt.evaluations");
+            let by_model = registry.counter_value("opt.model.evaluations");
+            let replays = registry.counter_value("engine.replays");
+            prop_assert!(evaluations > 0);
+            if modelled {
+                prop_assert_eq!((by_model, replays), (evaluations, 0));
+            } else {
+                prop_assert_eq!((by_model, replays), (0, evaluations));
+            }
+        }
     }
 }
 

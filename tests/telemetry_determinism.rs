@@ -46,9 +46,9 @@ fn observed_tuning_reports_identical_metrics_across_runs() {
     assert!(snapshot_a.contains("opt.best.misses"));
 
     // The counters reconcile: every fitness evaluation is exactly one fitness-cache
-    // miss (a cached candidate is never replayed again) and one engine replay, plus one
-    // replay for the baseline reference point the tuner scores outside its budget, and
-    // every engine replay covers the whole trace.
+    // miss (a cached candidate is never scored again) and either one model evaluation
+    // or one engine replay, plus one replay for the baseline reference point the tuner
+    // scores outside its budget, and every engine replay covers the whole trace.
     let evaluations = registry.counter_value("opt.evaluations");
     assert!(evaluations > 0);
     assert_eq!(
@@ -56,11 +56,46 @@ fn observed_tuning_reports_identical_metrics_across_runs() {
         registry.counter_value("opt.fitness_cache.misses")
     );
     let replays = registry.counter_value("engine.replays");
-    assert_eq!(replays, evaluations + 1);
+    assert_eq!(
+        replays + registry.counter_value("opt.model.evaluations"),
+        evaluations + 1
+    );
     assert_eq!(
         registry.counter_value("engine.references"),
         replays * workload.trace.len() as u64
     );
+}
+
+/// The quick `mpeg-combined` tune (`ccache tune --quick`) tints every referenced page
+/// to one column in every candidate, so the per-column model scores them all and the
+/// engine replays only the baseline reference point: a silent fallback to the engine
+/// shows here.
+#[test]
+fn the_model_scores_every_candidate_of_the_quick_tune() {
+    use column_caching::sim::SystemConfig;
+
+    let workload = column_caching::workloads::corpus("mpeg-combined", true).expect("corpus");
+    let registry = Registry::new();
+    let request = TuneRequest {
+        template: SystemConfig {
+            page_size: 128,
+            ..SystemConfig::default()
+        },
+        budget: 48,
+        ..TuneRequest::default()
+    };
+    tune_observed(
+        &workload.trace,
+        &workload.symbols,
+        &request,
+        &registry,
+        None,
+    )
+    .expect("tune");
+    let evaluations = registry.counter_value("opt.evaluations");
+    assert_eq!(evaluations, 48);
+    assert_eq!(registry.counter_value("opt.model.evaluations"), evaluations);
+    assert_eq!(registry.counter_value("engine.replays"), 1);
 }
 
 /// The figure experiments count every replay in the execution's own registry: one

@@ -58,10 +58,6 @@ impl ColumnModel {
         let table = PageTable::new(page_size).ok()?;
         let page_shift = page_size.trailing_zeros();
         let mut ids: HashMap<u64, u32> = HashMap::new();
-        // Traces touch few pages, and mostly neighbouring ones, so a direct-mapped memo
-        // of recent pages answers most lookups without hashing. No page number is
-        // `u64::MAX`: addresses lie below 2^63.
-        let mut recent = [(u64::MAX, 0u32); 256];
         let mut refs = Vec::with_capacity(trace.len());
         let mut page_ids = Vec::with_capacity(trace.len());
         for ev in trace {
@@ -73,13 +69,8 @@ impl ColumnModel {
             } else {
                 ev.addr
             });
-            let page = ev.addr >> page_shift;
-            let memo = &mut recent[page as usize % recent.len()];
-            if memo.0 != page {
-                let next = u32::try_from(ids.len()).expect("fewer than 2^32 pages");
-                *memo = (page, *ids.entry(page).or_insert(next));
-            }
-            page_ids.push(memo.1);
+            let next = u32::try_from(ids.len()).expect("fewer than 2^32 pages");
+            page_ids.push(*ids.entry(ev.addr >> page_shift).or_insert(next));
         }
         let mut pages: Vec<(u64, u32)> = ids.into_iter().collect();
         pages.sort_unstable();

@@ -187,20 +187,25 @@ fn random_template(rng: &mut StdRng) -> SystemConfig {
     }
 }
 
-/// `trace` with a read or write outside every variable after roughly one reference in 40.
+/// `trace` with a read or write outside every variable after roughly one reference in 40,
+/// and always after the last one, so the result never lies wholly inside the variables.
 fn with_strays(trace: &Trace, rng: &mut StdRng) -> Trace {
+    fn stray(rng: &mut StdRng) -> MemAccess {
+        let addr = 0x4000_0000 + 8 * rng.random_range(0..4096u64);
+        if rng.random_bool(0.5) {
+            MemAccess::write(addr, 8)
+        } else {
+            MemAccess::read(addr, 8)
+        }
+    }
     let mut out = Trace::new();
     for ev in trace {
         out.push(*ev);
         if rng.random_bool(0.025) {
-            let addr = 0x4000_0000 + 8 * rng.random_range(0..4096u64);
-            out.push(if rng.random_bool(0.5) {
-                MemAccess::write(addr, 8)
-            } else {
-                MemAccess::read(addr, 8)
-            });
+            out.push(stray(rng));
         }
     }
+    out.push(stray(rng));
     out
 }
 

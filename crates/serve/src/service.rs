@@ -761,7 +761,8 @@ impl Service {
 
     /// The workload a `subscribe` names: a corpus entry at the session's scale, or a
     /// `trace` name ([`resolve_trace`]) loaded with symbols inferred under the session's
-    /// geometry and named as the client named it.
+    /// geometry and named as the client named it. A trace that fails to load is refused
+    /// with the loader's error, which names the file: `trace '<path>': <error>`.
     fn subscribe_workload(&self, doc: &Json, session: &Session) -> Result<WorkloadRun, Refusal> {
         let (selection, trace) = if let Some(w) = doc.get("workload").and_then(Json::as_str) {
             let name = w.to_owned();
@@ -777,10 +778,9 @@ impl Service {
         let config = session.config();
         let mut run = selection
             .load(config.page_size, config.cache.line_size(), session.quick())
-            .map_err(|e| match (trace, e) {
-                (Some(t), e) => Refusal::bad_request(format!("cannot load trace '{t}': {e}")),
-                (None, ExpError::BadSpec { reason }) => Refusal::bad_request(reason),
-                (None, e) => Refusal::bad_request(e.to_string()),
+            .map_err(|e| match e {
+                ExpError::BadSpec { reason } => Refusal::bad_request(reason),
+                e => Refusal::bad_request(e.to_string()),
             })?;
         if let Some(t) = trace {
             run.name = t.to_owned();

@@ -306,6 +306,45 @@ fn traces_that_are_neither_uploads_nor_binary_files_are_refused_by_every_command
     server.shutdown();
 }
 
+/// A binary trace cut short passes the header check that admits it by path, then fails to
+/// decode: `subscribe` refuses it with the loader's error, which names the file once.
+#[test]
+fn subscribe_names_a_truncated_binary_trace_once() {
+    let mut server = spawn_test_server(|_| {}).expect("bind test server");
+    let mut client = Client::connect(server.addr()).expect("connect");
+    let mut text = String::new();
+    for i in 0..64u64 {
+        writeln!(text, "R {:#x} 4", 0x1000 + i * 16).unwrap();
+    }
+    let trace = ccache_trace::textfmt::read_trace(text.as_bytes()).expect("the trace parses");
+    let bytes = ccache_trace::binfmt::write_trace(&trace, Vec::new()).expect("encode");
+    let file = Path::new(env!("CARGO_TARGET_TMPDIR")).join("serve-truncated.cct");
+    std::fs::write(&file, &bytes[..bytes.len() / 2]).expect("write truncated trace");
+    let path = file.to_str().expect("utf-8 path");
+    for request in [
+        Json::obj([("cmd", "subscribe".to_json()), ("trace", path.to_json())]),
+        Json::obj([
+            ("cmd", "subscribe".to_json()),
+            ("trace", path.to_json()),
+            ("tune", Json::obj([("budget", 2u64.to_json())])),
+        ]),
+    ] {
+        let reply = client.request(&request).expect("reply");
+        assert_eq!(reply.get("ok").and_then(Json::as_bool), Some(false));
+        let error = reply.get("error").expect("error object");
+        assert_eq!(
+            error.get("code").and_then(Json::as_str),
+            Some("bad_request")
+        );
+        let message = error.get("message").and_then(Json::as_str).unwrap_or("");
+        let reason = message
+            .strip_prefix(&format!("trace '{path}': "))
+            .unwrap_or_else(|| panic!("{message}"));
+        assert!(!reason.is_empty() && !reason.contains(path), "{message}");
+    }
+    server.shutdown();
+}
+
 #[test]
 fn subscribe_streams_windows_then_the_final_statistics() {
     let mut server = spawn_test_server(|_| {}).expect("bind test server");

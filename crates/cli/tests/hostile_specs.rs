@@ -168,10 +168,7 @@ fn trace_errors_name_the_file_that_failed() {
 
     let good = good.to_str().expect("utf-8 path");
     for (bad, reason) in [
-        (
-            truncated.to_str().expect("utf-8 path"),
-            "failed to fill whole buffer",
-        ),
+        (truncated.to_str().expect("utf-8 path"), "event "),
         (garbled.to_str().expect("utf-8 path"), "line 2: "),
     ] {
         let spec = format!(

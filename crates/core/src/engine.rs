@@ -175,6 +175,8 @@ struct EngineTelemetry {
     references: Counter,
     tlb_hits: Counter,
     tlb_misses: Counter,
+    tlb_scans: Counter,
+    cache_scans: Counter,
     coalesced_windows: Counter,
 }
 
@@ -186,6 +188,8 @@ impl EngineTelemetry {
             references: registry.counter("engine.references"),
             tlb_hits: registry.counter("engine.tlb.hits"),
             tlb_misses: registry.counter("engine.tlb.misses"),
+            tlb_scans: registry.counter("engine.tlb.scans"),
+            cache_scans: registry.counter("engine.cache.scans"),
             coalesced_windows: registry.counter("engine.observe.coalesced_windows"),
         }
     }
@@ -199,6 +203,8 @@ impl EngineTelemetry {
         self.references.add(stats.references);
         self.tlb_hits.add(stats.tlb_hits);
         self.tlb_misses.add(stats.tlb_misses);
+        self.tlb_scans.add(stats.tlb_scans);
+        self.cache_scans.add(backend.cache_stats().scans);
     }
 
     /// Counts the coalesced tail of an observed replay: when `window` does not divide

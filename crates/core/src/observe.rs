@@ -286,6 +286,7 @@ fn delta_stats(now: &MemoryStats, then: &MemoryStats) -> MemoryStats {
         tlb_hits: now.tlb_hits - then.tlb_hits,
         tlb_misses: now.tlb_misses - then.tlb_misses,
         tlb_flushes: now.tlb_flushes - then.tlb_flushes,
+        tlb_scans: now.tlb_scans - then.tlb_scans,
     }
 }
 

@@ -84,7 +84,7 @@ impl ColumnModel {
                 let mut tlb = Tlb::new(entries);
                 let misses = refs
                     .iter()
-                    .filter(|&&r| !tlb.lookup(r & !WRITE, &table).1)
+                    .filter(|&&r| !tlb.lookup(r & !WRITE, &table).1.is_hit())
                     .count();
                 (entries, misses as u64)
             })

@@ -15,11 +15,18 @@
 //!   `tags[set * columns + w]` is meaningful only while that bit is set;
 //! * `dirty[set]` is always a subset of `valid[set]` (`dirty & !valid == 0`);
 //! * at most one valid way of a set carries any given tag (fills happen only on
-//!   misses), so the first match found in ascending way order is *the* match.
+//!   misses), so the first match found in ascending way order is *the* match;
+//! * `hints[set]` is the way of the set's last hit or fill, i.e. the way its replacement
+//!   state was last told about. It counts only while that way is valid and holds the tag
+//!   looked up, so it never changes which way a lookup finds.
 //!
 //! This keeps the hot probe loop branch-light — iterate the set bits of `valid[set]`
 //! over a contiguous tag row — and makes line validity available to the replacement
-//! unit as a ready-made `u64` mask, so victim selection allocates nothing. Address
+//! unit as a ready-made `u64` mask, so victim selection allocates nothing. Most hits
+//! land on the hinted way and skip the loop altogether. Such a hit also skips the
+//! replacement update: repeating a set's last touch changes no later victim under any
+//! policy (LRU re-stamps the way that is already newest, bit-PLRU sets a bit that is
+//! already set, and FIFO, round-robin and random ignore hits). Address
 //! splitting uses precomputed shifts/masks (line size and set count are validated
 //! powers of two) instead of division. The [`CacheLine`] struct survives as the
 //! *view* type returned by [`ColumnCache::line`].
@@ -129,6 +136,8 @@ pub struct ColumnCache {
     dirty: Vec<u64>,
     /// Per-set replacement state.
     repl: Vec<ReplacementState>,
+    /// Per-set way hint: the way of the set's last hit or fill.
+    hints: Vec<u8>,
     stats: CacheStats,
 }
 
@@ -154,6 +163,7 @@ impl ColumnCache {
             repl: (0..sets)
                 .map(|i| ReplacementState::new(config.replacement(), columns, i as u64 + 1))
                 .collect(),
+            hints: vec![0; sets],
             stats: CacheStats::new(columns),
         }
     }
@@ -174,9 +184,10 @@ impl ColumnCache {
     }
 
     /// Returns the cache to exactly its just-constructed state — every line invalid,
-    /// replacement state re-seeded, statistics zeroed — without reallocating the tag,
-    /// validity or replacement vectors. This is the allocation-free alternative to
-    /// rebuilding the cache that a backend reset to pristine state takes.
+    /// replacement state re-seeded, way hints and statistics zeroed — without
+    /// reallocating the tag, validity, replacement or hint vectors. This is the
+    /// allocation-free alternative to rebuilding the cache that a backend reset to
+    /// pristine state takes.
     pub fn clear(&mut self) {
         self.tags.fill(0);
         self.valid.fill(0);
@@ -184,6 +195,7 @@ impl ColumnCache {
         for (i, repl) in self.repl.iter_mut().enumerate() {
             repl.reset(i as u64 + 1);
         }
+        self.hints.fill(0);
         self.stats = CacheStats::new(self.columns);
     }
 
@@ -227,21 +239,25 @@ impl ColumnCache {
         let base = set_idx * self.columns;
         self.stats.accesses += 1;
 
+        // The hinted way first. A hit there repeats the set's last replacement touch,
+        // which changes no later victim, so the replacement update is skipped too.
+        let valid_bits = self.valid[set_idx];
+        let hint = usize::from(self.hints[set_idx]);
+        if valid_bits & (1 << hint) != 0 && self.tags[base + hint] == tag {
+            return self.hit(set_idx, hint, is_write);
+        }
+        self.stats.scans += 1;
+
         // Lookup searches every (valid) column regardless of the mask: iterate the set
         // bits of the validity mask over the contiguous tag row. At most one valid way
         // can carry this tag, so the first match is the only match.
-        let valid_bits = self.valid[set_idx];
         let mut probe = valid_bits;
         while probe != 0 {
             let way = probe.trailing_zeros() as usize;
             if self.tags[base + way] == tag {
                 self.repl[set_idx].on_access(way);
-                if is_write {
-                    self.dirty[set_idx] |= 1 << way;
-                }
-                self.stats.hits += 1;
-                self.stats.column_hits[way] += 1;
-                return AccessOutcome::Hit { column: way };
+                self.hints[set_idx] = way as u8;
+                return self.hit(set_idx, way, is_write);
             }
             probe &= probe - 1;
         }
@@ -278,12 +294,25 @@ impl ColumnCache {
             self.dirty[set_idx] &= !bit;
         }
         self.repl[set_idx].on_fill(way);
+        self.hints[set_idx] = way as u8;
         self.stats.misses += 1;
         self.stats.column_fills[way] += 1;
         AccessOutcome::Miss {
             column: way,
             evicted,
         }
+    }
+
+    /// Records a hit on `way` of set `set_idx`. The replacement state and the hint are
+    /// the caller's business.
+    #[inline]
+    fn hit(&mut self, set_idx: usize, way: usize, is_write: bool) -> AccessOutcome {
+        if is_write {
+            self.dirty[set_idx] |= 1 << way;
+        }
+        self.stats.hits += 1;
+        self.stats.column_hits[way] += 1;
+        AccessOutcome::Hit { column: way }
     }
 
     /// Non-mutating lookup: returns the column holding `addr`, if cached.
@@ -323,7 +352,7 @@ impl ColumnCache {
     }
 
     /// Invalidates every line without writing anything back. Returns the number of lines
-    /// dropped.
+    /// dropped. The way hints stay; with their ways invalid they fail the lookup check.
     pub fn invalidate_all(&mut self) -> u64 {
         let mut dropped = 0;
         for set in 0..self.valid.len() {
@@ -335,7 +364,8 @@ impl ColumnCache {
     }
 
     /// Writes back every dirty line and invalidates the cache. Returns the number of
-    /// writebacks performed (also added to the statistics).
+    /// writebacks performed (also added to the statistics). The way hints stay, as in
+    /// [`ColumnCache::invalidate_all`].
     pub fn flush(&mut self) -> u64 {
         let mut writebacks = 0;
         for set in 0..self.valid.len() {

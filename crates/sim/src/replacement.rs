@@ -336,6 +336,53 @@ mod tests {
         assert_eq!(st.victim(ColumnMask::EMPTY, all_valid(4)), None);
     }
 
+    /// A hit on the way its set touched last skips the replacement update
+    /// (`ColumnCache::access`). That is exact only if repeating the last `on_access` or
+    /// `on_fill` leaves every later victim, under every mask, as it was.
+    #[test]
+    fn repeating_the_last_touch_changes_no_later_victim() {
+        let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+        let mut draw = |n: u64| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng % n
+        };
+        for policy in ReplacementPolicy::ALL {
+            for ways in [1usize, 2, 3, 4, 8] {
+                let everything = all_valid(ways);
+                let mut plain = ReplacementState::new(policy, ways, 7);
+                let mut repeated = plain.clone();
+                for step in 0..300 {
+                    let touched = if draw(2) == 0 {
+                        let way = draw(ways as u64) as usize;
+                        plain.on_access(way);
+                        repeated.on_access(way);
+                        way
+                    } else {
+                        let mask = ColumnMask::from_bits(1 + draw(everything));
+                        let way = plain.victim(mask, everything).expect("mask is not empty");
+                        assert_eq!(repeated.victim(mask, everything), Some(way));
+                        plain.on_fill(way);
+                        repeated.on_fill(way);
+                        way
+                    };
+                    for _ in 0..draw(3) {
+                        repeated.on_access(touched);
+                    }
+                    for bits in 1..=everything {
+                        let mask = ColumnMask::from_bits(bits);
+                        assert_eq!(
+                            plain.clone().victim(mask, everything),
+                            repeated.clone().victim(mask, everything),
+                            "{policy}, {ways} ways, step {step}, mask {mask}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn reset_matches_fresh_construction() {
         for policy in ReplacementPolicy::ALL {

@@ -17,6 +17,10 @@ pub struct CacheStats {
     pub evictions: u64,
     /// Dirty lines written back to memory (on eviction or flush).
     pub writebacks: u64,
+    /// Accesses whose set's way hint did not hold the line, so the lookup scanned the
+    /// set's ways: every miss and bypass, plus the hits off the hinted way. A cost of the
+    /// simulator, not of the modelled cache, so no artefact reports it.
+    pub scans: u64,
     /// Hits per column (indexed by column number).
     pub column_hits: Vec<u64>,
     /// Fills per column (indexed by column number).
@@ -60,6 +64,7 @@ impl AddAssign<&CacheStats> for CacheStats {
         self.bypasses += rhs.bypasses;
         self.evictions += rhs.evictions;
         self.writebacks += rhs.writebacks;
+        self.scans += rhs.scans;
         if self.column_hits.len() < rhs.column_hits.len() {
             self.column_hits.resize(rhs.column_hits.len(), 0);
             self.column_fills.resize(rhs.column_fills.len(), 0);
@@ -90,6 +95,10 @@ pub struct MemoryStats {
     pub tlb_misses: u64,
     /// TLB entries invalidated by re-tinting operations.
     pub tlb_flushes: u64,
+    /// TLB lookups past a stale slot hint, which scanned the resident entries: every TLB
+    /// miss, plus the hits the hint did not name. A cost of the simulator, not of the
+    /// modelled TLB, so no artefact reports it.
+    pub tlb_scans: u64,
 }
 
 impl AddAssign<&MemoryStats> for MemoryStats {
@@ -101,6 +110,7 @@ impl AddAssign<&MemoryStats> for MemoryStats {
         self.tlb_hits += rhs.tlb_hits;
         self.tlb_misses += rhs.tlb_misses;
         self.tlb_flushes += rhs.tlb_flushes;
+        self.tlb_scans += rhs.tlb_scans;
     }
 }
 

@@ -21,7 +21,7 @@ use crate::memory::MainMemory;
 use crate::page_table::PageTable;
 use crate::stats::{CacheStats, CycleReport, MemoryStats};
 use crate::tint::{Tint, TintTable};
-use crate::tlb::Tlb;
+use crate::tlb::{Lookup, Tlb};
 use std::ops::Range;
 
 /// Most TLB entries a [`SystemConfig`] may ask for: 16 times the 64-entry default. A TLB
@@ -291,8 +291,11 @@ impl MemorySystem {
 
         // Address translation: the TLB carries the tint to the replacement unit.
         let mut cycles = 0u64;
-        let (entry, tlb_hit) = self.tlb.lookup(addr, &self.page_table);
-        if tlb_hit {
+        let (entry, found) = self.tlb.lookup(addr, &self.page_table);
+        if found != Lookup::Hinted {
+            self.stats.tlb_scans += 1;
+        }
+        if found.is_hit() {
             self.stats.tlb_hits += 1;
         } else {
             self.stats.tlb_misses += 1;

@@ -15,6 +15,24 @@ const HINTS: usize = 1 << HINT_BITS;
 /// hint buckets.
 const HINT_MULTIPLIER: u64 = 0x9E37_79B9_7F4A_7C15;
 
+/// Where [`Tlb::lookup`] found a page.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Lookup {
+    /// Resident, in the slot its hint names: no scan.
+    Hinted,
+    /// Resident, past a stale hint: the scan found it.
+    Scanned,
+    /// Not resident: the scan found nothing and the page was filled from the page table.
+    Missed,
+}
+
+impl Lookup {
+    /// `true` if the page was resident (the lookup hit).
+    pub fn is_hit(self) -> bool {
+        self != Lookup::Missed
+    }
+}
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct TlbSlot {
     vpn: u64,
@@ -77,16 +95,17 @@ impl Tlb {
 
     /// Looks up the page containing `addr`, filling from `page_table` on a miss.
     ///
-    /// Returns the page entry and whether the lookup hit in the TLB.
+    /// Returns the page entry and where it was found; [`Lookup::is_hit`] tells whether
+    /// the lookup hit in the TLB.
     #[inline]
-    pub fn lookup(&mut self, addr: u64, page_table: &PageTable) -> (PageEntry, bool) {
+    pub fn lookup(&mut self, addr: u64, page_table: &PageTable) -> (PageEntry, Lookup) {
         self.clock += 1;
         let vpn = page_table.page_of(addr);
         let bucket = (vpn.wrapping_mul(HINT_MULTIPLIER) >> (u64::BITS - HINT_BITS)) as usize;
         if let Some(slot) = self.slots.get_mut(self.hints[bucket]) {
             if slot.vpn == vpn {
                 slot.last_use = self.clock;
-                return (slot.entry, true);
+                return (slot.entry, Lookup::Hinted);
             }
         }
         self.scan(vpn, bucket, page_table)
@@ -94,11 +113,11 @@ impl Tlb {
 
     /// [`Tlb::lookup`] past a missing or stale hint: the fully associative scan, an LRU
     /// fill on a miss, and the hint update.
-    fn scan(&mut self, vpn: u64, bucket: usize, page_table: &PageTable) -> (PageEntry, bool) {
-        let (entry, hit, idx) = if let Some(idx) = self.slots.iter().position(|s| s.vpn == vpn) {
+    fn scan(&mut self, vpn: u64, bucket: usize, page_table: &PageTable) -> (PageEntry, Lookup) {
+        let (entry, found, idx) = if let Some(idx) = self.slots.iter().position(|s| s.vpn == vpn) {
             let slot = &mut self.slots[idx];
             slot.last_use = self.clock;
-            (slot.entry, true, idx)
+            (slot.entry, Lookup::Scanned, idx)
         } else {
             let fill = TlbSlot {
                 vpn,
@@ -121,10 +140,10 @@ impl Tlb {
                 self.slots[idx] = fill;
                 idx
             };
-            (fill.entry, false, idx)
+            (fill.entry, Lookup::Missed, idx)
         };
         self.hints[bucket] = idx;
-        (entry, hit)
+        (entry, found)
     }
 
     /// Returns `true` if the TLB currently holds a translation for page `vpn`.
@@ -160,10 +179,10 @@ mod tests {
     fn first_lookup_misses_then_hits() {
         let mut tlb = Tlb::new(4);
         let pt = pt();
-        let (_, hit) = tlb.lookup(0x1000, &pt);
-        assert!(!hit);
-        let (_, hit) = tlb.lookup(0x1abc, &pt); // same page
-        assert!(hit);
+        let (_, found) = tlb.lookup(0x1000, &pt);
+        assert_eq!(found, Lookup::Missed);
+        let (_, found) = tlb.lookup(0x1abc, &pt); // same page
+        assert_eq!(found, Lookup::Hinted);
         assert_eq!(tlb.len(), 1);
     }
 
@@ -197,12 +216,12 @@ mod tests {
         let mut tlb = Tlb::new(4);
         tlb.lookup(0x1000, &table);
         table.set_page_tint(1, Tint(5));
-        let (e, hit) = tlb.lookup(0x1000, &table);
-        assert!(hit);
+        let (e, found) = tlb.lookup(0x1000, &table);
+        assert!(found.is_hit());
         assert_eq!(e.tint, Tint::DEFAULT); // stale!
         tlb.flush_pages(&[1]);
-        let (e, hit) = tlb.lookup(0x1000, &table);
-        assert!(!hit);
+        let (e, found) = tlb.lookup(0x1000, &table);
+        assert!(!found.is_hit());
         assert_eq!(e.tint, Tint(5));
     }
 
@@ -216,8 +235,9 @@ mod tests {
         assert_eq!(tlb.flush_pages(&[0, 2, 99]), 2);
         assert_eq!(tlb.len(), 2);
         // The flush shifted the survivors' slots; their stale hints fall back to the scan.
-        assert!(tlb.lookup(3 * 4096, &pt).1);
-        assert!(!tlb.lookup(0, &pt).1);
+        assert_eq!(tlb.lookup(3 * 4096, &pt).1, Lookup::Scanned);
+        assert_eq!(tlb.lookup(3 * 4096, &pt).1, Lookup::Hinted);
+        assert_eq!(tlb.lookup(0, &pt).1, Lookup::Missed);
         tlb.clear();
         assert_eq!(tlb, Tlb::new(8));
     }

@@ -74,6 +74,34 @@ impl ReferenceCache {
             evicted,
         }
     }
+
+    /// Drops every line; returns how many were valid and dirty.
+    fn flush(&mut self) -> u64 {
+        let dirty = self.lines.iter().filter(|l| l.valid && l.dirty).count();
+        self.invalidate_all();
+        dirty as u64
+    }
+
+    /// Drops every line; returns how many were valid.
+    fn invalidate_all(&mut self) -> u64 {
+        let valid = self.lines.iter().filter(|l| l.valid).count();
+        for line in &mut self.lines {
+            line.valid = false;
+            line.dirty = false;
+        }
+        valid as u64
+    }
+
+    /// `(set, column, line address)` of every valid line, in set-then-column order.
+    fn valid_line_addrs(&self) -> Vec<(usize, usize, u64)> {
+        let cols = self.config.columns();
+        self.lines
+            .iter()
+            .enumerate()
+            .filter(|(_, l)| l.valid)
+            .map(|(i, l)| (i / cols, i % cols, self.config.line_addr(l.tag, i / cols)))
+            .collect()
+    }
 }
 
 /// A transcription of the scan-only LRU TLB the hinted [`Tlb`] replaced: a linear
@@ -198,6 +226,10 @@ const GEOMETRIES: [(u64, usize, u64); 6] = [
     (2048, 8, 16),
     (4096, 4, 16),
 ];
+
+/// Geometries of 16, 32 and 64 columns (16, 8 and 4 sets), to run the way hint at every
+/// width a column mask allows.
+const WIDE_GEOMETRIES: [(u64, usize, u64); 3] = [(4096, 16, 16), (4096, 32, 16), (4096, 64, 16)];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -339,6 +371,69 @@ proptest! {
         prop_assert_eq!(s.writebacks, writebacks);
     }
 
+    /// The way hint against the unhinted model, where it matters: a few hot sets, each
+    /// offered `columns + 2` lines, so hits, evictions and re-fills alternate and a third
+    /// of the accesses repeat their set's previous line (the hinted path). Writes,
+    /// per-access masks (every column, random bits, or one column that may lie out of
+    /// range) and `flush`/`invalidate_all` calls are interleaved. Every outcome, every flush
+    /// and invalidation count and the final contents must agree, for every policy and
+    /// for 1 to 64 columns.
+    #[test]
+    fn hinted_cache_matches_the_reference_model_on_hot_sets(
+        geometry_idx in 0usize..GEOMETRIES.len() + WIDE_GEOMETRIES.len(),
+        policy_idx in 0usize..5,
+        ops in prop::collection::vec(
+            ((0u8..100, 0usize..3), 0usize..66, any::<bool>(), any::<u64>()),
+            1..600,
+        )
+    ) {
+        let (capacity, columns, line) = GEOMETRIES
+            .into_iter()
+            .chain(WIDE_GEOMETRIES)
+            .nth(geometry_idx)
+            .expect("index within both tables");
+        let config = CacheConfig::builder()
+            .capacity_bytes(capacity)
+            .columns(columns)
+            .line_size(line)
+            .replacement(ReplacementPolicy::ALL[policy_idx])
+            .build()
+            .expect("geometry table entries are valid");
+        let sets = config.sets();
+        let mut cache = ColumnCache::new(config);
+        let mut model = ReferenceCache::new(config);
+        let mut previous = [0u64; 3];
+        for ((kind, set), pick, is_write, bits) in ops {
+            let set = set % sets.min(3);
+            match kind {
+                0 | 1 => prop_assert_eq!(cache.flush(), model.flush()),
+                2 => prop_assert_eq!(cache.invalidate_all(), model.invalidate_all()),
+                _ => {
+                    let tag = if kind < 36 {
+                        previous[set]
+                    } else {
+                        (pick % (columns + 2)) as u64
+                    };
+                    previous[set] = tag;
+                    let mask = match kind % 3 {
+                        0 => ColumnMask::from_bits(u64::MAX),
+                        1 => ColumnMask::from_bits(bits),
+                        _ => {
+                            let column = (bits % (columns as u64 + 1)) as u32;
+                            ColumnMask::from_bits(1u64.checked_shl(column).unwrap_or(0))
+                        }
+                    };
+                    let addr = config.line_addr(tag, set) + bits % line;
+                    let got = cache.access(addr, is_write, mask);
+                    prop_assert_eq!(got, model.access(addr, is_write, mask), "at {:#x}", addr);
+                }
+            }
+        }
+        prop_assert_eq!(cache.valid_line_addrs(), model.valid_line_addrs());
+        let s = cache.stats();
+        prop_assert!(s.misses + s.bypasses <= s.scans && s.scans <= s.accesses);
+    }
+
     /// Statistics identities: hits + misses + bypasses == accesses, and column hit/fill
     /// counters sum to the totals.
     #[test]
@@ -377,7 +472,8 @@ proptest! {
             match kind {
                 0..=89 => {
                     let addr = vpn * 4096 + offset;
-                    prop_assert_eq!(tlb.lookup(addr, &table), model.lookup(addr, &table));
+                    let (entry, found) = tlb.lookup(addr, &table);
+                    prop_assert_eq!((entry, found.is_hit()), model.lookup(addr, &table));
                 }
                 90..=94 => {
                     table.set_page_tint(vpn, Tint((offset % 5) as u32));

@@ -32,7 +32,9 @@
 //!
 //! Format violations — including an access extending past
 //! [`ADDRESS_LIMIT`](crate::event::ADDRESS_LIMIT) — are reported as [`std::io::Error`]
-//! with [`std::io::ErrorKind::InvalidData`].
+//! with [`std::io::ErrorKind::InvalidData`], and a file cut short with
+//! [`std::io::ErrorKind::UnexpectedEof`]. A malformed or missing event names its number
+//! (`event N: …`, counting from 1), and a short file names the header (`header: …`).
 //!
 //! # Example
 //!
@@ -94,6 +96,22 @@ fn past_address_limit(index: u64, addr: u64, size: u32) -> io::Error {
     ))
 }
 
+/// The error for a body that ends while the `index`-th (1-based) event, or the end
+/// marker in its place, is being decoded.
+#[cold]
+fn truncated(index: u64) -> io::Error {
+    io::Error::new(
+        io::ErrorKind::UnexpectedEof,
+        format!("event {index}: unexpected end of the trace body"),
+    )
+}
+
+/// The error for a varint of the `index`-th (1-based) event that does not fit 64 bits.
+#[cold]
+fn varint_overflow(index: u64) -> io::Error {
+    invalid(format!("event {index}: varint overflows 64 bits"))
+}
+
 fn write_varint<W: Write>(w: &mut W, mut v: u64) -> io::Result<()> {
     loop {
         let byte = (v & 0x7f) as u8;
@@ -105,24 +123,33 @@ fn write_varint<W: Write>(w: &mut W, mut v: u64) -> io::Result<()> {
     }
 }
 
-fn read_varint<R: Read>(r: &mut R) -> io::Result<u64> {
+/// Decodes one varint of the `index`-th (1-based) event straight from `source`'s
+/// buffer, so a varint that lies within one buffer fill costs one `fill_buf` and one
+/// `consume`. The tenth byte, at shift 63, must be 0 or 1, and either ends the varint,
+/// so no varint runs past ten bytes.
+fn read_varint<R: BufRead>(source: &mut R, index: u64) -> io::Result<u64> {
     let mut v = 0u64;
     let mut shift = 0u32;
     loop {
-        let mut byte = [0u8; 1];
-        r.read_exact(&mut byte)?;
-        let b = byte[0];
-        if shift == 63 && b > 1 {
-            return Err(invalid("varint overflows 64 bits".to_owned()));
+        let buf = match source.fill_buf() {
+            Ok([]) => return Err(truncated(index)),
+            Ok(buf) => buf,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
+        for (i, &b) in buf.iter().enumerate() {
+            if shift == 63 && b > 1 {
+                return Err(varint_overflow(index));
+            }
+            v |= u64::from(b & 0x7f) << shift;
+            if b & 0x80 == 0 {
+                source.consume(i + 1);
+                return Ok(v);
+            }
+            shift += 7;
         }
-        v |= u64::from(b & 0x7f) << shift;
-        if b & 0x80 == 0 {
-            return Ok(v);
-        }
-        shift += 7;
-        if shift > 63 {
-            return Err(invalid("varint longer than 10 bytes".to_owned()));
-        }
+        let used = buf.len();
+        source.consume(used);
     }
 }
 
@@ -288,7 +315,13 @@ impl<R: BufRead> TraceReader<R> {
     /// unsupported version.
     pub fn new(mut source: R) -> io::Result<Self> {
         let mut header = [0u8; HEADER_LEN];
-        source.read_exact(&mut header)?;
+        let filled = read_head(&mut source, &mut header)?;
+        if filled < HEADER_LEN {
+            return Err(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                format!("header: the file ends after {filled} of its {HEADER_LEN} bytes"),
+            ));
+        }
         if header[0..4] != MAGIC {
             return Err(invalid("not a binary trace: bad magic".to_owned()));
         }
@@ -331,8 +364,9 @@ impl<R: BufRead> TraceReader<R> {
         if self.done {
             return Ok(None);
         }
+        let index = self.delivered + 1;
         if self.run_left == 0 {
-            let h = read_varint(&mut self.source)?;
+            let h = read_varint(&mut self.source, index)?;
             if h == 0 {
                 self.done = true;
                 if self.delivered != self.header.events {
@@ -344,19 +378,19 @@ impl<R: BufRead> TraceReader<R> {
                 return Ok(None);
             }
             if h == 1 {
-                return Err(invalid("empty write run".to_owned()));
+                return Err(invalid(format!("event {index}: empty write run")));
             }
             self.run_left = h >> 1;
             self.run_is_write = h & 1 == 1;
         }
-        let delta = read_varint(&mut self.source)?;
-        let size = read_varint(&mut self.source)?;
+        let delta = read_varint(&mut self.source, index)?;
+        let size = read_varint(&mut self.source, index)?;
         let size = u32::try_from(size)
-            .map_err(|_| invalid(format!("access size {size} exceeds 32 bits")))?;
+            .map_err(|_| invalid(format!("event {index}: access size {size} exceeds 32 bits")))?;
         let addr = self.prev_addr.wrapping_add(unzigzag(delta));
         // Checked before the event is built: this is the per-event decode path.
         if !in_address_space(addr, size) {
-            return Err(past_address_limit(self.delivered + 1, addr, size));
+            return Err(past_address_limit(index, addr, size));
         }
         self.prev_addr = addr;
         self.run_left -= 1;
@@ -458,11 +492,12 @@ pub fn is_binary_trace_file<P: AsRef<Path>>(path: P) -> io::Result<bool> {
 pub(crate) fn read_head<R: Read>(source: &mut R, head: &mut [u8]) -> io::Result<usize> {
     let mut filled = 0;
     while filled < head.len() {
-        let n = source.read(&mut head[filled..])?;
-        if n == 0 {
-            break;
+        match source.read(&mut head[filled..]) {
+            Ok(0) => break,
+            Ok(n) => filled += n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
         }
-        filled += n;
     }
     Ok(filled)
 }
@@ -579,6 +614,19 @@ mod tests {
         let err = read_trace(&bytes[..]).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("empty write run"), "{err}");
+    }
+
+    #[test]
+    fn varints_past_64_bits_name_their_event() {
+        // One valid event, then a run header whose tenth byte sets bit 64.
+        let mut bytes = Vec::new();
+        write_trace(&sequential_scan(0, 4, 4, 4, 1, None), &mut bytes).unwrap();
+        bytes.pop(); // the end marker
+        bytes.extend_from_slice(&[0xff; 9]);
+        bytes.push(0x02);
+        let err = read_trace(&bytes[..]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(err.to_string(), "event 2: varint overflows 64 bits");
     }
 
     #[test]

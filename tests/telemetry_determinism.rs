@@ -148,6 +148,53 @@ fn figure_experiments_count_every_replay_in_their_registry() {
     }
 }
 
+/// The simulator's slow-path counters — lookups past a stale way hint in the cache
+/// (`engine.cache.scans`) and past a stale slot hint in the TLB (`engine.tlb.scans`) —
+/// repeat exactly between runs, never exceed the references replayed, and leave the
+/// artefact byte-identical to a run that reports into no private registry.
+#[test]
+fn slow_path_counters_repeat_and_stay_within_the_references() {
+    use column_caching::exp::presets::fig5_spec;
+    use column_caching::exp::scale::Scale;
+    use column_caching::Session;
+
+    let spec = fig5_spec(Scale::Quick.quanta());
+    let run = |registry: Option<&Registry>| {
+        let mut builder = Session::builder().quick(true);
+        if let Some(registry) = registry {
+            builder = builder.telemetry(registry.clone());
+        }
+        let session = builder.build().expect("session");
+        session.run_spec_bytes(&spec).expect("fig5 runs").1
+    };
+    let counters = |registry: &Registry| {
+        [
+            "engine.cache.scans",
+            "engine.tlb.scans",
+            "engine.tlb.misses",
+        ]
+        .map(|name| registry.counter_value(name))
+    };
+
+    let (a, b) = (Registry::new(), Registry::new());
+    let artefact = run(Some(&a));
+    assert_eq!(run(Some(&b)), artefact);
+    assert_eq!(run(None), artefact);
+    assert_eq!(counters(&a), counters(&b));
+
+    let [cache_scans, tlb_scans, tlb_misses] = counters(&a);
+    let references = a.counter_value("engine.references");
+    assert!(
+        0 < cache_scans && cache_scans <= references,
+        "{cache_scans} of {references}"
+    );
+    // Every TLB miss scans before it fills.
+    assert!(
+        tlb_misses <= tlb_scans && tlb_scans <= references,
+        "{tlb_scans} of {references}"
+    );
+}
+
 /// The layout layer reports into the execution's registry: one `layout.assign` span and
 /// one `layout.assignments` count per column assignment, and `layout.merges` sums the
 /// merges the artefact reports for each heuristic mapping.

@@ -7,7 +7,7 @@ use column_caching::core::engine::ReplayEngine;
 use column_caching::core::runner::{CacheMapping, RegionMapping};
 use column_caching::sim::backend::BackendKind;
 use column_caching::sim::{ColumnMask, SystemConfig};
-use column_caching::trace::binfmt::{write_trace, TraceReader};
+use column_caching::trace::binfmt::{read_trace, write_trace, TraceReader, HEADER_LEN};
 use column_caching::trace::{MemAccess, Trace};
 use proptest::prelude::*;
 
@@ -93,4 +93,49 @@ proptest! {
             prop_assert_eq!(in_memory, streamed, "backend {}", kind);
         }
     }
+}
+
+/// A `.cct` cut short at any byte fails with `UnexpectedEof` and an error that names
+/// where: the header, or the event being decoded. That event number never falls as the
+/// cut moves later, starts at 1 and ends one past the last event, where only the end
+/// marker is missing. A streamed replay of a cut file fails with the same error.
+#[test]
+fn a_cut_binary_trace_names_the_header_or_the_event() {
+    let ops: Vec<(u16, u8, bool)> = (0..40u16)
+        .map(|i| (i.wrapping_mul(7919), (i % 7) as u8, i % 3 == 0))
+        .collect();
+    let trace = build_trace(&ops);
+    let mut bytes = Vec::new();
+    write_trace(&trace, &mut bytes).unwrap();
+
+    let mut last_event = 0;
+    for cut in 0..bytes.len() {
+        let err = read_trace(&bytes[..cut]).unwrap_err();
+        assert_eq!(
+            err.kind(),
+            std::io::ErrorKind::UnexpectedEof,
+            "cut at {cut}: {err}"
+        );
+        let message = err.to_string();
+        if cut < HEADER_LEN {
+            assert!(message.starts_with("header: "), "cut at {cut}: {message}");
+            continue;
+        }
+        let event: u64 = message
+            .strip_prefix("event ")
+            .and_then(|rest| rest.split(':').next())
+            .and_then(|n| n.parse().ok())
+            .unwrap_or_else(|| panic!("cut at {cut}: {message}"));
+        if cut == HEADER_LEN {
+            assert_eq!(event, 1, "{message}");
+        }
+        assert!(event >= last_event, "cut at {cut}: {message}");
+        last_event = event;
+
+        let mut engine = ReplayEngine::new(BackendKind::ColumnCache, config()).unwrap();
+        let mut reader = TraceReader::new(&bytes[..cut]).unwrap();
+        let streamed = engine.replay_reader("cut", &mut reader).unwrap_err();
+        assert_eq!(streamed.to_string(), message, "cut at {cut}");
+    }
+    assert_eq!(last_event, trace.len() as u64 + 1);
 }

@@ -5,9 +5,10 @@
 //! The goldens under `tests/golden/` were recorded from the pre-refactor `ccache`
 //! binary (commit 60edaf9) with exactly the flags named in each test; the dense-layout
 //! golden was recorded at commit c04737c, before the column-assignment merge loop was
-//! rewritten. If a golden ever needs regenerating on purpose, rebuild at its commit and
-//! re-run the commands — the artefacts are deterministic, so any machine records the
-//! same bytes.
+//! rewritten, and the tune goldens at commit eeec7e3, before the tuner's per-column model
+//! walked run heads instead of every reference. If a golden ever needs regenerating on
+//! purpose, rebuild at its commit and re-run the commands — the artefacts are
+//! deterministic, so any machine records the same bytes.
 
 use std::path::{Path, PathBuf};
 
@@ -148,4 +149,29 @@ fn dense_layout_artefact_is_byte_identical() {
         golden("dense-layout.json"),
         "dense heuristic/partition layout drifted from the recorded artefact"
     );
+}
+
+#[test]
+fn tune_quick_json_artefacts_are_byte_identical() {
+    for strategy in ["exhaustive", "hill-climb", "evolutionary"] {
+        let name = format!("tune-quick-{strategy}.json");
+        let out = tmp(&name);
+        run_cli(&[
+            "tune",
+            "--quick",
+            "--seed",
+            "42",
+            "--strategy",
+            strategy,
+            "--format",
+            "json",
+            "--out",
+            out.to_str().unwrap(),
+        ]);
+        assert_eq!(
+            std::fs::read_to_string(&out).unwrap(),
+            golden(&name),
+            "tune --quick --strategy {strategy} JSON artefact drifted from the recorded output"
+        );
+    }
 }

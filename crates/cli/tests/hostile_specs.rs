@@ -67,6 +67,19 @@ fn capacities_past_the_simulator_limit_are_refused_before_allocating() {
 }
 
 #[test]
+fn set_counts_past_the_simulator_limit_are_refused_before_allocating() {
+    // 1-byte lines at 1 MiB make 2^20 sets in one column: a 152 MB engine.
+    let spec = r#"{"name": "fine", "replay": [{"workloads": ["fir"],
+        "geometries": [{"capacity": 1048576, "columns": 1, "line": 1}],
+        "policies": ["shared"]}]}"#;
+    assert_refused(
+        "fine-lines",
+        spec,
+        "set count 1048576 exceeds the 32768-set limit",
+    );
+}
+
+#[test]
 fn tlbs_past_the_simulator_limit_and_bad_pages_are_refused() {
     // A billion-entry TLB scanned every resident entry on each miss: a 200,000-event
     // trace took 21.8 s instead of 0.05 s.

@@ -8,10 +8,11 @@
 //!
 //! A candidate that tints every referenced page to one column is scored by an exact
 //! per-column model of the column cache (`crates/opt/src/model.rs`), which the evaluator
-//! packs the trace for once; any other candidate, and every reference point, is replayed
-//! on a fresh [`ReplayEngine`]. Both give the same fitness, so which path scored a
-//! candidate shows only in telemetry: every evaluation is one `opt.evaluations` tick and
-//! either one `opt.model.evaluations` tick or one `engine.replays` tick. Batches
+//! indexes the trace for once; any other candidate, and every reference point, is
+//! replayed on a fresh [`ReplayEngine`]. Both give the same fitness, so which path scored
+//! a candidate shows only in telemetry: every evaluation is one `opt.evaluations` tick
+//! and either one `opt.model.evaluations` tick or one `engine.replays` tick, and
+//! `opt.model.references` counts the references the model walked. Batches
 //! preserve input order and fan out over threads unless the evaluator was built serial;
 //! because the cache is keyed canonically and filled in input order, the evaluator's
 //! observable behaviour is byte-identical either way.
@@ -64,8 +65,8 @@ pub struct Evaluator<'a> {
     space: &'a SearchSpace,
     /// The trace the engine path replays.
     trace: &'a Trace,
-    /// The trace packed for the model; `None` when the model cannot represent it.
-    model: Option<ColumnModel>,
+    /// The trace indexed for the model; `None` when the model cannot represent it.
+    model: Option<ColumnModel<'a>>,
     serial: bool,
     /// The registry every candidate engine reports into.
     registry: Registry,
@@ -79,6 +80,7 @@ pub struct Evaluator<'a> {
 struct EvaluatorTelemetry {
     evaluations: Counter,
     model_evaluations: Counter,
+    model_references: Counter,
     cache_hits: Counter,
     cache_misses: Counter,
 }
@@ -88,6 +90,7 @@ impl EvaluatorTelemetry {
         EvaluatorTelemetry {
             evaluations: registry.counter("opt.evaluations"),
             model_evaluations: registry.counter("opt.model.evaluations"),
+            model_references: registry.counter("opt.model.references"),
             cache_hits: registry.counter("opt.fitness_cache.hits"),
             cache_misses: registry.counter("opt.fitness_cache.misses"),
         }
@@ -100,15 +103,8 @@ impl<'a> Evaluator<'a> {
     /// independence).
     pub fn new(space: &'a SearchSpace, trace: &'a Trace, budget: usize, serial: bool) -> Self {
         let registry = Registry::global();
-        let tlb_sizes: Vec<usize> = space
-            .geometries
-            .iter()
-            .map(|g| g.config.tlb_entries)
-            .collect();
-        let model = space
-            .geometries
-            .first()
-            .and_then(|g| ColumnModel::new(trace, g.config.page_size, &tlb_sizes));
+        let configs: Vec<SystemConfig> = space.geometries.iter().map(|g| g.config).collect();
+        let model = ColumnModel::new(trace, &configs);
         Evaluator {
             space,
             trace,
@@ -216,29 +212,30 @@ impl<'a> Evaluator<'a> {
 
     /// Scores column-cache candidates in input order — with the model when it scores a
     /// candidate exactly, on a fresh engine otherwise — and counts them in
-    /// `opt.evaluations` and `opt.model.evaluations`.
+    /// `opt.evaluations` and `opt.model.evaluations`, and the references the model walked
+    /// in `opt.model.references`.
     fn score(
         &self,
         candidates: &[(SystemConfig, CacheMapping)],
     ) -> Vec<Result<Fitness, CoreError>> {
         let score_one = |(config, mapping): &(SystemConfig, CacheMapping)| {
-            if let Some(fitness) = self.model.as_ref().and_then(|m| m.score(config, mapping)) {
-                return Ok((fitness, true));
+            if let Some((fitness, walked)) =
+                self.model.as_ref().and_then(|m| m.score(config, mapping))
+            {
+                return Ok((fitness, Some(walked)));
             }
             let run = self.replay("candidate", BackendKind::ColumnCache, *config, mapping)?;
-            Ok((Fitness::from_run(&run), false))
+            Ok((Fitness::from_run(&run), None))
         };
         let results = if self.serial {
             seq_map(candidates, score_one)
         } else {
             par_map(candidates, score_one)
         };
-        let modelled = results
-            .iter()
-            .filter(|r| matches!(r, Ok((_, true))))
-            .count();
+        let walked: Vec<u64> = results.iter().filter_map(|r| r.as_ref().ok()?.1).collect();
         self.telemetry.evaluations.add(results.len() as u64);
-        self.telemetry.model_evaluations.add(modelled as u64);
+        self.telemetry.model_evaluations.add(walked.len() as u64);
+        self.telemetry.model_references.add(walked.iter().sum());
         results
             .into_iter()
             .map(|r| r.map(|(fitness, _)| fitness))

@@ -129,7 +129,8 @@ proptest! {
 }
 
 /// A random workload for the model check: 1–6 variables of 8 B–1 KiB, and 200–1,200
-/// accesses that mix reads and writes.
+/// accesses that mix reads and writes. One more variable is swept in order, a read and
+/// then a write of each element, so runs of one line end in a write.
 fn mixed_workload(rng: &mut StdRng) -> (Trace, SymbolTable) {
     let mut rec = TraceRecorder::new();
     let vars: Vec<(VarId, u64)> = (0..rng.random_range(1..=6usize))
@@ -138,8 +139,19 @@ fn mixed_workload(rng: &mut StdRng) -> (Trace, SymbolTable) {
             (rec.allocate(&format!("v{i}"), size, 8), size)
         })
         .collect();
+    let swept_size = 8 * rng.random_range(1..=128u64);
+    let swept = rec.allocate("swept", swept_size, 8);
+    let mut next = 0;
     let writes = f64::from(rng.random_range(1..6u32)) / 10.0;
     for _ in 0..rng.random_range(200..=1200) {
+        if rng.random_bool(0.2) {
+            for _ in 0..rng.random_range(1..=8) {
+                rec.record(swept, next, 8, AccessKind::Read);
+                rec.record(swept, next, 8, AccessKind::Write);
+                next = (next + 8) % swept_size;
+            }
+            continue;
+        }
         let (var, size) = vars[rng.random_range(0..vars.len())];
         let kind = if rng.random_bool(writes) {
             AccessKind::Write
@@ -187,6 +199,28 @@ fn random_template(rng: &mut StdRng) -> SystemConfig {
     }
 }
 
+/// A random template with a search of two column counts and two line sizes, `c`, `2c`,
+/// `l` and `2l`, that are valid in all four combinations. So one evaluator scores at
+/// least two line sizes per column count, two column counts per line size, and two splits
+/// with the same set count: `(c, 2l)` and `(2c, l)`.
+fn random_search(rng: &mut StdRng) -> (SystemConfig, GeometrySearch) {
+    loop {
+        let template = random_template(rng);
+        let columns = 1usize << rng.random_range(0..4u32);
+        let line = 8u64 << rng.random_range(0..3u32);
+        let capacity = template.cache.capacity_bytes();
+        if 2 * line > template.page_size || capacity < 4 * columns as u64 * line {
+            continue;
+        }
+        let search = GeometrySearch {
+            columns: vec![columns, 2 * columns],
+            line_sizes: vec![line, 2 * line],
+            tlb_entries: vec![rng.random_range(1..=128)],
+        };
+        return (template, search);
+    }
+}
+
 /// `trace` with a read or write outside every variable after roughly one reference in 40,
 /// and always after the last one, so the result never lies wholly inside the variables.
 fn with_strays(trace: &Trace, rng: &mut StdRng) -> Trace {
@@ -228,17 +262,14 @@ proptest! {
     /// random workloads, geometries, replacement policies and latencies, every in-space
     /// genome's evaluator fitness equals a hand-built engine replay of its mapping. Every
     /// reference of the workload lies in a variable, so the model scores each candidate;
-    /// with stray references outside every variable added, the engine does.
+    /// with stray references outside every variable added, the engine does. Each
+    /// evaluator scores several line sizes and column counts, so the model's run streams
+    /// of every split are used side by side.
     #[test]
     fn evaluator_fitness_equals_a_hand_built_engine_replay(seed in 0u64..1_000_000) {
         let mut rng = StdRng::seed_from_u64(seed);
         let (trace, symbols) = mixed_workload(&mut rng);
-        let template = random_template(&mut rng);
-        let search = GeometrySearch {
-            columns: vec![1 << rng.random_range(0..5u32)],
-            line_sizes: Vec::new(),
-            tlb_entries: vec![rng.random_range(1..=128)],
-        };
+        let (template, search) = random_search(&mut rng);
         let space = SearchSpace::build(&trace, &symbols, template, &search, &[])
             .expect("space builds");
         let mut genomes: Vec<Genome> = (0..space.geometries.len()).map(|g| space.seeded(g)).collect();

@@ -1054,8 +1054,13 @@ fn resolve_trace(uploads: &BTreeMap<String, Upload>, name: &str) -> Result<PathB
     if let Some(up) = uploads.get(name) {
         return Ok(up.path.clone());
     }
+    // A file cut inside the magic sniffs as binary, but only a file holding the whole
+    // magic is admitted, so a reply never depends on a shorter file's bytes.
     let path = PathBuf::from(name);
-    let binary = path.metadata().is_ok_and(|m| m.is_file())
+    let magic = ccache_trace::binfmt::MAGIC.len() as u64;
+    let binary = path
+        .metadata()
+        .is_ok_and(|m| m.is_file() && m.len() >= magic)
         && ccache_trace::binfmt::is_binary_trace_file(&path).unwrap_or(false);
     if binary {
         Ok(path)

@@ -209,6 +209,10 @@ fn hostile_run_specs_are_refused_and_the_connection_keeps_serving() {
         r#"{"name": "vast-tlb", "replay": [{"workloads": ["fir"],
             "geometries": [{"capacity": 2048, "columns": 4, "line": 32, "tlb": 1000000000}]}]}"#
             .to_owned(),
+        // 1-byte lines at 1 MiB: 2^20 sets of per-set engine state.
+        r#"{"name": "fine", "replay": [{"workloads": ["fir"],
+            "geometries": [{"capacity": 1048576, "columns": 1, "line": 1}]}]}"#
+            .to_owned(),
     ];
     for spec in &specs {
         let reply = client
@@ -245,11 +249,21 @@ fn traces_that_are_neither_uploads_nor_binary_files_are_refused_by_every_command
         .expect("the text trace parses");
     let text_file = dir.join("serve-not-uploaded.trace");
     std::fs::write(&text_file, "R 0x1000 4\nW 0x2000 4\n").expect("write text trace");
+    // A binary trace cut inside its magic holds no whole magic, so it is refused too.
+    let cut_file = dir.join("serve-cut-magic.cct");
+    std::fs::write(&cut_file, &ccache_trace::binfmt::MAGIC[..3]).expect("write cut trace");
     // `/etc/passwd` once came back as its first line in the error message, and
     // `/dev/zero` made the text reader buffer one endless line. A text file the server
     // did not store is refused like a missing one.
     let text_file = text_file.to_str().expect("utf-8 path");
-    for path in ["/etc/passwd", "/dev/zero", "/no/such/file", text_file] {
+    let cut_file = cut_file.to_str().expect("utf-8 path");
+    for path in [
+        "/etc/passwd",
+        "/dev/zero",
+        "/no/such/file",
+        text_file,
+        cut_file,
+    ] {
         let spec = Json::obj([
             ("name", "leak".to_json()),
             (

@@ -102,6 +102,12 @@ impl Default for CacheConfig {
 /// file, a CLI flag or a serve request from exhausting memory before any replay starts.
 pub const MAX_CAPACITY_BYTES: u64 = 1 << 20;
 
+/// The most sets [`CacheConfigBuilder::build`] accepts: 32,768, as in a 1 MiB
+/// direct-mapped cache of 32-byte lines. Engines keep replacement state, a way hint and
+/// valid and dirty bits per set, so without this bound a 1 MiB cache of 1-byte lines
+/// would ask for 2^20 sets.
+pub const MAX_SETS: usize = 1 << 15;
+
 /// Builder for [`CacheConfig`].
 #[derive(Debug, Clone, Copy)]
 pub struct CacheConfigBuilder {
@@ -153,7 +159,8 @@ impl CacheConfigBuilder {
     ///
     /// Returns [`SimError::BadSize`] if capacity or line size is zero or not a power of two
     /// and [`SimError::BadGeometry`] if capacity exceeds [`MAX_CAPACITY_BYTES`], is not
-    /// divisible into at least one full set per column, or the column count is unsupported.
+    /// divisible into at least one full set per column, makes more than [`MAX_SETS`]
+    /// sets, or the column count is unsupported.
     pub fn build(self) -> Result<CacheConfig, SimError> {
         if self.capacity_bytes == 0 || !self.capacity_bytes.is_power_of_two() {
             return Err(SimError::BadSize {
@@ -202,6 +209,11 @@ impl CacheConfigBuilder {
             });
         }
         let sets = per_column / self.line_size;
+        if sets > MAX_SETS as u64 {
+            return Err(SimError::BadGeometry {
+                reason: format!("set count {sets} exceeds the {MAX_SETS}-set limit"),
+            });
+        }
         if !sets.is_power_of_two() {
             return Err(SimError::BadGeometry {
                 reason: format!("set count {sets} must be a power of two"),
@@ -332,6 +344,29 @@ mod tests {
                 format!(
                     "inconsistent cache geometry: capacity {capacity} exceeds the \
                      1048576-byte limit"
+                )
+            );
+        }
+    }
+
+    #[test]
+    fn builder_bounds_the_set_count_before_anything_is_allocated() {
+        let build = |columns: usize, line: u64| {
+            CacheConfig::builder()
+                .capacity_bytes(MAX_CAPACITY_BYTES)
+                .columns(columns)
+                .line_size(line)
+                .build()
+        };
+        // 1 MiB of 32-byte lines in one column, or of 1-byte lines in 32 columns
+        for (columns, line) in [(1, 32), (32, 1)] {
+            assert_eq!(build(columns, line).unwrap().sets(), MAX_SETS);
+        }
+        for (columns, line, sets) in [(1, 16, 65_536), (16, 1, 65_536), (1, 1, 1 << 20)] {
+            assert_eq!(
+                build(columns, line).unwrap_err().to_string(),
+                format!(
+                    "inconsistent cache geometry: set count {sets} exceeds the 32768-set limit"
                 )
             );
         }

@@ -470,13 +470,10 @@ pub fn read_trace<R: Read>(source: R) -> io::Result<Trace> {
     TraceReader::new(BufReader::new(source))?.read_to_trace()
 }
 
-/// Returns `true` if `bytes` begin with the binary-trace magic.
-pub fn is_binary_trace(bytes: &[u8]) -> bool {
-    bytes.len() >= MAGIC.len() && bytes[..MAGIC.len()] == MAGIC
-}
-
-/// Returns `true` if the file at `path` begins with the binary-trace magic (anything
-/// else — including files shorter than the magic — is treated as text).
+/// Returns `true` if the file at `path` decodes as a binary trace: it begins with the
+/// binary-trace magic, or it is a non-empty proper prefix of the magic — a `.cct` cut
+/// inside its magic, which then fails to decode with a short-header error. Anything else
+/// is text; an empty file is an empty text trace.
 ///
 /// # Errors
 ///
@@ -484,7 +481,13 @@ pub fn is_binary_trace(bytes: &[u8]) -> bool {
 pub fn is_binary_trace_file<P: AsRef<Path>>(path: P) -> io::Result<bool> {
     let mut head = [0u8; MAGIC.len()];
     let filled = read_head(&mut File::open(path)?, &mut head)?;
-    Ok(is_binary_trace(&head[..filled]))
+    Ok(sniffs_binary(&head[..filled]))
+}
+
+/// Whether a file whose first bytes are `head` (at most the magic's length, fewer only
+/// at the end of the file) decodes as a binary trace: see [`is_binary_trace_file`].
+pub(crate) fn sniffs_binary(head: &[u8]) -> bool {
+    !head.is_empty() && MAGIC.starts_with(head)
 }
 
 /// Fills `head` from `source` as far as the source allows and returns how many bytes
@@ -546,8 +549,11 @@ mod tests {
                 events: trace.len() as u64
             }
         );
-        assert!(is_binary_trace(&bytes));
-        assert!(!is_binary_trace(b"R 0x10 4\n"));
+        assert!(sniffs_binary(&bytes[..MAGIC.len()]));
+        assert!(sniffs_binary(&bytes[..1]));
+        assert!(!sniffs_binary(b"R 0x"));
+        assert!(!sniffs_binary(b"CCTX"));
+        assert!(!sniffs_binary(b""));
     }
 
     #[test]

@@ -65,7 +65,9 @@ pub use trace::Trace;
 
 /// Reads a whole trace file in either format: the magic is checked once, then the file
 /// is rewound and a binary trace decodes through [`TraceReader::read_to_trace`] and
-/// anything else through [`textfmt::read_trace`].
+/// anything else through [`textfmt::read_trace`]. A file that is a non-empty proper prefix
+/// of the magic is a binary trace cut short, and an empty file an empty text trace (as
+/// [`binfmt::is_binary_trace_file`] sniffs them).
 ///
 /// # Errors
 ///
@@ -81,7 +83,7 @@ pub fn read_trace_file<P: AsRef<std::path::Path>>(path: P) -> std::io::Result<Tr
     // type slowed streamed `.cct` replays by a quarter.
     file.rewind()?;
     let source = BufReader::new(file);
-    if binfmt::is_binary_trace(&head[..filled]) {
+    if binfmt::sniffs_binary(&head[..filled]) {
         TraceReader::new(source)?.read_to_trace()
     } else {
         textfmt::read_trace(source)
@@ -105,12 +107,17 @@ mod tests {
         assert_eq!(read_trace_file(&binary).unwrap(), trace);
         assert_eq!(read_trace_file(&text).unwrap(), trace);
 
-        // Files shorter than the magic are text; a truncated binary header is an error.
+        // Short files that are not a prefix of the magic are text, and so is an empty
+        // file; a truncated binary header is an error, even inside the magic.
         let short = dir.join("short.trace");
         std::fs::write(&short, "\n\n").unwrap();
         assert!(read_trace_file(&short).unwrap().is_empty());
-        std::fs::write(&binary, &binfmt::MAGIC[..]).unwrap();
-        assert!(read_trace_file(&binary).is_err());
+        std::fs::write(&short, "").unwrap();
+        assert!(read_trace_file(&short).unwrap().is_empty());
+        for cut in 1..=binfmt::MAGIC.len() {
+            std::fs::write(&binary, &binfmt::MAGIC[..cut]).unwrap();
+            assert!(read_trace_file(&binary).is_err());
+        }
         assert!(read_trace_file(dir.join("missing.cct")).is_err());
         std::fs::remove_dir_all(&dir).unwrap();
     }

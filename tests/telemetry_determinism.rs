@@ -69,33 +69,51 @@ fn observed_tuning_reports_identical_metrics_across_runs() {
 /// The quick `mpeg-combined` tune (`ccache tune --quick`) tints every referenced page
 /// to one column in every candidate, so the per-column model scores them all and the
 /// engine replays only the baseline reference point: a silent fallback to the engine
-/// shows here.
+/// shows here. The model walks each split's run heads, so the references it walked
+/// repeat exactly between runs and stay below one whole trace per candidate.
 #[test]
 fn the_model_scores_every_candidate_of_the_quick_tune() {
     use column_caching::sim::SystemConfig;
 
     let workload = column_caching::workloads::corpus("mpeg-combined", true).expect("corpus");
-    let registry = Registry::new();
-    let request = TuneRequest {
-        template: SystemConfig {
-            page_size: 128,
-            ..SystemConfig::default()
-        },
-        budget: 48,
-        ..TuneRequest::default()
+    let run = || {
+        let registry = Registry::new();
+        let request = TuneRequest {
+            template: SystemConfig {
+                page_size: 128,
+                ..SystemConfig::default()
+            },
+            budget: 48,
+            ..TuneRequest::default()
+        };
+        tune_observed(
+            &workload.trace,
+            &workload.symbols,
+            &request,
+            &registry,
+            None,
+        )
+        .expect("tune");
+        registry
     };
-    tune_observed(
-        &workload.trace,
-        &workload.symbols,
-        &request,
-        &registry,
-        None,
-    )
-    .expect("tune");
+    let registry = run();
     let evaluations = registry.counter_value("opt.evaluations");
     assert_eq!(evaluations, 48);
     assert_eq!(registry.counter_value("opt.model.evaluations"), evaluations);
     assert_eq!(registry.counter_value("engine.replays"), 1);
+
+    let walked = registry.counter_value("opt.model.references");
+    assert_eq!(
+        walked,
+        run().counter_value("opt.model.references"),
+        "the references the model walks repeat exactly"
+    );
+    assert!(walked > 0);
+    assert!(
+        walked < evaluations * workload.trace.len() as u64,
+        "{walked} references walked for {evaluations} candidates of {} references",
+        workload.trace.len()
+    );
 }
 
 /// The figure experiments count every replay in the execution's own registry: one

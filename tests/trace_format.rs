@@ -7,8 +7,10 @@ use column_caching::core::engine::ReplayEngine;
 use column_caching::core::runner::{CacheMapping, RegionMapping};
 use column_caching::sim::backend::BackendKind;
 use column_caching::sim::{ColumnMask, SystemConfig};
-use column_caching::trace::binfmt::{read_trace, write_trace, TraceReader, HEADER_LEN};
-use column_caching::trace::{MemAccess, Trace};
+use column_caching::trace::binfmt::{
+    is_binary_trace_file, read_trace, write_trace, TraceReader, HEADER_LEN,
+};
+use column_caching::trace::{read_trace_file, MemAccess, Trace};
 use proptest::prelude::*;
 
 fn config() -> SystemConfig {
@@ -99,6 +101,40 @@ proptest! {
 /// where: the header, or the event being decoded. That event number never falls as the
 /// cut moves later, starts at 1 and ends one past the last event, where only the end
 /// marker is missing. A streamed replay of a cut file fails with the same error.
+/// A `.cct` file cut anywhere in its header — inside its magic too — is a binary trace
+/// cut short: the format sniffer reads it as binary, so `read_trace_file` names the
+/// header, and a file cut right after the header names the first event. An empty file
+/// stays an empty text trace.
+#[test]
+fn a_trace_file_cut_in_its_header_is_a_cut_binary_trace() {
+    let trace = build_trace(&[(1, 0, false), (2, 1, true), (3, 2, false)]);
+    let mut bytes = Vec::new();
+    write_trace(&trace, &mut bytes).unwrap();
+    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("cut-header.cct");
+    for cut in 1..=HEADER_LEN {
+        std::fs::write(&path, &bytes[..cut]).unwrap();
+        assert!(is_binary_trace_file(&path).unwrap(), "cut at {cut}");
+        let err = read_trace_file(&path).unwrap_err();
+        assert_eq!(
+            err.kind(),
+            std::io::ErrorKind::UnexpectedEof,
+            "cut at {cut}"
+        );
+        let message = err.to_string();
+        if cut < HEADER_LEN {
+            assert_eq!(
+                message,
+                format!("header: the file ends after {cut} of its {HEADER_LEN} bytes")
+            );
+        } else {
+            assert!(message.starts_with("event 1: "), "cut at {cut}: {message}");
+        }
+    }
+    std::fs::write(&path, b"").unwrap();
+    assert!(!is_binary_trace_file(&path).unwrap());
+    assert!(read_trace_file(&path).unwrap().is_empty());
+}
+
 #[test]
 fn a_cut_binary_trace_names_the_header_or_the_event() {
     let ops: Vec<(u16, u8, bool)> = (0..40u16)

@@ -40,10 +40,6 @@ const UNTINTED: u8 = u8::MAX;
 /// shifted left by one, with the run's write flag in bit 0, in a `u32`.
 const MAX_REFERENCES: usize = 1 << 31;
 
-/// A split's heads are stored only if they are at most this fraction of the references;
-/// on a split that compresses less, the model walks the trace itself.
-const MIN_COMPRESSION: usize = 2;
-
 /// The last line of a set no reference has touched yet. Addresses lie below
 /// [`ADDRESS_LIMIT`] = 2^63, so no line number reaches it.
 const NO_LINE: u64 = u64::MAX;
@@ -61,9 +57,8 @@ pub(crate) struct ColumnModel<'a> {
     page_shift: u32,
     /// TLB misses over the whole trace, per TLB size.
     tlb_misses: Vec<(usize, u64)>,
-    /// Every split of the space with its run heads, built on the split's first use:
-    /// `None` once built when the split barely compresses.
-    streams: Vec<(Split, OnceLock<Option<Vec<u32>>>)>,
+    /// Every split of the space with its run heads, built on the split's first use.
+    streams: Vec<(Split, OnceLock<Vec<u32>>)>,
 }
 
 /// How a cache geometry splits an address: offset, then set index, then tag.
@@ -86,9 +81,8 @@ impl Split {
 
     /// The run heads of `trace` under this split, in trace order, each as
     /// `index << 1 | write` where `write` is the OR of the write flags of its run. Sized
-    /// exactly; `None` when the heads are more than `1 / MIN_COMPRESSION` of the
-    /// references.
-    fn runs(self, trace: &[MemAccess]) -> Option<Vec<u32>> {
+    /// exactly: one pass counts the heads, a second fills them.
+    fn runs(self, trace: &[MemAccess]) -> Vec<u32> {
         let set_mask = (1u64 << self.set_bits) - 1;
         let locate = |ev: &MemAccess| {
             let line = ev.addr >> self.line_shift;
@@ -102,9 +96,6 @@ impl Split {
                 std::mem::replace(&mut last_line[set], line) != line
             })
             .count();
-        if heads * MIN_COMPRESSION > trace.len() {
-            return None;
-        }
 
         last_line.fill(NO_LINE);
         let mut run_of_set = vec![0u32; last_line.len()];
@@ -120,7 +111,7 @@ impl Split {
                 stream.push((index as u32) << 1 | write);
             }
         }
-        Some(stream)
+        stream
     }
 }
 
@@ -189,14 +180,13 @@ impl<'a> ColumnModel<'a> {
         })
     }
 
-    /// Scores a column-cache candidate and returns its fitness with the number of
-    /// references the model walked (run heads, or every reference on a split it walks
-    /// whole), or returns `None` when its mapping is not one the model reproduces
-    /// exactly. The model scores a candidate when every region is a
+    /// Scores a column-cache candidate and returns its fitness with the number of run
+    /// heads the model walked, or returns `None` when the candidate is not one the model
+    /// reproduces exactly. The model scores a candidate when every region is a
     /// [`RegionMapping::Columns`] with a one-column mask below the geometry's column
     /// count, there is no default mask, every referenced page is covered by a region (the
     /// last region covering a page wins, as in `tint_range`), and the geometry's page
-    /// size and TLB size are the ones the trace was indexed and counted for.
+    /// size, TLB size and address split are ones the trace was indexed for.
     pub(crate) fn score(
         &self,
         config: &SystemConfig,
@@ -210,8 +200,12 @@ impl<'a> ColumnModel<'a> {
             .iter()
             .find(|&&(entries, _)| entries == config.tlb_entries)?
             .1;
+        let split = Split::of(&config.cache);
+        let (_, stream) = self.streams.iter().find(|(s, _)| *s == split)?;
         let page_columns = self.page_columns(mapping, config.cache.columns())?;
-        Some(self.replay(config, &page_columns, tlb_misses))
+        let heads = stream.get_or_init(|| split.runs(self.trace));
+        let fitness = self.replay(config, &page_columns, heads, tlb_misses);
+        Some((fitness, heads.len() as u64))
     }
 
     /// The column of every referenced page, indexed by page id, or `None` when the
@@ -243,36 +237,45 @@ impl<'a> ColumnModel<'a> {
         (!table.contains(&UNTINTED)).then_some(table)
     }
 
-    /// The run heads of `split`, built on first use, or `None` when the split is not one
-    /// of the space's or barely compresses.
-    fn stream(&self, split: Split) -> Option<&[u32]> {
-        let (_, cell) = self.streams.iter().find(|(s, _)| *s == split)?;
-        cell.get_or_init(|| split.runs(self.trace)).as_deref()
-    }
-
-    /// Replays the split's run heads — or the whole trace — through one direct-mapped
-    /// cache per column, and returns the fitness with the number of references walked.
+    /// Replays the run heads `heads` through one direct-mapped cache per column of the
+    /// geometry and returns the fitness of the whole trace.
     fn replay(
         &self,
         config: &SystemConfig,
         page_columns: &[u8],
+        heads: &[u32],
         tlb_misses: u64,
-    ) -> (Fitness, u64) {
+    ) -> Fitness {
         let cache = &config.cache;
-        let ((misses, writebacks), walked) = match self.stream(Split::of(cache)) {
-            Some(heads) => {
-                let runs = heads.iter().map(|&head| {
-                    let index = (head >> 1) as usize;
-                    (self.trace[index].addr, self.page_ids[index], head & 1 != 0)
-                });
-                (probe(cache, page_columns, runs), heads.len())
+        let columns = cache.columns();
+        let Split {
+            line_shift,
+            set_bits,
+        } = Split::of(cache);
+        let set_mask = (cache.sets() - 1) as u64;
+        let mut slots: Vec<Option<Line>> = vec![None; cache.total_lines()];
+        let (mut misses, mut writebacks) = (0u64, 0u64);
+        for &head in heads {
+            let index = (head >> 1) as usize;
+            let is_write = head & 1 != 0;
+            let line = self.trace[index].addr >> line_shift;
+            let tag = line >> set_bits;
+            let column = usize::from(page_columns[self.page_ids[index] as usize]);
+            let slot = &mut slots[(line & set_mask) as usize * columns + column];
+            match slot {
+                Some(held) if held.tag == tag => held.dirty |= is_write,
+                _ => {
+                    misses += 1;
+                    if slot.is_some_and(|held| held.dirty) {
+                        writebacks += 1;
+                    }
+                    *slot = Some(Line {
+                        tag,
+                        dirty: is_write,
+                    });
+                }
             }
-            None => {
-                let refs = (self.trace.iter().zip(&self.page_ids))
-                    .map(|(ev, &page)| (ev.addr, page, ev.is_write()));
-                (probe(cache, page_columns, refs), self.trace.len())
-            }
-        };
+        }
 
         let references = self.trace.len() as u64;
         let latency = &config.latency;
@@ -287,7 +290,7 @@ impl<'a> ColumnModel<'a> {
             ..MemoryStats::default()
         };
         let report = CycleReport::from_stats(&stats, latency, 0, false);
-        let fitness = Fitness {
+        Fitness {
             misses,
             cycles: report.total_cycles(),
             references,
@@ -296,46 +299,8 @@ impl<'a> ColumnModel<'a> {
             } else {
                 misses as f64 / references as f64
             },
-        };
-        (fitness, walked as u64)
-    }
-}
-
-/// Probes `(address, page id, write)` references through one direct-mapped cache per
-/// column of `cache` and returns `(misses, writebacks)`.
-fn probe(
-    cache: &CacheConfig,
-    page_columns: &[u8],
-    refs: impl Iterator<Item = (u64, u32, bool)>,
-) -> (u64, u64) {
-    let columns = cache.columns();
-    let Split {
-        line_shift,
-        set_bits,
-    } = Split::of(cache);
-    let set_mask = (cache.sets() - 1) as u64;
-    let mut slots: Vec<Option<Line>> = vec![None; cache.total_lines()];
-    let (mut misses, mut writebacks) = (0u64, 0u64);
-    for (addr, page, is_write) in refs {
-        let line = addr >> line_shift;
-        let tag = line >> set_bits;
-        let column = usize::from(page_columns[page as usize]);
-        let slot = &mut slots[(line & set_mask) as usize * columns + column];
-        match slot {
-            Some(held) if held.tag == tag => held.dirty |= is_write,
-            _ => {
-                misses += 1;
-                if slot.is_some_and(|held| held.dirty) {
-                    writebacks += 1;
-                }
-                *slot = Some(Line {
-                    tag,
-                    dirty: is_write,
-                });
-            }
         }
     }
-    (misses, writebacks)
 }
 
 #[cfg(test)]
@@ -379,7 +344,7 @@ mod tests {
             (0x00, false), // head 6: line 0 again
             (0x10, false), // folded into head 2: set 1 last saw line 1
         ]);
-        let stream = split(16, 2).runs(&refs).expect("4 heads of 8 references");
+        let stream = split(16, 2).runs(&refs);
         assert_eq!(
             stream,
             [head(0, true), head(2, false), head(4, true), head(6, false)]
@@ -392,20 +357,8 @@ mod tests {
         // Lines of 16 bytes: 0x00 and 0x08 share line 0. Lines of 8 bytes: they do not,
         // and with one set every change of line starts a run.
         let refs = trace(&[(0x00, false), (0x08, false), (0x00, false), (0x08, false)]);
-        assert_eq!(split(16, 1).runs(&refs).map(|s| s.len()), Some(1));
-        assert_eq!(split(8, 1).runs(&refs), None);
-    }
-
-    #[test]
-    fn splits_that_barely_compress_are_walked_whole() {
-        // 3 heads of 5 references: more than half.
-        let refs = trace(&[(0, false), (32, false), (0, false), (32, false), (32, true)]);
-        assert_eq!(split(32, 1).runs(&refs), None);
-        // 2 heads of 4: exactly half.
-        let refs = trace(&[(0, false), (0, false), (32, false), (32, true)]);
-        assert_eq!(
-            split(32, 1).runs(&refs),
-            Some(vec![head(0, false), head(2, true)])
-        );
+        assert_eq!(split(16, 1).runs(&refs), [head(0, false)]);
+        let every_reference: Vec<u32> = (0..4).map(|index| head(index, false)).collect();
+        assert_eq!(split(8, 1).runs(&refs), every_reference);
     }
 }

@@ -97,10 +97,6 @@ proptest! {
     }
 }
 
-/// A `.cct` cut short at any byte fails with `UnexpectedEof` and an error that names
-/// where: the header, or the event being decoded. That event number never falls as the
-/// cut moves later, starts at 1 and ends one past the last event, where only the end
-/// marker is missing. A streamed replay of a cut file fails with the same error.
 /// A `.cct` file cut anywhere in its header — inside its magic too — is a binary trace
 /// cut short: the format sniffer reads it as binary, so `read_trace_file` names the
 /// header, and a file cut right after the header names the first event. An empty file
@@ -135,6 +131,10 @@ fn a_trace_file_cut_in_its_header_is_a_cut_binary_trace() {
     assert!(read_trace_file(&path).unwrap().is_empty());
 }
 
+/// A `.cct` cut short at any byte fails with `UnexpectedEof` and an error that names
+/// where: the header, or the event being decoded. That event number never falls as the
+/// cut moves later, starts at 1 and ends one past the last event, where only the end
+/// marker is missing. A streamed replay of a cut file fails with the same error.
 #[test]
 fn a_cut_binary_trace_names_the_header_or_the_event() {
     let ops: Vec<(u16, u8, bool)> = (0..40u16)

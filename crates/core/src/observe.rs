@@ -214,7 +214,8 @@ pub(crate) struct WindowTracker {
     index: u64,
     /// References replayed when the current window started.
     start: u64,
-    prev: MemoryStats,
+    /// Memory cycles spent when the current window started.
+    prev_cycles: u64,
     prev_hits: u64,
     prev_misses: u64,
 }
@@ -226,7 +227,7 @@ impl WindowTracker {
             window: window.max(1),
             index: 0,
             start: 0,
-            prev: MemoryStats::default(),
+            prev_cycles: 0,
             prev_hits: 0,
             prev_misses: 0,
         }
@@ -250,14 +251,18 @@ impl WindowTracker {
         observer: &mut dyn ReplayObserver,
         finished: bool,
     ) {
-        let mem = *backend.stats();
+        let mem = backend.stats();
         let replayed = mem.references;
         if replayed < self.start + self.window && !(finished && replayed > self.start) {
             return;
         }
         let cache = backend.cache_stats();
         let misses = cache.misses + cache.bypasses;
-        let delta = delta_stats(&mem, &self.prev);
+        let delta = MemoryStats {
+            references: replayed - self.start,
+            memory_cycles: mem.memory_cycles - self.prev_cycles,
+            ..MemoryStats::default()
+        };
         let sample = WindowSample {
             index: self.index,
             start: self.start,
@@ -270,23 +275,9 @@ impl WindowTracker {
         observer.on_window(&sample);
         self.index += 1;
         self.start = replayed;
-        self.prev = mem;
+        self.prev_cycles = mem.memory_cycles;
         self.prev_hits = cache.hits;
         self.prev_misses = misses;
-    }
-}
-
-/// Field-wise difference of two cumulative statistics snapshots (`now - then`).
-fn delta_stats(now: &MemoryStats, then: &MemoryStats) -> MemoryStats {
-    MemoryStats {
-        references: now.references - then.references,
-        memory_cycles: now.memory_cycles - then.memory_cycles,
-        scratchpad_accesses: now.scratchpad_accesses - then.scratchpad_accesses,
-        uncached_accesses: now.uncached_accesses - then.uncached_accesses,
-        tlb_hits: now.tlb_hits - then.tlb_hits,
-        tlb_misses: now.tlb_misses - then.tlb_misses,
-        tlb_flushes: now.tlb_flushes - then.tlb_flushes,
-        tlb_scans: now.tlb_scans - then.tlb_scans,
     }
 }
 

@@ -291,14 +291,13 @@ impl MemoryBackend for SetAssocBaseline {
 /// An idealised on-chip memory: every reference is served at scratchpad latency.
 ///
 /// No real partition can beat it, which makes it the normalising lower bound for sweep
-/// plots. Statistics count every access as a scratchpad access; the cache counters stay
-/// zero.
+/// plots. Statistics count references and their cycles; the cache counters and control
+/// cycles stay zero, since it has neither a cache nor a control surface.
 #[derive(Debug, Clone, PartialEq)]
 pub struct IdealScratchpad {
     config: SystemConfig,
     stats: MemoryStats,
     cache_stats: CacheStats,
-    control_cycles: u64,
 }
 
 impl IdealScratchpad {
@@ -313,8 +312,7 @@ impl IdealScratchpad {
         Ok(IdealScratchpad {
             config,
             stats: MemoryStats::default(),
-            cache_stats: CacheStats::new(config.cache.columns()),
-            control_cycles: 0,
+            cache_stats: CacheStats::default(),
         })
     }
 }
@@ -331,7 +329,6 @@ impl MemoryBackend for IdealScratchpad {
     fn access(&mut self, _addr: u64, _is_write: bool) -> u64 {
         let cycles = self.config.latency.scratchpad_latency;
         self.stats.references += 1;
-        self.stats.scratchpad_accesses += 1;
         self.stats.memory_cycles += cycles;
         cycles
     }
@@ -376,22 +373,15 @@ impl MemoryBackend for IdealScratchpad {
     }
 
     fn control_cycles(&self) -> u64 {
-        self.control_cycles
+        0
     }
 
     fn cycle_report(&self, include_control: bool) -> CycleReport {
-        CycleReport::from_stats(
-            &self.stats,
-            &self.config.latency,
-            self.control_cycles,
-            include_control,
-        )
+        CycleReport::from_stats(&self.stats, &self.config.latency, 0, include_control)
     }
 
     fn reset_stats(&mut self) {
         self.stats = MemoryStats::default();
-        self.cache_stats = CacheStats::new(self.config.cache.columns());
-        self.control_cycles = 0;
     }
 
     fn full_reset(&mut self) {
@@ -536,7 +526,6 @@ mod tests {
         let column_cycles = column.run_batch(&r);
         assert!(ideal_cycles <= column_cycles);
         assert_eq!(ideal.stats().references, 200);
-        assert_eq!(ideal.stats().scratchpad_accesses, 200);
         assert_eq!(ideal.cache_stats().accesses, 0);
         assert_eq!(
             ideal.cycle_report(false).memory_cycles,

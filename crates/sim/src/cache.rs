@@ -9,7 +9,8 @@
 //!
 //! Cache state is stored as packed per-set arrays rather than an array of
 //! [`CacheLine`] structs: one contiguous tag vector (`sets × columns`, row-major by
-//! set) and one `u64` valid/dirty bitmask per set. The invariants the layout maintains:
+//! set), one `u64` valid/dirty bitmask per set, and one [`ReplacementState`] table
+//! holding every set's replacement state. The invariants the layout maintains:
 //!
 //! * bit `w` of `valid[set]` is set **iff** way `w` of `set` holds a live line, and
 //!   `tags[set * columns + w]` is meaningful only while that bit is set;
@@ -126,16 +127,14 @@ pub struct ColumnCache {
     set_mask: u64,
     /// `config.columns()`, kept local to the hot path.
     columns: usize,
-    /// All-ways mask: bit `w` set for every existing column `w`.
-    ways_mask: u64,
     /// Tags, row-major by set: way `w` of set `s` is `tags[s * columns + w]`.
     tags: Vec<u64>,
     /// Per-set validity bitmask (bit `w` = way `w` holds a live line).
     valid: Vec<u64>,
     /// Per-set dirtiness bitmask; always a subset of `valid`.
     dirty: Vec<u64>,
-    /// Per-set replacement state.
-    repl: Vec<ReplacementState>,
+    /// The replacement state of every set.
+    repl: ReplacementState,
     /// Per-set way hint: the way of the set's last hit or fill.
     hints: Vec<u8>,
     stats: CacheStats,
@@ -152,19 +151,12 @@ impl ColumnCache {
             set_bits: sets.trailing_zeros(),
             set_mask: (sets - 1) as u64,
             columns,
-            ways_mask: if columns >= 64 {
-                u64::MAX
-            } else {
-                (1u64 << columns) - 1
-            },
             tags: vec![0; sets * columns],
             valid: vec![0; sets],
             dirty: vec![0; sets],
-            repl: (0..sets)
-                .map(|i| ReplacementState::new(config.replacement(), columns, i as u64 + 1))
-                .collect(),
+            repl: ReplacementState::new(config.replacement(), sets, columns),
             hints: vec![0; sets],
-            stats: CacheStats::new(columns),
+            stats: CacheStats::default(),
         }
     }
 
@@ -180,23 +172,21 @@ impl ColumnCache {
 
     /// Resets statistics to zero without touching cache contents.
     pub fn reset_stats(&mut self) {
-        self.stats = CacheStats::new(self.columns);
+        self.stats = CacheStats::default();
     }
 
     /// Returns the cache to exactly its just-constructed state — every line invalid,
     /// replacement state re-seeded, way hints and statistics zeroed — without
-    /// reallocating the tag, validity, replacement or hint vectors. This is the
+    /// reallocating the tag, validity, replacement or hint tables. This is the
     /// allocation-free alternative to rebuilding the cache that a backend reset to
     /// pristine state takes.
     pub fn clear(&mut self) {
         self.tags.fill(0);
         self.valid.fill(0);
         self.dirty.fill(0);
-        for (i, repl) in self.repl.iter_mut().enumerate() {
-            repl.reset(i as u64 + 1);
-        }
+        self.repl.reset();
         self.hints.fill(0);
-        self.stats = CacheStats::new(self.columns);
+        self.stats = CacheStats::default();
     }
 
     /// Splits an address into `(tag, set index)` with the precomputed shift/mask pair —
@@ -255,7 +245,7 @@ impl ColumnCache {
         while probe != 0 {
             let way = probe.trailing_zeros() as usize;
             if self.tags[base + way] == tag {
-                self.repl[set_idx].on_access(way);
+                self.repl.on_access(set_idx, way);
                 self.hints[set_idx] = way as u8;
                 return self.hit(set_idx, way, is_write);
             }
@@ -264,8 +254,7 @@ impl ColumnCache {
 
         // Miss: restrict the fill to the allowed columns. The validity mask is already
         // in the form the replacement unit wants — no per-miss allocation.
-        let effective = ColumnMask::from_bits(mask.bits() & self.ways_mask);
-        let Some(way) = self.repl[set_idx].victim(effective, valid_bits) else {
+        let Some(way) = self.repl.victim(set_idx, mask, valid_bits) else {
             self.stats.bypasses += 1;
             return AccessOutcome::Bypass;
         };
@@ -273,7 +262,6 @@ impl ColumnCache {
         let bit = 1u64 << way;
         let evicted = if valid_bits & bit != 0 {
             let was_dirty = self.dirty[set_idx] & bit != 0;
-            self.stats.evictions += 1;
             if was_dirty {
                 self.stats.writebacks += 1;
             }
@@ -293,10 +281,9 @@ impl ColumnCache {
         } else {
             self.dirty[set_idx] &= !bit;
         }
-        self.repl[set_idx].on_fill(way);
+        self.repl.on_fill(set_idx, way);
         self.hints[set_idx] = way as u8;
         self.stats.misses += 1;
-        self.stats.column_fills[way] += 1;
         AccessOutcome::Miss {
             column: way,
             evicted,
@@ -311,7 +298,6 @@ impl ColumnCache {
             self.dirty[set_idx] |= 1 << way;
         }
         self.stats.hits += 1;
-        self.stats.column_hits[way] += 1;
         AccessOutcome::Hit { column: way }
     }
 
@@ -447,7 +433,11 @@ mod tests {
         for i in 0..8u64 {
             let out = c.access(0x1000 + i * 512, false, m);
             match out {
-                AccessOutcome::Miss { column, .. } => assert_eq!(column, 2),
+                AccessOutcome::Miss { column, evicted } => {
+                    assert_eq!(column, 2);
+                    // every fill after the first evicts its predecessor
+                    assert_eq!(evicted.is_some(), i > 0);
+                }
                 other => panic!("expected miss, got {other:?}"),
             }
         }
@@ -455,7 +445,6 @@ mod tests {
         assert_eq!(c.valid_lines(), 1);
         assert_eq!(c.occupancy(2).unwrap(), 1);
         assert_eq!(c.occupancy(0).unwrap(), 0);
-        assert_eq!(c.stats().evictions, 7);
     }
 
     #[test]

@@ -1,10 +1,10 @@
-//! JSON renderings of the simulator's configuration and statistics types, used by the
+//! JSON renderings of the simulator's configuration types and cycle report, used by the
 //! experiment artefacts (`SweepReport` and the figure binaries' `--json` outputs).
 
 use crate::config::{CacheConfig, LatencyConfig};
 use crate::mask::ColumnMask;
 use crate::replacement::ReplacementPolicy;
-use crate::stats::{CacheStats, CycleReport, MemoryStats};
+use crate::stats::CycleReport;
 use crate::system::SystemConfig;
 use crate::tint::Tint;
 use ccache_json::{Json, ToJson};
@@ -76,35 +76,6 @@ impl ToJson for CycleReport {
             ("instructions", self.instructions.to_json()),
             ("compute_cycles", self.compute_cycles.to_json()),
             ("memory_cycles", self.memory_cycles.to_json()),
-        ])
-    }
-}
-
-impl ToJson for CacheStats {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("accesses", self.accesses.to_json()),
-            ("hits", self.hits.to_json()),
-            ("misses", self.misses.to_json()),
-            ("bypasses", self.bypasses.to_json()),
-            ("evictions", self.evictions.to_json()),
-            ("writebacks", self.writebacks.to_json()),
-            ("column_hits", self.column_hits.to_json()),
-            ("column_fills", self.column_fills.to_json()),
-        ])
-    }
-}
-
-impl ToJson for MemoryStats {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("references", self.references.to_json()),
-            ("memory_cycles", self.memory_cycles.to_json()),
-            ("scratchpad_accesses", self.scratchpad_accesses.to_json()),
-            ("uncached_accesses", self.uncached_accesses.to_json()),
-            ("tlb_hits", self.tlb_hits.to_json()),
-            ("tlb_misses", self.tlb_misses.to_json()),
-            ("tlb_flushes", self.tlb_flushes.to_json()),
         ])
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! This crate implements the *hardware* half of the paper: a set-associative cache whose
 //! replacement unit can be restricted, per access, to a subset of its ways ("columns"), the
-//! TLB/page-table machinery that carries the mapping information (as *tints*), an
-//! off-chip memory model and a cycle-approximate timing model.
+//! TLB/page-table machinery that carries the mapping information (as *tints*) and a
+//! cycle-approximate timing model.
 //!
 //! The main entry point is [`system::MemorySystem`], which exposes both the datapath
 //! (replay memory references, collect hit/miss/cycle statistics) and the software control
@@ -37,7 +37,6 @@ pub mod config;
 pub mod error;
 pub mod json;
 pub mod mask;
-pub mod memory;
 pub mod page_table;
 pub mod replacement;
 pub mod stats;
@@ -50,7 +49,6 @@ pub use cache::{AccessOutcome, CacheLine, ColumnCache, Eviction};
 pub use config::{CacheConfig, CacheConfigBuilder, LatencyConfig, MAX_CAPACITY_BYTES, MAX_SETS};
 pub use error::SimError;
 pub use mask::ColumnMask;
-pub use memory::MainMemory;
 pub use page_table::{PageEntry, PageTable};
 pub use replacement::{ReplacementPolicy, ReplacementState};
 pub use stats::{CacheStats, CycleReport, MemoryStats};

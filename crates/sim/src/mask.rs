@@ -98,10 +98,14 @@ impl ColumnMask {
         }
     }
 
-    /// Removes a column from the mask, returning the result.
+    /// Removes a column from the mask, returning the result. A column at or above
+    /// [`MAX_COLUMNS`] is in no mask, so removing it changes nothing.
     pub fn without(self, column: usize) -> Self {
+        if column >= MAX_COLUMNS {
+            return self;
+        }
         ColumnMask {
-            bits: self.bits & !(1u64 << column.min(MAX_COLUMNS - 1)),
+            bits: self.bits & !(1u64 << column),
         }
     }
 
@@ -219,6 +223,14 @@ mod tests {
         assert!(m2.contains(0));
         assert!(!m2.contains(2));
         assert_eq!(m2.count(), 1);
+    }
+
+    #[test]
+    fn without_ignores_columns_past_the_mask() {
+        let every = ColumnMask::all(MAX_COLUMNS);
+        assert_eq!(every.without(MAX_COLUMNS), every);
+        assert_eq!(every.without(usize::MAX), every);
+        assert!(!every.without(MAX_COLUMNS - 1).contains(MAX_COLUMNS - 1));
     }
 
     #[test]

@@ -1,5 +1,6 @@
-//! The complete simulated memory system: column cache + TLB + page table + tint table +
-//! main memory, with a cycle-approximate timing model.
+//! The complete simulated memory system: column cache + TLB + page table + tint table,
+//! with a cycle-approximate timing model. Main memory is stateless: a miss costs the
+//! configured miss penalty, plus the writeback penalty when it evicts a dirty line.
 //!
 //! [`MemorySystem`] exposes the two halves of the paper's mechanism:
 //!
@@ -17,7 +18,6 @@ use crate::cache::{AccessOutcome, ColumnCache};
 use crate::config::{CacheConfig, LatencyConfig};
 use crate::error::SimError;
 use crate::mask::ColumnMask;
-use crate::memory::MainMemory;
 use crate::page_table::PageTable;
 use crate::stats::{CacheStats, CycleReport, MemoryStats};
 use crate::tint::{Tint, TintTable};
@@ -96,7 +96,6 @@ pub struct MemorySystem {
     tlb: Tlb,
     page_table: PageTable,
     tints: TintTable,
-    memory: MainMemory,
     stats: MemoryStats,
     /// Cycles spent in software control operations (tint remaps, re-tints, preloads,
     /// explicit copies). Reported separately so experiments can include or exclude them.
@@ -120,10 +119,6 @@ impl MemorySystem {
             tlb: Tlb::new(config.tlb_entries),
             page_table,
             tints: TintTable::new(columns),
-            memory: MainMemory::new(
-                config.latency.miss_penalty,
-                config.latency.writeback_penalty,
-            ),
             stats: MemoryStats::default(),
             control_cycles: 0,
         })
@@ -159,17 +154,12 @@ impl MemorySystem {
         &self.tints
     }
 
-    /// Read-only view of the main-memory traffic counters.
-    pub fn memory(&self) -> &MainMemory {
-        &self.memory
-    }
-
     /// Memory-system statistics (references, cycles, TLB behaviour).
     pub fn stats(&self) -> &MemoryStats {
         &self.stats
     }
 
-    /// Cache statistics (hits, misses, per-column counters).
+    /// Cache statistics (hits, misses, bypasses, writebacks).
     pub fn cache_stats(&self) -> &CacheStats {
         self.cache.stats()
     }
@@ -178,7 +168,6 @@ impl MemorySystem {
     pub fn reset_stats(&mut self) {
         self.stats = MemoryStats::default();
         self.cache.reset_stats();
-        self.memory.reset();
         self.control_cycles = 0;
     }
 
@@ -197,7 +186,6 @@ impl MemorySystem {
         self.tlb.clear();
         self.page_table.clear();
         self.tints.reset();
-        self.memory.reset();
         self.stats = MemoryStats::default();
         self.control_cycles = 0;
     }
@@ -303,7 +291,7 @@ impl MemorySystem {
         }
         if !entry.cacheable {
             self.stats.uncached_accesses += 1;
-            return self.uncached_access(is_write, cycles);
+            return self.uncached_access(cycles);
         }
         let mask = self.tints.mask_or_default(entry.tint);
         self.cacheable_access(addr, is_write, mask, cycles)
@@ -313,13 +301,8 @@ impl MemorySystem {
     /// bypass). The caller accounts the `uncached_accesses` statistic — the two paths
     /// classify it at different points.
     #[inline]
-    fn uncached_access(&mut self, is_write: bool, mut cycles: u64) -> u64 {
-        cycles += self.config.latency.uncached_latency;
-        if is_write {
-            self.memory.write_line(8);
-        } else {
-            self.memory.read_line(8);
-        }
+    fn uncached_access(&mut self, cycles: u64) -> u64 {
+        let cycles = cycles + self.config.latency.uncached_latency;
         self.stats.memory_cycles += cycles;
         cycles
     }
@@ -340,26 +323,17 @@ impl MemorySystem {
                 cycles
             }
             AccessOutcome::Miss { evicted, .. } => {
-                let line_size = self.config.cache.line_size();
-                let mut cycles = cycles + self.config.latency.hit_latency;
-                cycles += self
-                    .memory
-                    .read_line(line_size)
-                    .max(self.config.latency.miss_penalty);
-                if let Some(ev) = evicted {
-                    if ev.dirty {
-                        cycles += self
-                            .memory
-                            .write_line(line_size)
-                            .max(self.config.latency.writeback_penalty);
-                    }
+                let latency = &self.config.latency;
+                let mut cycles = cycles + latency.hit_latency + latency.miss_penalty;
+                if evicted.is_some_and(|ev| ev.dirty) {
+                    cycles += latency.writeback_penalty;
                 }
                 self.stats.memory_cycles += cycles;
                 cycles
             }
             AccessOutcome::Bypass => {
                 self.stats.uncached_accesses += 1;
-                self.uncached_access(is_write, cycles)
+                self.uncached_access(cycles)
             }
         }
     }
@@ -503,7 +477,6 @@ mod tests {
         assert!(
             evict_cost >= s.config().latency.miss_penalty + s.config().latency.writeback_penalty
         );
-        assert!(s.memory().line_writes >= 1);
     }
 
     #[test]

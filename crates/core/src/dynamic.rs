@@ -12,7 +12,7 @@ use crate::error::CoreError;
 use crate::observe::{ReplayEvent, ReplayObserver};
 use crate::placement::{page_aligned, relocate};
 use crate::runner::{assign_columns_in, CacheMapping, RunResult};
-use ccache_layout::weights::conflict_graph_from_trace;
+use ccache_layout::weights::TraceProfile;
 use ccache_layout::{LayoutOptions, WeightOptions};
 use ccache_sim::backend::{BackendKind, MemoryBackend};
 use ccache_sim::ColumnMask;
@@ -66,7 +66,8 @@ impl DynamicRunResult {
 ///
 /// # Errors
 ///
-/// Fails for an invalid geometry or a failed column assignment.
+/// Fails for an invalid geometry, a layout past a layout limit or a failed column
+/// assignment.
 pub fn run_dynamic_in(
     phases: &[(String, Trace)],
     symbols: &SymbolTable,
@@ -100,7 +101,8 @@ pub fn run_dynamic_in(
     let mut replayed_refs = 0u64;
     for (name, trace, new_symbols) in &relocated {
         // Per-phase layout.
-        let (graph, units) = conflict_graph_from_trace(trace, new_symbols, &weight_opts);
+        let (graph, units) =
+            TraceProfile::new(trace, new_symbols, &weight_opts)?.conflict_graph(column_bytes)?;
         let assignment = assign_columns_in(&graph, &layout_opts, registry)?;
 
         // Columns whose resident data fits entirely in the column are pre-loaded and made

@@ -20,7 +20,7 @@ use crate::engine::ReplayEngine;
 use crate::error::CoreError;
 use crate::placement::{pack_scratchpad_first, relocate};
 use crate::runner::{assign_columns_in, CacheMapping, RegionMapping, RunResult};
-use ccache_layout::weights::conflict_graph_from_trace;
+use ccache_layout::weights::TraceProfile;
 use ccache_layout::{ConflictGraph, LayoutOptions, WeightOptions};
 use ccache_sim::backend::BackendKind;
 use ccache_sim::{CacheConfig, ColumnMask, LatencyConfig, SystemConfig};
@@ -182,8 +182,8 @@ pub fn select_scratchpad_vars(trace: &Trace, symbols: &SymbolTable, capacity: u6
 ///
 /// # Errors
 ///
-/// Fails for an invalid geometry, checked before any column mask is built, and for
-/// more cache columns than the geometry has.
+/// Fails for an invalid geometry, checked before any column mask is built, for more
+/// cache columns than the geometry has, and for a layout past a layout limit.
 pub fn run_partition_point_in(
     kind: BackendKind,
     workload: &WorkloadRun,
@@ -201,6 +201,14 @@ pub fn run_partition_point_in(
     let scratchpad_columns = config.columns - cache_columns;
     let column_bytes = config.column_bytes();
     let scratchpad_capacity = scratchpad_columns as u64 * column_bytes;
+
+    // Relocation keeps every variable's size, so the layout's unit count is known now.
+    let weight_opts = WeightOptions {
+        column_bytes,
+        split_large_variables: true,
+        min_accesses: 1,
+    };
+    weight_opts.unit_count(&workload.symbols)?;
 
     // 1. Pick the scratchpad residents.
     let scratch_vars =
@@ -237,27 +245,22 @@ pub fn run_partition_point_in(
     }
 
     // The remaining variables go to the cache columns via the layout algorithm.
-    let weight_opts = WeightOptions {
-        column_bytes,
-        split_large_variables: true,
-        min_accesses: 1,
-    };
-    let (graph, units) = conflict_graph_from_trace(&trace, &symbols, &weight_opts);
-    // Reduce the graph to the units of non-scratchpad variables.
+    let (graph, units) =
+        TraceProfile::new(&trace, &symbols, &weight_opts)?.conflict_graph(column_bytes)?;
+    // Reduce the graph to the units of non-scratchpad variables, keeping the edges whose
+    // endpoints both stay.
     let mut reduced = ConflictGraph::new();
     let mut reduced_to_unit: Vec<usize> = Vec::new();
+    let mut reduced_of = vec![None; graph.vertex_count()];
     for (idx, vertex) in graph.vertices() {
         if !scratch_set.contains(&vertex.var) {
-            reduced.add_vertex(vertex.clone());
+            reduced_of[idx] = Some(reduced.add_vertex(vertex.clone()));
             reduced_to_unit.push(idx);
         }
     }
-    for i in 0..reduced_to_unit.len() {
-        for j in (i + 1)..reduced_to_unit.len() {
-            let w = graph.weight(reduced_to_unit[i], reduced_to_unit[j]);
-            if w > 0 {
-                reduced.set_weight(i, j, w);
-            }
+    for (a, b, w) in graph.edges() {
+        if let (Some(i), Some(j)) = (reduced_of[a], reduced_of[b]) {
+            reduced.set_weight(i, j, w);
         }
     }
 

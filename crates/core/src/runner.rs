@@ -193,8 +193,8 @@ impl RunResult {
 }
 
 /// Runs the paper's column assignment ([`ccache_layout::assign_columns`]) inside the
-/// `layout.assign` span of `registry`, counting each assignment in `layout.assignments`
-/// and its merges in `layout.merges`.
+/// `layout.assign` span of `registry`, counting each assignment in `layout.assignments`,
+/// its merges in `layout.merges` and its colorers' work in `layout.colour_steps`.
 ///
 /// # Errors
 ///
@@ -212,6 +212,9 @@ pub fn assign_columns_in(
     registry
         .counter("layout.merges")
         .add(assignment.merges as u64);
+    registry
+        .counter("layout.colour_steps")
+        .add(assignment.colour_steps);
     Ok(assignment)
 }
 

@@ -19,8 +19,7 @@ use ccache_core::multitask::{run_multitasking_in, MultitaskRun};
 use ccache_core::observe::{SeriesRecorder, TimeSeries};
 use ccache_core::partition::{run_partition_point_in, PartitionPoint};
 use ccache_core::runner::{assign_columns_in, CacheMapping, RegionMapping, RunResult};
-use ccache_layout::weights::conflict_graph_from_trace;
-use ccache_layout::{LayoutOptions, UnitMap, WeightOptions};
+use ccache_layout::{LayoutOptions, TraceProfile, UnitMap, WeightOptions};
 use ccache_opt::{tune_observed, GeometrySearch, TuneOutcome, TuneRequest};
 use ccache_sim::backend::BackendKind;
 use ccache_sim::ColumnMask;
@@ -283,7 +282,9 @@ fn build_mapping(
         PolicySpec::Shared => Ok((CacheMapping::new(), None)),
         PolicySpec::Heuristic => {
             let (graph, units) =
-                conflict_graph_from_trace(&workload.trace, &workload.symbols, &weight_opts);
+                TraceProfile::new(&workload.trace, &workload.symbols, &weight_opts)
+                    .and_then(|profile| profile.conflict_graph(column_bytes))
+                    .map_err(ccache_core::CoreError::from)?;
             let layout = assign_columns_in(
                 &graph,
                 &LayoutOptions::new(geometry.columns, column_bytes),
@@ -301,7 +302,8 @@ fn build_mapping(
             ))
         }
         PolicySpec::RoundRobin => {
-            let units = UnitMap::from_symbols(&workload.symbols, &weight_opts);
+            let units = UnitMap::from_symbols(&workload.symbols, &weight_opts)
+                .map_err(ccache_core::CoreError::from)?;
             let mut mapping = CacheMapping::new();
             for (i, unit) in units.iter().enumerate() {
                 if let Some(region) = workload.symbols.region(unit.var) {

@@ -77,6 +77,9 @@ pub struct ColumnAssignment {
     pub optimal: bool,
     /// Number of merge iterations the heuristic performed.
     pub merges: usize,
+    /// The colorers' work: vertices picked plus saturation updates, over every coloring
+    /// the assignment ran.
+    pub colour_steps: u64,
 }
 
 impl ColumnAssignment {
@@ -177,17 +180,18 @@ pub fn assign_columns(
     let mut vertex_of: Vec<usize> = (0..free_vertices.len()).collect();
     let mut merges = 0usize;
     let mut optimal = true;
+    let mut colour_steps = 0u64;
     let (survivors, coloring) = loop {
         if !current.clique_exceeds(k) {
             let compact =
                 current.compacted(|v| graph.vertex(free_vertices[v]).expect("index valid").clone());
-            match coloring::coloring_within(&compact, k, options.search_budget) {
+            match coloring::coloring_within(&compact, k, options.search_budget, &mut colour_steps) {
                 Ok(Some((_, coloring))) => break (current.alive, coloring),
                 Ok(None) => {}
                 Err(LayoutError::SearchBudgetExceeded { .. }) => {
                     // graph too large for the exact colorer — fall back to greedy
                     optimal = false;
-                    let greedy = coloring::greedy_coloring(&compact);
+                    let greedy = coloring::greedy_counted(&compact, &mut colour_steps);
                     if coloring::color_count(&greedy) <= k {
                         break (current.alive, greedy);
                     }
@@ -248,6 +252,7 @@ pub fn assign_columns(
         cost,
         optimal: optimal && cost == 0,
         merges,
+        colour_steps,
     })
 }
 
@@ -403,7 +408,7 @@ pub fn validate_vertex_columns(
 /// output of [`assign_columns`]: a search that finds a lower-`W` vector than the heuristic
 /// can quantify the improvement. `optimal` is set only when the cost is zero (a zero-cost
 /// assignment is minimum by definition); `merges` is always zero because no merging
-/// happened.
+/// happened, and `colour_steps` is zero because nothing was colored.
 ///
 /// # Errors
 ///
@@ -433,6 +438,7 @@ pub fn assignment_from_vertex_columns(
         cost,
         optimal: cost == 0,
         merges: 0,
+        colour_steps: 0,
     })
 }
 

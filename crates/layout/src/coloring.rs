@@ -7,9 +7,14 @@
 //! conflict graphs of embedded kernels quickly. A greedy DSATUR colorer is provided both as
 //! the upper bound for the exact search and as a fallback for graphs that exceed the search
 //! budget.
+//!
+//! Both colorers pick vertices from a queue ordered by (saturation, degree, index) and
+//! update saturations as neighbors change color, so a greedy coloring costs
+//! O((n + E) log n) for `n` vertices and `E` edges.
 
 use crate::error::LayoutError;
 use crate::graph::ConflictGraph;
+use std::collections::{BTreeSet, HashMap};
 
 /// Adjacency over the non-zero-weight edges of a conflict graph.
 fn adjacency(graph: &ConflictGraph) -> Vec<Vec<usize>> {
@@ -21,33 +26,118 @@ fn adjacency(graph: &ConflictGraph) -> Vec<Vec<usize>> {
     adj
 }
 
-/// Greedy DSATUR coloring: repeatedly colors the uncolored vertex with the highest
-/// saturation (number of distinct neighbor colors), breaking ties by degree. Returns the
-/// color of every vertex; colors are `0..n_colors`.
-pub fn greedy_coloring(graph: &ConflictGraph) -> Vec<usize> {
-    let n = graph.vertex_count();
-    let adj = adjacency(graph);
-    let mut colors: Vec<Option<usize>> = vec![None; n];
-    for _ in 0..n {
-        // pick uncolored vertex with max saturation, then max degree
-        let pick = (0..n)
-            .filter(|&v| colors[v].is_none())
-            .max_by_key(|&v| {
-                let mut neigh_colors: Vec<usize> =
-                    adj[v].iter().filter_map(|&u| colors[u]).collect();
-                neigh_colors.sort_unstable();
-                neigh_colors.dedup();
-                (neigh_colors.len(), adj[v].len())
-            })
-            .expect("there is an uncolored vertex");
-        let used: Vec<usize> = adj[pick].iter().filter_map(|&u| colors[u]).collect();
-        let mut c = 0;
-        while used.contains(&c) {
-            c += 1;
+/// DSATUR bookkeeping shared by the greedy and the exact colorer. Each vertex's
+/// saturation (the number of distinct colors among its colored neighbors) is kept up to
+/// date as vertices are colored and uncolored, and the uncolored vertices wait in a set
+/// ordered by (saturation, degree, index). Its last entry is the vertex a scan with
+/// `max_by_key` over (saturation, degree) in index order would pick: that scan keeps the
+/// *last* maximum, the one with the highest index.
+struct Dsatur<'a> {
+    adj: &'a [Vec<usize>],
+    colors: Vec<Option<usize>>,
+    /// How many neighbors of a vertex hold a color, for every pair with at least one.
+    holders: HashMap<(usize, usize), usize>,
+    saturation: Vec<usize>,
+    uncolored: BTreeSet<(usize, usize, usize)>,
+    /// Picks plus saturation updates (one per neighbor visited on a color change).
+    steps: u64,
+}
+
+impl<'a> Dsatur<'a> {
+    fn new(adj: &'a [Vec<usize>]) -> Self {
+        Dsatur {
+            adj,
+            colors: vec![None; adj.len()],
+            holders: HashMap::new(),
+            saturation: vec![0; adj.len()],
+            uncolored: (0..adj.len()).map(|v| (0, adj[v].len(), v)).collect(),
+            steps: 0,
         }
-        colors[pick] = Some(c);
     }
-    colors.into_iter().map(|c| c.unwrap_or(0)).collect()
+
+    /// The uncolored vertex to color next, or `None` when every vertex is colored.
+    fn pick(&mut self) -> Option<usize> {
+        let &(_, _, v) = self.uncolored.last()?;
+        self.steps += 1;
+        Some(v)
+    }
+
+    /// Whether no neighbor of `v` holds color `c`.
+    fn is_free(&self, v: usize, c: usize) -> bool {
+        !self.holders.contains_key(&(v, c))
+    }
+
+    fn color(&mut self, v: usize, c: usize) {
+        self.uncolored
+            .remove(&(self.saturation[v], self.adj[v].len(), v));
+        self.colors[v] = Some(c);
+        let adj = self.adj;
+        for &u in &adj[v] {
+            self.steps += 1;
+            let holders = self.holders.entry((u, c)).or_insert(0);
+            *holders += 1;
+            if *holders == 1 {
+                self.saturate(u, self.saturation[u] + 1);
+            }
+        }
+    }
+
+    /// Undoes the latest [`Dsatur::color`] of `v`.
+    fn uncolor(&mut self, v: usize) {
+        let c = self.colors[v]
+            .take()
+            .expect("only colored vertices are uncolored");
+        let adj = self.adj;
+        for &u in &adj[v] {
+            self.steps += 1;
+            let holders = self.holders.get_mut(&(u, c)).expect("v holds c");
+            *holders -= 1;
+            if *holders == 0 {
+                self.holders.remove(&(u, c));
+                self.saturate(u, self.saturation[u] - 1);
+            }
+        }
+        self.uncolored.insert((self.saturation[v], adj[v].len(), v));
+    }
+
+    fn saturate(&mut self, u: usize, saturation: usize) {
+        let degree = self.adj[u].len();
+        if self.uncolored.remove(&(self.saturation[u], degree, u)) {
+            self.uncolored.insert((saturation, degree, u));
+        }
+        self.saturation[u] = saturation;
+    }
+
+    fn coloring(self) -> Vec<usize> {
+        self.colors.into_iter().map(|c| c.unwrap_or(0)).collect()
+    }
+}
+
+/// Greedy DSATUR coloring: repeatedly colors the uncolored vertex with the highest
+/// saturation (number of distinct neighbor colors), breaking ties by degree, then by the
+/// highest index, with the lowest color no neighbor holds. Returns the color of every
+/// vertex; colors are `0..n_colors`.
+pub fn greedy_coloring(graph: &ConflictGraph) -> Vec<usize> {
+    greedy_counted(graph, &mut 0)
+}
+
+/// [`greedy_coloring`], adding its picks and saturation updates to `steps`.
+pub(crate) fn greedy_counted(graph: &ConflictGraph, steps: &mut u64) -> Vec<usize> {
+    greedy(&adjacency(graph), steps)
+}
+
+/// [`greedy_coloring`] over an adjacency, adding its picks and saturation updates to
+/// `steps`: O((n + E) log n) for `n` vertices and `E` edges.
+fn greedy(adj: &[Vec<usize>], steps: &mut u64) -> Vec<usize> {
+    let mut dsatur = Dsatur::new(adj);
+    while let Some(v) = dsatur.pick() {
+        let c = (0..)
+            .find(|&c| dsatur.is_free(v, c))
+            .expect("some color is free");
+        dsatur.color(v, c);
+    }
+    *steps += dsatur.steps;
+    dsatur.coloring()
 }
 
 /// Number of colors used by a coloring.
@@ -63,7 +153,10 @@ pub fn is_proper(graph: &ConflictGraph, coloring: &[usize]) -> bool {
 
 /// Greedy maximum-clique heuristic, used as a lower bound for the exact search.
 pub fn clique_lower_bound(graph: &ConflictGraph) -> usize {
-    let adj = adjacency(graph);
+    clique_bound(&adjacency(graph))
+}
+
+fn clique_bound(adj: &[Vec<usize>]) -> usize {
     let vertices: Vec<usize> = (0..adj.len()).collect();
     greedy_clique(&vertices, adj.len(), usize::MAX, |v| adj[v].iter().copied())
 }
@@ -125,62 +218,67 @@ pub fn k_colorable(
     k: usize,
     budget: u64,
 ) -> Result<Option<Vec<usize>>, LayoutError> {
-    let n = graph.vertex_count();
+    search(&adjacency(graph), k, budget, &mut 0)
+}
+
+/// [`k_colorable`] over an adjacency, adding its picks and saturation updates to `steps`.
+///
+/// Each search node picks the next vertex as the greedy colorer does and tries the colors
+/// no neighbor holds, up to one past the largest in use (higher ones only relabel);
+/// backtracking uncolors, which restores every saturation. The stack holds one frame per
+/// colored vertex, and the largest color in use travels with the frames.
+fn search(
+    adj: &[Vec<usize>],
+    k: usize,
+    budget: u64,
+    steps: &mut u64,
+) -> Result<Option<Vec<usize>>, LayoutError> {
+    let n = adj.len();
     if n == 0 {
         return Ok(Some(Vec::new()));
     }
     if k == 0 {
         return Ok(None);
     }
-    let adj = adjacency(graph);
-    let mut colors: Vec<Option<usize>> = vec![None; n];
+    /// A search node: its vertex, the next color to try, and one past the largest color
+    /// in use when it was entered.
+    struct Frame {
+        v: usize,
+        next: usize,
+        in_use: usize,
+    }
+    let mut dsatur = Dsatur::new(adj);
+    let mut stack: Vec<Frame> = Vec::new();
     let mut nodes: u64 = 0;
-
-    fn solve(
-        adj: &[Vec<usize>],
-        colors: &mut Vec<Option<usize>>,
-        k: usize,
-        nodes: &mut u64,
-        budget: u64,
-    ) -> Result<bool, LayoutError> {
-        *nodes += 1;
-        if *nodes > budget {
-            return Err(LayoutError::SearchBudgetExceeded {
-                vertices: colors.len(),
-            });
+    let mut in_use = 0;
+    let colored = 'enter: loop {
+        nodes += 1;
+        if nodes > budget {
+            *steps += dsatur.steps;
+            return Err(LayoutError::SearchBudgetExceeded { vertices: n });
         }
-        // pick the uncolored vertex with maximum saturation (fail-first)
-        let next = (0..colors.len())
-            .filter(|&v| colors[v].is_none())
-            .max_by_key(|&v| {
-                let mut nc: Vec<usize> = adj[v].iter().filter_map(|&u| colors[u]).collect();
-                nc.sort_unstable();
-                nc.dedup();
-                (nc.len(), adj[v].len())
-            });
-        let Some(v) = next else {
-            return Ok(true); // everything colored
+        let Some(v) = dsatur.pick() else {
+            break true; // everything colored
         };
-        let used: Vec<usize> = adj[v].iter().filter_map(|&u| colors[u]).collect();
-        // limit symmetric branches: only try colors up to (max used so far + 1)
-        let max_used = colors.iter().flatten().copied().max().map_or(0, |m| m + 1);
-        for c in 0..k.min(max_used + 1) {
-            if used.contains(&c) {
-                continue;
+        stack.push(Frame { v, next: 0, in_use });
+        while let Some(top) = stack.last_mut() {
+            let limit = k.min(top.in_use + 1);
+            if let Some(c) = (top.next..limit).find(|&c| dsatur.is_free(top.v, c)) {
+                top.next = c + 1;
+                in_use = top.in_use.max(c + 1);
+                dsatur.color(top.v, c);
+                continue 'enter;
             }
-            colors[v] = Some(c);
-            if solve(adj, colors, k, nodes, budget)? {
-                return Ok(true);
+            // no color left for this vertex: back up and recolor the one before it
+            stack.pop();
+            if let Some(parent) = stack.last() {
+                dsatur.uncolor(parent.v);
             }
-            colors[v] = None;
         }
-        Ok(false)
-    }
-
-    match solve(&adj, &mut colors, k, &mut nodes, budget)? {
-        true => Ok(Some(colors.into_iter().map(|c| c.unwrap()).collect())),
-        false => Ok(None),
-    }
+        break false;
+    };
+    *steps += dsatur.steps;
+    Ok(colored.then(|| dsatur.coloring()))
 }
 
 /// Computes a minimum coloring exactly (within `budget` search nodes): returns the
@@ -194,12 +292,13 @@ pub fn minimum_coloring(
     graph: &ConflictGraph,
     budget: u64,
 ) -> Result<(usize, Vec<usize>), LayoutError> {
-    Ok(coloring_within(graph, usize::MAX, budget)?.expect("every graph has a coloring"))
+    Ok(coloring_within(graph, usize::MAX, budget, &mut 0)?.expect("every graph has a coloring"))
 }
 
 /// The decision form of [`minimum_coloring`]: the same color count and coloring when it
 /// needs at most `k` colors, `Ok(None)` when the graph needs more. A clique bound above
-/// `k` decides without coloring, and no search asks for more than `k` colors.
+/// `k` decides without coloring, and no search asks for more than `k` colors. The
+/// colorers' picks and saturation updates are added to `steps`.
 ///
 /// # Errors
 ///
@@ -209,19 +308,21 @@ pub(crate) fn coloring_within(
     graph: &ConflictGraph,
     k: usize,
     budget: u64,
+    steps: &mut u64,
 ) -> Result<Option<(usize, Vec<usize>)>, LayoutError> {
     if graph.is_empty() {
         return Ok(Some((0, Vec::new())));
     }
-    let lower = clique_lower_bound(graph);
+    let adj = adjacency(graph);
+    let lower = clique_bound(&adj);
     if lower > k {
         return Ok(None);
     }
-    let greedy = greedy_coloring(graph);
+    let greedy = greedy(&adj, steps);
     let upper = color_count(&greedy);
     // try to beat the greedy bound from the clique bound upwards
     for colors in lower.max(1)..upper.min(k.saturating_add(1)) {
-        if let Some(coloring) = k_colorable(graph, colors, budget)? {
+        if let Some(coloring) = search(&adj, colors, budget, steps)? {
             return Ok(Some((colors, coloring)));
         }
     }

@@ -61,6 +61,21 @@ pub enum LayoutError {
         /// The column the list actually assigned.
         got: usize,
     },
+    /// A layout input needs more units, unit pairs or trace positions than a limit admits
+    /// ([`MAX_LAYOUT_UNITS`](crate::weights::MAX_LAYOUT_UNITS),
+    /// [`MAX_LAYOUT_PAIRS`](crate::weights::MAX_LAYOUT_PAIRS),
+    /// [`MAX_LAYOUT_REFERENCES`](crate::weights::MAX_LAYOUT_REFERENCES)); refused before
+    /// anything is allocated for the excess.
+    LimitExceeded {
+        /// What was counted, e.g. `"units"`.
+        what: &'static str,
+        /// How many the input needs.
+        count: u64,
+        /// The name of the limit, e.g. `"MAX_LAYOUT_UNITS"`.
+        limit: &'static str,
+        /// The limit's value.
+        max: u64,
+    },
 }
 
 impl fmt::Display for LayoutError {
@@ -102,6 +117,12 @@ impl fmt::Display for LayoutError {
                 f,
                 "variable {var} is forced to column {expected} but the assignment placed it in column {got}"
             ),
+            LayoutError::LimitExceeded {
+                what,
+                count,
+                limit,
+                max,
+            } => write!(f, "the layout needs {count} {what}, past the {limit} limit of {max}"),
         }
     }
 }
@@ -127,6 +148,16 @@ mod tests {
             columns: 4,
         };
         assert!(e.to_string().contains('5'));
+        let e = LayoutError::LimitExceeded {
+            what: "units",
+            count: 32_768,
+            limit: "MAX_LAYOUT_UNITS",
+            max: 16_384,
+        };
+        assert_eq!(
+            e.to_string(),
+            "the layout needs 32768 units, past the MAX_LAYOUT_UNITS limit of 16384"
+        );
     }
 
     #[test]

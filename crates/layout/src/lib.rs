@@ -8,7 +8,8 @@
 //! 2. **Conflict graph** ([`graph::ConflictGraph`]) — a complete weighted graph where
 //!    `w(v_i, v_j)` counts the accesses that potentially conflict when `v_i` and `v_j`
 //!    share a column. Weights come either from a recorded trace
-//!    ([`weights::conflict_graph_from_trace`]) or from compile-time estimates
+//!    ([`weights::TraceProfile`], which reads the trace once for every column size it
+//!    nests in, or [`weights::conflict_graph_from_trace`]) or from compile-time estimates
 //!    ([`static_analysis::ProgramIr`]) (Step 2).
 //! 3. **Column assignment** ([`assignment::assign_columns`]) — exact minimum graph coloring
 //!    when it fits in the available columns, otherwise the paper's minimum-weight-edge
@@ -59,7 +60,10 @@ pub use assignment::{
 pub use error::LayoutError;
 pub use graph::{ConflictGraph, Vertex};
 pub use static_analysis::{ProgramIr, Stmt};
-pub use weights::{conflict_graph_from_trace, LayoutUnit, UnitMap, WeightOptions};
+pub use weights::{
+    conflict_graph_from_trace, LayoutUnit, TraceProfile, UnitMap, WeightOptions, MAX_LAYOUT_PAIRS,
+    MAX_LAYOUT_REFERENCES, MAX_LAYOUT_UNITS,
+};
 
 /// Convenient glob-import of the types most programs need.
 pub mod prelude {
@@ -67,5 +71,5 @@ pub mod prelude {
     pub use crate::error::LayoutError;
     pub use crate::graph::ConflictGraph;
     pub use crate::static_analysis::{ProgramIr, Stmt};
-    pub use crate::weights::{conflict_graph_from_trace, UnitMap, WeightOptions};
+    pub use crate::weights::{conflict_graph_from_trace, TraceProfile, UnitMap, WeightOptions};
 }

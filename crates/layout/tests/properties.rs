@@ -3,11 +3,13 @@
 use ccache_layout::coloring::{
     self, greedy_coloring, is_proper, k_colorable, DEFAULT_SEARCH_BUDGET,
 };
-use ccache_layout::weights::{conflict_graph_from_trace, UnitMap, WeightOptions};
+use ccache_layout::weights::{
+    conflict_graph_from_trace, LayoutUnit, TraceProfile, UnitMap, WeightOptions,
+};
 use ccache_layout::{
     assign_columns, ColumnAssignment, ConflictGraph, LayoutError, LayoutOptions, Vertex,
 };
-use ccache_trace::{AccessKind, MemAccess, SymbolTable, Trace, TraceRecorder, VarId};
+use ccache_trace::{AccessKind, Interval, MemAccess, SymbolTable, Trace, TraceRecorder, VarId};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -47,6 +49,98 @@ fn reference_clique_lower_bound(graph: &ConflictGraph) -> usize {
     best
 }
 
+/// The reference greedy DSATUR: every pick rescans all uncolored vertices and collects
+/// their neighbors' colors again, keeping the *last* maximum of (saturation, degree).
+fn reference_greedy_coloring(graph: &ConflictGraph) -> Vec<usize> {
+    let n = graph.vertex_count();
+    let adj = adjacency(graph);
+    let mut colors: Vec<Option<usize>> = vec![None; n];
+    for _ in 0..n {
+        let pick = (0..n)
+            .filter(|&v| colors[v].is_none())
+            .max_by_key(|&v| {
+                let mut neigh_colors: Vec<usize> =
+                    adj[v].iter().filter_map(|&u| colors[u]).collect();
+                neigh_colors.sort_unstable();
+                neigh_colors.dedup();
+                (neigh_colors.len(), adj[v].len())
+            })
+            .expect("there is an uncolored vertex");
+        let used: Vec<usize> = adj[pick].iter().filter_map(|&u| colors[u]).collect();
+        let mut c = 0;
+        while used.contains(&c) {
+            c += 1;
+        }
+        colors[pick] = Some(c);
+    }
+    colors.into_iter().map(|c| c.unwrap_or(0)).collect()
+}
+
+/// The reference exact search: recursive, picking by a rescan at every node and scanning
+/// every vertex for the largest color in use. Returns the result and the nodes expanded.
+fn reference_k_colorable(
+    graph: &ConflictGraph,
+    k: usize,
+    budget: u64,
+) -> (Result<Option<Vec<usize>>, LayoutError>, u64) {
+    let n = graph.vertex_count();
+    if n == 0 {
+        return (Ok(Some(Vec::new())), 0);
+    }
+    if k == 0 {
+        return (Ok(None), 0);
+    }
+    let adj = adjacency(graph);
+    let mut colors: Vec<Option<usize>> = vec![None; n];
+    let mut nodes: u64 = 0;
+
+    fn solve(
+        adj: &[Vec<usize>],
+        colors: &mut Vec<Option<usize>>,
+        k: usize,
+        nodes: &mut u64,
+        budget: u64,
+    ) -> Result<bool, LayoutError> {
+        *nodes += 1;
+        if *nodes > budget {
+            return Err(LayoutError::SearchBudgetExceeded {
+                vertices: colors.len(),
+            });
+        }
+        let next = (0..colors.len())
+            .filter(|&v| colors[v].is_none())
+            .max_by_key(|&v| {
+                let mut nc: Vec<usize> = adj[v].iter().filter_map(|&u| colors[u]).collect();
+                nc.sort_unstable();
+                nc.dedup();
+                (nc.len(), adj[v].len())
+            });
+        let Some(v) = next else {
+            return Ok(true);
+        };
+        let used: Vec<usize> = adj[v].iter().filter_map(|&u| colors[u]).collect();
+        let max_used = colors.iter().flatten().copied().max().map_or(0, |m| m + 1);
+        for c in 0..k.min(max_used + 1) {
+            if used.contains(&c) {
+                continue;
+            }
+            colors[v] = Some(c);
+            if solve(adj, colors, k, nodes, budget)? {
+                return Ok(true);
+            }
+            colors[v] = None;
+        }
+        Ok(false)
+    }
+
+    let result = match solve(&adj, &mut colors, k, &mut nodes, budget) {
+        Ok(true) => Ok(Some(colors.into_iter().map(|c| c.unwrap()).collect())),
+        Ok(false) => Ok(None),
+        Err(e) => Err(e),
+    };
+    (result, nodes)
+}
+
 /// The reference minimum coloring: greedy, then exact searches from the clique bound up.
 fn reference_minimum_coloring(
     graph: &ConflictGraph,
@@ -56,7 +150,7 @@ fn reference_minimum_coloring(
     if n == 0 {
         return Ok((0, Vec::new()));
     }
-    let greedy = coloring::greedy_coloring(graph);
+    let greedy = reference_greedy_coloring(graph);
     let upper = coloring::color_count(&greedy);
     let lower = reference_clique_lower_bound(graph);
     let mut best = greedy;
@@ -64,7 +158,7 @@ fn reference_minimum_coloring(
     // try to beat the greedy bound from the clique bound upwards
     let mut k = lower.max(1);
     while k < best_k {
-        match coloring::k_colorable(graph, k, budget)? {
+        match reference_k_colorable(graph, k, budget).0? {
             Some(coloring) => {
                 best = coloring;
                 best_k = k;
@@ -78,7 +172,8 @@ fn reference_minimum_coloring(
 
 /// The reference merge loop: every round computes a minimum coloring (greedy, clique
 /// bound, exact searches) and rebuilds the merged graph with `ConflictGraph::merged`.
-/// `assign_columns` must return exactly what this returns.
+/// `assign_columns` must return exactly what this returns, apart from its count of the
+/// colorers' steps, which this leaves at 0.
 fn reference_assign_columns(
     graph: &ConflictGraph,
     options: &LayoutOptions,
@@ -162,7 +257,7 @@ fn reference_assign_columns(
             Err(LayoutError::SearchBudgetExceeded { .. }) => {
                 // graph too large for the exact colorer — fall back to greedy
                 optimal = false;
-                let c = coloring::greedy_coloring(&current);
+                let c = reference_greedy_coloring(&current);
                 (coloring::color_count(&c), c)
             }
             Err(e) => return Err(e),
@@ -222,7 +317,133 @@ fn reference_assign_columns(
         cost,
         optimal: optimal && cost == 0,
         merges,
+        colour_steps: 0,
     })
+}
+
+/// The reference conflict-graph builder: resolves every reference to its unit at the
+/// requested column size (a linear scan for its region, then `offset / size` from the
+/// variable's first unit), grows one position list per unit, and tests every pair of
+/// units for overlapping lifetimes.
+fn reference_conflict_graph(
+    trace: &Trace,
+    symbols: &SymbolTable,
+    options: &WeightOptions,
+) -> (ConflictGraph, UnitMap) {
+    struct Profile {
+        accesses: u64,
+        lifetime: Option<Interval>,
+        positions: Vec<u64>,
+    }
+    impl Profile {
+        fn accesses_in(&self, interval: &Interval) -> u64 {
+            let lo = self.positions.partition_point(|&p| p < interval.first);
+            let hi = self.positions.partition_point(|&p| p <= interval.last);
+            (hi - lo) as u64
+        }
+    }
+    let unit_map = UnitMap::from_symbols(symbols, options).expect("within the unit limit");
+    let units: Vec<LayoutUnit> = unit_map.iter().cloned().collect();
+    let resolve = |var: VarId, offset: u64| -> Option<usize> {
+        let first = units.partition_point(|u| u.var < var);
+        let piece = offset.checked_div(units.get(first)?.size)?;
+        let index = first.checked_add(usize::try_from(piece).ok()?)?;
+        let unit = units.get(index)?;
+        (unit.var == var && offset >= unit.offset && offset < unit.offset + unit.size)
+            .then_some(index)
+    };
+    let mut profiles: Vec<Profile> = (0..units.len())
+        .map(|_| Profile {
+            accesses: 0,
+            lifetime: None,
+            positions: Vec::new(),
+        })
+        .collect();
+    for (pos, ev) in trace.iter().enumerate() {
+        let var = ev
+            .var
+            .or_else(|| symbols.iter().find(|r| r.contains(ev.addr)).map(|r| r.id));
+        let Some(var) = var else { continue };
+        let Some(region) = symbols.region(var) else {
+            continue;
+        };
+        let offset = ev.addr.saturating_sub(region.base);
+        if let Some(idx) = resolve(var, offset.min(region.size.saturating_sub(1))) {
+            let profile = &mut profiles[idx];
+            let pos = pos as u64;
+            profile.accesses += 1;
+            profile.positions.push(pos);
+            profile.lifetime = Some(match profile.lifetime {
+                None => Interval::point(pos),
+                Some(iv) => iv.extended_to(pos),
+            });
+        }
+    }
+    let mut graph = ConflictGraph::new();
+    for (i, unit) in units.iter().enumerate() {
+        graph.add_vertex(Vertex {
+            var: unit.var,
+            name: unit.name.clone(),
+            size: unit.size,
+            accesses: profiles[i].accesses,
+        });
+    }
+    for i in 0..units.len() {
+        for j in (i + 1)..units.len() {
+            let (pi, pj) = (&profiles[i], &profiles[j]);
+            if pi.accesses < options.min_accesses || pj.accesses < options.min_accesses {
+                continue;
+            }
+            let (Some(li), Some(lj)) = (pi.lifetime, pj.lifetime) else {
+                continue;
+            };
+            let Some(delta) = li.intersection(&lj) else {
+                continue;
+            };
+            let w = pi.accesses_in(&delta).min(pj.accesses_in(&delta));
+            if w > 0 {
+                graph.set_weight(i, j, w);
+            }
+        }
+    }
+    (graph, unit_map)
+}
+
+/// A symbol table from `(explicit, slot, size)` draws: an explicit region is inserted at
+/// `slot × 64` (refused when it overlaps, so bases arrive out of order and collide),
+/// anything else is allocated past every region with an alignment of `1 << (slot % 4)`.
+fn random_symbols(draws: &[(bool, u64, u64)]) -> SymbolTable {
+    let mut symbols = SymbolTable::with_base(0x2000);
+    for (i, &(explicit, slot, size)) in draws.iter().enumerate() {
+        let name = format!("v{i}");
+        if explicit {
+            let _ = symbols.insert_at(&name, slot * 64, size);
+        } else {
+            symbols.allocate(&name, size, 1 << (slot % 4)).unwrap();
+        }
+    }
+    symbols
+}
+
+/// A trace over `symbols` from `(kind, pick, offset)` draws: kind 0–1 records the picked
+/// variable's id (with an address up to 16 bytes before its region or past its end), kind
+/// 2 leaves the id out so the address resolves, kind 3 records an id with no region, and
+/// kind 4 is an address outside every region.
+fn random_trace(symbols: &SymbolTable, draws: &[(u8, usize, u64)]) -> Trace {
+    let regions: Vec<_> = symbols.iter().collect();
+    let mut trace = Trace::new();
+    for &(kind, pick, offset) in draws {
+        let region = regions[pick % regions.len()];
+        let addr = (region.base + offset % (region.size + 32)).saturating_sub(16);
+        let ev = MemAccess::read(addr, 4);
+        trace.push(match kind {
+            0 | 1 => ev.with_var(region.id),
+            2 => ev,
+            3 => ev.with_var(VarId(regions.len() as u32 + (pick % 3) as u32)),
+            _ => MemAccess::write(0xdead_0000 + offset, 4),
+        });
+    }
+    trace
 }
 
 /// A graph on `n` vertices whose pair weights, in row order, are `weights` (0: no edge).
@@ -312,7 +533,7 @@ proptest! {
     }
 
     /// The greedy coloring of the unit-level conflict graph built from a random trace is
-    /// proper, and every unit resolves back to a region of the symbol table.
+    /// proper, and no unit is larger than a column when variables are split.
     #[test]
     fn trace_to_graph_pipeline_is_consistent(
         var_sizes in prop::collection::vec(64u64..1500, 2..6),
@@ -332,9 +553,7 @@ proptest! {
         let opts = WeightOptions { column_bytes: 512, split_large_variables: true, min_accesses: 1 };
         let (graph, units) = conflict_graph_from_trace(&trace, &symbols, &opts);
         prop_assert_eq!(graph.vertex_count(), units.len());
-        // every unit's (var, offset) resolves back to itself
-        for (i, unit) in units.iter().enumerate() {
-            prop_assert_eq!(units.resolve(unit.var, unit.offset), Some(i));
+        for unit in units.iter() {
             prop_assert!(unit.size <= 512 || !opts.split_large_variables);
         }
         let coloring = greedy_coloring(&graph);
@@ -389,37 +608,6 @@ proptest! {
         }
     }
 
-    /// Resolving a unit by arithmetic agrees with scanning every unit, for every offset
-    /// inside and just past each variable, for offsets at the top of the address space
-    /// and for variables the map does not know.
-    #[test]
-    fn unit_resolution_matches_a_linear_scan(
-        sizes in prop::collection::vec(1u64..3000, 1..6),
-        column in 16u64..1024,
-        split in any::<bool>(),
-    ) {
-        let mut symbols = SymbolTable::new();
-        for (i, s) in sizes.iter().enumerate() {
-            symbols.allocate(&format!("v{i}"), *s, 8).unwrap();
-        }
-        let opts = WeightOptions { column_bytes: column, split_large_variables: split, min_accesses: 1 };
-        let units = UnitMap::from_symbols(&symbols, &opts);
-        let scan = |var: VarId, offset: u64| {
-            units
-                .iter()
-                .position(|u| u.var == var && offset >= u.offset && offset < u.offset + u.size)
-        };
-        for (i, size) in sizes.iter().enumerate() {
-            let var = VarId(i as u32);
-            let offsets = (0..size + 2 * column).chain([u64::MAX - 1, u64::MAX]);
-            for offset in offsets {
-                prop_assert_eq!(units.resolve(var, offset), scan(var, offset), "{:?}+{}", var, offset);
-            }
-        }
-        let unknown = VarId(sizes.len() as u32);
-        prop_assert_eq!(units.resolve(unknown, 0), None);
-    }
-
     /// Unit maps partition each variable exactly: unit sizes sum to the variable size and
     /// offsets tile the variable without gaps or overlap.
     #[test]
@@ -429,7 +617,7 @@ proptest! {
             symbols.allocate(&format!("v{i}"), *s, 8).unwrap();
         }
         let opts = WeightOptions { column_bytes: column, split_large_variables: true, min_accesses: 1 };
-        let units = UnitMap::from_symbols(&symbols, &opts);
+        let units = UnitMap::from_symbols(&symbols, &opts).unwrap();
         for region in symbols.iter() {
             let mut parts: Vec<_> = units
                 .iter()
@@ -484,9 +672,83 @@ proptest! {
             let var = VarId((vertex % graph.vertex_count()) as u32);
             options = options.force(var, column % columns);
         }
+        let assignment = assign_columns(&graph, &options)
+            .map(|a| ColumnAssignment { colour_steps: 0, ..a });
+        prop_assert_eq!(assignment, reference_assign_columns(&graph, &options));
+    }
+
+    /// The queue-driven colorers pick, color and search exactly as the scanning ones:
+    /// equal greedy colorings, equal exact results under every budget, and equal node
+    /// counts, pinned by the smallest budget that completes each search.
+    #[test]
+    fn colorers_match_the_scanning_references(
+        graph in tie_heavy_graph(),
+        wide in arbitrary_graph(40),
+        k in 1usize..=6,
+        budget in 0usize..5,
+    ) {
+        let budget = [1, 3, 10, 100, DEFAULT_SEARCH_BUDGET][budget];
+        for g in [&graph, &wide] {
+            prop_assert_eq!(greedy_coloring(g), reference_greedy_coloring(g));
+            prop_assert_eq!(k_colorable(g, k, budget), reference_k_colorable(g, k, budget).0);
+            if let (Ok(_), nodes) = reference_k_colorable(g, k, 20_000) {
+                prop_assert!(k_colorable(g, k, nodes).is_ok());
+                prop_assert!(k_colorable(g, k, nodes - 1).is_err(), "more than {} nodes", nodes - 1);
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(400))]
+
+    /// One profile gives, at its own column size and at every multiple 2^j of it, exactly
+    /// the graph and units the per-size reference builds from the whole trace. The inputs
+    /// mix recorded and missing variable ids, ids without a region, addresses before or
+    /// past their region, split and unsplit variables and access thresholds.
+    #[test]
+    fn profiles_derive_the_graphs_the_reference_builds(
+        vars in prop::collection::vec((any::<bool>(), 0u64..96, 1u64..700), 1..10),
+        refs in prop::collection::vec((0u8..5, 0usize..10, 0u64..800), 0..300),
+        column_log2 in 3u32..8,
+        split in any::<bool>(),
+        min_accesses in 0u64..4,
+    ) {
+        let symbols = random_symbols(&vars);
+        let trace = random_trace(&symbols, &refs);
+        let profiled = WeightOptions {
+            column_bytes: 1 << column_log2,
+            split_large_variables: split,
+            min_accesses,
+        };
+        let profile = TraceProfile::new(&trace, &symbols, &profiled).unwrap();
+        for column_bytes in [1 << column_log2, 2 << column_log2, 4 << column_log2, 16 << column_log2, 0] {
+            let options = WeightOptions { column_bytes, ..profiled };
+            prop_assert_eq!(
+                profile.conflict_graph(column_bytes).unwrap(),
+                reference_conflict_graph(&trace, &symbols, &options),
+                "{}-byte columns from {}", column_bytes, profiled.column_bytes
+            );
+        }
+    }
+
+    /// The public builder gives the reference's graph at column sizes that are not powers
+    /// of two, and at 0.
+    #[test]
+    fn the_public_builder_matches_the_reference_at_any_column_size(
+        vars in prop::collection::vec((any::<bool>(), 0u64..96, 1u64..700), 1..10),
+        refs in prop::collection::vec((0u8..5, 0usize..10, 0u64..800), 0..300),
+        column in 0usize..6,
+        split in any::<bool>(),
+        min_accesses in 0u64..4,
+    ) {
+        let symbols = random_symbols(&vars);
+        let trace = random_trace(&symbols, &refs);
+        let column_bytes = [0, 7, 24, 40, 100, 333][column];
+        let options = WeightOptions { column_bytes, split_large_variables: split, min_accesses };
         prop_assert_eq!(
-            assign_columns(&graph, &options),
-            reference_assign_columns(&graph, &options)
+            conflict_graph_from_trace(&trace, &symbols, &options),
+            reference_conflict_graph(&trace, &symbols, &options)
         );
     }
 }

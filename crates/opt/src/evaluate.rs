@@ -296,7 +296,15 @@ mod tests {
     #[test]
     fn duplicates_never_replay_twice() {
         let (t, s) = workload();
-        let space = SearchSpace::build(&t, &s, template(), &GeometrySearch::fixed(), &[]).unwrap();
+        let space = SearchSpace::build(
+            &t,
+            &s,
+            template(),
+            &GeometrySearch::fixed(),
+            &[],
+            &Registry::new(),
+        )
+        .unwrap();
         let mut eval = Evaluator::new(&space, &t, 100, false);
         let seed = space.seeded(0);
         let batch = vec![seed.clone(), seed.clone(), seed.clone()];
@@ -313,7 +321,15 @@ mod tests {
     #[test]
     fn budget_caps_real_replays_only() {
         let (t, s) = workload();
-        let space = SearchSpace::build(&t, &s, template(), &GeometrySearch::fixed(), &[]).unwrap();
+        let space = SearchSpace::build(
+            &t,
+            &s,
+            template(),
+            &GeometrySearch::fixed(),
+            &[],
+            &Registry::new(),
+        )
+        .unwrap();
         let mut eval = Evaluator::new(&space, &t, 2, false);
         let genomes = space.enumerate(5);
         let scores = eval.evaluate_batch(&genomes).unwrap();
@@ -329,8 +345,15 @@ mod tests {
     #[test]
     fn serial_and_parallel_agree() {
         let (t, s) = workload();
-        let space =
-            SearchSpace::build(&t, &s, template(), &GeometrySearch::standard(), &[]).unwrap();
+        let space = SearchSpace::build(
+            &t,
+            &s,
+            template(),
+            &GeometrySearch::standard(),
+            &[],
+            &Registry::new(),
+        )
+        .unwrap();
         let genomes = space.enumerate(12);
         let mut par = Evaluator::new(&space, &t, 100, false);
         let mut ser = Evaluator::new(&space, &t, 100, true);
@@ -343,7 +366,15 @@ mod tests {
     #[test]
     fn reference_points_do_not_touch_the_budget() {
         let (t, s) = workload();
-        let space = SearchSpace::build(&t, &s, template(), &GeometrySearch::fixed(), &[]).unwrap();
+        let space = SearchSpace::build(
+            &t,
+            &s,
+            template(),
+            &GeometrySearch::fixed(),
+            &[],
+            &Registry::new(),
+        )
+        .unwrap();
         let eval = Evaluator::new(&space, &t, 1, false);
         let fit = eval
             .reference_point(
@@ -359,7 +390,15 @@ mod tests {
     #[test]
     fn reference_points_equal_a_hand_built_engine_replay_on_every_backend() {
         let (t, s) = workload();
-        let space = SearchSpace::build(&t, &s, template(), &GeometrySearch::fixed(), &[]).unwrap();
+        let space = SearchSpace::build(
+            &t,
+            &s,
+            template(),
+            &GeometrySearch::fixed(),
+            &[],
+            &Registry::new(),
+        )
+        .unwrap();
         let registry = Registry::new();
         let mut eval = Evaluator::new(&space, &t, 1, false);
         eval.set_telemetry(&registry);
@@ -411,7 +450,15 @@ mod tests {
     /// the result against a hand-built engine replay of the same mapping.
     fn score_checked(mapping: &CacheMapping) -> (Result<Fitness, CoreError>, bool, u64) {
         let (t, s) = workload();
-        let space = SearchSpace::build(&t, &s, template(), &GeometrySearch::fixed(), &[]).unwrap();
+        let space = SearchSpace::build(
+            &t,
+            &s,
+            template(),
+            &GeometrySearch::fixed(),
+            &[],
+            &Registry::new(),
+        )
+        .unwrap();
         let registry = Registry::new();
         let mut eval = Evaluator::new(&space, &t, 1, true);
         eval.set_telemetry(&registry);
@@ -513,7 +560,15 @@ mod tests {
     #[test]
     fn invalid_geometry_is_an_error_not_a_panic() {
         let (t, s) = workload();
-        let space = SearchSpace::build(&t, &s, template(), &GeometrySearch::fixed(), &[]).unwrap();
+        let space = SearchSpace::build(
+            &t,
+            &s,
+            template(),
+            &GeometrySearch::fixed(),
+            &[],
+            &Registry::new(),
+        )
+        .unwrap();
         let eval = Evaluator::new(&space, &t, 1, false);
         let bad = SystemConfig {
             tlb_entries: 0,

@@ -14,13 +14,16 @@
 //! cannot smuggle an out-of-space candidate into evaluation.
 
 use crate::error::OptError;
+use ccache_core::runner::assign_columns_in;
 use ccache_layout::{
-    assign_columns, conflict_graph_from_trace, ColumnAssignment, ConflictGraph, LayoutOptions,
-    UnitMap, WeightOptions,
+    ColumnAssignment, ConflictGraph, LayoutError, LayoutOptions, TraceProfile, UnitMap,
+    WeightOptions,
 };
 use ccache_sim::{CacheConfig, SystemConfig};
+use ccache_telemetry::Registry;
 use ccache_trace::{SymbolTable, Trace, VarId};
 use rand::{rngs::StdRng, Rng};
+use std::collections::btree_map::{BTreeMap, Entry};
 
 /// The geometry knobs a search may vary. Every combination is validated against the
 /// template's capacity; combinations the hardware model rejects are silently skipped.
@@ -108,18 +111,27 @@ impl SearchSpace {
     /// Builds the space for a workload: the template geometry plus every valid
     /// combination from `search`, each with its unit split, conflict graph and heuristic
     /// assignment. `forced` pins variables to columns in every geometry (combinations
-    /// whose column count cannot honour a forced placement are skipped).
+    /// whose column count cannot honour a forced placement, or whose forced placements
+    /// reserve every column, are skipped).
+    ///
+    /// The trace is profiled once, at the smallest column size of the valid geometries;
+    /// every column count's graph is derived from that profile, since at a fixed capacity
+    /// each larger column size is a power-of-two multiple of it. The heuristic assignments
+    /// report into `registry` as every column assignment does
+    /// ([`assign_columns_in`]).
     ///
     /// # Errors
     ///
     /// Returns [`OptError::EmptySpace`] if no geometry survives validation, and
-    /// propagates layout errors from heuristic seeding.
+    /// propagates layout errors from profiling and heuristic seeding, such as an input past
+    /// a layout limit.
     pub fn build(
         trace: &Trace,
         symbols: &SymbolTable,
         template: SystemConfig,
         search: &GeometrySearch,
         forced: &[(VarId, usize)],
+        registry: &Registry,
     ) -> Result<SearchSpace, OptError> {
         template.validate()?;
         let capacity = template.cache.capacity_bytes();
@@ -142,15 +154,7 @@ impl SearchSpace {
                 }
             }
         }
-
-        // The unit split, conflict graph and heuristic seed depend only on the column
-        // count (capacity is fixed, so column_bytes is determined by it) — memoise them
-        // so varying line size and TLB entries does not re-scan the whole trace.
-        type LayoutParts = (ConflictGraph, UnitMap, LayoutOptions, ColumnAssignment);
-        let mut parts_by_columns: std::collections::BTreeMap<usize, Option<LayoutParts>> =
-            std::collections::BTreeMap::new();
-
-        let mut geometries = Vec::new();
+        let mut configs = Vec::new();
         for (columns, line, tlb) in triples {
             let Ok(cache) = CacheConfig::builder()
                 .capacity_bytes(capacity)
@@ -166,27 +170,57 @@ impl SearchSpace {
                 tlb_entries: tlb,
                 ..template
             };
-            if config.validate().is_err() {
+            if config.validate().is_err() || forced.iter().any(|&(_, col)| col >= columns) {
                 continue;
             }
-            if forced.iter().any(|&(_, col)| col >= columns) {
-                continue;
-            }
-            let parts = parts_by_columns.entry(columns).or_insert_with(|| {
-                let weight_options = WeightOptions {
-                    column_bytes: cache.column_bytes(),
-                    ..WeightOptions::default()
-                };
-                let (graph, units) = conflict_graph_from_trace(trace, symbols, &weight_options);
-                let options = LayoutOptions {
-                    columns,
-                    column_bytes: cache.column_bytes(),
-                    forced: forced.to_vec(),
-                    ..LayoutOptions::default()
-                };
-                let heuristic = assign_columns(&graph, &options).ok()?;
-                Some((graph, units, options, heuristic))
+            configs.push(config);
+        }
+        let Some(finest) = configs.iter().map(|c| c.cache.column_bytes()).min() else {
+            return Err(OptError::EmptySpace {
+                reason: format!(
+                    "no (columns, line, tlb) combination is valid for a {capacity}-byte cache"
+                ),
             });
+        };
+        let profile = TraceProfile::new(
+            trace,
+            symbols,
+            &WeightOptions {
+                column_bytes: finest,
+                ..WeightOptions::default()
+            },
+        )?;
+
+        // The unit split, conflict graph and heuristic seed depend only on the column
+        // count (capacity is fixed, so column_bytes is determined by it): one per count,
+        // or none when the forced placements reserve all of its columns.
+        type LayoutParts = (ConflictGraph, UnitMap, LayoutOptions, ColumnAssignment);
+        let mut parts_by_columns: BTreeMap<usize, Option<LayoutParts>> = BTreeMap::new();
+        let mut reserved = None;
+        let mut geometries = Vec::new();
+        for config in configs {
+            let columns = config.cache.columns();
+            let parts = match parts_by_columns.entry(columns) {
+                Entry::Occupied(parts) => parts.into_mut(),
+                Entry::Vacant(slot) => {
+                    let column_bytes = config.cache.column_bytes();
+                    let (graph, units) = profile.conflict_graph(column_bytes)?;
+                    let options = LayoutOptions {
+                        columns,
+                        column_bytes,
+                        forced: forced.to_vec(),
+                        ..LayoutOptions::default()
+                    };
+                    slot.insert(match assign_columns_in(&graph, &options, registry) {
+                        Ok(heuristic) => Some((graph, units, options, heuristic)),
+                        Err(e @ LayoutError::TooManyReserved { .. }) => {
+                            reserved = Some(e);
+                            None
+                        }
+                        Err(e) => return Err(e.into()),
+                    })
+                }
+            };
             let Some((graph, units, options, heuristic)) = parts.clone() else {
                 continue;
             };
@@ -206,11 +240,7 @@ impl SearchSpace {
             });
         }
         if geometries.is_empty() {
-            return Err(OptError::EmptySpace {
-                reason: format!(
-                    "no (columns, line, tlb) combination is valid for a {capacity}-byte cache"
-                ),
-            });
+            return Err(reserved.expect("a geometry was valid").into());
         }
         Ok(SearchSpace {
             geometries,
@@ -406,7 +436,15 @@ mod tests {
     #[test]
     fn fixed_search_yields_exactly_the_template() {
         let (t, s) = workload();
-        let space = SearchSpace::build(&t, &s, template(), &GeometrySearch::fixed(), &[]).unwrap();
+        let space = SearchSpace::build(
+            &t,
+            &s,
+            template(),
+            &GeometrySearch::fixed(),
+            &[],
+            &Registry::new(),
+        )
+        .unwrap();
         assert_eq!(space.geometries.len(), 1);
         assert_eq!(space.geometries[0].config, template());
         // heuristic seed decodes to itself
@@ -418,8 +456,15 @@ mod tests {
     #[test]
     fn standard_search_keeps_only_valid_geometries() {
         let (t, s) = workload();
-        let space =
-            SearchSpace::build(&t, &s, template(), &GeometrySearch::standard(), &[]).unwrap();
+        let space = SearchSpace::build(
+            &t,
+            &s,
+            template(),
+            &GeometrySearch::standard(),
+            &[],
+            &Registry::new(),
+        )
+        .unwrap();
         assert!(space.geometries.len() > 1);
         for geo in &space.geometries {
             assert!(geo.config.validate().is_ok());
@@ -433,8 +478,15 @@ mod tests {
     #[test]
     fn random_mutate_crossover_stay_in_space() {
         let (t, s) = workload();
-        let space =
-            SearchSpace::build(&t, &s, template(), &GeometrySearch::standard(), &[]).unwrap();
+        let space = SearchSpace::build(
+            &t,
+            &s,
+            template(),
+            &GeometrySearch::standard(),
+            &[],
+            &Registry::new(),
+        )
+        .unwrap();
         let mut rng = StdRng::seed_from_u64(7);
         let mut genome = space.random(&mut rng);
         for _ in 0..200 {
@@ -448,8 +500,15 @@ mod tests {
     fn forced_placements_survive_every_operation() {
         let (t, s) = workload();
         let forced = [(VarId(0), 1usize)];
-        let space =
-            SearchSpace::build(&t, &s, template(), &GeometrySearch::fixed(), &forced).unwrap();
+        let space = SearchSpace::build(
+            &t,
+            &s,
+            template(),
+            &GeometrySearch::fixed(),
+            &forced,
+            &Registry::new(),
+        )
+        .unwrap();
         let geo = &space.geometries[0];
         // vertex of variable a is pinned to column 1 and absent from free_vertices
         let pinned: Vec<usize> = geo
@@ -476,7 +535,15 @@ mod tests {
     #[test]
     fn decode_rejects_corrupt_keys() {
         let (t, s) = workload();
-        let space = SearchSpace::build(&t, &s, template(), &GeometrySearch::fixed(), &[]).unwrap();
+        let space = SearchSpace::build(
+            &t,
+            &s,
+            template(),
+            &GeometrySearch::fixed(),
+            &[],
+            &Registry::new(),
+        )
+        .unwrap();
         assert_eq!(space.decode(&[]), None);
         assert_eq!(space.decode(&[9, 9]), None); // unknown geometry
         let mut key = space.seeded(0).encode();
@@ -490,7 +557,15 @@ mod tests {
     #[test]
     fn enumerate_covers_small_spaces_without_duplicates() {
         let (t, s) = workload();
-        let space = SearchSpace::build(&t, &s, template(), &GeometrySearch::fixed(), &[]).unwrap();
+        let space = SearchSpace::build(
+            &t,
+            &s,
+            template(),
+            &GeometrySearch::fixed(),
+            &[],
+            &Registry::new(),
+        )
+        .unwrap();
         let n = space.cardinality().unwrap();
         let genomes = space.enumerate(usize::MAX);
         assert_eq!(genomes.len() as u128, n);

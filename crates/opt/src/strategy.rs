@@ -496,6 +496,7 @@ mod tests {
     use super::*;
     use crate::space::GeometrySearch;
     use ccache_sim::SystemConfig;
+    use ccache_telemetry::Registry;
     use ccache_trace::{AccessKind, SymbolTable, Trace, TraceRecorder};
     use rand::SeedableRng;
 
@@ -525,7 +526,15 @@ mod tests {
         seed: u64,
     ) -> (BestCandidate, Vec<GenerationPoint>) {
         let (t, s) = workload();
-        let space = SearchSpace::build(&t, &s, template(), &GeometrySearch::fixed(), &[]).unwrap();
+        let space = SearchSpace::build(
+            &t,
+            &s,
+            template(),
+            &GeometrySearch::fixed(),
+            &[],
+            &Registry::new(),
+        )
+        .unwrap();
         let mut eval = Evaluator::new(&space, &t, budget, false);
         let mut rng = StdRng::seed_from_u64(seed);
         let mut log = ProgressLog::new();
@@ -539,7 +548,15 @@ mod tests {
     #[test]
     fn every_strategy_is_at_least_as_good_as_the_heuristic() {
         let (t, s) = workload();
-        let space = SearchSpace::build(&t, &s, template(), &GeometrySearch::fixed(), &[]).unwrap();
+        let space = SearchSpace::build(
+            &t,
+            &s,
+            template(),
+            &GeometrySearch::fixed(),
+            &[],
+            &Registry::new(),
+        )
+        .unwrap();
         let mut eval = Evaluator::new(&space, &t, 1, false);
         let heuristic = eval
             .evaluate_batch(&[space.seeded(0)])

@@ -306,6 +306,7 @@ pub fn tune_observed(
         request.template,
         &request.geometry,
         &request.forced,
+        telemetry,
     )?;
     let mut eval = Evaluator::new(&space, trace, request.budget, request.serial);
     eval.set_telemetry(telemetry);

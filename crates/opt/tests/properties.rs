@@ -52,7 +52,7 @@ fn space(vars: usize, events: u64, joint: bool, forced: &[(VarId, usize)]) -> Se
     } else {
         GeometrySearch::fixed()
     };
-    SearchSpace::build(&t, &s, template(), &search, forced).expect("space builds")
+    SearchSpace::build(&t, &s, template(), &search, forced, &Registry::new()).expect("space builds")
 }
 
 proptest! {
@@ -109,7 +109,7 @@ proptest! {
     ) {
         let kind = StrategyKind::ALL[kind_idx];
         let (t, s) = workload(5, 240);
-        let space = SearchSpace::build(&t, &s, template(), &GeometrySearch::fixed(), &[])
+        let space = SearchSpace::build(&t, &s, template(), &GeometrySearch::fixed(), &[], &Registry::new())
             .expect("space builds");
 
         let run = |serial: bool| {
@@ -270,7 +270,7 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let (trace, symbols) = mixed_workload(&mut rng);
         let (template, search) = random_search(&mut rng);
-        let space = SearchSpace::build(&trace, &symbols, template, &search, &[])
+        let space = SearchSpace::build(&trace, &symbols, template, &search, &[], &Registry::new())
             .expect("space builds");
         let mut genomes: Vec<Genome> = (0..space.geometries.len()).map(|g| space.seeded(g)).collect();
         genomes.extend((0..6).map(|_| space.random(&mut rng)));

@@ -61,9 +61,17 @@ impl fmt::Display for VariableRegion {
 /// Variables are laid out sequentially from a configurable base address, each aligned to the
 /// requested alignment. The table supports address-to-variable resolution, which the trace
 /// recorder and the access-profile builder both use.
+///
+/// Regions never overlap: `allocate` places past every region and `insert_at` refuses an
+/// overlap. So regions sorted by base are sorted by end too, and an address lies in at most
+/// one region, the last one starting at or below it. `by_base` keeps that order, which
+/// makes resolving an address and checking an insert O(log V) for V regions.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SymbolTable {
+    /// Regions in allocation order: the region of `VarId(i)` is `regions[i]`.
     regions: Vec<VariableRegion>,
+    /// Indices into `regions`, by ascending base address.
+    by_base: Vec<u32>,
     next_addr: u64,
 }
 
@@ -76,16 +84,14 @@ pub const DEFAULT_BASE_ADDR: u64 = 0x1_0000;
 impl SymbolTable {
     /// Creates an empty symbol table that allocates from [`DEFAULT_BASE_ADDR`].
     pub fn new() -> Self {
-        SymbolTable {
-            regions: Vec::new(),
-            next_addr: DEFAULT_BASE_ADDR,
-        }
+        SymbolTable::with_base(DEFAULT_BASE_ADDR)
     }
 
     /// Creates an empty symbol table that allocates from `base`.
     pub fn with_base(base: u64) -> Self {
         SymbolTable {
             regions: Vec::new(),
+            by_base: Vec::new(),
             next_addr: base,
         }
     }
@@ -115,6 +121,8 @@ impl SymbolTable {
         }
         let base = align_up(self.next_addr, align);
         let id = VarId(self.regions.len() as u32);
+        // every region ends at or below `next_addr`, so this one sorts last by base
+        self.by_base.push(id.0);
         self.regions.push(VariableRegion {
             id,
             name: name.to_owned(),
@@ -141,7 +149,19 @@ impl SymbolTable {
             base,
             size,
         };
-        if let Some(existing) = self.regions.iter().find(|r| r.overlaps(&candidate)) {
+        // The regions starting below the candidate's end overlap it exactly when they end
+        // past its base. Their ends ascend with their bases, so the overlapping ones are
+        // the last of them; the error names the lowest-id one.
+        let at = self
+            .by_base
+            .partition_point(|&i| self.regions[i as usize].base < candidate.end());
+        if let Some(existing) = self.by_base[..at]
+            .iter()
+            .rev()
+            .map(|&i| &self.regions[i as usize])
+            .take_while(|r| r.overlaps(&candidate))
+            .min_by_key(|r| r.id)
+        {
             return Err(TraceError::OverlappingRegion {
                 name: name.into(),
                 existing: existing.name.clone(),
@@ -149,6 +169,7 @@ impl SymbolTable {
         }
         let id = candidate.id;
         self.next_addr = self.next_addr.max(candidate.end());
+        self.by_base.insert(at, id.0);
         self.regions.push(candidate);
         Ok(id)
     }
@@ -169,9 +190,14 @@ impl SymbolTable {
         self.regions.iter().find(|r| r.name == name)
     }
 
-    /// Resolves an address to the variable whose region contains it.
+    /// Resolves an address to the variable whose region contains it: a binary search for
+    /// the last region starting at or below `addr`.
     pub fn resolve(&self, addr: u64) -> Option<VarId> {
-        self.regions.iter().find(|r| r.contains(addr)).map(|r| r.id)
+        let after = self
+            .by_base
+            .partition_point(|&i| self.regions[i as usize].base <= addr);
+        let region = &self.regions[*self.by_base.get(after.checked_sub(1)?)? as usize];
+        region.contains(addr).then_some(region.id)
     }
 
     /// Iterates over all regions in allocation order.

@@ -2,7 +2,49 @@
 
 use ccache_trace::synth::{interleave, pseudo_random, read_modify_write, sequential_scan};
 use ccache_trace::{binfmt, textfmt, Interval, MemAccess, SymbolTable, Trace, ADDRESS_LIMIT};
+use ccache_trace::{TraceError, VarId, VariableRegion};
 use proptest::prelude::*;
+
+/// The symbol table's lookups as linear scans: `insert_at` checks every region for an
+/// overlap and `resolve` returns the first region containing the address.
+#[derive(Default)]
+struct LinearTable {
+    regions: Vec<VariableRegion>,
+}
+
+impl LinearTable {
+    fn insert_at(&mut self, name: &str, base: u64, size: u64) -> Result<VarId, TraceError> {
+        let candidate = VariableRegion {
+            id: VarId(self.regions.len() as u32),
+            name: name.to_owned(),
+            base,
+            size,
+        };
+        if let Some(existing) = self.regions.iter().find(|r| r.overlaps(&candidate)) {
+            return Err(TraceError::OverlappingRegion {
+                name: name.into(),
+                existing: existing.name.clone(),
+            });
+        }
+        self.regions.push(candidate);
+        Ok(VarId(self.regions.len() as u32 - 1))
+    }
+
+    /// Records the region the table under test allocated, after checking it overlaps none.
+    fn push_allocated(&mut self, table: &SymbolTable, id: VarId) -> Option<VariableRegion> {
+        let region = table.region(id)?.clone();
+        assert!(
+            self.regions.iter().all(|r| !r.overlaps(&region)),
+            "{region} overlaps"
+        );
+        self.regions.push(region.clone());
+        Some(region)
+    }
+
+    fn resolve(&self, addr: u64) -> Option<VarId> {
+        self.regions.iter().find(|r| r.contains(addr)).map(|r| r.id)
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -89,6 +131,35 @@ proptest! {
             let r = st.region(*id).unwrap();
             prop_assert_eq!(st.resolve(r.base), Some(*id));
             prop_assert_eq!(st.resolve(r.base + size - 1), Some(*id));
+        }
+    }
+
+    /// Indexed lookups equal the linear scans they replaced, over allocations and explicit
+    /// inserts in any address order, overlapping ones included: the same ids, the same
+    /// overlap errors naming the same (lowest-id) region, and the same resolution of every
+    /// region's first, last and neighbouring addresses.
+    #[test]
+    fn symbol_table_lookups_match_a_linear_scan(
+        ops in prop::collection::vec((any::<bool>(), 0u64..64, 1u64..96, 0u32..4), 1..40),
+    ) {
+        let mut table = SymbolTable::with_base(0x800);
+        let mut reference = LinearTable::default();
+        for (i, &(explicit, slot, size, align)) in ops.iter().enumerate() {
+            let name = format!("v{i}");
+            if explicit {
+                let base = slot * 32;
+                prop_assert_eq!(table.insert_at(&name, base, size), reference.insert_at(&name, base, size));
+            } else {
+                let id = table.allocate(&name, size, 1 << align).unwrap();
+                prop_assert_eq!(table.region(id).cloned(), reference.push_allocated(&table, id));
+            }
+        }
+        let mut probes: Vec<u64> = vec![0, u64::MAX];
+        for r in table.iter() {
+            probes.extend([r.base.saturating_sub(1), r.base, r.end() - 1, r.end()]);
+        }
+        for addr in probes {
+            prop_assert_eq!(table.resolve(addr), reference.resolve(addr), "address {:#x}", addr);
         }
     }
 

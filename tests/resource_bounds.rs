@@ -1,13 +1,20 @@
-//! Resource bounds, checked with a counting allocator.
+//! Resource bounds, checked with a counting allocator: engine builds, and the layout of
+//! hostile traces.
 //!
 //! The global allocator below counts the allocations and requested bytes of the current
 //! thread while that thread has counting switched on, so the test harness's other
 //! threads cannot perturb a measurement.
 
 use column_caching::core::engine::ReplayEngine;
+use column_caching::core::runner::assign_columns_in;
+use column_caching::layout::{LayoutError, LayoutOptions, TraceProfile, WeightOptions};
 use column_caching::sim::{
     BackendKind, CacheConfig, ReplacementPolicy, SystemConfig, MAX_CAPACITY_BYTES, MAX_SETS,
 };
+use column_caching::telemetry::Registry;
+use column_caching::trace::infer::DEFAULT_REGION_GAP;
+use column_caching::trace::synth::sequential_scan;
+use column_caching::trace::{infer_symbols, SymbolTable, Trace};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -102,6 +109,149 @@ fn engine_build_allocations_are_independent_of_geometry() {
         assert!(
             largest_bytes <= BYTE_BOUND,
             "{policy}: {largest_bytes} bytes requested at MAX_SETS, bound {BYTE_BOUND}"
+        );
+    }
+}
+
+/// The three hostile layout inputs, as `ccache trace record --gen scan` writes them, each
+/// with the symbol table `ccache run` infers for it (4 KiB gap, 32-byte lines).
+fn hostile_layouts() -> [(&'static str, Trace, SymbolTable); 3] {
+    [
+        // 4,096 references 4 KiB apart: one 16 MiB variable
+        (
+            "one 16 MiB variable",
+            sequential_scan(0, 16 << 20, 4096, 4, 1, None),
+        ),
+        // 20,000 references 8 KiB apart: 20,000 variables
+        (
+            "20,000 variables",
+            sequential_scan(0, 163_840_000, 8192, 4, 1, None),
+        ),
+        // two passes over 1 MiB at a 256-byte stride: every piece is live throughout
+        (
+            "two scans of 1 MiB",
+            sequential_scan(0, 1 << 20, 256, 4, 2, None),
+        ),
+    ]
+    .map(|(name, trace)| {
+        let symbols = infer_symbols(&trace, DEFAULT_REGION_GAP, 32);
+        (name, trace, symbols)
+    })
+}
+
+fn weights(column_bytes: u64) -> WeightOptions {
+    WeightOptions {
+        column_bytes,
+        ..WeightOptions::default()
+    }
+}
+
+/// At `ccache run`'s default geometry (4 columns of 512 bytes) each hostile input is
+/// refused with the limit it exceeds. Inference requests at most 256 bytes per reference
+/// and per region. The unit limit is checked from the symbol table before anything is
+/// allocated; the pair limit after profiling but before any pair is weighed, within 64
+/// bytes per reference and 512 per unit.
+#[test]
+fn hostile_layouts_are_refused_before_allocating_past_a_limit() {
+    let expected = [
+        ("MAX_LAYOUT_UNITS", 32_761, 0),
+        ("MAX_LAYOUT_UNITS", 20_000, 0),
+        ("MAX_LAYOUT_PAIRS", 2_096_128, 2_048),
+    ];
+    for ((name, trace, _), (limit, count, units)) in hostile_layouts().into_iter().zip(expected) {
+        let references = trace.len() as u64;
+        let mut symbols = SymbolTable::new();
+        let (_, inference_bytes) = counted(|| {
+            symbols = infer_symbols(&trace, DEFAULT_REGION_GAP, 32);
+        });
+        let inference_bound = 256 * (references + symbols.len() as u64);
+        assert!(
+            inference_bytes <= inference_bound,
+            "{name}: inference requested {inference_bytes} bytes, bound {inference_bound}"
+        );
+        let mut refusal = None;
+        let (allocations, layout_bytes) = counted(|| {
+            refusal = Some(
+                TraceProfile::new(&trace, &symbols, &weights(512))
+                    .and_then(|profile| profile.conflict_graph(512))
+                    .map(|_| ()),
+            );
+        });
+        let refusal = refusal.expect("ran");
+        assert!(
+            matches!(refusal, Err(LayoutError::LimitExceeded { limit: l, count: c, .. })
+                if l == limit && c == count),
+            "{name}: {refusal:?}"
+        );
+        if units == 0 {
+            assert_eq!(
+                allocations, 0,
+                "{name}: refused from the symbol table alone"
+            );
+        }
+        let layout_bound = 64 * references + 512 * units;
+        assert!(
+            layout_bytes <= layout_bound,
+            "{name}: the refused layout requested {layout_bytes} bytes, bound {layout_bound}"
+        );
+    }
+}
+
+/// At 2 columns of 1,024 bytes two hostile inputs are admitted: 16,381 units with no
+/// edge, and 1,024 units on a complete graph of 523,776 edges. Profiling, the graph and
+/// the heuristic assignment stay within stated allocation bounds, and the colorers'
+/// work within 4 × (units + edges) × ⌈log2 units⌉ steps.
+#[test]
+fn admitted_hostile_layouts_stay_within_allocation_and_colour_step_bounds() {
+    let [edgeless, refused, complete] = hostile_layouts();
+    assert!(matches!(
+        TraceProfile::new(&refused.1, &refused.2, &weights(1024)),
+        Err(LayoutError::LimitExceeded {
+            limit: "MAX_LAYOUT_UNITS",
+            count: 20_000,
+            ..
+        })
+    ));
+    for (name, trace, symbols) in [edgeless, complete] {
+        let mut layout = None;
+        let (_, graph_bytes) = counted(|| {
+            layout = Some(
+                TraceProfile::new(&trace, &symbols, &weights(1024))
+                    .and_then(|profile| profile.conflict_graph(1024))
+                    .expect("admitted"),
+            );
+        });
+        let (graph, _) = layout.expect("built");
+        let (units, edges) = (graph.vertex_count() as u64, graph.edge_count() as u64);
+        // a vertex (with its name) and a unit per unit, one map entry per edge
+        let graph_bound = 32 * trace.len() as u64 + 512 * units + 96 * edges;
+        assert!(
+            graph_bytes <= graph_bound,
+            "{name}: the graph requested {graph_bytes} bytes, bound {graph_bound}"
+        );
+
+        let registry = Registry::new();
+        let options = LayoutOptions::new(2, 1024);
+        let mut assignment = None;
+        let (_, assign_bytes) = counted(|| {
+            assignment = Some(assign_columns_in(&graph, &options, &registry).expect("assigns"));
+        });
+        let assign_bound = 1024 * units + 256 * edges;
+        assert!(
+            assign_bytes <= assign_bound,
+            "{name}: the assignment requested {assign_bytes} bytes, bound {assign_bound}"
+        );
+        let steps = registry.counter_value("layout.colour_steps");
+        let log2 = u64::from(units.next_power_of_two().trailing_zeros()).max(1);
+        let step_bound = 4 * (units + edges) * log2;
+        assert!(
+            0 < steps && steps <= step_bound,
+            "{name}: {steps} colour steps on {units} units and {edges} edges, bound {step_bound}"
+        );
+        assert_eq!(
+            assignment.expect("assigned").colour_steps,
+            steps,
+            "{name}: the counter carries the assignment's steps"
         );
     }
 }

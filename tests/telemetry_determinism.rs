@@ -101,6 +101,11 @@ fn the_model_scores_every_candidate_of_the_quick_tune() {
     assert_eq!(evaluations, 48);
     assert_eq!(registry.counter_value("opt.model.evaluations"), evaluations);
     assert_eq!(registry.counter_value("engine.replays"), 1);
+    // The search space seeds each column count (2, 4 and 8) with the paper's heuristic,
+    // and those assignments report into the tune's registry like any other.
+    assert_eq!(registry.counter_value("layout.assignments"), 3);
+    assert_eq!(registry.span("layout.assign").count(), 3);
+    assert!(registry.counter_value("layout.colour_steps") > 0);
 
     let walked = registry.counter_value("opt.model.references");
     assert_eq!(

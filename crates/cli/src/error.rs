@@ -15,6 +15,8 @@ pub enum CliError {
     Sim(ccache_sim::SimError),
     /// The experiment layer rejected a spec or failed a job.
     Exp(ccache_exp::ExpError),
+    /// The session refused a request or the tuner failed.
+    Session(column_caching::SessionError),
     /// Reading or writing a file failed, including trace-format violations.
     Io(std::io::Error),
 }
@@ -41,6 +43,7 @@ impl fmt::Display for CliError {
             CliError::Core(e) => write!(f, "{e}"),
             CliError::Sim(e) => write!(f, "{e}"),
             CliError::Exp(e) => write!(f, "{e}"),
+            CliError::Session(e) => write!(f, "{e}"),
             CliError::Io(e) => write!(f, "{e}"),
         }
     }
@@ -53,12 +56,7 @@ impl From<column_caching::SessionError> for CliError {
             SessionError::Sim(e) => CliError::Sim(e),
             SessionError::Core(e) => CliError::Core(e),
             SessionError::Exp(e) => CliError::Exp(e),
-            SessionError::Opt(e) => CliError::Core(ccache_core::CoreError::BadExperiment {
-                reason: e.to_string(),
-            }),
-            SessionError::BadRequest(reason) => {
-                CliError::Core(ccache_core::CoreError::BadExperiment { reason })
-            }
+            other => CliError::Session(other),
         }
     }
 }
@@ -70,6 +68,7 @@ impl std::error::Error for CliError {
             CliError::Core(e) => Some(e),
             CliError::Sim(e) => Some(e),
             CliError::Exp(e) => Some(e),
+            CliError::Session(e) => Some(e),
             CliError::Io(e) => Some(e),
         }
     }

@@ -196,3 +196,30 @@ fn trace_errors_name_the_file_that_failed() {
         assert!(!stderr.contains(good), "{stderr}");
     }
 }
+
+#[test]
+fn a_refused_tune_prints_the_tuners_own_error() {
+    // A 16 MiB scan in 4 KiB steps is inferred as one 16 MiB variable, which splits into
+    // more units than the layout admits. No experiment spec is involved, so the error
+    // must not read as one.
+    let trace = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("refused-tune.trace");
+    let record = Command::new(env!("CARGO_BIN_EXE_ccache"))
+        .args(["trace", "record", "--gen", "scan", "--format", "text"])
+        .args(["--len", "16777216", "--stride", "4096", "--out"])
+        .arg(&trace)
+        .output()
+        .expect("spawn ccache");
+    assert!(record.status.success());
+    let output = Command::new(env!("CARGO_BIN_EXE_ccache"))
+        .args(["tune", "--budget", "8", "--trace"])
+        .arg(&trace)
+        .output()
+        .expect("spawn ccache");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.starts_with("error: assignment error: ") && stderr.contains("MAX_LAYOUT_UNITS"),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("invalid experiment"), "{stderr}");
+}

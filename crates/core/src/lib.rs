@@ -74,9 +74,7 @@ pub use multitask::{
     run_multitasking_in, run_multitasking_on, JobMetrics, MultitaskConfig, MultitaskRun,
     QuantumSeries, SharingPolicy,
 };
-pub use observe::{
-    NoopObserver, ReplayEvent, ReplayObserver, SeriesRecorder, TimeSeries, WindowSample,
-};
+pub use observe::{ReplayEvent, ReplayObserver, SeriesRecorder, TimeSeries, WindowSample};
 pub use partition::{run_partition_point_in, PartitionConfig, PartitionPoint, PartitionSweep};
 pub use placement::{pack_scratchpad_first, page_aligned, relocate, PlacementPlan};
 pub use report::SweepReport;

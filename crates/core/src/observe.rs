@@ -106,14 +106,6 @@ pub trait ReplayObserver: Send {
     fn on_event(&mut self, _event: &ReplayEvent) {}
 }
 
-/// The do-nothing observer: both hooks are empty bodies, so attaching it costs the
-/// window bookkeeping plus two no-op calls per window. An unobserved replay passes
-/// `None` instead and skips even that.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoopObserver;
-
-impl ReplayObserver for NoopObserver {}
-
 /// The windowed series an observed run produces, ready for serialization.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct TimeSeries {

@@ -13,7 +13,7 @@
 
 use crate::coloring;
 use crate::error::LayoutError;
-use crate::graph::{ConflictGraph, Vertex};
+use crate::graph::ConflictGraph;
 use ccache_trace::VarId;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -183,15 +183,14 @@ pub fn assign_columns(
     let mut colour_steps = 0u64;
     let (survivors, coloring) = loop {
         if !current.clique_exceeds(k) {
-            let compact =
-                current.compacted(|v| graph.vertex(free_vertices[v]).expect("index valid").clone());
-            match coloring::coloring_within(&compact, k, options.search_budget, &mut colour_steps) {
+            let adj = current.adjacency();
+            match coloring::coloring_within(&adj, k, options.search_budget, &mut colour_steps) {
                 Ok(Some((_, coloring))) => break (current.alive, coloring),
                 Ok(None) => {}
                 Err(LayoutError::SearchBudgetExceeded { .. }) => {
                     // graph too large for the exact colorer — fall back to greedy
                     optimal = false;
-                    let greedy = coloring::greedy_counted(&compact, &mut colour_steps);
+                    let greedy = coloring::greedy(&adj, &mut colour_steps);
                     if coloring::color_count(&greedy) <= k {
                         break (current.alive, greedy);
                     }
@@ -320,21 +319,18 @@ impl MergeGraph {
         }
     }
 
-    /// The surviving vertices as a [`ConflictGraph`], in index order. Coloring reads
-    /// only the edges; `vertex` supplies each survivor's payload.
-    fn compacted(&self, vertex: impl Fn(usize) -> Vertex) -> ConflictGraph {
-        let mut graph = ConflictGraph::new();
+    /// The neighbours of every survivor, each list ascending, with vertices numbered by
+    /// their position in `alive`: the adjacency the colorers build from a conflict graph
+    /// over the survivors.
+    fn adjacency(&self) -> Vec<Vec<usize>> {
         let mut position = vec![0; self.adj.len()];
         for (i, &v) in self.alive.iter().enumerate() {
             position[v] = i;
-            graph.add_vertex(vertex(v));
         }
-        for &a in &self.alive {
-            for (&b, &weight) in self.adj[a].range(a + 1..) {
-                graph.set_weight(position[a], position[b], weight);
-            }
-        }
-        graph
+        self.alive
+            .iter()
+            .map(|&v| self.adj[v].keys().map(|&u| position[u]).collect())
+            .collect()
     }
 }
 
@@ -445,6 +441,7 @@ pub fn assignment_from_vertex_columns(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::Vertex;
 
     fn vertex(i: u32, size: u64, accesses: u64) -> Vertex {
         Vertex {

@@ -118,17 +118,12 @@ impl<'a> Dsatur<'a> {
 /// highest index, with the lowest color no neighbor holds. Returns the color of every
 /// vertex; colors are `0..n_colors`.
 pub fn greedy_coloring(graph: &ConflictGraph) -> Vec<usize> {
-    greedy_counted(graph, &mut 0)
-}
-
-/// [`greedy_coloring`], adding its picks and saturation updates to `steps`.
-pub(crate) fn greedy_counted(graph: &ConflictGraph, steps: &mut u64) -> Vec<usize> {
-    greedy(&adjacency(graph), steps)
+    greedy(&adjacency(graph), &mut 0)
 }
 
 /// [`greedy_coloring`] over an adjacency, adding its picks and saturation updates to
 /// `steps`: O((n + E) log n) for `n` vertices and `E` edges.
-fn greedy(adj: &[Vec<usize>], steps: &mut u64) -> Vec<usize> {
+pub(crate) fn greedy(adj: &[Vec<usize>], steps: &mut u64) -> Vec<usize> {
     let mut dsatur = Dsatur::new(adj);
     while let Some(v) = dsatur.pick() {
         let c = (0..)
@@ -292,37 +287,37 @@ pub fn minimum_coloring(
     graph: &ConflictGraph,
     budget: u64,
 ) -> Result<(usize, Vec<usize>), LayoutError> {
-    Ok(coloring_within(graph, usize::MAX, budget, &mut 0)?.expect("every graph has a coloring"))
+    let coloring = coloring_within(&adjacency(graph), usize::MAX, budget, &mut 0)?;
+    Ok(coloring.expect("every graph has a coloring"))
 }
 
-/// The decision form of [`minimum_coloring`]: the same color count and coloring when it
-/// needs at most `k` colors, `Ok(None)` when the graph needs more. A clique bound above
-/// `k` decides without coloring, and no search asks for more than `k` colors. The
-/// colorers' picks and saturation updates are added to `steps`.
+/// The decision form of [`minimum_coloring`], over an adjacency: the same color count
+/// and coloring when the graph needs at most `k` colors, `Ok(None)` when it needs more.
+/// A clique bound above `k` decides without coloring, and no search asks for more than
+/// `k` colors. The colorers' picks and saturation updates are added to `steps`.
 ///
 /// # Errors
 ///
 /// Returns [`LayoutError::SearchBudgetExceeded`] when a search for at most `k` colors
 /// exhausts the budget; [`minimum_coloring`] runs that same search first and fails too.
 pub(crate) fn coloring_within(
-    graph: &ConflictGraph,
+    adj: &[Vec<usize>],
     k: usize,
     budget: u64,
     steps: &mut u64,
 ) -> Result<Option<(usize, Vec<usize>)>, LayoutError> {
-    if graph.is_empty() {
+    if adj.is_empty() {
         return Ok(Some((0, Vec::new())));
     }
-    let adj = adjacency(graph);
-    let lower = clique_bound(&adj);
+    let lower = clique_bound(adj);
     if lower > k {
         return Ok(None);
     }
-    let greedy = greedy(&adj, steps);
+    let greedy = greedy(adj, steps);
     let upper = color_count(&greedy);
     // try to beat the greedy bound from the clique bound upwards
     for colors in lower.max(1)..upper.min(k.saturating_add(1)) {
-        if let Some(coloring) = search(&adj, colors, budget, steps)? {
+        if let Some(coloring) = search(adj, colors, budget, steps)? {
             return Ok(Some((colors, coloring)));
         }
     }

@@ -8,7 +8,6 @@
 //! weights; zero-weight edges are implicit and are exactly the edges the paper deletes
 //! before coloring.
 
-use crate::error::LayoutError;
 use ccache_trace::VarId;
 use std::collections::BTreeMap;
 
@@ -73,12 +72,6 @@ impl ConflictGraph {
     /// Finds the index of the (first) vertex for a variable.
     pub fn index_of(&self, var: VarId) -> Option<usize> {
         self.vertices.iter().position(|v| v.var == var)
-    }
-
-    /// Finds the index of the vertex for a variable or returns an error.
-    pub fn try_index_of(&self, var: VarId) -> Result<usize, LayoutError> {
-        self.index_of(var)
-            .ok_or(LayoutError::UnknownVariable { var })
     }
 
     /// Sets the weight of the undirected edge `(a, b)`. A weight of zero removes the edge.
@@ -248,7 +241,6 @@ mod tests {
         assert_eq!(g.weight(0, 0), 0);
         assert_eq!(g.total_weight(), 15);
         assert_eq!(g.index_of(VarId(2)), Some(2));
-        assert!(g.try_index_of(VarId(9)).is_err());
         assert_eq!(g.vertex(1).unwrap().size, 200);
         assert_eq!(g.vertices().count(), 3);
     }

@@ -1,9 +1,9 @@
 //! Simulation-backed fitness with a canonical-genome cache and an evaluation budget.
 //!
 //! Search strategies propose genomes; the [`Evaluator`] decodes each into a concrete
-//! candidate (geometry + [`CacheMapping`]), scores it, and memoises the result under the
-//! genome's canonical key — so a duplicate candidate, however it was produced, **is
-//! never scored twice**. Only new candidates count against the budget, which is what
+//! candidate (geometry + [`CacheMapping`]), scores it, and memoises the result under a
+//! compact byte key of the genome — so a duplicate candidate, however it was produced,
+//! **is never scored twice**. Only new candidates count against the budget, which is what
 //! lets a strategy keep polishing a converged population for free.
 //!
 //! A candidate that tints every referenced page to one column is scored by an exact
@@ -14,7 +14,7 @@
 //! and either one `opt.model.evaluations` tick or one `engine.replays` tick, and
 //! `opt.model.references` counts the references the model walked. Batches
 //! preserve input order and fan out over threads unless the evaluator was built serial;
-//! because the cache is keyed canonically and filled in input order, the evaluator's
+//! because the cache is keyed by genome and filled in input order, the evaluator's
 //! observable behaviour is byte-identical either way.
 
 use crate::error::OptError;
@@ -70,9 +70,9 @@ pub struct Evaluator<'a> {
     serial: bool,
     /// The registry every candidate engine reports into.
     registry: Registry,
+    /// Fitness of every candidate scored so far, under [`key`].
     cache: BTreeMap<Vec<u8>, Fitness>,
     budget: usize,
-    replays: usize,
     telemetry: EvaluatorTelemetry,
 }
 
@@ -100,9 +100,15 @@ impl EvaluatorTelemetry {
 impl<'a> Evaluator<'a> {
     /// Creates an evaluator over `space` scoring candidates on `trace`, allowed `budget`
     /// evaluations. `serial` forces single-threaded evaluation (used to prove schedule
-    /// independence).
-    pub fn new(space: &'a SearchSpace, trace: &'a Trace, budget: usize, serial: bool) -> Self {
-        let registry = Registry::global();
+    /// independence). The `opt.*` counters, and the `engine.*` counters of every replay
+    /// it runs, report into `registry`; telemetry never changes a result.
+    pub fn new(
+        space: &'a SearchSpace,
+        trace: &'a Trace,
+        budget: usize,
+        serial: bool,
+        registry: &Registry,
+    ) -> Self {
         let configs: Vec<SystemConfig> = space.geometries.iter().map(|g| g.config).collect();
         let model = ColumnModel::new(trace, &configs);
         Evaluator {
@@ -112,39 +118,25 @@ impl<'a> Evaluator<'a> {
             serial,
             cache: BTreeMap::new(),
             budget,
-            replays: 0,
-            telemetry: EvaluatorTelemetry::bind(&registry),
-            registry,
+            telemetry: EvaluatorTelemetry::bind(registry),
+            registry: registry.clone(),
         }
     }
 
-    /// Rebinds the evaluator's telemetry, and the `engine.*` counters of every replay it
-    /// runs, to `registry` (the process-wide [`Registry::global`] is bound at
-    /// construction). Purely observational — cache behaviour, budget accounting and
-    /// results are unaffected.
-    pub fn set_telemetry(&mut self, registry: &Registry) {
-        self.telemetry = EvaluatorTelemetry::bind(registry);
-        self.registry = registry.clone();
-    }
-
-    /// Candidates scored so far, by the model or a replay (cache hits are free).
+    /// Distinct candidates scored so far, by the model or a replay (cache hits are
+    /// free): every scored candidate enters the cache exactly once.
     pub fn replays(&self) -> usize {
-        self.replays
+        self.cache.len()
     }
 
     /// Evaluations still allowed.
     pub fn remaining(&self) -> usize {
-        self.budget.saturating_sub(self.replays)
-    }
-
-    /// Number of distinct candidates scored so far.
-    pub fn distinct(&self) -> usize {
-        self.cache.len()
+        self.budget.saturating_sub(self.replays())
     }
 
     /// The cached fitness of a genome, if it has been evaluated.
     pub fn cached(&self, genome: &Genome) -> Option<Fitness> {
-        self.cache.get(&genome.encode()).copied()
+        self.cache.get(&key(genome)).copied()
     }
 
     /// Evaluates a batch of genomes, returning fitness **in input order**. Cached
@@ -162,7 +154,7 @@ impl<'a> Evaluator<'a> {
         let mut new_genomes: Vec<&Genome> = Vec::new();
         let mut cache_hits = 0u64;
         for genome in genomes {
-            let key = genome.encode();
+            let key = key(genome);
             if self.cache.contains_key(&key) || new_keys.contains(&key) {
                 cache_hits += 1;
                 continue;
@@ -182,15 +174,11 @@ impl<'a> Evaluator<'a> {
             .map(|g| self.decode(g))
             .collect::<Result<_, _>>()?;
         let results = self.score(&candidates);
-        self.replays += results.len();
         for (key, result) in new_keys.into_iter().zip(results) {
             self.cache.insert(key, result?);
         }
 
-        Ok(genomes
-            .iter()
-            .map(|g| self.cache.get(&g.encode()).copied())
-            .collect())
+        Ok(genomes.iter().map(|g| self.cached(g)).collect())
     }
 
     /// Scores a non-genome reference point (e.g. the set-associative baseline) on the
@@ -267,6 +255,17 @@ impl<'a> Evaluator<'a> {
     }
 }
 
+/// The fitness-cache key of a genome: its geometry as a little-endian `u16`, then one
+/// byte per vertex column. Columns stay below `MAX_COLUMNS` = 64, so two genomes of a
+/// space are the same candidate exactly when their keys are equal, and a key takes one
+/// byte per column where the genome itself takes eight.
+fn key(genome: &Genome) -> Vec<u8> {
+    let mut key = Vec::with_capacity(2 + genome.columns.len());
+    key.extend_from_slice(&(genome.geometry as u16).to_le_bytes());
+    key.extend(genome.columns.iter().map(|&c| c as u8));
+    key
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -305,12 +304,11 @@ mod tests {
             &Registry::new(),
         )
         .unwrap();
-        let mut eval = Evaluator::new(&space, &t, 100, false);
+        let mut eval = Evaluator::new(&space, &t, 100, false, &Registry::new());
         let seed = space.seeded(0);
         let batch = vec![seed.clone(), seed.clone(), seed.clone()];
         let scores = eval.evaluate_batch(&batch).unwrap();
         assert_eq!(eval.replays(), 1);
-        assert_eq!(eval.distinct(), 1);
         assert_eq!(scores[0], scores[2]);
         // a second batch with the same genome is free
         eval.evaluate_batch(std::slice::from_ref(&seed)).unwrap();
@@ -330,7 +328,7 @@ mod tests {
             &Registry::new(),
         )
         .unwrap();
-        let mut eval = Evaluator::new(&space, &t, 2, false);
+        let mut eval = Evaluator::new(&space, &t, 2, false, &Registry::new());
         let genomes = space.enumerate(5);
         let scores = eval.evaluate_batch(&genomes).unwrap();
         assert_eq!(eval.replays(), 2);
@@ -355,8 +353,8 @@ mod tests {
         )
         .unwrap();
         let genomes = space.enumerate(12);
-        let mut par = Evaluator::new(&space, &t, 100, false);
-        let mut ser = Evaluator::new(&space, &t, 100, true);
+        let mut par = Evaluator::new(&space, &t, 100, false, &Registry::new());
+        let mut ser = Evaluator::new(&space, &t, 100, true, &Registry::new());
         let a = par.evaluate_batch(&genomes).unwrap();
         let b = ser.evaluate_batch(&genomes).unwrap();
         assert_eq!(a, b);
@@ -375,7 +373,7 @@ mod tests {
             &Registry::new(),
         )
         .unwrap();
-        let eval = Evaluator::new(&space, &t, 1, false);
+        let eval = Evaluator::new(&space, &t, 1, false, &Registry::new());
         let fit = eval
             .reference_point(
                 BackendKind::SetAssociative,
@@ -400,8 +398,7 @@ mod tests {
         )
         .unwrap();
         let registry = Registry::new();
-        let mut eval = Evaluator::new(&space, &t, 1, false);
-        eval.set_telemetry(&registry);
+        let eval = Evaluator::new(&space, &t, 1, false, &registry);
         let b = s.iter().find(|r| r.name == "b").unwrap();
         let mut steered = CacheMapping::new();
         steered.map(
@@ -460,8 +457,7 @@ mod tests {
         )
         .unwrap();
         let registry = Registry::new();
-        let mut eval = Evaluator::new(&space, &t, 1, true);
-        eval.set_telemetry(&registry);
+        let eval = Evaluator::new(&space, &t, 1, true, &registry);
         let result = eval.score(&[(template(), mapping.clone())]).pop().unwrap();
         assert_eq!(registry.counter_value("opt.evaluations"), 1);
         let modelled = registry.counter_value("opt.model.evaluations") == 1;
@@ -569,7 +565,7 @@ mod tests {
             &Registry::new(),
         )
         .unwrap();
-        let eval = Evaluator::new(&space, &t, 1, false);
+        let eval = Evaluator::new(&space, &t, 1, false, &Registry::new());
         let bad = SystemConfig {
             tlb_entries: 0,
             ..template()

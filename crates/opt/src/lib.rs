@@ -10,13 +10,13 @@
 //! one column is scored by an exact per-column cache model; any other is replayed through
 //! `ccache-core`'s batched [`ReplayEngine`](ccache_core::ReplayEngine).
 //!
-//! * [`space`] — the [`SearchSpace`]: materialised geometries, genome encode/decode,
-//!   mutation and crossover, all valid by construction.
-//! * [`evaluate`] — the budgeted [`Evaluator`]: canonical-key fitness cache (duplicate
+//! * [`space`] — the [`SearchSpace`]: materialised geometries, ordered genomes, mutation
+//!   and crossover, all valid by construction.
+//! * [`evaluate`] — the budgeted [`Evaluator`]: a fitness cache keyed by genome (duplicate
 //!   candidates are never scored twice) over the per-column model or a replay on a
 //!   fresh engine, batched thread-parallel and byte-identical to a serial run.
-//! * [`strategy`] — [`SearchStrategy`] implementations: [`Exhaustive`],
-//!   [`HillClimb`] and [`Evolutionary`] (μ+λ).
+//! * [`strategy`] — the [`StrategyKind`] arms: exhaustive enumeration, hill climbing and
+//!   (μ+λ) evolutionary search, each logging its rounds to a [`ProgressLog`].
 //! * [`tuner`] — the one-call [`tune_observed`] driver and its JSON-serialisable
 //!   [`TuneOutcome`].
 //!
@@ -68,10 +68,7 @@ pub mod tuner;
 pub use error::OptError;
 pub use evaluate::{Evaluator, Fitness};
 pub use space::{Genome, GeometryChoice, GeometrySearch, SearchSpace};
-pub use strategy::{
-    BestCandidate, Evolutionary, Exhaustive, GenerationPoint, HillClimb, ProgressLog,
-    SearchStrategy, StrategyKind, TuneProgress,
-};
+pub use strategy::{BestCandidate, GenerationPoint, ProgressLog, StrategyKind, TuneProgress};
 pub use tuner::{tune_observed, BestConfig, ScoredLayout, TuneOutcome, TuneRequest};
 
 /// Convenient glob-import of the types most programs need.
@@ -79,6 +76,6 @@ pub mod prelude {
     pub use crate::error::OptError;
     pub use crate::evaluate::{Evaluator, Fitness};
     pub use crate::space::{Genome, GeometrySearch, SearchSpace};
-    pub use crate::strategy::{SearchStrategy, StrategyKind, TuneProgress};
+    pub use crate::strategy::{StrategyKind, TuneProgress};
     pub use crate::tuner::{tune_observed, TuneOutcome, TuneRequest};
 }

@@ -1,5 +1,5 @@
 //! The joint search space: cache geometries × column assignments, and the genome
-//! operations (encode/decode, mutation, crossover) strategies search it with.
+//! operations (membership, mutation, crossover) strategies search it with.
 //!
 //! A **genome** is a geometry index plus one column per conflict-graph vertex of that
 //! geometry. Geometry choices are materialised up front: for each candidate geometry the
@@ -9,9 +9,10 @@
 //! heuristic.
 //!
 //! Every operation is deterministic for a given RNG stream, and every generated genome is
-//! valid by construction: columns in range and forced placements respected. Decoding
-//! re-validates through [`ccache_layout::validate_vertex_columns`], so a corrupted key
-//! cannot smuggle an out-of-space candidate into evaluation.
+//! valid by construction: columns in range and forced placements respected.
+//! [`SearchSpace::is_valid`] checks membership through
+//! [`ccache_layout::validate_vertex_columns`], and the evaluator re-validates every
+//! candidate when it builds its assignment.
 
 use crate::error::OptError;
 use ccache_core::runner::assign_columns_in;
@@ -78,24 +79,15 @@ pub struct GeometryChoice {
 }
 
 /// A candidate solution: a geometry and one column per graph vertex of that geometry.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// Genomes are ordered by geometry, then column by column. Strategies break fitness ties
+/// on this order, so results never depend on visit order.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Genome {
     /// Index into [`SearchSpace::geometries`].
     pub geometry: usize,
     /// Column of every conflict-graph vertex (same indexing as the geometry's graph).
     pub columns: Vec<usize>,
-}
-
-impl Genome {
-    /// The canonical byte encoding of this genome, used as the fitness-cache key:
-    /// geometry as little-endian `u16`, then one byte per vertex column. Two genomes are
-    /// the same candidate if and only if their encodings are equal.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut key = Vec::with_capacity(2 + self.columns.len());
-        key.extend_from_slice(&(self.geometry as u16).to_le_bytes());
-        key.extend(self.columns.iter().map(|&c| c as u8));
-        key
-    }
 }
 
 /// The materialised search space over one workload.
@@ -255,21 +247,6 @@ impl SearchSpace {
             geometry: g,
             columns: self.geometries[g].heuristic.vertex_columns.clone(),
         }
-    }
-
-    /// Decodes a canonical key back into a genome, validating it against the space.
-    /// Returns `None` for unknown geometries, wrong lengths, out-of-range columns or
-    /// violated forced placements — `decode(encode(g)) == Some(g)` for every genome the
-    /// space can produce.
-    pub fn decode(&self, key: &[u8]) -> Option<Genome> {
-        if key.len() < 2 {
-            return None;
-        }
-        let geometry = u16::from_le_bytes([key[0], key[1]]) as usize;
-        let geo = self.geometries.get(geometry)?;
-        let columns: Vec<usize> = key[2..].iter().map(|&b| b as usize).collect();
-        ccache_layout::validate_vertex_columns(&geo.graph, &geo.options, &columns).ok()?;
-        Some(Genome { geometry, columns })
     }
 
     /// `true` if the genome is a member of this space (valid geometry, columns and
@@ -447,10 +424,7 @@ mod tests {
         .unwrap();
         assert_eq!(space.geometries.len(), 1);
         assert_eq!(space.geometries[0].config, template());
-        // heuristic seed decodes to itself
-        let seed = space.seeded(0);
-        assert!(space.is_valid(&seed));
-        assert_eq!(space.decode(&seed.encode()), Some(seed));
+        assert!(space.is_valid(&space.seeded(0)));
     }
 
     #[test]
@@ -533,7 +507,7 @@ mod tests {
     }
 
     #[test]
-    fn decode_rejects_corrupt_keys() {
+    fn is_valid_rejects_genomes_outside_the_space() {
         let (t, s) = workload();
         let space = SearchSpace::build(
             &t,
@@ -544,14 +518,18 @@ mod tests {
             &Registry::new(),
         )
         .unwrap();
-        assert_eq!(space.decode(&[]), None);
-        assert_eq!(space.decode(&[9, 9]), None); // unknown geometry
-        let mut key = space.seeded(0).encode();
-        key.push(0); // wrong length
-        assert_eq!(space.decode(&key), None);
-        let mut key = space.seeded(0).encode();
-        key[2] = 200; // column out of range
-        assert_eq!(space.decode(&key), None);
+        let seed = space.seeded(0);
+        let unknown_geometry = Genome {
+            geometry: space.geometries.len(),
+            ..seed.clone()
+        };
+        assert!(!space.is_valid(&unknown_geometry));
+        let mut wrong_length = seed.clone();
+        wrong_length.columns.push(0);
+        assert!(!space.is_valid(&wrong_length));
+        let mut out_of_range = seed;
+        out_of_range.columns[0] = 200;
+        assert!(!space.is_valid(&out_of_range));
     }
 
     #[test]
@@ -567,12 +545,11 @@ mod tests {
         )
         .unwrap();
         let n = space.cardinality().unwrap();
-        let genomes = space.enumerate(usize::MAX);
+        let mut genomes = space.enumerate(usize::MAX);
         assert_eq!(genomes.len() as u128, n);
-        let mut keys: Vec<Vec<u8>> = genomes.iter().map(Genome::encode).collect();
-        keys.sort();
-        keys.dedup();
-        assert_eq!(keys.len() as u128, n);
+        genomes.sort();
+        genomes.dedup();
+        assert_eq!(genomes.len() as u128, n);
         // a limit truncates deterministically
         let some = space.enumerate(5);
         assert_eq!(some.len(), 5);

@@ -1,22 +1,35 @@
-//! The pluggable search strategies: exhaustive, random-restart hill climbing, and
-//! (μ+λ) evolutionary search.
+//! The search strategies — exhaustive enumeration, random-restart hill climbing and
+//! (μ+λ) evolutionary search — as the arms of [`StrategyKind::search`].
 //!
-//! Every strategy speaks the same [`SearchStrategy`] interface: walk a
-//! [`SearchSpace`] through a budgeted [`Evaluator`], append one
-//! [`GenerationPoint`] per round to the convergence log, and return the best genome
+//! Every strategy walks a [`SearchSpace`] through a budgeted [`Evaluator`], appends one
+//! [`GenerationPoint`] per round to the [`ProgressLog`], and returns the best genome
 //! found. Strategies always evaluate the heuristic seeds first (template geometry
 //! foremost), so the returned best is never worse than the paper's heuristic layout —
-//! even with a budget of one.
+//! even with a budget of one. Their parameters are the constants below.
 //!
 //! Determinism: every decision flows from the seeded [`StdRng`] stream and exact integer
-//! fitness comparisons, with ties broken by the canonical genome encoding. For a fixed
+//! fitness comparisons, with ties broken by the genomes' derived order. For a fixed
 //! seed the outcome is identical run-to-run and with thread-parallel evaluation on or
 //! off.
 
 use crate::error::OptError;
 use crate::evaluate::{Evaluator, Fitness};
 use crate::space::{Genome, SearchSpace};
+use ccache_telemetry::{Counter, Gauge, Registry};
 use rand::{rngs::StdRng, Rng};
+
+/// Genomes the exhaustive scan evaluates per round (one convergence row each).
+const EXHAUSTIVE_BATCH: usize = 64;
+/// Neighbours hill climbing proposes per round.
+const CLIMB_NEIGHBOURS: usize = 16;
+/// Non-improving rounds hill climbing tolerates before a random restart.
+const CLIMB_PATIENCE: usize = 3;
+/// Survivor population size μ of the evolutionary search.
+const MU: usize = 8;
+/// Offspring per generation λ of the evolutionary search.
+const LAMBDA: usize = 16;
+/// Probability an offspring is a crossover of two parents (otherwise a mutant clone).
+const CROSSOVER_RATE: f64 = 0.9;
 
 /// One row of the convergence table: the state of the search after a round.
 #[derive(Debug, Clone, PartialEq)]
@@ -30,45 +43,43 @@ pub struct GenerationPoint {
 }
 
 /// A live listener for search progress: one callback per convergence row, fired the
-/// moment the row is appended. This is how `tune` progress reaches telemetry gauges and
-/// streaming `subscribe` clients while the search is still running.
+/// moment the row is appended. This is how `tune` progress reaches streaming
+/// `subscribe` clients while the search is still running.
 pub trait TuneProgress {
     /// Called after each round with the freshly appended convergence row.
     fn on_generation(&mut self, point: &GenerationPoint);
 }
 
-/// The convergence log a search appends to: an owned list of [`GenerationPoint`] rows
-/// plus an optional live [`TuneProgress`] observer that sees each row as it lands.
+/// The convergence log a search appends to: an owned list of [`GenerationPoint`] rows,
+/// the `opt.generations` counter and `opt.best.misses` gauge of a registry, and an
+/// optional live [`TuneProgress`] observer that sees each row as it lands.
 ///
 /// Strategies only ever [`push`](ProgressLog::push) and read [`len`](ProgressLog::len)
-/// (the next generation index), so an observer can never change what gets logged —
-/// convergence stays byte-identical whether anyone is listening or not.
-#[derive(Default)]
+/// (the next generation index), so neither telemetry nor an observer can change what
+/// gets logged — convergence stays byte-identical whether anyone is listening or not.
 pub struct ProgressLog<'a> {
     points: Vec<GenerationPoint>,
+    generations: Counter,
+    best_misses: Gauge,
     observer: Option<&'a mut dyn TuneProgress>,
 }
 
 impl<'a> ProgressLog<'a> {
-    /// An empty log with no observer.
-    pub fn new() -> ProgressLog<'static> {
+    /// An empty log reporting into `registry` and forwarding each row to `observer`.
+    pub fn new(registry: &Registry, observer: Option<&'a mut dyn TuneProgress>) -> Self {
         ProgressLog {
             points: Vec::new(),
-            observer: None,
+            generations: registry.counter("opt.generations"),
+            best_misses: registry.gauge("opt.best.misses"),
+            observer,
         }
     }
 
-    /// An empty log that forwards each appended row to `observer`.
-    pub fn with_observer(observer: &'a mut dyn TuneProgress) -> ProgressLog<'a> {
-        ProgressLog {
-            points: Vec::new(),
-            observer: Some(observer),
-        }
-    }
-
-    /// Appends a row and notifies the observer, if any.
+    /// Appends a row: counts it, records its best misses, then notifies the observer.
     pub fn push(&mut self, point: GenerationPoint) {
-        if let Some(observer) = self.observer.as_mut() {
+        self.generations.incr();
+        self.best_misses.set(point.best.misses);
+        if let Some(observer) = self.observer.as_deref_mut() {
             observer.on_generation(&point);
         }
         self.points.push(point);
@@ -84,27 +95,13 @@ impl<'a> ProgressLog<'a> {
         self.points.is_empty()
     }
 
-    /// Read-only view of the rows.
-    pub fn points(&self) -> &[GenerationPoint] {
-        &self.points
-    }
-
     /// Consumes the log, returning the rows.
     pub fn into_points(self) -> Vec<GenerationPoint> {
         self.points
     }
 }
 
-impl std::fmt::Debug for ProgressLog<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ProgressLog")
-            .field("points", &self.points)
-            .field("observed", &self.observer.is_some())
-            .finish()
-    }
-}
-
-/// The best candidate found, with deterministic tie-breaking on the canonical key.
+/// The best candidate found, with deterministic tie-breaking on the genome's order.
 #[derive(Debug, Clone)]
 pub struct BestCandidate {
     /// The winning genome.
@@ -115,15 +112,11 @@ pub struct BestCandidate {
 
 impl BestCandidate {
     /// Replaces the incumbent if `candidate` is strictly better, or equal-fitness with a
-    /// lexicographically smaller canonical key (so outcomes never depend on visit order).
+    /// smaller genome (so outcomes never depend on visit order).
     fn consider(slot: &mut Option<BestCandidate>, genome: &Genome, fitness: Fitness) {
         let replace = match slot {
             None => true,
-            Some(best) => {
-                fitness.key() < best.fitness.key()
-                    || (fitness.key() == best.fitness.key()
-                        && genome.encode() < best.genome.encode())
-            }
+            Some(best) => (fitness.key(), genome) < (best.fitness.key(), &best.genome),
         };
         if replace {
             *slot = Some(BestCandidate {
@@ -138,26 +131,6 @@ impl BestCandidate {
 /// (everything proposed was already cached) before concluding the reachable space is
 /// exhausted. Keeps tiny spaces from spinning forever on a large budget.
 const DRY_ROUND_LIMIT: usize = 32;
-
-/// A search procedure over genomes.
-pub trait SearchStrategy {
-    /// The strategy's stable CLI name.
-    fn name(&self) -> &'static str;
-
-    /// Runs the search until the evaluator's budget is exhausted (or the space is
-    /// covered), returning the best candidate found.
-    ///
-    /// # Errors
-    ///
-    /// Propagates evaluation errors; a search over a well-formed space does not fail.
-    fn search(
-        &self,
-        space: &SearchSpace,
-        eval: &mut Evaluator<'_>,
-        rng: &mut StdRng,
-        log: &mut ProgressLog<'_>,
-    ) -> Result<BestCandidate, OptError>;
-}
 
 /// Evaluates the heuristic seed of every geometry (template first) and returns the
 /// incumbent best. Called by every strategy before its own loop.
@@ -196,238 +169,160 @@ fn missing_best() -> OptError {
 
 /// Full enumeration in canonical order — exact for small spaces, a deterministic prefix
 /// scan when the space exceeds the budget.
-#[derive(Debug, Clone, Default)]
-pub struct Exhaustive {
-    /// Genomes evaluated per round (one convergence row each).
-    pub batch: usize,
-}
-
-impl SearchStrategy for Exhaustive {
-    fn name(&self) -> &'static str {
-        "exhaustive"
-    }
-
-    fn search(
-        &self,
-        space: &SearchSpace,
-        eval: &mut Evaluator<'_>,
-        _rng: &mut StdRng,
-        log: &mut ProgressLog<'_>,
-    ) -> Result<BestCandidate, OptError> {
-        let batch = if self.batch == 0 { 64 } else { self.batch };
-        let mut best = evaluate_seeds(space, eval)?;
-        log_round(log, eval, &best);
-        // +seeds again is fine: they come from the cache and cost nothing.
-        let genomes = space.enumerate(eval.remaining().saturating_add(eval.distinct()));
-        for chunk in genomes.chunks(batch) {
-            if eval.remaining() == 0 {
-                break;
-            }
-            let scores = eval.evaluate_batch(chunk)?;
-            for (genome, fitness) in chunk.iter().zip(scores) {
-                if let Some(fitness) = fitness {
-                    BestCandidate::consider(&mut best, genome, fitness);
-                }
-            }
-            log_round(log, eval, &best);
+fn exhaustive(
+    space: &SearchSpace,
+    eval: &mut Evaluator<'_>,
+    log: &mut ProgressLog<'_>,
+    mut best: Option<BestCandidate>,
+) -> Result<BestCandidate, OptError> {
+    // +seeds again is fine: they come from the cache and cost nothing.
+    let genomes = space.enumerate(eval.remaining().saturating_add(eval.replays()));
+    for chunk in genomes.chunks(EXHAUSTIVE_BATCH) {
+        if eval.remaining() == 0 {
+            break;
         }
-        best.ok_or_else(missing_best)
+        let scores = eval.evaluate_batch(chunk)?;
+        for (genome, fitness) in chunk.iter().zip(scores) {
+            if let Some(fitness) = fitness {
+                BestCandidate::consider(&mut best, genome, fitness);
+            }
+        }
+        log_round(log, eval, &best);
     }
+    best.ok_or_else(missing_best)
 }
 
 /// Hill climbing with random restarts: batched neighbour proposals, greedy moves, and a
-/// jump to a fresh random genome after `patience` non-improving batches.
-#[derive(Debug, Clone)]
-pub struct HillClimb {
-    /// Neighbours proposed per round.
-    pub neighbours: usize,
-    /// Non-improving rounds tolerated before a random restart.
-    pub patience: usize,
-}
-
-impl Default for HillClimb {
-    fn default() -> Self {
-        HillClimb {
-            neighbours: 16,
-            patience: 3,
+/// jump to a fresh random genome after `CLIMB_PATIENCE` non-improving batches.
+fn hill_climb(
+    space: &SearchSpace,
+    eval: &mut Evaluator<'_>,
+    rng: &mut StdRng,
+    log: &mut ProgressLog<'_>,
+    mut best: Option<BestCandidate>,
+) -> Result<BestCandidate, OptError> {
+    let Some(start) = &best else {
+        return Err(missing_best());
+    };
+    let mut current = start.clone();
+    let mut stuck = 0usize;
+    let mut dry = 0usize;
+    while eval.remaining() > 0 && dry <= DRY_ROUND_LIMIT {
+        let replays_before = eval.replays();
+        let neighbours: Vec<Genome> = (0..CLIMB_NEIGHBOURS)
+            .map(|_| space.mutate(&current.genome, rng))
+            .collect();
+        let scores = eval.evaluate_batch(&neighbours)?;
+        let mut round_best: Option<BestCandidate> = None;
+        for (genome, fitness) in neighbours.iter().zip(scores) {
+            if let Some(fitness) = fitness {
+                BestCandidate::consider(&mut round_best, genome, fitness);
+                BestCandidate::consider(&mut best, genome, fitness);
+            }
         }
-    }
-}
-
-impl SearchStrategy for HillClimb {
-    fn name(&self) -> &'static str {
-        "hill-climb"
-    }
-
-    fn search(
-        &self,
-        space: &SearchSpace,
-        eval: &mut Evaluator<'_>,
-        rng: &mut StdRng,
-        log: &mut ProgressLog<'_>,
-    ) -> Result<BestCandidate, OptError> {
-        let mut best = evaluate_seeds(space, eval)?;
-        log_round(log, eval, &best);
-        let Some(start) = &best else {
-            return Err(missing_best());
-        };
-        let mut current = start.clone();
-        let mut stuck = 0usize;
-        let mut dry = 0usize;
-        while eval.remaining() > 0 && dry <= DRY_ROUND_LIMIT {
-            let replays_before = eval.replays();
-            let neighbours: Vec<Genome> = (0..self.neighbours.max(1))
-                .map(|_| space.mutate(&current.genome, rng))
-                .collect();
-            let scores = eval.evaluate_batch(&neighbours)?;
-            let mut round_best: Option<BestCandidate> = None;
-            for (genome, fitness) in neighbours.iter().zip(scores) {
-                if let Some(fitness) = fitness {
-                    BestCandidate::consider(&mut round_best, genome, fitness);
-                    BestCandidate::consider(&mut best, genome, fitness);
-                }
-            }
-            match round_best {
-                Some(rb) if rb.fitness.key() < current.fitness.key() => {
-                    current = rb;
-                    stuck = 0;
-                }
-                Some(_) => stuck += 1,
-                None => {} // budget ran dry mid-round; the loop exits
-            }
-            if stuck > self.patience {
-                // restart from a fresh random point; its score arrives with the next
-                // neighbour round
-                let genome = space.random(rng);
-                let fitness = eval
-                    .evaluate_batch(std::slice::from_ref(&genome))?
-                    .pop()
-                    .flatten();
-                if let Some(fitness) = fitness {
-                    BestCandidate::consider(&mut best, &genome, fitness);
-                    current = BestCandidate { genome, fitness };
-                }
+        match round_best {
+            Some(rb) if rb.fitness.key() < current.fitness.key() => {
+                current = rb;
                 stuck = 0;
             }
-            dry = if eval.replays() == replays_before {
-                dry + 1
-            } else {
-                0
-            };
-            log_round(log, eval, &best);
+            Some(_) => stuck += 1,
+            None => {} // budget ran dry mid-round; the loop exits
         }
-        best.ok_or_else(missing_best)
+        if stuck > CLIMB_PATIENCE {
+            // restart from a fresh random point; its score arrives with the next
+            // neighbour round
+            let genome = space.random(rng);
+            let fitness = eval
+                .evaluate_batch(std::slice::from_ref(&genome))?
+                .pop()
+                .flatten();
+            if let Some(fitness) = fitness {
+                BestCandidate::consider(&mut best, &genome, fitness);
+                current = BestCandidate { genome, fitness };
+            }
+            stuck = 0;
+        }
+        dry = if eval.replays() == replays_before {
+            dry + 1
+        } else {
+            0
+        };
+        log_round(log, eval, &best);
     }
+    best.ok_or_else(missing_best)
 }
 
 /// (μ+λ) evolutionary search: tournament parent selection, uniform crossover, point
 /// mutation, and truncation survival over the union of parents and offspring.
-#[derive(Debug, Clone)]
-pub struct Evolutionary {
-    /// Survivor population size μ.
-    pub mu: usize,
-    /// Offspring per generation λ.
-    pub lambda: usize,
-    /// Probability an offspring is a crossover of two parents (otherwise a mutant clone).
-    pub crossover_rate: f64,
-}
-
-impl Default for Evolutionary {
-    fn default() -> Self {
-        Evolutionary {
-            mu: 8,
-            lambda: 16,
-            crossover_rate: 0.9,
-        }
-    }
-}
-
-impl SearchStrategy for Evolutionary {
-    fn name(&self) -> &'static str {
-        "evolutionary"
+fn evolutionary(
+    space: &SearchSpace,
+    eval: &mut Evaluator<'_>,
+    rng: &mut StdRng,
+    log: &mut ProgressLog<'_>,
+    mut best: Option<BestCandidate>,
+) -> Result<BestCandidate, OptError> {
+    if best.is_none() {
+        return Err(missing_best());
     }
 
-    fn search(
-        &self,
-        space: &SearchSpace,
-        eval: &mut Evaluator<'_>,
-        rng: &mut StdRng,
-        log: &mut ProgressLog<'_>,
-    ) -> Result<BestCandidate, OptError> {
-        let mu = self.mu.max(2);
-        let lambda = self.lambda.max(1);
-        let mut best = evaluate_seeds(space, eval)?;
-        log_round(log, eval, &best);
-        if best.is_none() {
-            return Err(missing_best());
-        }
+    // Initial population: the heuristic seeds plus random genomes up to μ.
+    let mut init: Vec<Genome> = (0..space.geometries.len().min(MU))
+        .map(|g| space.seeded(g))
+        .collect();
+    while init.len() < MU {
+        init.push(space.random(rng));
+    }
+    let scores = eval.evaluate_batch(&init)?;
+    let mut population: Vec<BestCandidate> = init
+        .into_iter()
+        .zip(scores)
+        .filter_map(|(genome, fitness)| fitness.map(|fitness| BestCandidate { genome, fitness }))
+        .collect();
+    for member in &population {
+        BestCandidate::consider(&mut best, &member.genome, member.fitness);
+    }
+    sort_population(&mut population);
 
-        // Initial population: the heuristic seeds plus random genomes up to μ.
-        let mut init: Vec<Genome> = (0..space.geometries.len().min(mu))
-            .map(|g| space.seeded(g))
-            .collect();
-        while init.len() < mu {
-            init.push(space.random(rng));
-        }
-        let scores = eval.evaluate_batch(&init)?;
-        let mut population: Vec<BestCandidate> = init
-            .into_iter()
-            .zip(scores)
-            .filter_map(|(genome, fitness)| {
-                fitness.map(|fitness| BestCandidate { genome, fitness })
+    let mut dry = 0usize;
+    while eval.remaining() > 0 && !population.is_empty() && dry <= DRY_ROUND_LIMIT {
+        let replays_before = eval.replays();
+        let offspring: Vec<Genome> = (0..LAMBDA)
+            .map(|_| {
+                let a = tournament(&population, rng);
+                let child = if rng.random_bool(CROSSOVER_RATE) {
+                    let b = tournament(&population, rng);
+                    space.crossover(&population[a].genome, &population[b].genome, rng)
+                } else {
+                    population[a].genome.clone()
+                };
+                space.mutate(&child, rng)
             })
             .collect();
-        for member in &population {
-            BestCandidate::consider(&mut best, &member.genome, member.fitness);
+        let scores = eval.evaluate_batch(&offspring)?;
+        for (genome, fitness) in offspring.into_iter().zip(scores) {
+            let Some(fitness) = fitness else { continue };
+            BestCandidate::consider(&mut best, &genome, fitness);
+            population.push(BestCandidate { genome, fitness });
         }
+        // (μ+λ) truncation: parents compete with offspring; duplicates collapse so
+        // a converged population keeps exploring distinct genomes.
         sort_population(&mut population);
-
-        let mut dry = 0usize;
-        while eval.remaining() > 0 && !population.is_empty() && dry <= DRY_ROUND_LIMIT {
-            let replays_before = eval.replays();
-            let offspring: Vec<Genome> = (0..lambda)
-                .map(|_| {
-                    let a = tournament(&population, rng);
-                    let child = if rng.random_bool(self.crossover_rate) {
-                        let b = tournament(&population, rng);
-                        space.crossover(&population[a].genome, &population[b].genome, rng)
-                    } else {
-                        population[a].genome.clone()
-                    };
-                    space.mutate(&child, rng)
-                })
-                .collect();
-            let scores = eval.evaluate_batch(&offspring)?;
-            for (genome, fitness) in offspring.into_iter().zip(scores) {
-                let Some(fitness) = fitness else { continue };
-                BestCandidate::consider(&mut best, &genome, fitness);
-                population.push(BestCandidate { genome, fitness });
-            }
-            // (μ+λ) truncation: parents compete with offspring; duplicates collapse so
-            // a converged population keeps exploring distinct genomes.
-            sort_population(&mut population);
-            population.dedup_by(|a, b| a.genome == b.genome);
-            population.truncate(mu);
-            dry = if eval.replays() == replays_before {
-                dry + 1
-            } else {
-                0
-            };
-            log_round(log, eval, &best);
-        }
-        best.ok_or_else(missing_best)
+        population.dedup_by(|a, b| a.genome == b.genome);
+        population.truncate(MU);
+        dry = if eval.replays() == replays_before {
+            dry + 1
+        } else {
+            0
+        };
+        log_round(log, eval, &best);
     }
+    best.ok_or_else(missing_best)
 }
 
-/// Sorts by fitness key then canonical encoding — a strict total order, so the survivor
-/// set is schedule-independent.
+/// Sorts by fitness key then genome — a strict total order, so the survivor set is
+/// schedule-independent.
 fn sort_population(population: &mut [BestCandidate]) {
-    population.sort_by(|a, b| {
-        a.fitness
-            .key()
-            .cmp(&b.fitness.key())
-            .then_with(|| a.genome.encode().cmp(&b.genome.encode()))
-    });
+    population.sort_by(|a, b| (a.fitness.key(), &a.genome).cmp(&(b.fitness.key(), &b.genome)));
 }
 
 /// Binary tournament: two uniform picks, the fitter index wins.
@@ -441,14 +336,16 @@ fn tournament(population: &[BestCandidate], rng: &mut StdRng) -> usize {
     }
 }
 
-/// The strategies `ccache tune` can request by name.
+/// The search strategies, which `ccache tune` requests by name.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum StrategyKind {
-    /// Full enumeration (small spaces) — [`Exhaustive`].
+    /// Full enumeration in canonical order: exact on small spaces, a deterministic
+    /// prefix scan otherwise, 64 genomes per round.
     Exhaustive,
-    /// Random-restart hill climbing — [`HillClimb`].
+    /// Random-restart hill climbing: 16 neighbours per round, a restart after 3
+    /// non-improving rounds.
     HillClimb,
-    /// (μ+λ) evolutionary search — [`Evolutionary`].
+    /// (μ+λ) evolutionary search with μ = 8, λ = 16 and crossover rate 0.9.
     #[default]
     Evolutionary,
 }
@@ -471,12 +368,26 @@ impl StrategyKind {
         }
     }
 
-    /// Builds the strategy with its default parameters.
-    pub fn build(self) -> Box<dyn SearchStrategy> {
+    /// Runs this strategy until the evaluator's budget is exhausted (or the space is
+    /// covered), returning the best candidate found.
+    ///
+    /// # Errors
+    ///
+    /// Fails when the budget allows no evaluation, and propagates evaluation errors; a
+    /// search over a well-formed space does not fail otherwise.
+    pub fn search(
+        self,
+        space: &SearchSpace,
+        eval: &mut Evaluator<'_>,
+        rng: &mut StdRng,
+        log: &mut ProgressLog<'_>,
+    ) -> Result<BestCandidate, OptError> {
+        let best = evaluate_seeds(space, eval)?;
+        log_round(log, eval, &best);
         match self {
-            StrategyKind::Exhaustive => Box::new(Exhaustive::default()),
-            StrategyKind::HillClimb => Box::new(HillClimb::default()),
-            StrategyKind::Evolutionary => Box::new(Evolutionary::default()),
+            StrategyKind::Exhaustive => exhaustive(space, eval, log, best),
+            StrategyKind::HillClimb => hill_climb(space, eval, rng, log, best),
+            StrategyKind::Evolutionary => evolutionary(space, eval, rng, log, best),
         }
     }
 }
@@ -535,13 +446,11 @@ mod tests {
             &Registry::new(),
         )
         .unwrap();
-        let mut eval = Evaluator::new(&space, &t, budget, false);
+        let registry = Registry::new();
+        let mut eval = Evaluator::new(&space, &t, budget, false, &registry);
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut log = ProgressLog::new();
-        let best = kind
-            .build()
-            .search(&space, &mut eval, &mut rng, &mut log)
-            .unwrap();
+        let mut log = ProgressLog::new(&registry, None);
+        let best = kind.search(&space, &mut eval, &mut rng, &mut log).unwrap();
         (best, log.into_points())
     }
 
@@ -557,7 +466,7 @@ mod tests {
             &Registry::new(),
         )
         .unwrap();
-        let mut eval = Evaluator::new(&space, &t, 1, false);
+        let mut eval = Evaluator::new(&space, &t, 1, false, &Registry::new());
         let heuristic = eval
             .evaluate_batch(&[space.seeded(0)])
             .unwrap()

@@ -247,35 +247,6 @@ impl ToJson for TuneOutcome {
     }
 }
 
-/// Forwards each generation to the telemetry registry, then to an optional
-/// caller-supplied observer. Keeps the per-generation instrumentation (one counter
-/// increment and one gauge store) out of the strategies themselves.
-struct TelemetryProgress<'a> {
-    generations: ccache_telemetry::Counter,
-    best_misses: ccache_telemetry::Gauge,
-    next: Option<&'a mut dyn TuneProgress>,
-}
-
-impl<'a> TelemetryProgress<'a> {
-    fn new(registry: &Registry, next: Option<&'a mut dyn TuneProgress>) -> Self {
-        TelemetryProgress {
-            generations: registry.counter("opt.generations"),
-            best_misses: registry.gauge("opt.best.misses"),
-            next,
-        }
-    }
-}
-
-impl TuneProgress for TelemetryProgress<'_> {
-    fn on_generation(&mut self, point: &GenerationPoint) {
-        self.generations.incr();
-        self.best_misses.set(point.best.misses);
-        if let Some(next) = self.next.as_deref_mut() {
-            next.on_generation(point);
-        }
-    }
-}
-
 /// Runs one tuning search over a workload, streaming per-generation progress.
 ///
 /// Observation never steers the search: the trajectory and result are the same with or
@@ -308,8 +279,7 @@ pub fn tune_observed(
         &request.forced,
         telemetry,
     )?;
-    let mut eval = Evaluator::new(&space, trace, request.budget, request.serial);
-    eval.set_telemetry(telemetry);
+    let mut eval = Evaluator::new(&space, trace, request.budget, request.serial, telemetry);
 
     // Reference points: the paper's heuristic layout (geometry 0 is always the
     // template) and the plain set-associative cache. The heuristic replay is also the
@@ -332,10 +302,10 @@ pub fn tune_observed(
     };
 
     let mut rng = StdRng::seed_from_u64(request.seed);
-    let mut observer = TelemetryProgress::new(telemetry, progress);
-    let mut log = ProgressLog::with_observer(&mut observer);
-    let strategy = request.strategy.build();
-    let mut best = strategy.search(&space, &mut eval, &mut rng, &mut log)?;
+    let mut log = ProgressLog::new(telemetry, progress);
+    let mut best = request
+        .strategy
+        .search(&space, &mut eval, &mut rng, &mut log)?;
     let convergence = log.into_points();
 
     // The seeds are evaluated first by every strategy, so this cannot trigger; it is a
@@ -363,11 +333,11 @@ pub fn tune_observed(
         .collect();
 
     Ok(TuneOutcome {
-        strategy: strategy.name().to_owned(),
+        strategy: request.strategy.to_string(),
         seed: request.seed,
         budget: request.budget,
         replays: eval.replays(),
-        distinct: eval.distinct(),
+        distinct: eval.replays(),
         geometries: space.geometries.len(),
         cardinality: space.cardinality(),
         best_config: BestConfig::from_config(&geo.config),
@@ -478,26 +448,37 @@ mod tests {
         }
 
         let (t, s) = workload();
-        let plain = tune(&t, &s, &request()).unwrap();
+        for strategy in StrategyKind::ALL {
+            let request = TuneRequest {
+                strategy,
+                ..request()
+            };
+            let plain_registry = Registry::new();
+            let plain = tune_observed(&t, &s, &request, &plain_registry, None).unwrap();
+            let registry = Registry::new();
+            let mut collect = Collect(Vec::new());
+            let observed = tune_observed(&t, &s, &request, &registry, Some(&mut collect)).unwrap();
 
-        let registry = Registry::new();
-        let mut collect = Collect(Vec::new());
-        let observed = tune_observed(&t, &s, &request(), &registry, Some(&mut collect)).unwrap();
-
-        // Observation never steers the search.
-        assert_eq!(plain.to_json().pretty(), observed.to_json().pretty());
-        // The live stream is exactly the convergence log, in order.
-        assert_eq!(collect.0, observed.convergence);
-        // Telemetry saw one increment per generation and the final best gauge.
-        assert_eq!(
-            registry.counter_value("opt.generations"),
-            observed.convergence.len() as u64
-        );
-        assert_eq!(
-            registry.gauge_value("opt.best.misses"),
-            observed.convergence.last().unwrap().best.misses
-        );
-        assert!(registry.counter_value("opt.evaluations") > 0);
+            // Observation never steers the search.
+            assert_eq!(plain.to_json().pretty(), observed.to_json().pretty());
+            // The live stream is exactly the convergence log, in order.
+            assert_eq!(collect.0, observed.convergence, "{strategy}");
+            // With or without an observer, telemetry saw one increment per generation
+            // and the final best.
+            for (registry, outcome) in [(&plain_registry, &plain), (&registry, &observed)] {
+                assert_eq!(
+                    registry.counter_value("opt.generations"),
+                    outcome.convergence.len() as u64,
+                    "{strategy}"
+                );
+                assert_eq!(
+                    registry.gauge_value("opt.best.misses"),
+                    outcome.best.fitness.misses,
+                    "{strategy}"
+                );
+                assert!(registry.counter_value("opt.evaluations") > 0);
+            }
+        }
     }
 
     #[test]

@@ -87,7 +87,7 @@ impl PageTable {
     }
 
     /// Sets the cacheability of a single page. Returns the previous entry.
-    pub fn set_page_cacheable(&mut self, vpn: u64, cacheable: bool) -> PageEntry {
+    fn set_page_cacheable(&mut self, vpn: u64, cacheable: bool) -> PageEntry {
         let prev = self.entry(vpn);
         self.entries.insert(vpn, PageEntry { cacheable, ..prev });
         self.entry_writes += 1;
@@ -121,7 +121,7 @@ impl PageTable {
     }
 
     /// The page numbers overlapping a byte range.
-    pub fn pages_in(&self, range: Range<u64>) -> Vec<u64> {
+    fn pages_in(&self, range: Range<u64>) -> Vec<u64> {
         if range.is_empty() {
             return Vec::new();
         }

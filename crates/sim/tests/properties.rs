@@ -77,18 +77,11 @@ impl ReferenceCache {
     /// Drops every line; returns how many were valid and dirty.
     fn flush(&mut self) -> u64 {
         let dirty = self.lines.iter().filter(|l| l.valid && l.dirty).count();
-        self.invalidate_all();
-        dirty as u64
-    }
-
-    /// Drops every line; returns how many were valid.
-    fn invalidate_all(&mut self) -> u64 {
-        let valid = self.lines.iter().filter(|l| l.valid).count();
         for line in &mut self.lines {
             line.valid = false;
             line.dirty = false;
         }
-        valid as u64
+        dirty as u64
     }
 
     /// `(set, column, line address)` of every valid line, in set-then-column order.
@@ -476,9 +469,8 @@ proptest! {
     /// offered `columns + 2` lines, so hits, evictions and re-fills alternate and a third
     /// of the accesses repeat their set's previous line (the hinted path). Writes,
     /// per-access masks (every column, random bits, or one column that may lie out of
-    /// range) and `flush`/`invalidate_all` calls are interleaved. Every outcome, every flush
-    /// and invalidation count and the final contents must agree, for every policy and
-    /// for 1 to 64 columns.
+    /// range) and `flush` calls are interleaved. Every outcome, every flush count and the
+    /// final contents must agree, for every policy and for 1 to 64 columns.
     #[test]
     fn hinted_cache_matches_the_reference_model_on_hot_sets(
         geometry_idx in 0usize..GEOMETRIES.len() + WIDE_GEOMETRIES.len(),
@@ -508,7 +500,6 @@ proptest! {
             let set = set % sets.min(3);
             match kind {
                 0 | 1 => prop_assert_eq!(cache.flush(), model.flush()),
-                2 => prop_assert_eq!(cache.invalidate_all(), model.invalidate_all()),
                 _ => {
                     let tag = if kind < 36 {
                         previous[set]

@@ -115,17 +115,6 @@ impl TraceRecorder {
         self.record(var, offset, size, AccessKind::Write);
     }
 
-    /// Records an access at an absolute address not associated with any variable.
-    pub fn record_raw(&mut self, addr: u64, size: u32, kind: AccessKind) {
-        let var = self.symbols.resolve(addr);
-        self.trace.push(MemAccess {
-            addr,
-            size,
-            kind,
-            var,
-        });
-    }
-
     /// Current number of recorded events.
     pub fn len(&self) -> usize {
         self.trace.len()
@@ -188,18 +177,6 @@ mod tests {
         assert!(r1.symbols().region(a).unwrap().base >= 0x10_0000);
         assert!(r2.symbols().region(b).unwrap().base >= 0x20_0000);
         assert!(r1.symbols().region(a).unwrap().base < 0x20_0000);
-    }
-
-    #[test]
-    fn record_raw_resolves_known_addresses() {
-        let mut rec = TraceRecorder::new();
-        let a = rec.allocate("a", 64, 8);
-        let base = rec.symbols().region(a).unwrap().base;
-        rec.record_raw(base + 4, 4, AccessKind::Read);
-        rec.record_raw(0xffff_0000, 4, AccessKind::Read);
-        let (t, _) = rec.finish();
-        assert_eq!(t.get(0).unwrap().var, Some(a));
-        assert_eq!(t.get(1).unwrap().var, None);
     }
 
     #[test]

@@ -134,6 +134,26 @@ fn flags_past_the_simulator_limits_are_refused() {
 }
 
 #[test]
+fn dynamic_without_recorded_phases_is_refused_before_any_workload_loads() {
+    // The heuristic job would load the trace first; the refusal names the policy, not a
+    // file that was never opened.
+    let missing = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("never-written.cct");
+    let missing = missing.to_str().expect("utf-8 path");
+    let spec = format!(
+        r#"{{"name": "phases", "replay": [{{"workloads": [{{"trace": "{missing}"}}],
+            "policies": ["heuristic", "dynamic"]}}]}}"#
+    );
+    assert_refused(
+        "dynamic-trace",
+        &spec,
+        &format!(
+            "the 'dynamic' policy needs recorded phases; only the 'mpeg-combined' corpus \
+             workload has them (got '{missing}')"
+        ),
+    );
+}
+
+#[test]
 fn traces_without_line_breaks_are_refused_within_seconds() {
     // A text trace is read line by line; `/dev/zero` is one endless line, which the
     // reader once buffered until the allocation failed and the process aborted.

@@ -10,7 +10,7 @@
 use crate::engine::ReplayEngine;
 use crate::error::CoreError;
 use crate::observe::{ReplayEvent, ReplayObserver};
-use crate::placement::{page_aligned, relocate};
+use crate::placement::{page_aligned, Placement};
 use crate::runner::{assign_columns_in, CacheMapping, RunResult};
 use ccache_layout::weights::TraceProfile;
 use ccache_layout::{LayoutOptions, WeightOptions};
@@ -57,7 +57,8 @@ impl DynamicRunResult {
 /// `registry`.
 ///
 /// `phases` are `(name, trace)` pairs sharing `symbols`. The variables are first placed
-/// page-aligned (so per-variable tinting is exact), then each phase is laid out and run.
+/// page-aligned (so per-variable tinting is exact), then each phase is laid out and run
+/// on its own events, read through that one [`Placement`].
 ///
 /// When `observe` is set, a streaming [`ReplayObserver`] receives windowed samples every
 /// `window` references plus [`ReplayEvent::PhaseStart`], [`ReplayEvent::Remap`] and
@@ -76,15 +77,7 @@ pub fn run_dynamic_in(
     mut observe: Option<(u64, &mut dyn ReplayObserver)>,
 ) -> Result<DynamicRunResult, CoreError> {
     let column_bytes = config.column_bytes();
-    let plan = page_aligned(symbols, 0x10_0000, config.page_size);
-    // Relocate each phase's trace with the same placement.
-    let relocated: Vec<(String, Trace, SymbolTable)> = phases
-        .iter()
-        .map(|(name, trace)| {
-            let (t, s) = relocate(trace, symbols, &plan);
-            (name.clone(), t, s)
-        })
-        .collect();
+    let placement = Placement::new(symbols, &page_aligned(symbols, 0x10_0000, config.page_size));
 
     let mut engine = ReplayEngine::new(BackendKind::ColumnCache, config.system_config()?)?;
     engine.set_telemetry(registry);
@@ -95,14 +88,17 @@ pub fn run_dynamic_in(
     };
     let layout_opts = LayoutOptions::new(config.columns, column_bytes);
 
-    let mut phase_results = Vec::with_capacity(relocated.len());
+    let mut phase_results = Vec::with_capacity(phases.len());
     let mut total_cycles = 0u64;
     let mut total_control = 0u64;
     let mut replayed_refs = 0u64;
-    for (name, trace, new_symbols) in &relocated {
+    for (name, trace) in phases {
         // Per-phase layout.
         let (graph, units) =
-            TraceProfile::new(trace, new_symbols, &weight_opts)?.conflict_graph(column_bytes)?;
+            TraceProfile::placed(trace, placement.symbols(), &weight_opts, |ev| {
+                placement.place(ev)
+            })?
+            .conflict_graph(column_bytes)?;
         let assignment = assign_columns_in(&graph, &layout_opts, registry)?;
 
         // Columns whose resident data fits entirely in the column are pre-loaded and made
@@ -123,8 +119,12 @@ pub fn run_dynamic_in(
             exclusive_columns
         };
 
-        let mapping =
-            CacheMapping::from_assignment(&assignment, &units, new_symbols, &exclusive_columns);
+        let mapping = CacheMapping::from_assignment(
+            &assignment,
+            &units,
+            placement.symbols(),
+            &exclusive_columns,
+        );
         // Re-applying a mapping on a warm system is exactly the dynamic remapping the
         // paper describes: tints are redefined and affected pages re-tinted.
         if let Some((_, observer)) = observe.as_mut() {
@@ -144,7 +144,8 @@ pub fn run_dynamic_in(
         let phase_observer = observe
             .as_mut()
             .map(|(window, observer)| (*window, &mut **observer as &mut dyn ReplayObserver));
-        let Ok(result) = engine.replay_from(name, trace.as_slice(), phase_observer);
+        let Ok(result) =
+            engine.replay_from(name, placement.events(trace.as_slice()), phase_observer);
         replayed_refs += result.references;
         if let Some((_, observer)) = observe.as_mut() {
             observer.on_event(&ReplayEvent::PhaseEnd {

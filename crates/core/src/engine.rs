@@ -7,8 +7,9 @@
 //! [`ReplayEngine::replay_from`]:
 //!
 //! * references come from a [`RefSource`]: in-memory events staged into the engine's
-//!   buffer, a streaming [`TraceReader`], or a caller-defined source such as the
-//!   multitask scheduler;
+//!   buffer, the same events staged at their placed addresses
+//!   ([`Placement::events`](crate::placement::Placement::events)), a streaming
+//!   [`TraceReader`], or a caller-defined source such as the multitask scheduler;
 //! * they are fed to the backend in **batches** ([`MemoryBackend::run_batch`]), which
 //!   runs each reference through the backend's one per-reference datapath, so
 //!   statistics are those of per-reference replay ([`run_on`](crate::runner::run_on));
@@ -41,9 +42,10 @@ const DEFAULT_BATCH: usize = 4096;
 /// A stream of `(address, is_write)` references that [`ReplayEngine::replay_from`]
 /// pulls one batch at a time.
 ///
-/// Implemented for in-memory events (`&[MemAccess]`, staged into the engine's buffer)
-/// and the streaming binary [`TraceReader`] (decoded into the buffer), plus `&mut` of
-/// any source.
+/// Implemented for in-memory events (`&[MemAccess]`, staged into the engine's buffer),
+/// the same events at their placed addresses
+/// ([`PlacedEvents`](crate::placement::PlacedEvents)) and the streaming binary
+/// [`TraceReader`] (decoded into the buffer), plus `&mut` of any source.
 pub trait RefSource {
     /// The decode failure; [`Infallible`] for in-memory sources.
     type Error;

@@ -6,12 +6,14 @@
 //!
 //! * [`engine`] — the [`ReplayEngine`], whose one batch loop
 //!   ([`ReplayEngine::replay_from`]) runs every replay below, over any [`RefSource`]:
-//!   in-memory events, a streaming trace reader or the multitask scheduler.
+//!   in-memory events, events read through a placement, a streaming trace reader or the
+//!   multitask scheduler.
 //! * [`runner`] — program a [`ccache_sim::MemorySystem`] from a column assignment
 //!   ([`runner::CacheMapping`]), and the per-reference reference replay
 //!   ([`runner::run_on`]).
-//! * [`placement`] — relocate program variables (page alignment, scratchpad packing)
-//!   before an experiment.
+//! * [`placement`] — place program variables (page alignment, scratchpad packing) for
+//!   an experiment, as an address map the layout profile and the replay read the
+//!   workload's events through.
 //! * [`partition`] — one point of the Figure 4 scratchpad/cache partition sweep.
 //! * [`dynamic`] — the dynamically remapped column-cache run of Figure 4(d).
 //! * [`multitask`] — one point of the Figure 5 multitasking CPI-vs-quantum experiment.
@@ -76,7 +78,7 @@ pub use multitask::{
 };
 pub use observe::{ReplayEvent, ReplayObserver, SeriesRecorder, TimeSeries, WindowSample};
 pub use partition::{run_partition_point_in, PartitionConfig, PartitionPoint, PartitionSweep};
-pub use placement::{pack_scratchpad_first, page_aligned, relocate, PlacementPlan};
+pub use placement::{pack_scratchpad_first, page_aligned, PlacedEvents, Placement, PlacementPlan};
 pub use report::SweepReport;
 pub use runner::{run_on, CacheMapping, RegionMapping, RunResult};
 

@@ -10,7 +10,8 @@
 //!    capacity (the paper's "critical data" selection, following Panda et al.);
 //! 2. the selected variables are *placed* contiguously in a column-aligned block so the
 //!    scratchpad columns hold them without internal conflicts, and every other variable is
-//!    placed page-aligned;
+//!    placed page-aligned; the [`Placement`] maps each event to its placed address as the
+//!    layout profile and the replay read the workload's own events;
 //! 3. the scratchpad block is mapped exclusively (and pre-loaded) onto the scratchpad
 //!    columns, and the remaining variables are assigned to the cache columns by the
 //!    layout algorithm of Section 3;
@@ -18,7 +19,7 @@
 
 use crate::engine::ReplayEngine;
 use crate::error::CoreError;
-use crate::placement::{pack_scratchpad_first, relocate};
+use crate::placement::{pack_scratchpad_first, Placement};
 use crate::runner::{assign_columns_in, CacheMapping, RegionMapping, RunResult};
 use ccache_layout::weights::TraceProfile;
 use ccache_layout::{ConflictGraph, LayoutOptions, WeightOptions};
@@ -27,11 +28,11 @@ use ccache_sim::{CacheConfig, ColumnMask, LatencyConfig, SystemConfig};
 use ccache_telemetry::Registry;
 use ccache_trace::{SymbolTable, Trace, VarId};
 use ccache_workloads::WorkloadRun;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
-/// Base address of the packed scratchpad block in the relocated memory map.
+/// Base address of the packed scratchpad block in the placed memory map.
 const SCRATCHPAD_BASE: u64 = 0x4_0000;
-/// Base address of the page-aligned general variables in the relocated memory map.
+/// Base address of the page-aligned general variables in the placed memory map.
 const GENERAL_BASE: u64 = 0x10_0000;
 
 /// Configuration of a partition-sweep experiment.
@@ -134,29 +135,30 @@ impl PartitionSweep {
 /// access density, skipping variables that do not fit in the remaining space.
 ///
 /// An event counts for its annotated variable, else for the region its address resolves
-/// to. A variable's density is its access count per byte of its region, or the bare count
-/// when the symbol table does not size it; ties go to the lower [`VarId`].
+/// to; the counts are one dense pass over the trace. A variable's density is its access
+/// count per byte of its region; ties go to the lower [`VarId`]. Variables never accessed
+/// are not candidates, and neither are ids the symbol table does not know, which have no
+/// size to fit.
 pub fn select_scratchpad_vars(trace: &Trace, symbols: &SymbolTable, capacity: u64) -> Vec<VarId> {
     if capacity == 0 {
         return Vec::new();
     }
-    let mut accesses: BTreeMap<VarId, u64> = BTreeMap::new();
+    let mut accesses = vec![0u64; symbols.len()];
     for ev in trace {
-        if let Some(var) = ev.var.or_else(|| symbols.resolve(ev.addr)) {
-            *accesses.entry(var).or_default() += 1;
+        if let Some(count) = ev
+            .var
+            .or_else(|| symbols.resolve(ev.addr))
+            .and_then(|var| accesses.get_mut(var.index()))
+        {
+            *count += 1;
         }
     }
-    let mut ranked: Vec<(VarId, u64, f64)> = accesses
-        .into_iter()
-        .map(|(var, count)| {
-            let size = symbols.region(var).map_or(0, |r| r.size);
-            let density = if size == 0 {
-                count as f64
-            } else {
-                count as f64 / size as f64
-            };
-            (var, size, density)
-        })
+    // regions are never empty, so every density is finite
+    let mut ranked: Vec<(VarId, u64, f64)> = symbols
+        .iter()
+        .zip(accesses)
+        .filter(|&(_, count)| count > 0)
+        .map(|(region, count)| (region.id, region.size, count as f64 / region.size as f64))
         .collect();
     ranked.sort_by(|a, b| {
         b.2.partial_cmp(&a.2)
@@ -166,7 +168,7 @@ pub fn select_scratchpad_vars(trace: &Trace, symbols: &SymbolTable, capacity: u6
     let mut selected = Vec::new();
     let mut used = 0u64;
     for (var, size, _) in ranked {
-        if size > 0 && used + size <= capacity {
+        if used + size <= capacity {
             selected.push(var);
             used += size;
         }
@@ -202,7 +204,7 @@ pub fn run_partition_point_in(
     let column_bytes = config.column_bytes();
     let scratchpad_capacity = scratchpad_columns as u64 * column_bytes;
 
-    // Relocation keeps every variable's size, so the layout's unit count is known now.
+    // Placement keeps every variable's size, so the layout's unit count is known now.
     let weight_opts = WeightOptions {
         column_bytes,
         split_large_variables: true,
@@ -215,7 +217,7 @@ pub fn run_partition_point_in(
         select_scratchpad_vars(&workload.trace, &workload.symbols, scratchpad_capacity);
     let scratch_set: BTreeSet<VarId> = scratch_vars.iter().copied().collect();
 
-    // 2. Relocate: scratchpad residents packed contiguously, everything else page-aligned.
+    // 2. Place: scratchpad residents packed contiguously, everything else page-aligned.
     let plan = pack_scratchpad_first(
         &workload.symbols,
         &scratch_vars,
@@ -223,7 +225,8 @@ pub fn run_partition_point_in(
         GENERAL_BASE,
         config.page_size,
     );
-    let (trace, symbols) = relocate(&workload.trace, &workload.symbols, &plan);
+    let placement = Placement::new(&workload.symbols, &plan);
+    let symbols = placement.symbols();
 
     // 3. Build the cache mapping.
     let mut mapping = CacheMapping::new();
@@ -245,8 +248,10 @@ pub fn run_partition_point_in(
     }
 
     // The remaining variables go to the cache columns via the layout algorithm.
-    let (graph, units) =
-        TraceProfile::new(&trace, &symbols, &weight_opts)?.conflict_graph(column_bytes)?;
+    let (graph, units) = TraceProfile::placed(&workload.trace, symbols, &weight_opts, |ev| {
+        placement.place(ev)
+    })?
+    .conflict_graph(column_bytes)?;
     // Reduce the graph to the units of non-scratchpad variables, keeping the edges whose
     // endpoints both stay.
     let mut reduced = ConflictGraph::new();
@@ -303,7 +308,11 @@ pub fn run_partition_point_in(
     let mut engine = ReplayEngine::new(kind, system_config)?;
     engine.set_telemetry(registry);
     engine.apply(&mapping)?;
-    let result = engine.replay(&format!("{}-cache{}", workload.name, cache_columns), &trace);
+    let Ok(result) = engine.replay_from(
+        &format!("{}-cache{}", workload.name, cache_columns),
+        placement.events(workload.trace.as_slice()),
+        None,
+    );
     let cycles = if config.include_control {
         result.total_cycles_with_control()
     } else {

@@ -1,15 +1,18 @@
-//! Address placement: relocating program variables for column-cache experiments.
+//! Address placement: moving program variables for column-cache experiments.
 //!
 //! The column-cache mapping granularity is a page, and scratchpad emulation needs the
 //! region mapped to a column to cover each cache set exactly once per allotted way. Both
 //! requirements are placement (link-time address assignment) concerns, so this module
-//! rewrites a recorded trace to a new memory map: variables selected for scratchpad are
+//! gives a recorded workload a new memory map: variables selected for scratchpad are
 //! packed contiguously in a column-aligned block, every other variable starts on its own
-//! page. The relocation preserves each variable's internal layout, so the reference stream
-//! is unchanged except for the base address of every variable.
+//! page. A [`Placement`] maps each event to its placed address as the layout profile and
+//! the replay read it, preserving each variable's internal layout, so the reference
+//! stream is unchanged except for the base address of every variable.
 
-use ccache_trace::{MemAccess, SymbolTable, Trace, VarId};
+use crate::engine::{take_front, RefSource};
+use ccache_trace::{MemAccess, SymbolTable, VarId};
 use std::collections::BTreeMap;
+use std::convert::Infallible;
 
 /// A plan mapping each variable to a new base address.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -86,45 +89,105 @@ pub fn page_aligned(symbols: &SymbolTable, base: u64, page_size: u64) -> Placeme
     plan
 }
 
-/// Applies a placement plan: returns the relocated trace and the new symbol table.
-///
-/// Variables without a planned target keep their original addresses. Events not attributed
-/// to any variable are left untouched.
-pub fn relocate(
-    trace: &Trace,
-    symbols: &SymbolTable,
-    plan: &PlacementPlan,
-) -> (Trace, SymbolTable) {
-    // Build the new symbol table (preserving ids and order).
-    let mut new_symbols = SymbolTable::with_base(0);
-    for region in symbols.iter() {
-        let base = plan.target(region.id).unwrap_or(region.base);
-        // insert_at preserves explicit placement; ids are assigned in order, matching the
-        // original ids because we iterate in allocation order.
-        new_symbols
-            .insert_at(&region.name, base, region.size)
-            .expect("plan produced overlapping regions");
+/// A placement plan applied to a symbol table, as an address map: the placed symbol
+/// table, and the shift that moves each variable from its recorded base to its planned
+/// one. The layout profile ([`Placement::place`]) and the replay ([`Placement::events`])
+/// read a workload's own events through it; the map itself is O(variables), whatever the
+/// length of the trace.
+#[derive(Debug, Clone)]
+pub struct Placement<'s> {
+    recorded: &'s SymbolTable,
+    placed: SymbolTable,
+    /// The planned base minus the recorded base of each variable, modulo 2^64, indexed
+    /// by [`VarId`].
+    shifts: Vec<u64>,
+}
+
+impl<'s> Placement<'s> {
+    /// Applies `plan` to `symbols`. Variables without a planned target keep their
+    /// addresses; the placed table keeps every id, name and size.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the plan places two variables over each other.
+    pub fn new(symbols: &'s SymbolTable, plan: &PlacementPlan) -> Self {
+        let mut placed = SymbolTable::with_base(0);
+        let mut shifts = Vec::with_capacity(symbols.len());
+        for region in symbols.iter() {
+            let base = plan.target(region.id).unwrap_or(region.base);
+            // ids are handed out in insertion order, so iterating in allocation order
+            // keeps every variable's id
+            placed
+                .insert_at(&region.name, base, region.size)
+                .expect("plan produced overlapping regions");
+            shifts.push(base.wrapping_sub(region.base));
+        }
+        Placement {
+            recorded: symbols,
+            placed,
+            shifts,
+        }
     }
-    let mut delta: BTreeMap<VarId, i128> = BTreeMap::new();
-    for region in symbols.iter() {
-        let new_base = plan.target(region.id).unwrap_or(region.base);
-        delta.insert(region.id, i128::from(new_base) - i128::from(region.base));
+
+    /// The symbol table at the planned bases.
+    pub fn symbols(&self) -> &SymbolTable {
+        &self.placed
     }
-    let relocated: Trace = trace
-        .iter()
-        .map(|e| {
-            let var = e.var.or_else(|| symbols.resolve(e.addr));
-            match var.and_then(|v| delta.get(&v)) {
-                Some(d) => MemAccess {
-                    addr: (i128::from(e.addr) + d) as u64,
-                    var,
-                    ..*e
-                },
-                None => *e,
-            }
-        })
-        .collect();
-    (relocated, new_symbols)
+
+    /// `event` in the placed memory map, with the variable that holds it there. An event
+    /// of a variable — annotated, or found by address in the recorded table — moves by
+    /// that variable's shift. Any other event keeps its address, and takes the placed
+    /// variable whose region holds that address, if one does.
+    #[inline]
+    pub fn place(&self, event: &MemAccess) -> MemAccess {
+        let var = event.var.or_else(|| self.recorded.resolve(event.addr));
+        match var.and_then(|v| Some((v, *self.shifts.get(v.index())?))) {
+            Some((var, shift)) => MemAccess {
+                addr: event.addr.wrapping_add(shift),
+                var: Some(var),
+                ..*event
+            },
+            None => MemAccess {
+                var: event.var.or_else(|| self.placed.resolve(event.addr)),
+                ..*event
+            },
+        }
+    }
+
+    /// A replay source of `events` at their placed addresses.
+    pub fn events<'t>(&'t self, events: &'t [MemAccess]) -> PlacedEvents<'t> {
+        PlacedEvents {
+            events,
+            placement: self,
+        }
+    }
+}
+
+/// In-memory events replayed at their placed addresses ([`Placement::events`]): each
+/// batch is staged from the workload's own events, one [`Placement::place`] per event.
+#[derive(Debug, Clone)]
+pub struct PlacedEvents<'t> {
+    events: &'t [MemAccess],
+    placement: &'t Placement<'t>,
+}
+
+impl RefSource for PlacedEvents<'_> {
+    type Error = Infallible;
+
+    fn next_batch<'a>(
+        &'a mut self,
+        staging: &'a mut Vec<(u64, bool)>,
+        max: usize,
+    ) -> Result<&'a [(u64, bool)], Infallible> {
+        let events = take_front(&mut self.events, max);
+        let placement = self.placement;
+        staging.extend(
+            events
+                .iter()
+                .map(|ev| (placement.place(ev).addr, ev.is_write())),
+        );
+        Ok(staging)
+    }
 }
 
 fn align_up(value: u64, align: u64) -> u64 {
@@ -137,7 +200,7 @@ fn align_up(value: u64, align: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ccache_trace::{AccessKind, TraceRecorder};
+    use ccache_trace::{AccessKind, Trace, TraceRecorder};
 
     fn sample() -> (Trace, SymbolTable, VarId, VarId, VarId) {
         let mut rec = TraceRecorder::new();
@@ -179,22 +242,23 @@ mod tests {
     }
 
     #[test]
-    fn relocate_rewrites_addresses_preserving_offsets() {
+    fn placed_events_keep_their_offsets() {
         let (trace, symbols, a, ..) = sample();
         let plan = page_aligned(&symbols, 0x40_0000, 4096);
-        let (new_trace, new_symbols) = relocate(&trace, &symbols, &plan);
-        assert_eq!(new_trace.len(), trace.len());
+        let placement = Placement::new(&symbols, &plan);
         let old_base = symbols.region(a).unwrap().base;
-        let new_base = new_symbols.region(a).unwrap().base;
-        for (old, new) in trace.iter().zip(new_trace.iter()) {
+        let new_base = placement.symbols().region(a).unwrap().base;
+        assert_eq!(new_base, 0x40_0000);
+        for old in &trace {
+            let new = placement.place(old);
             assert_eq!(old.kind, new.kind);
             assert_eq!(old.var, new.var);
             if old.var == Some(a) {
                 assert_eq!(old.addr - old_base, new.addr - new_base);
             }
         }
-        // the new symbol table resolves the new addresses
-        assert_eq!(new_symbols.resolve(new_base + 8), Some(a));
+        // the placed symbol table resolves the placed addresses
+        assert_eq!(placement.symbols().resolve(new_base + 8), Some(a));
     }
 
     #[test]
@@ -203,22 +267,57 @@ mod tests {
         let mut plan = PlacementPlan::new();
         plan.place(a, 0x70_0000);
         assert!(!plan.is_empty());
-        let (new_trace, new_symbols) = relocate(&trace, &symbols, &plan);
+        let placement = Placement::new(&symbols, &plan);
         assert_eq!(
-            new_symbols.region(b).unwrap().base,
+            placement.symbols().region(b).unwrap().base,
             symbols.region(b).unwrap().base
         );
-        let b_events_old: Vec<u64> = trace
+        for event in trace.iter().filter(|e| e.var == Some(b)) {
+            assert_eq!(placement.place(event), *event);
+        }
+    }
+
+    #[test]
+    fn unannotated_events_move_with_the_variable_that_holds_them() {
+        let (_, symbols, a, ..) = sample();
+        let plan = page_aligned(&symbols, 0x40_0000, 4096);
+        let placement = Placement::new(&symbols, &plan);
+        let recorded = symbols.region(a).unwrap().base;
+        // found by address in the recorded table: moved and annotated
+        let held = placement.place(&MemAccess::write(recorded + 16, 4));
+        assert_eq!((held.addr, held.var), (0x40_0000 + 16, Some(a)));
+        // held by no recorded variable: the address stays, and the placed table names
+        // the variable now there
+        let unheld = placement.place(&MemAccess::read(0x40_0000 + 24, 4));
+        assert_eq!((unheld.addr, unheld.var), (0x40_0000 + 24, Some(a)));
+        let nowhere = MemAccess::read(0x7f_0000, 4);
+        assert_eq!(placement.place(&nowhere), nowhere);
+        // an id the table does not know keeps the event as it is
+        let unknown = MemAccess::read(recorded, 4).with_var(VarId(9));
+        assert_eq!(placement.place(&unknown), unknown);
+    }
+
+    #[test]
+    fn placed_events_stage_placed_addresses() {
+        let (trace, symbols, ..) = sample();
+        let plan = page_aligned(&symbols, 0x40_0000, 4096);
+        let placement = Placement::new(&symbols, &plan);
+        let mut source = placement.events(trace.as_slice());
+        let mut staged = Vec::new();
+        loop {
+            let mut staging = Vec::new();
+            let Ok(batch) = source.next_batch(&mut staging, 7);
+            if batch.is_empty() {
+                break;
+            }
+            assert!(batch.len() <= 7);
+            staged.extend_from_slice(batch);
+        }
+        let expected: Vec<(u64, bool)> = trace
             .iter()
-            .filter(|e| e.var == Some(b))
-            .map(|e| e.addr)
+            .map(|e| (placement.place(e).addr, e.is_write()))
             .collect();
-        let b_events_new: Vec<u64> = new_trace
-            .iter()
-            .filter(|e| e.var == Some(b))
-            .map(|e| e.addr)
-            .collect();
-        assert_eq!(b_events_old, b_events_new);
+        assert_eq!(staged, expected);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 use crate::error::ExpError;
 use crate::plan::{JobUnit, MultitaskJob, Plan, ReplayJob};
 use crate::scale::Scale;
-use crate::spec::{in_trace_file, GeometrySpec, PolicySpec, WorkloadSel};
+use crate::spec::{in_trace_file, require_phases, GeometrySpec, PolicySpec, WorkloadSel};
 use ccache_core::dynamic::{run_dynamic_in, DynamicRunResult};
 use ccache_core::engine::ReplayEngine;
 use ccache_core::multitask::{run_multitasking_in, MultitaskRun};
@@ -203,23 +203,10 @@ impl Context {
             match unit {
                 JobUnit::Replay(job) => {
                     if let PolicySpec::DynamicPhases = job.policy {
-                        match &job.workload {
-                            WorkloadSel::Corpus { name } if name == "mpeg-combined" => {
-                                if ctx.phases.is_none() {
-                                    ctx.phases =
-                                        Some(ccache_workloads::mpeg::run_phases(&scale.mpeg()));
-                                }
-                            }
-                            other => {
-                                return Err(ExpError::BadSpec {
-                                    reason: format!(
-                                        "the 'dynamic' policy needs recorded phases; only \
-                                         the 'mpeg-combined' corpus workload has them \
-                                         (got '{}')",
-                                        other.short()
-                                    ),
-                                })
-                            }
+                        // Parsed specs were checked already; specs built in code were not.
+                        require_phases(&job.workload)?;
+                        if ctx.phases.is_none() {
+                            ctx.phases = Some(ccache_workloads::mpeg::run_phases(&scale.mpeg()));
                         }
                         continue;
                     }

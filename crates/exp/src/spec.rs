@@ -93,7 +93,8 @@ impl WorkloadSel {
     /// Loads the workload for a geometry with page size `page` and line size `line`: a
     /// corpus entry built at the quick or paper scale, or a trace file (either format)
     /// with symbols inferred from its addresses, using a region gap of the page size but
-    /// at least 4 KiB, at line granularity. A trace's name is its path.
+    /// at least 4 KiB, at line granularity. Each event of a trace file is annotated with
+    /// its inferred variable here, once. A trace's name is its path.
     ///
     /// # Errors
     ///
@@ -105,9 +106,12 @@ impl WorkloadSel {
                 ccache_workloads::corpus(name, quick).ok_or_else(|| bad(unknown_workload(name)))
             }
             WorkloadSel::Trace { path } => {
-                let trace = ccache_trace::read_trace_file(path).map_err(in_trace_file(path))?;
+                let mut trace = ccache_trace::read_trace_file(path).map_err(in_trace_file(path))?;
                 let (gap, granularity) = trace_inference(page, line);
                 let symbols = ccache_trace::infer_symbols(&trace, gap, granularity);
+                // Every event lies in an inferred region, so no later pass (profile,
+                // scratchpad selection, placement) looks its address up again.
+                trace.annotate(&symbols);
                 Ok(WorkloadRun {
                     name: path.clone(),
                     trace,
@@ -129,6 +133,20 @@ pub(crate) fn in_trace_file(path: &str) -> impl Fn(std::io::Error) -> std::io::E
 /// but never under 4 KiB, so small pages do not split variables; and the line size.
 fn trace_inference(page: u64, line: u64) -> (u64, u64) {
     (page.max(4096), line)
+}
+
+/// Refuses a `dynamic` job over `workload` unless it is the one workload with recorded
+/// phases, the `mpeg-combined` corpus entry. Spec parsing checks every grid that pairs
+/// the policy with a workload; the executor checks specs built in code.
+pub(crate) fn require_phases(workload: &WorkloadSel) -> Result<(), ExpError> {
+    match workload {
+        WorkloadSel::Corpus { name } if name == "mpeg-combined" => Ok(()),
+        other => Err(bad(format!(
+            "the 'dynamic' policy needs recorded phases; only the 'mpeg-combined' corpus \
+             workload has them (got '{}')",
+            other.short()
+        ))),
+    }
 }
 
 /// The refusal for a corpus name that is not in `ccache_workloads::CORPUS_NAMES`, which
@@ -834,6 +852,9 @@ impl ReplayGrid {
                 return Err(bad(format!("'{}' must not be empty", axis.1)));
             }
         }
+        if policies.contains(&PolicySpec::DynamicPhases) {
+            workloads.iter().try_for_each(require_phases)?;
+        }
         Ok(ReplayGrid {
             workloads,
             backends,
@@ -1151,6 +1172,12 @@ mod tests {
             (
                 r#"{"name":"x","replay":[{"workloads":["fir"],"geometries":[{"replacement":"mru"}]}]}"#,
                 "unknown replacement policy",
+            ),
+            (
+                r#"{"name":"x","replay":[{"workloads":["mpeg-combined",{"trace":"t.cct"}],
+                    "policies":["heuristic","dynamic"]}]}"#,
+                "the 'dynamic' policy needs recorded phases; only the 'mpeg-combined' \
+                 corpus workload has them (got 't.cct')",
             ),
         ] {
             let err = ExperimentSpec::parse_str(text).unwrap_err();

@@ -234,6 +234,27 @@ impl<'a> TraceProfile<'a> {
         symbols: &'a SymbolTable,
         options: &WeightOptions,
     ) -> Result<Self, LayoutError> {
+        Self::placed(trace, symbols, options, |event| MemAccess {
+            var: event.var.or_else(|| symbols.resolve(event.addr)),
+            ..*event
+        })
+    }
+
+    /// Profiles `trace` with each event read through `place`, which gives the event's
+    /// address and variable in the memory map `symbols` describes: a relocated trace,
+    /// read without making a copy of it. An event `place` leaves without a variable
+    /// counts for no unit. [`TraceProfile::new`] is the identity placement, which finds
+    /// the variable of an unannotated event by its address.
+    ///
+    /// # Errors
+    ///
+    /// As [`TraceProfile::new`].
+    pub fn placed(
+        trace: &Trace,
+        symbols: &'a SymbolTable,
+        options: &WeightOptions,
+        place: impl Fn(&MemAccess) -> MemAccess,
+    ) -> Result<Self, LayoutError> {
         within(
             trace.len() as u64,
             MAX_LAYOUT_REFERENCES,
@@ -258,12 +279,10 @@ impl<'a> TraceProfile<'a> {
         let column = options.column_bytes;
         let positions = if column.is_power_of_two() {
             let shift = column.trailing_zeros();
-            unit_positions(trace, symbols, &slots, units.len(), |offset| {
-                offset >> shift
-            })
+            unit_positions(trace, place, &slots, units.len(), |offset| offset >> shift)
         } else {
             // a size of 0 splits nothing, so every clamped offset is 0
-            unit_positions(trace, symbols, &slots, units.len(), |offset| {
+            unit_positions(trace, place, &slots, units.len(), |offset| {
                 offset.checked_div(column).unwrap_or(0)
             })
         };
@@ -388,19 +407,20 @@ impl<'a> TraceProfile<'a> {
     }
 }
 
-/// The positions of the accesses of each of `units` units, found through `slots` with
-/// `piece` mapping a clamped offset to the piece it lies in. A counting pass sizes each
-/// unit's list exactly before the second pass fills it.
+/// The positions of the accesses of each of `units` units, each event read through
+/// `place` and found through `slots`, with `piece` mapping a clamped offset to the piece
+/// it lies in. A counting pass sizes each unit's list exactly before the second pass
+/// fills it.
 fn unit_positions(
     trace: &Trace,
-    symbols: &SymbolTable,
+    place: impl Fn(&MemAccess) -> MemAccess,
     slots: &[VarSlot],
     units: usize,
     piece: impl Fn(u64) -> u64,
 ) -> Vec<Vec<u32>> {
     let unit_of = |ev: &MemAccess| {
-        let var = ev.var.or_else(|| symbols.resolve(ev.addr))?;
-        let slot = slots.get(var.index())?;
+        let ev = place(ev);
+        let slot = slots.get(ev.var?.index())?;
         let offset = ev.addr.saturating_sub(slot.base).min(slot.last);
         Some(slot.first + piece(offset) as usize)
     };

@@ -248,9 +248,11 @@ impl<'a> Evaluator<'a> {
     /// Decodes a genome into the geometry and mapping its candidate programs.
     fn decode(&self, genome: &Genome) -> Result<(SystemConfig, CacheMapping), OptError> {
         let geo = &self.space.geometries[genome.geometry];
-        let assignment = assignment_from_vertex_columns(&geo.graph, &geo.options, &genome.columns)?;
+        let layout = &geo.layout;
+        let assignment =
+            assignment_from_vertex_columns(&layout.graph, &layout.options, &genome.columns)?;
         let mapping =
-            CacheMapping::from_assignment(&assignment, &geo.units, &self.space.symbols, &[]);
+            CacheMapping::from_assignment(&assignment, &layout.units, &self.space.symbols, &[]);
         Ok((geo.config, mapping))
     }
 }

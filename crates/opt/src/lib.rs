@@ -67,7 +67,7 @@ pub mod tuner;
 
 pub use error::OptError;
 pub use evaluate::{Evaluator, Fitness};
-pub use space::{Genome, GeometryChoice, GeometrySearch, SearchSpace};
+pub use space::{ColumnLayout, Genome, GeometryChoice, GeometrySearch, SearchSpace};
 pub use strategy::{BestCandidate, GenerationPoint, ProgressLog, StrategyKind, TuneProgress};
 pub use tuner::{tune_observed, BestConfig, ScoredLayout, TuneOutcome, TuneRequest};
 

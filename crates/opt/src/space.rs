@@ -2,11 +2,11 @@
 //! operations (membership, mutation, crossover) strategies search it with.
 //!
 //! A **genome** is a geometry index plus one column per conflict-graph vertex of that
-//! geometry. Geometry choices are materialised up front: for each candidate geometry the
-//! space builds the unit split (column-sized pieces of large variables), the conflict
+//! geometry. Geometry choices are materialised up front: for each candidate column count
+//! the space builds the unit split (column-sized pieces of large variables), the conflict
 //! graph over those units, and the paper's heuristic assignment — the seed every search
 //! starts from, which is what guarantees a search never reports a result worse than the
-//! heuristic.
+//! heuristic — once, and every geometry with that column count shares it.
 //!
 //! Every operation is deterministic for a given RNG stream, and every generated genome is
 //! valid by construction: columns in range and forced placements respected.
@@ -25,6 +25,7 @@ use ccache_telemetry::Registry;
 use ccache_trace::{SymbolTable, Trace, VarId};
 use rand::{rngs::StdRng, Rng};
 use std::collections::btree_map::{BTreeMap, Entry};
+use std::sync::Arc;
 
 /// The geometry knobs a search may vary. Every combination is validated against the
 /// template's capacity; combinations the hardware model rejects are silently skipped.
@@ -66,13 +67,23 @@ impl GeometrySearch {
 pub struct GeometryChoice {
     /// The validated system configuration.
     pub config: SystemConfig,
-    /// Column-sized units of the workload's variables under this geometry.
+    /// The layout of the configuration's column count. At the search's fixed capacity the
+    /// column count fixes the column size, so geometries that differ only in line size or
+    /// TLB entries share one.
+    pub layout: Arc<ColumnLayout>,
+}
+
+/// The layout of one column count: the units, the graph and the heuristic seed every
+/// geometry with that count searches from.
+#[derive(Debug)]
+pub struct ColumnLayout {
+    /// Column-sized units of the workload's variables.
     pub units: UnitMap,
     /// The conflict graph over those units.
     pub graph: ConflictGraph,
     /// Assignment options (column count, column size, forced placements).
     pub options: LayoutOptions,
-    /// The paper's heuristic assignment for this geometry — the search seed.
+    /// The paper's heuristic assignment — the search seed.
     pub heuristic: ColumnAssignment,
     /// Vertices a search may move (everything not covered by a forced placement).
     pub free_vertices: Vec<usize>,
@@ -186,14 +197,13 @@ impl SearchSpace {
         // The unit split, conflict graph and heuristic seed depend only on the column
         // count (capacity is fixed, so column_bytes is determined by it): one per count,
         // or none when the forced placements reserve all of its columns.
-        type LayoutParts = (ConflictGraph, UnitMap, LayoutOptions, ColumnAssignment);
-        let mut parts_by_columns: BTreeMap<usize, Option<LayoutParts>> = BTreeMap::new();
+        let mut layouts: BTreeMap<usize, Option<Arc<ColumnLayout>>> = BTreeMap::new();
         let mut reserved = None;
         let mut geometries = Vec::new();
         for config in configs {
             let columns = config.cache.columns();
-            let parts = match parts_by_columns.entry(columns) {
-                Entry::Occupied(parts) => parts.into_mut(),
+            let layout = match layouts.entry(columns) {
+                Entry::Occupied(layout) => layout.into_mut(),
                 Entry::Vacant(slot) => {
                     let column_bytes = config.cache.column_bytes();
                     let (graph, units) = profile.conflict_graph(column_bytes)?;
@@ -204,7 +214,22 @@ impl SearchSpace {
                         ..LayoutOptions::default()
                     };
                     slot.insert(match assign_columns_in(&graph, &options, registry) {
-                        Ok(heuristic) => Some((graph, units, options, heuristic)),
+                        Ok(heuristic) => {
+                            let forced_vars: Vec<VarId> =
+                                options.forced.iter().map(|&(v, _)| v).collect();
+                            let free_vertices: Vec<usize> = graph
+                                .vertices()
+                                .filter(|(_, vertex)| !forced_vars.contains(&vertex.var))
+                                .map(|(idx, _)| idx)
+                                .collect();
+                            Some(Arc::new(ColumnLayout {
+                                units,
+                                graph,
+                                options,
+                                heuristic,
+                                free_vertices,
+                            }))
+                        }
                         Err(e @ LayoutError::TooManyReserved { .. }) => {
                             reserved = Some(e);
                             None
@@ -213,22 +238,12 @@ impl SearchSpace {
                     })
                 }
             };
-            let Some((graph, units, options, heuristic)) = parts.clone() else {
+            let Some(layout) = layout else {
                 continue;
             };
-            let forced_vars: Vec<VarId> = options.forced.iter().map(|&(v, _)| v).collect();
-            let free_vertices: Vec<usize> = graph
-                .vertices()
-                .filter(|(_, vertex)| !forced_vars.contains(&vertex.var))
-                .map(|(idx, _)| idx)
-                .collect();
             geometries.push(GeometryChoice {
                 config,
-                units,
-                graph,
-                options,
-                heuristic,
-                free_vertices,
+                layout: Arc::clone(layout),
             });
         }
         if geometries.is_empty() {
@@ -245,7 +260,7 @@ impl SearchSpace {
     pub fn seeded(&self, g: usize) -> Genome {
         Genome {
             geometry: g,
-            columns: self.geometries[g].heuristic.vertex_columns.clone(),
+            columns: self.geometries[g].layout.heuristic.vertex_columns.clone(),
         }
     }
 
@@ -253,7 +268,8 @@ impl SearchSpace {
     /// forced placements).
     pub fn is_valid(&self, genome: &Genome) -> bool {
         self.geometries.get(genome.geometry).is_some_and(|geo| {
-            ccache_layout::validate_vertex_columns(&geo.graph, &geo.options, &genome.columns)
+            let layout = &geo.layout;
+            ccache_layout::validate_vertex_columns(&layout.graph, &layout.options, &genome.columns)
                 .is_ok()
         })
     }
@@ -262,10 +278,10 @@ impl SearchSpace {
     /// forced vertices pinned.
     pub fn random(&self, rng: &mut StdRng) -> Genome {
         let geometry = rng.random_range(0..self.geometries.len());
-        let geo = &self.geometries[geometry];
-        let mut columns = geo.heuristic.vertex_columns.clone();
-        for &v in &geo.free_vertices {
-            columns[v] = rng.random_range(0..geo.options.columns);
+        let layout = &self.geometries[geometry].layout;
+        let mut columns = layout.heuristic.vertex_columns.clone();
+        for &v in &layout.free_vertices {
+            columns[v] = rng.random_range(0..layout.options.columns);
         }
         Genome { geometry, columns }
     }
@@ -282,14 +298,14 @@ impl SearchSpace {
             }
             out = self.seeded(g);
         }
-        let geo = &self.geometries[out.geometry];
-        if geo.free_vertices.is_empty() {
+        let layout = &self.geometries[out.geometry].layout;
+        if layout.free_vertices.is_empty() {
             return out;
         }
         let flips = 1 + rng.random_range(0..2usize);
         for _ in 0..flips {
-            let v = geo.free_vertices[rng.random_range(0..geo.free_vertices.len())];
-            out.columns[v] = rng.random_range(0..geo.options.columns);
+            let v = layout.free_vertices[rng.random_range(0..layout.free_vertices.len())];
+            out.columns[v] = rng.random_range(0..layout.options.columns);
         }
         out
     }
@@ -323,8 +339,8 @@ impl SearchSpace {
         let mut total: u128 = 0;
         for geo in &self.geometries {
             let mut n: u128 = 1;
-            for _ in 0..geo.free_vertices.len() {
-                n = n.checked_mul(geo.options.columns as u128)?;
+            for _ in 0..geo.layout.free_vertices.len() {
+                n = n.checked_mul(geo.layout.options.columns as u128)?;
             }
             total = total.checked_add(n)?;
         }
@@ -339,17 +355,18 @@ impl SearchSpace {
             if out.len() >= limit {
                 break;
             }
+            let layout = &geo.layout;
             let seed = self.seeded(g);
             out.push(seed.clone());
-            let k = geo.free_vertices.len();
-            let c = geo.options.columns;
+            let k = layout.free_vertices.len();
+            let c = layout.options.columns;
             let mut odometer = vec![0usize; k];
             'odometer: loop {
                 if out.len() >= limit {
                     break;
                 }
-                let mut columns = geo.heuristic.vertex_columns.clone();
-                for (slot, &v) in odometer.iter().zip(&geo.free_vertices) {
+                let mut columns = layout.heuristic.vertex_columns.clone();
+                for (slot, &v) in odometer.iter().zip(&layout.free_vertices) {
                     columns[v] = *slot;
                 }
                 if columns != seed.columns {
@@ -443,7 +460,7 @@ mod tests {
         for geo in &space.geometries {
             assert!(geo.config.validate().is_ok());
             assert_eq!(geo.config.cache.capacity_bytes(), 2048);
-            assert_eq!(geo.graph.vertex_count(), geo.units.len());
+            assert_eq!(geo.layout.graph.vertex_count(), geo.layout.units.len());
         }
         // the template is always geometry 0
         assert_eq!(space.geometries[0].config, template());
@@ -483,7 +500,7 @@ mod tests {
             &Registry::new(),
         )
         .unwrap();
-        let geo = &space.geometries[0];
+        let geo = &space.geometries[0].layout;
         // vertex of variable a is pinned to column 1 and absent from free_vertices
         let pinned: Vec<usize> = geo
             .graph

@@ -294,7 +294,7 @@ pub fn tune_observed(
         })?;
     let heuristic = ScoredLayout {
         fitness: heuristic_fitness,
-        cost: Some(space.geometries[0].heuristic.cost),
+        cost: Some(space.geometries[0].layout.heuristic.cost),
     };
     let baseline = ScoredLayout {
         fitness: eval.reference_point(request.baseline, request.template, &CacheMapping::new())?,
@@ -318,8 +318,11 @@ pub fn tune_observed(
     }
 
     let geo = &space.geometries[best.genome.geometry];
-    let assignment =
-        assignment_from_vertex_columns(&geo.graph, &geo.options, &best.genome.columns)?;
+    let assignment = assignment_from_vertex_columns(
+        &geo.layout.graph,
+        &geo.layout.options,
+        &best.genome.columns,
+    )?;
     let best_assignment: Vec<(String, Vec<usize>)> = symbols
         .iter()
         .filter_map(|region| {

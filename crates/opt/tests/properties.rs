@@ -100,7 +100,7 @@ proptest! {
         let mut genome = space.random(&mut rng);
         for _ in 0..40 {
             let geo = &space.geometries[genome.geometry];
-            for (idx, vertex) in geo.graph.vertices() {
+            for (idx, vertex) in geo.layout.graph.vertices() {
                 if vertex.var == VarId(0) {
                     prop_assert_eq!(genome.columns[idx], col);
                 }
@@ -282,9 +282,11 @@ fn with_strays(trace: &Trace, rng: &mut StdRng) -> Trace {
 /// The fitness of a fresh column-cache engine replaying `trace` under `genome`'s mapping.
 fn hand_built_replay(space: &SearchSpace, genome: &Genome, trace: &Trace) -> Fitness {
     let geo = &space.geometries[genome.geometry];
-    let assignment = assignment_from_vertex_columns(&geo.graph, &geo.options, &genome.columns)
-        .expect("in-space genome");
-    let mapping = CacheMapping::from_assignment(&assignment, &geo.units, &space.symbols, &[]);
+    let layout = &geo.layout;
+    let assignment =
+        assignment_from_vertex_columns(&layout.graph, &layout.options, &genome.columns)
+            .expect("in-space genome");
+    let mapping = CacheMapping::from_assignment(&assignment, &layout.units, &space.symbols, &[]);
     let mut engine = ReplayEngine::new(BackendKind::ColumnCache, geo.config).expect("valid");
     engine.set_telemetry(&Registry::new());
     engine.apply(&mapping).expect("valid mapping");

@@ -1,6 +1,7 @@
 //! Ordered sequences of memory references.
 
 use crate::event::{AccessKind, MemAccess, VarId};
+use crate::region::SymbolTable;
 
 /// An ordered sequence of memory references produced by one program, task or kernel.
 ///
@@ -93,6 +94,16 @@ impl Trace {
     /// Number of read events.
     pub fn read_count(&self) -> usize {
         self.len() - self.write_count()
+    }
+
+    /// Gives every event that carries no variable the variable of `symbols` whose region
+    /// holds its address, if one does, so later passes need not look the address up.
+    pub fn annotate(&mut self, symbols: &SymbolTable) {
+        for event in &mut self.events {
+            if event.var.is_none() {
+                event.var = symbols.resolve(event.addr);
+            }
+        }
     }
 
     /// Number of events attributed to variable `var`.
@@ -240,6 +251,28 @@ mod tests {
         let t = sample();
         assert_eq!(t.count_for(VarId(0)), 2);
         assert_eq!(t.count_for(VarId(7)), 0);
+    }
+
+    #[test]
+    fn annotate_fills_only_missing_variables() {
+        let mut symbols = SymbolTable::with_base(0x100);
+        let a = symbols.allocate("a", 0x10, 4).unwrap();
+        let mut t = sample();
+        t.push(MemAccess::read(0x108, 4));
+        t.push(MemAccess::read(0x900, 4));
+        t.annotate(&symbols);
+        let vars: Vec<Option<VarId>> = t.iter().map(|e| e.var).collect();
+        // recorded annotations stay, even where the table disagrees
+        assert_eq!(
+            vars,
+            [
+                Some(VarId(0)),
+                Some(VarId(1)),
+                Some(VarId(0)),
+                Some(a),
+                None
+            ]
+        );
     }
 
     #[test]

@@ -1,20 +1,24 @@
-//! Resource bounds, checked with a counting allocator: engine builds, and the layout of
-//! hostile traces.
+//! Resource bounds, checked with a counting allocator: engine builds, the layout of
+//! hostile traces, search spaces, partition points and dynamic runs.
 //!
-//! The global allocator below counts the allocations and requested bytes of the current
-//! thread while that thread has counting switched on, so the test harness's other
-//! threads cannot perturb a measurement.
+//! The global allocator below counts the allocations, requested bytes and live heap of
+//! the current thread while that thread has counting switched on, so the test harness's
+//! other threads cannot perturb a measurement.
 
+use column_caching::core::dynamic::run_dynamic_in;
 use column_caching::core::engine::ReplayEngine;
+use column_caching::core::partition::{run_partition_point_in, PartitionConfig};
 use column_caching::core::runner::assign_columns_in;
 use column_caching::layout::{LayoutError, LayoutOptions, TraceProfile, WeightOptions};
+use column_caching::opt::{GeometrySearch, SearchSpace};
 use column_caching::sim::{
     BackendKind, CacheConfig, ReplacementPolicy, SystemConfig, MAX_CAPACITY_BYTES, MAX_SETS,
 };
 use column_caching::telemetry::Registry;
 use column_caching::trace::infer::DEFAULT_REGION_GAP;
 use column_caching::trace::synth::sequential_scan;
-use column_caching::trace::{infer_symbols, SymbolTable, Trace};
+use column_caching::trace::{infer_symbols, MemAccess, SymbolTable, Trace};
+use column_caching::workloads::mpeg::{run_combined, run_phases, MpegConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -24,15 +28,26 @@ thread_local! {
     static COUNTING: Cell<bool> = const { Cell::new(false) };
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
     static BYTES: Cell<u64> = const { Cell::new(0) };
+    /// Bytes allocated minus bytes freed while counting, and the most that reached.
+    static LIVE: Cell<i64> = const { Cell::new(0) };
+    static PEAK: Cell<i64> = const { Cell::new(0) };
 }
 
-/// Counts one allocation of `bytes` if the current thread is counting. `try_with`
+/// Counts one allocation of `bytes`, which changes the live heap by `grown` bytes, if the
+/// current thread is counting; a free is no allocation and passes `bytes` 0. `try_with`
 /// because the allocator also runs while a thread's locals are being torn down.
-fn record(bytes: usize) {
+fn record(bytes: usize, grown: i64) {
     let _ = COUNTING.try_with(|on| {
         if on.get() {
-            ALLOCATIONS.with(|n| n.set(n.get() + 1));
-            BYTES.with(|b| b.set(b.get() + bytes as u64));
+            if bytes > 0 {
+                ALLOCATIONS.with(|n| n.set(n.get() + 1));
+                BYTES.with(|b| b.set(b.get() + bytes as u64));
+            }
+            let live = LIVE.with(|l| {
+                l.set(l.get() + grown);
+                l.get()
+            });
+            PEAK.with(|p| p.set(p.get().max(live)));
         }
     });
 }
@@ -41,21 +56,22 @@ fn record(bytes: usize) {
 // and writes const-initialised thread-locals, which never allocate.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        record(layout.size());
+        record(layout.size(), layout.size() as i64);
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        record(layout.size());
+        record(layout.size(), layout.size() as i64);
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        record(new_size);
+        record(new_size, new_size as i64 - layout.size() as i64);
         System.realloc(ptr, layout, new_size)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        record(0, -(layout.size() as i64));
         System.dealloc(ptr, layout)
     }
 }
@@ -72,6 +88,17 @@ fn counted<T>(f: impl FnOnce() -> T) -> (u64, u64) {
     COUNTING.with(|on| on.set(false));
     drop(value);
     (ALLOCATIONS.with(Cell::get), BYTES.with(Cell::get))
+}
+
+/// `f`'s value, the heap it leaves live on this thread, and the most heap it holds live
+/// at once, both counted on top of what was live before the call.
+fn heap_of<T>(f: impl FnOnce() -> T) -> (T, i64, i64) {
+    LIVE.with(|l| l.set(0));
+    PEAK.with(|p| p.set(0));
+    COUNTING.with(|on| on.set(true));
+    let value = f();
+    COUNTING.with(|on| on.set(false));
+    (value, LIVE.with(Cell::get), PEAK.with(Cell::get))
 }
 
 fn config(capacity: u64, columns: usize, line: u64, policy: ReplacementPolicy) -> SystemConfig {
@@ -254,4 +281,77 @@ fn admitted_hostile_layouts_stay_within_allocation_and_colour_step_bounds() {
             "{name}: the counter carries the assignment's steps"
         );
     }
+}
+
+/// A search space holds one unit split, conflict graph and heuristic seed per column
+/// count, shared by the geometries with that count: the standard search over full-scale
+/// `gzip` (18 geometries, 3 column counts) stays under 1 MB once built.
+#[test]
+fn search_spaces_hold_one_layout_per_column_count() {
+    const LIVE_BOUND: i64 = 1 << 20;
+    let gzip = column_caching::workloads::corpus("gzip", false).expect("corpus workload");
+    let template = SystemConfig {
+        page_size: 256,
+        ..SystemConfig::default()
+    };
+    let registry = Registry::new();
+    let (space, live, _) = heap_of(|| {
+        SearchSpace::build(
+            &gzip.trace,
+            &gzip.symbols,
+            template,
+            &GeometrySearch::standard(),
+            &[],
+            &registry,
+        )
+        .expect("builds")
+    });
+    assert_eq!(space.geometries.len(), 18);
+    assert!(
+        live < LIVE_BOUND,
+        "the built space holds {live} bytes, bound {LIVE_BOUND}"
+    );
+}
+
+/// A partition point and a dynamic run read the workload's own events through their
+/// placement: over the MPEG routines at 5/3 of Figure 4's block counts (about 200,000
+/// events), neither holds as much as half of the in-memory trace on top of what was live
+/// before the call.
+#[test]
+fn partition_points_and_dynamic_runs_hold_no_copy_of_the_trace() {
+    let event_bytes = std::mem::size_of::<MemAccess>() as i64;
+    let config = PartitionConfig::default();
+    let registry = Registry::new();
+    let mpeg = MpegConfig {
+        dequant_blocks: 20,
+        plus_blocks: 12,
+        idct_blocks: 80,
+        ..MpegConfig::default()
+    };
+
+    let combined = run_combined(&mpeg);
+    let trace_bytes = combined.trace.len() as i64 * event_bytes;
+    assert!(
+        (180_000..=240_000).contains(&combined.trace.len()),
+        "{} events",
+        combined.trace.len()
+    );
+    let (point, _, peak) = heap_of(|| {
+        run_partition_point_in(BackendKind::ColumnCache, &combined, &config, 2, &registry)
+    });
+    point.expect("runs");
+    assert!(
+        peak < trace_bytes / 2,
+        "a partition point held {peak} bytes over a {trace_bytes}-byte trace"
+    );
+
+    let (phases, symbols) = run_phases(&mpeg);
+    let events: usize = phases.iter().map(|(_, trace)| trace.len()).sum();
+    let trace_bytes = events as i64 * event_bytes;
+    let (run, _, peak) = heap_of(|| run_dynamic_in(&phases, &symbols, &config, &registry, None));
+    run.expect("runs");
+    assert!(
+        peak < trace_bytes / 2,
+        "a dynamic run held {peak} bytes over {trace_bytes} bytes of phases"
+    );
 }

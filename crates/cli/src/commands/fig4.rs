@@ -8,12 +8,11 @@
 use crate::args::ArgParser;
 use crate::error::CliError;
 use crate::output::{csv_field, markdown_table, Render, ReportArgs};
-use crate::scale::figure4_config;
 use ccache_core::dynamic::Figure4dResult;
 use ccache_core::partition::PartitionSweep;
 use ccache_core::report::{figure4d_table, partition_table, SweepReport};
 use ccache_exp::exec::JobOutcome;
-use ccache_exp::presets::fig4_spec;
+use ccache_exp::presets::{fig4_spec, figure4_geometry};
 use std::fmt::Write as _;
 
 /// Help text for `ccache fig4`.
@@ -114,10 +113,13 @@ pub fn run(args: Vec<String>) -> Result<(), CliError> {
     }
     p.finish()?;
 
-    let config = figure4_config();
+    let config = figure4_geometry().system_config()?;
     println!(
         "Figure 4 — on-chip memory: {} bytes, {} columns, {}-byte lines, {:?} scale\n",
-        config.capacity_bytes, config.columns, config.line_size, report_args.scale
+        config.cache.capacity_bytes(),
+        config.cache.columns(),
+        config.cache.line_size(),
+        report_args.scale
     );
 
     let results = compute(&routine, report_args.quick())?;
@@ -192,9 +194,13 @@ impl Render for SweepReport {
     }
 
     fn to_markdown(&self) -> String {
+        let cache = &self.config.cache;
         let mut out = format!(
             "## Figure {} — {} B, {} columns, {} B lines\n\n",
-            self.figure, self.config.capacity_bytes, self.config.columns, self.config.line_size
+            self.figure,
+            cache.capacity_bytes(),
+            cache.columns(),
+            cache.line_size()
         );
         for sweep in &self.sweeps {
             let _ = writeln!(out, "### {}\n", sweep.name);
@@ -252,12 +258,11 @@ impl Render for SweepReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ccache_core::partition::PartitionConfig;
 
     fn sample_report() -> SweepReport {
         SweepReport {
             figure: "4".to_owned(),
-            config: PartitionConfig::default(),
+            config: figure4_geometry().system_config().unwrap(),
             sweeps: Vec::new(),
             figure4d: Some(Figure4dResult {
                 static_cycles: vec![(0, 1000), (4, 800)],

@@ -38,7 +38,7 @@ pub mod scale;
 
 pub use error::CliError;
 pub use output::{OutputFormat, ReportArgs};
-pub use scale::{figure4_config, figure5_configs, figure5_jobs, Scale};
+pub use scale::{figure5_jobs, Scale};
 
 /// Top-level help text.
 pub const USAGE: &str = "\

@@ -1,12 +1,10 @@
-//! Experiment scales and the fixed figure configurations — re-exported from the
-//! experiment layer.
+//! Experiment scales and the Figure 5 jobs — re-exported from the experiment layer.
 //!
 //! The definitions live in `ccache-exp`, so the spec layer and the CLI resolve `--quick`
-//! and the paper's configurations through one definition. This module keeps the
-//! CLI-facing import path stable and adds the one CLI-specific piece: consuming
-//! `--quick` from an [`ArgParser`].
+//! through one definition. This module keeps the CLI-facing import path stable and adds
+//! the one CLI-specific piece: consuming `--quick` from an [`ArgParser`].
 
-pub use ccache_exp::scale::{figure4_config, figure5_configs, figure5_jobs, Scale};
+pub use ccache_exp::scale::{figure5_jobs, Scale};
 
 use crate::args::ArgParser;
 

@@ -5,7 +5,8 @@
 //! procedures: before each phase the tint table is reprogrammed with that phase's own
 //! column assignment (computed by the Section 3 algorithm on that phase's profile), and
 //! columns whose resident data fits entirely are pre-loaded so they behave as scratchpad.
-//! The remapping and preload overheads are charged as control cycles and reported.
+//! The remapping and preload overheads are charged as control cycles and reported beside
+//! the cycle count, never in it.
 
 use crate::engine::ReplayEngine;
 use crate::error::CoreError;
@@ -15,11 +16,9 @@ use crate::runner::{assign_columns_in, CacheMapping, RunResult};
 use ccache_layout::weights::TraceProfile;
 use ccache_layout::{LayoutOptions, WeightOptions};
 use ccache_sim::backend::{BackendKind, MemoryBackend};
-use ccache_sim::ColumnMask;
+use ccache_sim::{ColumnMask, SystemConfig};
 use ccache_telemetry::Registry;
 use ccache_trace::{SymbolTable, Trace};
-
-use crate::partition::PartitionConfig;
 
 /// Result of one dynamically-remapped phase.
 #[derive(Debug, Clone, PartialEq)]
@@ -45,16 +44,9 @@ pub struct DynamicRunResult {
     pub control_cycles: u64,
 }
 
-impl DynamicRunResult {
-    /// Total cycles including the control overhead.
-    pub fn cycles_with_control(&self) -> u64 {
-        self.cycles + self.control_cycles
-    }
-}
-
-/// Runs an application phase-by-phase on one column cache, recomputing and applying the
-/// column assignment before each phase, with the engine's telemetry reporting into
-/// `registry`.
+/// Runs an application phase-by-phase on one column cache under `config`, recomputing
+/// and applying the column assignment before each phase, with the engine's telemetry
+/// reporting into `registry`.
 ///
 /// `phases` are `(name, trace)` pairs sharing `symbols`. The variables are first placed
 /// page-aligned (so per-variable tinting is exact), then each phase is laid out and run
@@ -67,26 +59,26 @@ impl DynamicRunResult {
 ///
 /// # Errors
 ///
-/// Fails for an invalid geometry, a layout past a layout limit or a failed column
-/// assignment.
+/// Fails for an invalid system configuration, checked before anything is placed, a
+/// layout past a layout limit or a failed column assignment.
 pub fn run_dynamic_in(
     phases: &[(String, Trace)],
     symbols: &SymbolTable,
-    config: &PartitionConfig,
+    config: &SystemConfig,
     registry: &Registry,
     mut observe: Option<(u64, &mut dyn ReplayObserver)>,
 ) -> Result<DynamicRunResult, CoreError> {
-    let column_bytes = config.column_bytes();
-    let placement = Placement::new(symbols, &page_aligned(symbols, 0x10_0000, config.page_size));
-
-    let mut engine = ReplayEngine::new(BackendKind::ColumnCache, config.system_config()?)?;
+    let mut engine = ReplayEngine::new(BackendKind::ColumnCache, *config)?;
     engine.set_telemetry(registry);
+    let columns = config.cache.columns();
+    let column_bytes = config.cache.column_bytes();
+    let placement = Placement::new(symbols, &page_aligned(symbols, 0x10_0000, config.page_size));
     let weight_opts = WeightOptions {
         column_bytes,
         split_large_variables: true,
         min_accesses: 1,
     };
-    let layout_opts = LayoutOptions::new(config.columns, column_bytes);
+    let layout_opts = LayoutOptions::new(columns, column_bytes);
 
     let mut phase_results = Vec::with_capacity(phases.len());
     let mut total_cycles = 0u64;
@@ -103,18 +95,18 @@ pub fn run_dynamic_in(
 
         // Columns whose resident data fits entirely in the column are pre-loaded and made
         // exclusive: they behave as scratchpad for this phase.
-        let mut column_bytes_used = vec![0u64; config.columns];
+        let mut column_bytes_used = vec![0u64; columns];
         for (idx, _unit) in units.iter().enumerate() {
             if let Some(col) = assignment.column_of_vertex(idx) {
                 column_bytes_used[col] += units.unit(idx).map(|u| u.size).unwrap_or(0);
             }
         }
-        let exclusive_columns: Vec<usize> = (0..config.columns)
+        let exclusive_columns: Vec<usize> = (0..columns)
             .filter(|&c| column_bytes_used[c] > 0 && column_bytes_used[c] <= column_bytes)
             .collect();
         // Keep at least one non-exclusive column for everything else.
-        let exclusive_columns = if exclusive_columns.len() >= config.columns {
-            exclusive_columns[..config.columns - 1].to_vec()
+        let exclusive_columns = if exclusive_columns.len() >= columns {
+            exclusive_columns[..columns - 1].to_vec()
         } else {
             exclusive_columns
         };
@@ -154,11 +146,7 @@ pub fn run_dynamic_in(
                 cycles: result.total_cycles(),
             });
         }
-        total_cycles += if config.include_control {
-            result.total_cycles_with_control()
-        } else {
-            result.total_cycles()
-        };
+        total_cycles += result.total_cycles();
         total_control += result.control_cycles;
         phase_results.push(PhaseResult {
             name: name.clone(),
@@ -220,12 +208,18 @@ mod tests {
 
     #[test]
     fn dynamic_run_executes_every_phase() {
-        let cfg = PartitionConfig::default();
+        let cfg = SystemConfig {
+            page_size: 128,
+            ..SystemConfig::default()
+        };
         let (phases, symbols) = run_phases(&MpegConfig::small());
         let result = run_dynamic_in(&phases, &symbols, &cfg, &Registry::new(), None).unwrap();
         assert_eq!(result.phases.len(), 3);
         assert!(result.cycles > 0);
-        assert!(result.cycles_with_control() >= result.cycles);
+        // remaps and preloads are charged beside the cycle count, never in it
+        assert!(result.control_cycles > 0);
+        let phase_cycles: u64 = result.phases.iter().map(|p| p.result.total_cycles()).sum();
+        assert_eq!(result.cycles, phase_cycles);
         let total_refs: u64 = result.phases.iter().map(|p| p.result.references).sum();
         let expected: usize = phases.iter().map(|(_, t)| t.len()).sum();
         assert_eq!(total_refs, expected as u64);

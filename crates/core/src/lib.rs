@@ -14,8 +14,10 @@
 //! * [`placement`] — place program variables (page alignment, scratchpad packing) for
 //!   an experiment, as an address map the layout profile and the replay read the
 //!   workload's events through.
-//! * [`partition`] — one point of the Figure 4 scratchpad/cache partition sweep.
-//! * [`dynamic`] — the dynamically remapped column-cache run of Figure 4(d).
+//! * [`partition`] — one point of the Figure 4 scratchpad/cache partition sweep, under
+//!   any [`ccache_sim::SystemConfig`].
+//! * [`dynamic`] — the dynamically remapped column-cache run of Figure 4(d), under any
+//!   [`ccache_sim::SystemConfig`].
 //! * [`multitask`] — one point of the Figure 5 multitasking CPI-vs-quantum experiment.
 //! * [`parallel`] — the order-preserving `par_map` the experiment executor and the
 //!   tuner's fitness batches fan out with.
@@ -77,7 +79,7 @@ pub use multitask::{
     QuantumSeries, SharingPolicy,
 };
 pub use observe::{ReplayEvent, ReplayObserver, SeriesRecorder, TimeSeries, WindowSample};
-pub use partition::{run_partition_point_in, PartitionConfig, PartitionPoint, PartitionSweep};
+pub use partition::{run_partition_point_in, PartitionPoint, PartitionSweep};
 pub use placement::{pack_scratchpad_first, page_aligned, PlacedEvents, Placement, PlacementPlan};
 pub use report::SweepReport;
 pub use runner::{run_on, CacheMapping, RegionMapping, RunResult};
@@ -88,7 +90,7 @@ pub mod prelude {
     pub use crate::engine::ReplayEngine;
     pub use crate::error::CoreError;
     pub use crate::multitask::{run_multitasking_on, MultitaskConfig, SharingPolicy};
-    pub use crate::partition::{run_partition_point_in, PartitionConfig, PartitionSweep};
+    pub use crate::partition::{run_partition_point_in, PartitionSweep};
     pub use crate::report::SweepReport;
     pub use crate::runner::{CacheMapping, RegionMapping, RunResult};
 }

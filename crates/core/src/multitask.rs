@@ -63,18 +63,6 @@ impl MultitaskConfig {
         }
     }
 
-    /// The 128 KiB configuration of Figure 5.
-    pub fn cache_128k() -> Self {
-        MultitaskConfig {
-            capacity_bytes: 128 * 1024,
-            columns: 8,
-            line_size: 32,
-            page_size: 1024,
-            latency: figure5_latency(),
-            critical_job_columns: 4,
-        }
-    }
-
     /// The simulator configuration for this experiment.
     pub fn system_config(&self) -> Result<SystemConfig, CoreError> {
         let cache = CacheConfig::builder()

@@ -262,7 +262,7 @@ impl WindowTracker {
             hits: cache.hits - self.prev_hits,
             misses: misses - self.prev_misses,
             memory_cycles: delta.memory_cycles,
-            cpi: CycleReport::from_stats(&delta, &backend.config().latency, 0, false).cpi(),
+            cpi: CycleReport::from_stats(&delta, &backend.config().latency).cpi(),
         };
         observer.on_window(&sample);
         self.index += 1;

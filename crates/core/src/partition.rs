@@ -4,7 +4,8 @@
 //! used as cache (0–4) with the remainder dedicated as scratchpad, and measures the cycle
 //! count of each MPEG routine under the best data layout for that partition. The
 //! experiment layer's planner expands a `partition-sweep` policy into one job per point;
-//! [`run_partition_point_in`] runs one point:
+//! [`run_partition_point_in`] runs one point under a grid's [`SystemConfig`] — its cache
+//! geometry, replacement policy, page size, TLB and latencies:
 //!
 //! 1. variables are ranked by access density and greedily packed into the scratchpad
 //!    capacity (the paper's "critical data" selection, following Panda et al.);
@@ -24,7 +25,7 @@ use crate::runner::{assign_columns_in, CacheMapping, RegionMapping, RunResult};
 use ccache_layout::weights::TraceProfile;
 use ccache_layout::{ConflictGraph, LayoutOptions, WeightOptions};
 use ccache_sim::backend::BackendKind;
-use ccache_sim::{CacheConfig, ColumnMask, LatencyConfig, SystemConfig};
+use ccache_sim::{ColumnMask, SystemConfig};
 use ccache_telemetry::Registry;
 use ccache_trace::{SymbolTable, Trace, VarId};
 use ccache_workloads::WorkloadRun;
@@ -34,60 +35,6 @@ use std::collections::BTreeSet;
 const SCRATCHPAD_BASE: u64 = 0x4_0000;
 /// Base address of the page-aligned general variables in the placed memory map.
 const GENERAL_BASE: u64 = 0x10_0000;
-
-/// Configuration of a partition-sweep experiment.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PartitionConfig {
-    /// Total on-chip memory in bytes (paper: 2048).
-    pub capacity_bytes: u64,
-    /// Number of columns (paper: 4).
-    pub columns: usize,
-    /// Cache-line size in bytes (paper-era embedded lines: 32).
-    pub line_size: u64,
-    /// Mapping granularity (page size) of the simulated TLB/page table.
-    pub page_size: u64,
-    /// Latency model.
-    pub latency: LatencyConfig,
-    /// Whether the reported cycle count includes software control overhead (tint setup and
-    /// scratchpad preloads). The paper's figures treat scratchpad contents as established
-    /// ahead of the measured region, so the default is `false`.
-    pub include_control: bool,
-}
-
-impl Default for PartitionConfig {
-    fn default() -> Self {
-        PartitionConfig {
-            capacity_bytes: 2048,
-            columns: 4,
-            line_size: 32,
-            page_size: 128,
-            latency: LatencyConfig::default(),
-            include_control: false,
-        }
-    }
-}
-
-impl PartitionConfig {
-    /// Size of one column in bytes.
-    pub fn column_bytes(&self) -> u64 {
-        self.capacity_bytes / self.columns as u64
-    }
-
-    /// The simulator system configuration for this partition experiment.
-    pub fn system_config(&self) -> Result<SystemConfig, CoreError> {
-        let cache = CacheConfig::builder()
-            .capacity_bytes(self.capacity_bytes)
-            .columns(self.columns)
-            .line_size(self.line_size)
-            .build()?;
-        Ok(SystemConfig {
-            cache,
-            latency: self.latency,
-            page_size: self.page_size,
-            tlb_entries: 64,
-        })
-    }
-}
 
 /// One point of the partition sweep.
 #[derive(Debug, Clone, PartialEq)]
@@ -177,31 +124,34 @@ pub fn select_scratchpad_vars(trace: &Trace, symbols: &SymbolTable, capacity: u6
 }
 
 /// Runs one partition point — `cache_columns` columns of cache, the rest scratchpad —
-/// against any backend kind, with the engine's telemetry reporting into `registry`. On
-/// the set-associative baseline the scratchpad mapping degrades to ordinary cached
-/// accesses (the control operations are ignored), which is exactly the "standard cache"
-/// comparison line.
+/// against any backend kind under `config`, with the engine's telemetry reporting into
+/// `registry`. On the set-associative baseline the scratchpad mapping degrades to
+/// ordinary cached accesses (the control operations are ignored), which is exactly the
+/// "standard cache" comparison line. The point's cycles are the replay's cycle count;
+/// the control cycles of its tints and preloads are reported beside them, in its
+/// result.
 ///
 /// # Errors
 ///
-/// Fails for an invalid geometry, checked before any column mask is built, for more
-/// cache columns than the geometry has, and for a layout past a layout limit.
+/// Fails for an invalid system configuration, checked before anything is placed, for
+/// more cache columns than the geometry has, and for a layout past a layout limit.
 pub fn run_partition_point_in(
     kind: BackendKind,
     workload: &WorkloadRun,
-    config: &PartitionConfig,
+    config: &SystemConfig,
     cache_columns: usize,
     registry: &Registry,
 ) -> Result<PartitionPoint, CoreError> {
-    let system_config = config.system_config()?;
-    if cache_columns > config.columns {
+    config.validate()?;
+    let columns = config.cache.columns();
+    if cache_columns > columns {
         return Err(CoreError::BadPartition {
-            scratchpad_columns: config.columns - cache_columns.min(config.columns),
-            columns: config.columns,
+            scratchpad_columns: 0,
+            columns,
         });
     }
-    let scratchpad_columns = config.columns - cache_columns;
-    let column_bytes = config.column_bytes();
+    let scratchpad_columns = columns - cache_columns;
+    let column_bytes = config.cache.column_bytes();
     let scratchpad_capacity = scratchpad_columns as u64 * column_bytes;
 
     // Placement keeps every variable's size, so the layout's unit count is known now.
@@ -273,13 +223,7 @@ pub fn run_partition_point_in(
         // No cache at all: whatever is not in the scratchpad bypasses to main memory.
         for &unit_idx in &reduced_to_unit {
             let unit = units.unit(unit_idx).expect("unit index valid");
-            if let Some(region) = symbols.region(unit.var) {
-                mapping.map(
-                    region.base + unit.offset,
-                    unit.size,
-                    RegionMapping::Uncached,
-                );
-            }
+            mapping.map_unit(symbols, unit, RegionMapping::Uncached);
         }
     } else {
         let layout_opts = LayoutOptions::new(cache_columns, column_bytes);
@@ -289,15 +233,8 @@ pub fn run_partition_point_in(
             let column = assignment
                 .column_of_vertex(ri)
                 .expect("assignment covers every vertex");
-            if let Some(region) = symbols.region(unit.var) {
-                mapping.map(
-                    region.base + unit.offset,
-                    unit.size,
-                    RegionMapping::Columns {
-                        mask: ColumnMask::single(column),
-                    },
-                );
-            }
+            let mask = ColumnMask::single(column);
+            mapping.map_unit(symbols, unit, RegionMapping::Columns { mask });
         }
         if scratchpad_columns > 0 {
             mapping.default_mask = Some(ColumnMask::range(0, cache_columns));
@@ -305,7 +242,7 @@ pub fn run_partition_point_in(
     }
 
     // 4. Replay (batched, through the replay engine).
-    let mut engine = ReplayEngine::new(kind, system_config)?;
+    let mut engine = ReplayEngine::new(kind, *config)?;
     engine.set_telemetry(registry);
     engine.apply(&mapping)?;
     let Ok(result) = engine.replay_from(
@@ -313,11 +250,6 @@ pub fn run_partition_point_in(
         placement.events(workload.trace.as_slice()),
         None,
     );
-    let cycles = if config.include_control {
-        result.total_cycles_with_control()
-    } else {
-        result.total_cycles()
-    };
     let scratchpad_names = scratch_vars
         .iter()
         .filter_map(|v| symbols.region(*v).map(|r| r.name.clone()))
@@ -325,7 +257,7 @@ pub fn run_partition_point_in(
     Ok(PartitionPoint {
         cache_columns,
         scratchpad_columns,
-        cycles,
+        cycles: result.total_cycles(),
         scratchpad_vars: scratchpad_names,
         result,
     })
@@ -336,8 +268,12 @@ mod tests {
     use super::*;
     use ccache_workloads::mpeg::{run_dequant, MpegConfig};
 
-    fn fast_config() -> PartitionConfig {
-        PartitionConfig::default()
+    /// Figure 4's 2 KB, 4-column memory with 128-byte pages.
+    fn figure4() -> SystemConfig {
+        SystemConfig {
+            page_size: 128,
+            ..SystemConfig::default()
+        }
     }
 
     #[test]
@@ -362,7 +298,7 @@ mod tests {
     #[test]
     fn baseline_backend_ignores_partitioning() {
         let run = run_dequant(&MpegConfig::small());
-        let cfg = fast_config();
+        let cfg = figure4();
         // On a conventional cache the "partition" degrades to plain caching, so every
         // sweep point costs the same.
         let registry = Registry::new();
@@ -383,7 +319,7 @@ mod tests {
 
     fn column_point(
         run: &WorkloadRun,
-        config: &PartitionConfig,
+        config: &SystemConfig,
         cache_columns: usize,
     ) -> Result<PartitionPoint, CoreError> {
         run_partition_point_in(
@@ -398,26 +334,26 @@ mod tests {
     #[test]
     fn invalid_partition_is_rejected() {
         let run = run_dequant(&MpegConfig::small());
-        assert!(column_point(&run, &fast_config(), 9).is_err());
+        assert!(column_point(&run, &figure4(), 9).is_err());
     }
 
     #[test]
-    fn invalid_geometry_fails_before_building_masks() {
-        // 1,000,000 columns would build a mask past bit 63 if the geometry were not
-        // checked first.
+    fn invalid_system_config_fails_before_placing() {
+        // A zero page size would align the placed variables to nothing if the
+        // configuration were not checked first.
         let run = run_dequant(&MpegConfig::small());
-        let config = PartitionConfig {
-            columns: 1_000_000,
-            ..fast_config()
+        let config = SystemConfig {
+            page_size: 0,
+            ..figure4()
         };
-        let err = column_point(&run, &config, 64).unwrap_err();
-        assert!(err.to_string().contains("1000000"), "{err}");
+        let err = column_point(&run, &config, 2).unwrap_err();
+        assert!(err.to_string().contains("page size"), "{err}");
     }
 
     #[test]
     fn partition_point_reports_scratchpad_contents() {
         let run = run_dequant(&MpegConfig::small());
-        let point = column_point(&run, &fast_config(), 2).unwrap();
+        let point = column_point(&run, &figure4(), 2).unwrap();
         assert_eq!(point.scratchpad_columns, 2);
         assert!(!point.scratchpad_vars.is_empty());
         assert!(point.cycles > 0);

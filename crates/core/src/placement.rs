@@ -35,16 +35,6 @@ impl PlacementPlan {
     pub fn target(&self, var: VarId) -> Option<u64> {
         self.targets.get(&var).copied()
     }
-
-    /// Number of planned variables.
-    pub fn len(&self) -> usize {
-        self.targets.len()
-    }
-
-    /// Returns `true` if no variable has been placed yet.
-    pub fn is_empty(&self) -> bool {
-        self.targets.is_empty()
-    }
 }
 
 /// Builds a placement where the variables in `scratchpad_vars` are packed contiguously
@@ -220,7 +210,6 @@ mod tests {
     fn page_aligned_places_every_variable_on_a_page() {
         let (_, symbols, ..) = sample();
         let plan = page_aligned(&symbols, 0x10000, 1024);
-        assert_eq!(plan.len(), 3);
         for region in symbols.iter() {
             assert_eq!(plan.target(region.id).unwrap() % 1024, 0);
         }
@@ -266,7 +255,7 @@ mod tests {
         let (trace, symbols, a, b, _c) = sample();
         let mut plan = PlacementPlan::new();
         plan.place(a, 0x70_0000);
-        assert!(!plan.is_empty());
+        assert_eq!(plan.target(b), None);
         let placement = Placement::new(&symbols, &plan);
         assert_eq!(
             placement.symbols().region(b).unwrap().base,

@@ -4,9 +4,10 @@
 
 use crate::dynamic::{DynamicRunResult, Figure4dResult, PhaseResult};
 use crate::multitask::{JobMetrics, MultitaskRun, QuantumSeries, SharingPolicy};
-use crate::partition::{PartitionConfig, PartitionPoint, PartitionSweep};
+use crate::partition::{PartitionPoint, PartitionSweep};
 use crate::runner::RunResult;
 use ccache_json::{Json, ToJson};
+use ccache_sim::SystemConfig;
 use std::fmt::Write as _;
 
 /// Renders a partition sweep (one panel of Figure 4) as an ASCII table:
@@ -130,8 +131,8 @@ pub fn quantum_table(series: &[QuantumSeries]) -> String {
 pub struct SweepReport {
     /// Which figure the report reproduces (e.g. `"4"`).
     pub figure: String,
-    /// The partition-experiment configuration the sweeps ran under.
-    pub config: PartitionConfig,
+    /// The system configuration the sweeps ran under.
+    pub config: SystemConfig,
     /// One sweep per routine.
     pub sweeps: Vec<PartitionSweep>,
     /// The static-vs-dynamic comparison, when the combined application was run.
@@ -149,7 +150,7 @@ impl ToJson for SweepReport {
     fn to_json(&self) -> Json {
         Json::obj([
             ("figure", self.figure.to_json()),
-            ("config", self.config.to_json()),
+            ("config", legacy_config_json(&self.config)),
             ("sweeps", self.sweeps.to_json()),
             ("figure4d", self.figure4d.to_json()),
         ])
@@ -230,17 +231,18 @@ impl ToJson for crate::observe::TimeSeries {
     }
 }
 
-impl ToJson for PartitionConfig {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("capacity_bytes", self.capacity_bytes.to_json()),
-            ("columns", self.columns.to_json()),
-            ("line_size", self.line_size.to_json()),
-            ("page_size", self.page_size.to_json()),
-            ("latency", self.latency.to_json()),
-            ("include_control", self.include_control.to_json()),
-        ])
-    }
+/// The `config` block of a Figure 4 artefact, in its fixed schema: the geometry, the
+/// page size, the latencies and `include_control: false`, since no figure's cycle count
+/// includes control cycles.
+fn legacy_config_json(config: &SystemConfig) -> Json {
+    Json::obj([
+        ("capacity_bytes", config.cache.capacity_bytes().to_json()),
+        ("columns", config.cache.columns().to_json()),
+        ("line_size", config.cache.line_size().to_json()),
+        ("page_size", config.page_size.to_json()),
+        ("latency", config.latency.to_json()),
+        ("include_control", false.to_json()),
+    ])
 }
 
 impl ToJson for PartitionPoint {

@@ -8,7 +8,9 @@
 //! time and gathers cycle statistics.
 
 use crate::error::CoreError;
-use ccache_layout::{ColumnAssignment, ConflictGraph, LayoutError, LayoutOptions, UnitMap};
+use ccache_layout::{
+    ColumnAssignment, ConflictGraph, LayoutError, LayoutOptions, LayoutUnit, UnitMap,
+};
 use ccache_sim::backend::MemoryBackend;
 use ccache_sim::{ColumnMask, CycleReport, Tint};
 use ccache_telemetry::Registry;
@@ -57,6 +59,20 @@ impl CacheMapping {
         self
     }
 
+    /// Adds a region mapping for layout unit `unit`: its bytes of its variable's region
+    /// in `symbols`. A unit of a variable `symbols` does not hold maps nothing.
+    pub fn map_unit(
+        &mut self,
+        symbols: &SymbolTable,
+        unit: &LayoutUnit,
+        mapping: RegionMapping,
+    ) -> &mut Self {
+        if let Some(region) = symbols.region(unit.var) {
+            self.map(region.base + unit.offset, unit.size, mapping);
+        }
+        self
+    }
+
     /// Builds the mapping corresponding to a column assignment: every unit of every
     /// variable is tinted to its assigned column.
     ///
@@ -74,22 +90,16 @@ impl CacheMapping {
             let Some(column) = assignment.column_of_vertex(idx) else {
                 continue;
             };
-            let Some(region) = symbols.region(unit.var) else {
-                continue;
-            };
-            let base = region.base + unit.offset;
-            let size = unit.size;
+            let mask = ColumnMask::single(column);
             let m = if exclusive_columns.contains(&column) {
                 RegionMapping::Exclusive {
-                    mask: ColumnMask::single(column),
+                    mask,
                     preload: true,
                 }
             } else {
-                RegionMapping::Columns {
-                    mask: ColumnMask::single(column),
-                }
+                RegionMapping::Columns { mask }
             };
-            mapping.map(base, size, m);
+            mapping.map_unit(symbols, unit, m);
         }
         if !exclusive_columns.is_empty() {
             let mut default = ColumnMask::all(assignment.columns);
@@ -172,11 +182,6 @@ impl RunResult {
         self.report.total_cycles()
     }
 
-    /// Total cycles including software control overhead.
-    pub fn total_cycles_with_control(&self) -> u64 {
-        self.report.total_cycles() + self.control_cycles
-    }
-
     /// Clocks per instruction (control excluded).
     pub fn cpi(&self) -> f64 {
         self.report.cpi()
@@ -246,7 +251,7 @@ pub(crate) fn collect_result<B: MemoryBackend + ?Sized>(
     system: &B,
     control_before: u64,
 ) -> RunResult {
-    let report = system.cycle_report(false);
+    let report = system.cycle_report();
     let cache = system.cache_stats();
     let mem = system.stats();
     RunResult {
@@ -298,7 +303,7 @@ mod tests {
         assert!(result.hits >= 32);
         assert!(result.cpi() > 1.0);
         assert_eq!(result.name, "plain");
-        assert!(result.total_cycles() <= result.total_cycles_with_control());
+        assert_eq!(result.control_cycles, 0);
     }
 
     #[test]

@@ -4,8 +4,9 @@
 //! programs the job's mapping and replays the workload once; partition points, phase
 //! remaps, multitask schedules and tuning runs go through the same experiment
 //! functions the legacy commands used, which is what makes the CLI presets
-//! byte-identical to their pre-refactor output. Every engine reports into the
-//! execution's registry. Jobs run thread-parallel through the order-preserving
+//! byte-identical to their pre-refactor output. Every replay job, whatever its policy,
+//! runs under its geometry's [`GeometrySpec::system_config`]. Every engine reports into
+//! the execution's registry. Jobs run thread-parallel through the order-preserving
 //! `par_map`, which balances work per job, so the outcome vector — and therefore the
 //! serialized artefact — is byte-identical to a serial run.
 
@@ -25,7 +26,6 @@ use ccache_sim::backend::BackendKind;
 use ccache_sim::ColumnMask;
 use ccache_telemetry::{Registry, Span};
 use ccache_trace::{SymbolTable, Trace};
-use ccache_workloads::gzipsim::run_gzip_job;
 use ccache_workloads::multitask::Job;
 use ccache_workloads::WorkloadRun;
 use std::collections::BTreeMap;
@@ -225,17 +225,7 @@ impl Context {
                 JobUnit::Multitask(job) => {
                     ctx.job_sets
                         .entry(job_set_key(&job.jobs))
-                        .or_insert_with(|| {
-                            let base_cfg = scale.gzip();
-                            job.jobs
-                                .iter()
-                                .map(|j| {
-                                    let run =
-                                        run_gzip_job(&base_cfg.with_seed(j.seed), j.base, &j.name);
-                                    Job::new(run.name.clone(), run.trace)
-                                })
-                                .collect()
-                        });
+                        .or_insert_with(|| scale.gzip_jobs(&job.jobs));
                 }
             }
         }
@@ -293,15 +283,8 @@ fn build_mapping(
                 .map_err(ccache_core::CoreError::from)?;
             let mut mapping = CacheMapping::new();
             for (i, unit) in units.iter().enumerate() {
-                if let Some(region) = workload.symbols.region(unit.var) {
-                    mapping.map(
-                        region.base + unit.offset,
-                        unit.size,
-                        RegionMapping::Columns {
-                            mask: ColumnMask::single(i % geometry.columns.max(1)),
-                        },
-                    );
-                }
+                let mask = ColumnMask::single(i % geometry.columns.max(1));
+                mapping.map_unit(&workload.symbols, unit, RegionMapping::Columns { mask });
             }
             Ok((mapping, None))
         }
@@ -401,7 +384,7 @@ fn run_job(
             let point = run_partition_point_in(
                 job.backend,
                 workload,
-                &job.geometry.partition_config(),
+                &job.geometry.system_config()?,
                 *cache_columns,
                 &tel.registry,
             )?;
@@ -417,7 +400,7 @@ fn run_job(
             let run = run_dynamic_in(
                 phases,
                 symbols,
-                &job.geometry.partition_config(),
+                &job.geometry.system_config()?,
                 &tel.registry,
                 recorder.as_mut().map(SeriesRecorder::as_observer),
             )?;
@@ -589,6 +572,37 @@ mod tests {
         let p = plan(&spec);
         let err = execute(&p, &quick()).unwrap_err();
         assert!(err.to_string().contains("no_such_var"));
+    }
+
+    #[test]
+    fn an_invalid_geometry_fails_every_policy_alike() {
+        // Parsing refuses a TLB of no entries; a spec built in code reaches the executor,
+        // and its partition and dynamic jobs refuse it as the mapping replays do.
+        let geometry = GeometrySpec {
+            tlb: 0,
+            ..GeometrySpec::default()
+        };
+        let expected = geometry.system_config().unwrap_err().to_string();
+        for (workload, policy) in [
+            ("fir", PolicySpec::Shared),
+            ("fir", PolicySpec::Partition { cache_columns: 2 }),
+            ("mpeg-combined", PolicySpec::DynamicPhases),
+        ] {
+            let spec = ExperimentSpec {
+                name: "t".into(),
+                replay: vec![ReplayGrid {
+                    workloads: vec![WorkloadSel::Corpus {
+                        name: workload.into(),
+                    }],
+                    geometries: vec![geometry],
+                    policies: vec![policy],
+                    ..ReplayGrid::default()
+                }],
+                multitask: Vec::new(),
+            };
+            let err = execute(&plan(&spec), &quick()).unwrap_err();
+            assert_eq!(err.to_string(), expected);
+        }
     }
 
     #[test]

@@ -1,11 +1,11 @@
-//! Experiment scales and the fixed figure configurations.
+//! Experiment scales and the Figure 5 jobs.
 //!
 //! This module lives in the experiment layer so the spec presets and the CLI resolve
-//! `--quick` and the paper's configurations through one definition (the CLI re-exports
-//! it).
+//! `--quick` through one definition (the CLI re-exports it). The figures' geometries
+//! are spec values: [`figure4_geometry`](crate::presets::figure4_geometry) and the
+//! default [`MultitaskGrid`](crate::spec::MultitaskGrid).
 
-use ccache_core::multitask::MultitaskConfig;
-use ccache_core::partition::PartitionConfig;
+use crate::spec::{figure5_job_specs, GzipJobSpec};
 use ccache_workloads::gzipsim::{run_gzip_job, GzipConfig};
 use ccache_workloads::mpeg::MpegConfig;
 use ccache_workloads::multitask::Job;
@@ -62,34 +62,23 @@ impl Scale {
         };
         (0..=max_pow).map(|p| 4usize.pow(p)).collect()
     }
+
+    /// Builds the gzip jobs of a multitask grid at this scale.
+    pub(crate) fn gzip_jobs(self, jobs: &[GzipJobSpec]) -> Vec<Job> {
+        let base_cfg = self.gzip();
+        jobs.iter()
+            .map(|j| {
+                let run = run_gzip_job(&base_cfg.with_seed(j.seed), j.base, &j.name);
+                Job::new(run.name, run.trace)
+            })
+            .collect()
+    }
 }
 
-/// The Figure 4 experiment configuration (2 KB, 4 columns, 32-byte lines).
-pub fn figure4_config() -> PartitionConfig {
-    PartitionConfig::default()
-}
-
-/// The Figure 5 cache configurations: (label, config) for 16 KiB and 128 KiB.
-pub fn figure5_configs() -> Vec<(&'static str, MultitaskConfig)> {
-    vec![
-        ("gzip.16k", MultitaskConfig::cache_16k()),
-        ("gzip.128k", MultitaskConfig::cache_128k()),
-    ]
-}
-
-/// Builds the three gzip jobs of Figure 5 with disjoint address spaces.
+/// Builds the three gzip jobs of Figure 5 ([`figure5_job_specs`]) with disjoint address
+/// spaces, as a multitask grid's executor builds them.
 pub fn figure5_jobs(scale: Scale) -> Vec<Job> {
-    let base_cfg = scale.gzip();
-    (0..3u64)
-        .map(|j| {
-            let run = run_gzip_job(
-                &base_cfg.with_seed(41 + j),
-                0x100_0000 * (j + 1),
-                &format!("gzip-{}", (b'A' + j as u8) as char),
-            );
-            Job::new(run.name.clone(), run.trace)
-        })
-        .collect()
+    scale.gzip_jobs(&figure5_job_specs())
 }
 
 #[cfg(test)]
@@ -121,15 +110,5 @@ mod tests {
             .collect();
         assert!(spans[0].1 < spans[1].0);
         assert!(spans[1].1 < spans[2].0);
-    }
-
-    #[test]
-    fn figure_configs_match_paper_parameters() {
-        let f4 = figure4_config();
-        assert_eq!(f4.capacity_bytes, 2048);
-        assert_eq!(f4.columns, 4);
-        let f5 = figure5_configs();
-        assert_eq!(f5[0].1.capacity_bytes, 16 * 1024);
-        assert_eq!(f5[1].1.capacity_bytes, 128 * 1024);
     }
 }

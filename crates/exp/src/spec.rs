@@ -193,7 +193,8 @@ impl Default for GeometrySpec {
 }
 
 impl GeometrySpec {
-    /// The simulator system configuration for this geometry.
+    /// The simulator system configuration for this geometry, under which every policy
+    /// of a grid runs.
     ///
     /// # Errors
     ///
@@ -215,20 +216,6 @@ impl GeometrySpec {
         };
         config.validate()?;
         Ok(config)
-    }
-
-    /// The partition-experiment configuration for this geometry. Partition jobs replay
-    /// through `ccache_core::partition`, which fixes the TLB at 64 entries and the
-    /// default replacement policy; the `tlb`/`replacement` fields are ignored there.
-    pub fn partition_config(&self) -> ccache_core::partition::PartitionConfig {
-        ccache_core::partition::PartitionConfig {
-            capacity_bytes: self.capacity,
-            columns: self.columns,
-            line_size: self.line,
-            page_size: self.page,
-            latency: self.latency.config(),
-            include_control: false,
-        }
     }
 
     /// A short label, e.g. `"2048B.4col.32B"`.
@@ -1257,6 +1244,7 @@ mod tests {
         assert_eq!(g.jobs[0].seed, 41);
         assert_eq!(g.configs[0].config().capacity_bytes, 16 * 1024);
         assert_eq!(g.configs[0].config().critical_job_columns, 6);
+        assert_eq!(g.configs[1].config().capacity_bytes, 128 * 1024);
         assert_eq!(g.quanta.len(), 8);
     }
 }

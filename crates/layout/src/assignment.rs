@@ -92,15 +92,6 @@ impl ColumnAssignment {
     pub fn columns_of(&self, var: VarId) -> &[usize] {
         self.var_columns.get(&var).map(Vec::as_slice).unwrap_or(&[])
     }
-
-    /// Returns every variable assigned (exclusively or not) to `column`.
-    pub fn vars_in_column(&self, column: usize) -> Vec<VarId> {
-        self.var_columns
-            .iter()
-            .filter(|(_, cols)| cols.contains(&column))
-            .map(|(v, _)| *v)
-            .collect()
-    }
 }
 
 /// Runs the paper's column-assignment algorithm on a conflict graph.
@@ -511,7 +502,7 @@ mod tests {
             assert_ne!(a.vertex_columns[i], 0);
         }
         assert_eq!(a.cost, 0);
-        assert_eq!(a.vars_in_column(0), vec![VarId(3)]);
+        assert_eq!(a.columns_of(VarId(3)), &[0]);
     }
 
     #[test]

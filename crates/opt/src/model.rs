@@ -289,7 +289,7 @@ impl<'a> ColumnModel<'a> {
             tlb_misses,
             ..MemoryStats::default()
         };
-        let report = CycleReport::from_stats(&stats, latency, 0, false);
+        let report = CycleReport::from_stats(&stats, latency);
         Fitness {
             misses,
             cycles: report.total_cycles(),

@@ -97,8 +97,9 @@ pub trait MemoryBackend: Send + Sync {
     /// Cycles spent in software control operations since the last reset.
     fn control_cycles(&self) -> u64;
 
-    /// Cycle/CPI report for everything replayed since the last reset.
-    fn cycle_report(&self, include_control: bool) -> CycleReport;
+    /// Cycle/CPI report for everything replayed since the last reset; control cycles
+    /// are reported on their own ([`MemoryBackend::control_cycles`]), never in it.
+    fn cycle_report(&self) -> CycleReport;
 
     /// Clears statistics; contents and mappings survive.
     fn reset_stats(&mut self);
@@ -165,8 +166,8 @@ impl MemoryBackend for MemorySystem {
         self.control_cycles
     }
 
-    fn cycle_report(&self, include_control: bool) -> CycleReport {
-        MemorySystem::cycle_report(self, include_control)
+    fn cycle_report(&self) -> CycleReport {
+        MemorySystem::cycle_report(self)
     }
 
     fn reset_stats(&mut self) {
@@ -271,8 +272,8 @@ impl MemoryBackend for SetAssocBaseline {
         self.inner.control_cycles
     }
 
-    fn cycle_report(&self, include_control: bool) -> CycleReport {
-        self.inner.cycle_report(include_control)
+    fn cycle_report(&self) -> CycleReport {
+        self.inner.cycle_report()
     }
 
     fn reset_stats(&mut self) {
@@ -376,8 +377,8 @@ impl MemoryBackend for IdealScratchpad {
         0
     }
 
-    fn cycle_report(&self, include_control: bool) -> CycleReport {
-        CycleReport::from_stats(&self.stats, &self.config.latency, 0, include_control)
+    fn cycle_report(&self) -> CycleReport {
+        CycleReport::from_stats(&self.stats, &self.config.latency)
     }
 
     fn reset_stats(&mut self) {
@@ -528,7 +529,7 @@ mod tests {
         assert_eq!(ideal.stats().references, 200);
         assert_eq!(ideal.cache_stats().accesses, 0);
         assert_eq!(
-            ideal.cycle_report(false).memory_cycles,
+            ideal.cycle_report().memory_cycles,
             200 * cfg.latency.scratchpad_latency
         );
     }

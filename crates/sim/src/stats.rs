@@ -64,25 +64,16 @@ pub struct CycleReport {
 
 impl CycleReport {
     /// Builds a report from accumulated memory statistics under the standard in-order
-    /// compute model: `instructions = references × instructions_per_reference`, compute
-    /// cycles at `compute_cycles_per_instruction`, and control cycles folded into the
-    /// memory cycles when `include_control` is set. Every backend derives its report
-    /// through this one function so the CPI model cannot drift between them.
-    pub fn from_stats(
-        stats: &MemoryStats,
-        latency: &crate::config::LatencyConfig,
-        control_cycles: u64,
-        include_control: bool,
-    ) -> CycleReport {
+    /// compute model: `instructions = references × instructions_per_reference` and
+    /// compute cycles at `compute_cycles_per_instruction`. Software control cycles are
+    /// never folded in; backends report them on their own. Every backend derives its
+    /// report through this one function so the CPI model cannot drift between them.
+    pub fn from_stats(stats: &MemoryStats, latency: &crate::config::LatencyConfig) -> CycleReport {
         let instructions = stats.references * latency.instructions_per_reference;
-        let mut memory_cycles = stats.memory_cycles;
-        if include_control {
-            memory_cycles += control_cycles;
-        }
         CycleReport {
             instructions,
             compute_cycles: instructions * latency.compute_cycles_per_instruction,
-            memory_cycles,
+            memory_cycles: stats.memory_cycles,
         }
     }
 

@@ -98,7 +98,7 @@ pub struct MemorySystem {
     tints: TintTable,
     stats: MemoryStats,
     /// Cycles spent in software control operations (tint remaps, re-tints, preloads,
-    /// explicit copies). Reported separately so experiments can include or exclude them.
+    /// explicit copies), reported on their own and never in the cycle report.
     pub control_cycles: u64,
 }
 
@@ -348,15 +348,10 @@ impl MemorySystem {
 
     /// Builds a cycle/CPI report for everything replayed since the last statistics reset,
     /// using the configured instructions-per-reference and compute-CPI model. Control
-    /// cycles (tint management, preloads, explicit copies) are included in the memory
-    /// cycles if `include_control` is set.
-    pub fn cycle_report(&self, include_control: bool) -> CycleReport {
-        CycleReport::from_stats(
-            &self.stats,
-            &self.config.latency,
-            self.control_cycles,
-            include_control,
-        )
+    /// cycles (tint management, preloads, explicit copies) are not in it: they are
+    /// reported on their own, in [`MemorySystem::control_cycles`].
+    pub fn cycle_report(&self) -> CycleReport {
+        CycleReport::from_stats(&self.stats, &self.config.latency)
     }
 }
 
@@ -484,14 +479,13 @@ mod tests {
         let mut s = system();
         let refs: Vec<(u64, bool)> = (0..100u64).map(|i| (i * 32, false)).collect();
         s.run(refs);
-        let rep = s.cycle_report(false);
+        let rep = s.cycle_report();
         assert_eq!(
             rep.instructions,
             100 * s.config().latency.instructions_per_reference
         );
         assert!(rep.cpi() > 1.0);
-        let with_control = s.cycle_report(true);
-        assert!(with_control.total_cycles() >= rep.total_cycles());
+        assert_eq!(rep.memory_cycles, s.stats().memory_cycles);
     }
 
     #[test]

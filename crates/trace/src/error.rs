@@ -6,11 +6,6 @@ use std::fmt;
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum TraceError {
-    /// A variable identifier did not refer to any region in the symbol table.
-    UnknownVariable {
-        /// The numeric identifier that failed to resolve.
-        id: u32,
-    },
     /// A recorded access fell outside the bounds of its variable's region.
     OutOfBounds {
         /// The variable's name.
@@ -51,9 +46,6 @@ pub enum TraceError {
 impl fmt::Display for TraceError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            TraceError::UnknownVariable { id } => {
-                write!(f, "unknown variable id {id}")
-            }
             TraceError::OutOfBounds {
                 name,
                 offset,
@@ -87,8 +79,6 @@ mod tests {
 
     #[test]
     fn display_messages_are_lowercase_and_informative() {
-        let e = TraceError::UnknownVariable { id: 7 };
-        assert_eq!(e.to_string(), "unknown variable id 7");
         let e = TraceError::OutOfBounds {
             name: "buf".into(),
             offset: 100,

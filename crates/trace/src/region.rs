@@ -179,12 +179,6 @@ impl SymbolTable {
         self.regions.get(id.index())
     }
 
-    /// Returns the region of variable `id` or an [`TraceError::UnknownVariable`] error.
-    pub fn try_region(&self, id: VarId) -> Result<&VariableRegion, TraceError> {
-        self.region(id)
-            .ok_or(TraceError::UnknownVariable { id: id.0 })
-    }
-
     /// Looks a region up by name. Linear scan; intended for tests and small tables.
     pub fn by_name(&self, name: &str) -> Option<&VariableRegion> {
         self.regions.iter().find(|r| r.name == name)
@@ -203,11 +197,6 @@ impl SymbolTable {
     /// Iterates over all regions in allocation order.
     pub fn iter(&self) -> impl Iterator<Item = &VariableRegion> {
         self.regions.iter()
-    }
-
-    /// Total number of bytes occupied by all regions (not counting alignment gaps).
-    pub fn total_bytes(&self) -> u64 {
-        self.regions.iter().map(|r| r.size).sum()
     }
 }
 
@@ -242,7 +231,6 @@ mod tests {
         assert!(!ra.overlaps(&rb));
         assert!(rb.base >= ra.end());
         assert_eq!(st.len(), 2);
-        assert_eq!(st.total_bytes(), 150);
     }
 
     #[test]
@@ -309,14 +297,5 @@ mod tests {
         assert_eq!(align_up(8, 8), 8);
         assert_eq!(align_up(9, 8), 16);
         assert_eq!(align_up(0x1001, 0x1000), 0x2000);
-    }
-
-    #[test]
-    fn try_region_reports_unknown() {
-        let st = SymbolTable::new();
-        assert!(matches!(
-            st.try_region(VarId(4)),
-            Err(TraceError::UnknownVariable { id: 4 })
-        ));
     }
 }

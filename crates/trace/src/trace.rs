@@ -121,21 +121,6 @@ impl Trace {
         lines.dedup();
         lines.len()
     }
-
-    /// Rewrites every event address by adding `offset` (used to relocate a per-task trace
-    /// into a disjoint address range when simulating multiprogramming).
-    pub fn relocate(&self, offset: u64) -> Trace {
-        Trace {
-            events: self
-                .events
-                .iter()
-                .map(|e| MemAccess {
-                    addr: e.addr + offset,
-                    ..*e
-                })
-                .collect(),
-        }
-    }
 }
 
 impl FromIterator<MemAccess> for Trace {
@@ -300,16 +285,6 @@ mod tests {
         assert_eq!(t.footprint_lines(0x100), 2);
         // lines of 4 bytes: 0x100, 0x200, 0x104 => 3 lines
         assert_eq!(t.footprint_lines(4), 3);
-    }
-
-    #[test]
-    fn relocate_shifts_addresses() {
-        let t = sample().relocate(0x1000);
-        assert_eq!(t.get(0).unwrap().addr, 0x1100);
-        assert_eq!(t.get(1).unwrap().addr, 0x1200);
-        // kinds and vars preserved
-        assert!(t.get(1).unwrap().is_write());
-        assert_eq!(t.get(2).unwrap().var, Some(VarId(0)));
     }
 
     #[test]

@@ -71,20 +71,6 @@ proptest! {
         }
     }
 
-    /// Relocation by a constant offset shifts every address by exactly that offset and
-    /// changes nothing else.
-    #[test]
-    fn relocate_is_a_pure_translation(count in 1usize..200, offset in 0u64..0x1000_0000) {
-        let t = pseudo_random(0x5000, 4096, 4, count, 7, None);
-        let r = t.relocate(offset);
-        prop_assert_eq!(t.len(), r.len());
-        for (a, b) in t.iter().zip(r.iter()) {
-            prop_assert_eq!(a.addr + offset, b.addr);
-            prop_assert_eq!(a.kind, b.kind);
-            prop_assert_eq!(a.size, b.size);
-        }
-    }
-
     /// The footprint in lines never exceeds the number of events and shrinks (or stays
     /// equal) when the line size grows.
     #[test]

@@ -51,13 +51,14 @@
 //! cover:
 //!
 //! ```
+//! use column_caching::exp::presets::figure4_geometry;
 //! use column_caching::prelude::*;
 //!
-//! // Run the paper's dequant kernel and sweep the scratchpad/cache partition (Fig. 4a),
-//! // one point per cache-column count.
+//! // Run the paper's dequant kernel and sweep the scratchpad/cache partition (Fig. 4a)
+//! // of Figure 4's geometry, one point per cache-column count.
 //! let run = run_dequant(&MpegConfig::small());
-//! let config = PartitionConfig::default();
-//! let points = (0..=config.columns)
+//! let config = figure4_geometry().system_config()?;
+//! let points = (0..=config.cache.columns())
 //!     .map(|cache_columns| {
 //!         let kind = BackendKind::ColumnCache;
 //!         run_partition_point_in(kind, &run, &config, cache_columns, &Registry::new())
@@ -66,7 +67,7 @@
 //! let sweep = PartitionSweep { name: run.name, points };
 //! // dequant's working set fits in 2 KiB, so the all-scratchpad point wins.
 //! assert_eq!(sweep.best().cache_columns, 0);
-//! # Ok::<(), column_caching::core::CoreError>(())
+//! # Ok::<(), column_caching::exp::ExpError>(())
 //! ```
 
 #![forbid(unsafe_code)]

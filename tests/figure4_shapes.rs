@@ -5,12 +5,16 @@
 //! The experiment runs once per test binary, the way `ccache fig4 --quick` runs it: the
 //! `fig4` preset spec through a quick [`Session`].
 
-use column_caching::core::dynamic::{DynamicRunResult, Figure4dResult};
-use column_caching::core::partition::{PartitionConfig, PartitionSweep};
-use column_caching::exp::presets::fig4_spec;
-use column_caching::exp::JobOutcome;
+use column_caching::core::dynamic::{run_dynamic_in, DynamicRunResult, Figure4dResult};
+use column_caching::core::partition::{run_partition_point_in, PartitionSweep};
+use column_caching::exp::presets::{fig4_spec, figure4_geometry};
+use column_caching::exp::{ExperimentSpec, JobOutcome, JobUnit, PolicySpec};
+use column_caching::sim::SystemConfig;
+use column_caching::telemetry::Registry;
+use column_caching::workloads::mpeg::{run_phases, MpegConfig};
 use column_caching::workloads::{corpus, WorkloadRun};
 use column_caching::Session;
+use std::collections::BTreeMap;
 use std::sync::OnceLock;
 
 /// The quick Figure 4 run: one partition sweep per routine and the combined
@@ -65,8 +69,8 @@ fn workload(corpus_name: &str) -> WorkloadRun {
     corpus(corpus_name, true).unwrap()
 }
 
-fn config() -> PartitionConfig {
-    PartitionConfig::default()
+fn config() -> SystemConfig {
+    figure4_geometry().system_config().unwrap()
 }
 
 #[test]
@@ -160,6 +164,64 @@ fn scratchpad_points_store_only_what_fits() {
             .filter_map(|name| run.symbols.by_name(name))
             .map(|r| r.size)
             .sum();
-        assert!(scratch_bytes <= p.scratchpad_columns as u64 * cfg.column_bytes());
+        assert!(scratch_bytes <= p.scratchpad_columns as u64 * cfg.cache.column_bytes());
+    }
+}
+
+/// A grid's geometry reaches the partition points and the dynamic run: under a 4-entry
+/// TLB each costs more memory cycles than under Figure 4's 64 entries, and each equals
+/// the core function called with its geometry's system configuration.
+#[test]
+fn a_grids_tlb_reaches_partition_points_and_dynamic_runs() {
+    let spec = ExperimentSpec::parse_str(
+        r#"{"name": "tlb-reach", "replay": [
+            {"workloads": ["mpeg-idct"], "geometries": [{}, {"tlb": 4}],
+             "policies": ["partition-sweep"]},
+            {"workloads": ["mpeg-combined"], "geometries": [{}, {"tlb": 4}],
+             "policies": ["dynamic"]}]}"#,
+    )
+    .unwrap();
+    let artefact = Session::builder()
+        .quick(true)
+        .build()
+        .unwrap()
+        .run_spec(&spec)
+        .unwrap();
+    let idct = workload("mpeg-idct");
+    let (phases, symbols) = run_phases(&MpegConfig::small());
+
+    // memory cycles by (label, TLB entries): labels leave the TLB out
+    let mut memory = BTreeMap::new();
+    for (job, outcome) in artefact.entries() {
+        let JobUnit::Replay(job) = job else {
+            panic!("the spec plans replay jobs only");
+        };
+        let config = job.geometry.system_config().unwrap();
+        let registry = Registry::new();
+        let cycles = match (outcome, &job.policy) {
+            (JobOutcome::Partition { point, .. }, PolicySpec::Partition { cache_columns }) => {
+                let direct =
+                    run_partition_point_in(job.backend, &idct, &config, *cache_columns, &registry);
+                assert_eq!(point, &direct.unwrap(), "{}", job.label);
+                point.result.memory_cycles
+            }
+            (JobOutcome::Dynamic { run, .. }, PolicySpec::DynamicPhases) => {
+                let direct = run_dynamic_in(&phases, &symbols, &config, &registry, None);
+                assert_eq!(run, &direct.unwrap(), "{}", job.label);
+                run.phases.iter().map(|p| p.result.memory_cycles).sum()
+            }
+            _ => panic!("unexpected outcome for '{}'", job.label),
+        };
+        memory.insert((job.label.clone(), job.geometry.tlb), cycles);
+    }
+    assert_eq!(memory.len(), 2 * (5 + 1));
+    for ((label, tlb), &cycles) in &memory {
+        if *tlb == 4 {
+            let default = memory[&(label.clone(), 64)];
+            assert!(
+                cycles > default,
+                "{label}: {cycles} memory cycles with 4 TLB entries, {default} with 64"
+            );
+        }
     }
 }

@@ -4,8 +4,8 @@
 
 use column_caching::core::dynamic::run_dynamic_in;
 use column_caching::core::observe::{ReplayEvent, ReplayObserver};
-use column_caching::core::partition::PartitionConfig;
 use column_caching::core::runner::{CacheMapping, RegionMapping, RunResult};
+use column_caching::exp::presets::figure4_geometry;
 use column_caching::layout::{
     assign_columns, conflict_graph_from_trace, LayoutOptions, ProgramIr, Stmt, WeightOptions,
 };
@@ -137,7 +137,7 @@ fn per_phase_plans_require_remapping_only_when_access_patterns_change() {
     let run = run_dynamic_in(
         &phases,
         &symbols,
-        &PartitionConfig::default(),
+        &figure4_geometry().system_config().unwrap(),
         &Registry::new(),
         Some((u64::MAX, &mut remaps)),
     )

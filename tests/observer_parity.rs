@@ -133,12 +133,12 @@ proptest! {
 #[test]
 fn dynamic_observation_is_byte_identical_and_events_are_ordered() {
     use column_caching::core::dynamic::run_dynamic_in;
-    use column_caching::core::partition::PartitionConfig;
+    use column_caching::exp::presets::figure4_geometry;
     use column_caching::telemetry::Registry;
     use column_caching::workloads::mpeg::{run_phases, MpegConfig};
 
     let (phases, symbols) = run_phases(&MpegConfig::small());
-    let cfg = PartitionConfig::default();
+    let cfg = figure4_geometry().system_config().unwrap();
     let plain = run_dynamic_in(&phases, &symbols, &cfg, &Registry::new(), None).unwrap();
 
     let window = 1000u64;

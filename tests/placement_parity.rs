@@ -12,7 +12,7 @@
 
 use column_caching::core::dynamic::{run_dynamic_in, DynamicRunResult, PhaseResult};
 use column_caching::core::partition::{
-    run_partition_point_in, select_scratchpad_vars, PartitionConfig, PartitionPoint,
+    run_partition_point_in, select_scratchpad_vars, PartitionPoint,
 };
 use column_caching::core::placement::{
     pack_scratchpad_first, page_aligned, Placement, PlacementPlan,
@@ -20,7 +20,7 @@ use column_caching::core::placement::{
 use column_caching::core::runner::{assign_columns_in, CacheMapping, RegionMapping};
 use column_caching::core::ReplayEngine;
 use column_caching::layout::{ConflictGraph, LayoutOptions, TraceProfile, WeightOptions};
-use column_caching::sim::{BackendKind, ColumnMask, Tint};
+use column_caching::sim::{BackendKind, CacheConfig, ColumnMask, SystemConfig, Tint};
 use column_caching::telemetry::Registry;
 use column_caching::trace::{MemAccess, SymbolTable, Trace, VarId};
 use column_caching::workloads::WorkloadRun;
@@ -77,13 +77,12 @@ fn weight_options(column_bytes: u64) -> WeightOptions {
 fn copied_partition_point(
     kind: BackendKind,
     workload: &WorkloadRun,
-    config: &PartitionConfig,
+    config: &SystemConfig,
     cache_columns: usize,
 ) -> PartitionPoint {
-    let system_config = config.system_config().expect("valid geometry");
     let registry = Registry::new();
-    let scratchpad_columns = config.columns - cache_columns;
-    let column_bytes = config.column_bytes();
+    let scratchpad_columns = config.cache.columns() - cache_columns;
+    let column_bytes = config.cache.column_bytes();
     let scratch_vars = select_scratchpad_vars(
         &workload.trace,
         &workload.symbols,
@@ -164,19 +163,14 @@ fn copied_partition_point(
         }
     }
 
-    let mut engine = ReplayEngine::new(kind, system_config).expect("valid geometry");
+    let mut engine = ReplayEngine::new(kind, *config).expect("valid geometry");
     engine.set_telemetry(&registry);
     engine.apply(&mapping).expect("valid masks");
     let result = engine.replay(&format!("{}-cache{}", workload.name, cache_columns), &trace);
-    let cycles = if config.include_control {
-        result.total_cycles_with_control()
-    } else {
-        result.total_cycles()
-    };
     PartitionPoint {
         cache_columns,
         scratchpad_columns,
-        cycles,
+        cycles: result.total_cycles(),
         scratchpad_vars: scratch_vars
             .iter()
             .filter_map(|v| symbols.region(*v).map(|r| r.name.clone()))
@@ -191,9 +185,10 @@ fn copied_partition_point(
 fn copied_dynamic_run(
     phases: &[(String, Trace)],
     symbols: &SymbolTable,
-    config: &PartitionConfig,
+    config: &SystemConfig,
 ) -> DynamicRunResult {
-    let column_bytes = config.column_bytes();
+    let columns = config.cache.columns();
+    let column_bytes = config.cache.column_bytes();
     let plan = page_aligned(symbols, 0x10_0000, config.page_size);
     let relocated: Vec<(String, Trace, SymbolTable)> = phases
         .iter()
@@ -203,13 +198,9 @@ fn copied_dynamic_run(
         })
         .collect();
     let registry = Registry::new();
-    let mut engine = ReplayEngine::new(
-        BackendKind::ColumnCache,
-        config.system_config().expect("valid geometry"),
-    )
-    .expect("valid geometry");
+    let mut engine = ReplayEngine::new(BackendKind::ColumnCache, *config).expect("valid geometry");
     engine.set_telemetry(&registry);
-    let layout_opts = LayoutOptions::new(config.columns, column_bytes);
+    let layout_opts = LayoutOptions::new(columns, column_bytes);
     let mut phase_results = Vec::new();
     let (mut cycles, mut control_cycles) = (0, 0);
     for (name, trace, new_symbols) in &relocated {
@@ -217,28 +208,24 @@ fn copied_dynamic_run(
             .and_then(|profile| profile.conflict_graph(column_bytes))
             .expect("within the layout limits");
         let assignment = assign_columns_in(&graph, &layout_opts, &registry).expect("assigns");
-        let mut used = vec![0u64; config.columns];
+        let mut used = vec![0u64; columns];
         for idx in 0..units.len() {
             if let Some(col) = assignment.column_of_vertex(idx) {
                 used[col] += units.unit(idx).map_or(0, |u| u.size);
             }
         }
-        let mut exclusive: Vec<usize> = (0..config.columns)
+        let mut exclusive: Vec<usize> = (0..columns)
             .filter(|&c| used[c] > 0 && used[c] <= column_bytes)
             .collect();
-        exclusive.truncate(config.columns - 1);
+        exclusive.truncate(columns - 1);
         let mapping = CacheMapping::from_assignment(&assignment, &units, new_symbols, &exclusive);
         let backend = engine.backend_mut();
         backend
-            .define_tint(Tint::DEFAULT, ColumnMask::all(config.columns))
+            .define_tint(Tint::DEFAULT, ColumnMask::all(columns))
             .expect("valid mask");
         mapping.apply(backend).expect("valid masks");
         let result = engine.replay(name, trace);
-        cycles += if config.include_control {
-            result.total_cycles_with_control()
-        } else {
-            result.total_cycles()
-        };
+        cycles += result.total_cycles();
         control_cycles += result.control_cycles;
         phase_results.push(PhaseResult {
             name: name.clone(),
@@ -301,18 +288,19 @@ proptest! {
         base in 0usize..3,
         sizes in prop::collection::vec(1u64..1500, 1..7),
         ops in prop::collection::vec((0usize..6, 0usize..8, 0u64..5000), 1..400),
-        shape in (0usize..3, any::<bool>()),
+        shape in 0usize..3,
         cuts in prop::collection::vec(0usize..400, 0..3),
     ) {
         let base = [0x1_0000, 0x8_0000, 0x30_0000][base];
         let run = workload(base, &sizes, &ops);
-        let (columns, include_control) = (1usize << shape.0, shape.1);
-        let config = PartitionConfig {
-            columns,
-            include_control,
-            ..PartitionConfig::default()
+        let columns = 1usize << shape;
+        // Figure 4's 2 KB memory and 128-byte pages, at 1, 2 or 4 columns
+        let config = SystemConfig {
+            cache: CacheConfig::builder().columns(columns).build().expect("valid geometry"),
+            page_size: 128,
+            ..SystemConfig::default()
         };
-        let column_bytes = config.column_bytes();
+        let column_bytes = config.cache.column_bytes();
         let weights = weight_options(column_bytes);
 
         for cache_columns in 0..=columns {

@@ -7,8 +7,9 @@
 
 use column_caching::core::dynamic::run_dynamic_in;
 use column_caching::core::engine::ReplayEngine;
-use column_caching::core::partition::{run_partition_point_in, PartitionConfig};
+use column_caching::core::partition::run_partition_point_in;
 use column_caching::core::runner::assign_columns_in;
+use column_caching::exp::presets::figure4_geometry;
 use column_caching::layout::{LayoutError, LayoutOptions, TraceProfile, WeightOptions};
 use column_caching::opt::{GeometrySearch, SearchSpace};
 use column_caching::sim::{
@@ -320,7 +321,7 @@ fn search_spaces_hold_one_layout_per_column_count() {
 #[test]
 fn partition_points_and_dynamic_runs_hold_no_copy_of_the_trace() {
     let event_bytes = std::mem::size_of::<MemAccess>() as i64;
-    let config = PartitionConfig::default();
+    let config = figure4_geometry().system_config().expect("valid geometry");
     let registry = Registry::new();
     let mpeg = MpegConfig {
         dequant_blocks: 20,

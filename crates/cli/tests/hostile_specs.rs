@@ -134,6 +134,19 @@ fn flags_past_the_simulator_limits_are_refused() {
 }
 
 #[test]
+fn partitions_past_a_geometrys_columns_are_refused_when_parsed() {
+    // The default geometry has 4 columns; a point with 9 cache columns was planned and
+    // then failed while executing, naming 0 scratchpad columns.
+    let spec =
+        r#"{"name": "p9", "replay": [{"workloads": ["fir"], "policies": [{"partition": 9}]}]}"#;
+    assert_refused(
+        "partition-9",
+        spec,
+        r#"geometry 2048B.4col.32B: {"partition": 9} asks for 9 cache columns of its 4"#,
+    );
+}
+
+#[test]
 fn dynamic_without_recorded_phases_is_refused_before_any_workload_loads() {
     // The heuristic job would load the trace first; the refusal names the policy, not a
     // file that was never opened.

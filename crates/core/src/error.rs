@@ -19,8 +19,8 @@ pub enum CoreError {
     },
     /// The requested partition does not fit the cache geometry.
     BadPartition {
-        /// Number of columns requested as scratchpad.
-        scratchpad_columns: usize,
+        /// Number of columns requested as cache.
+        cache_columns: usize,
         /// Number of columns in the cache.
         columns: usize,
     },
@@ -33,11 +33,11 @@ impl fmt::Display for CoreError {
             CoreError::Layout(e) => write!(f, "layout error: {e}"),
             CoreError::BadExperiment { reason } => write!(f, "invalid experiment: {reason}"),
             CoreError::BadPartition {
-                scratchpad_columns,
+                cache_columns,
                 columns,
             } => write!(
                 f,
-                "cannot reserve {scratchpad_columns} scratchpad columns in a {columns}-column cache"
+                "cannot keep {cache_columns} cache columns in a {columns}-column cache"
             ),
         }
     }
@@ -78,7 +78,7 @@ mod tests {
         let e: CoreError = LayoutError::NoColumns.into();
         assert!(e.to_string().contains("layout"));
         let e = CoreError::BadPartition {
-            scratchpad_columns: 5,
+            cache_columns: 5,
             columns: 4,
         };
         assert!(e.to_string().contains('5'));

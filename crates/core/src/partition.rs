@@ -146,7 +146,7 @@ pub fn run_partition_point_in(
     let columns = config.cache.columns();
     if cache_columns > columns {
         return Err(CoreError::BadPartition {
-            scratchpad_columns: 0,
+            cache_columns,
             columns,
         });
     }
@@ -334,7 +334,18 @@ mod tests {
     #[test]
     fn invalid_partition_is_rejected() {
         let run = run_dequant(&MpegConfig::small());
-        assert!(column_point(&run, &figure4(), 9).is_err());
+        let err = column_point(&run, &figure4(), 9).unwrap_err();
+        assert_eq!(
+            err,
+            CoreError::BadPartition {
+                cache_columns: 9,
+                columns: 4
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            "cannot keep 9 cache columns in a 4-column cache"
+        );
     }
 
     #[test]

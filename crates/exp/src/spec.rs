@@ -839,6 +839,19 @@ impl ReplayGrid {
                 return Err(bad(format!("'{}' must not be empty", axis.1)));
             }
         }
+        for policy in &policies {
+            let PolicySpec::Partition { cache_columns } = *policy else {
+                continue;
+            };
+            if let Some(geometry) = geometries.iter().find(|g| cache_columns > g.columns) {
+                return Err(bad(format!(
+                    "geometry {}: {{\"partition\": {cache_columns}}} asks for \
+                     {cache_columns} cache columns of its {}",
+                    geometry.short(),
+                    geometry.columns
+                )));
+            }
+        }
         if policies.contains(&PolicySpec::DynamicPhases) {
             workloads.iter().try_for_each(require_phases)?;
         }
@@ -1197,6 +1210,11 @@ mod tests {
                 r#"{"name":"x","replay":[{"workloads":["fir"],"policies":[{"fixed":{"x":[64]}}]}]}"#,
                 "'fixed' column 64",
             ),
+            (
+                r#"{"name":"x","replay":[{"workloads":["fir"],
+                    "geometries":[{"columns":8},{"columns":2}],"policies":[{"partition":4}]}]}"#,
+                r#"geometry 2048B.2col.32B: {"partition": 4} asks for 4 cache columns of its 2"#,
+            ),
         ] {
             let err = ExperimentSpec::parse_str(text).unwrap_err();
             assert!(err.to_string().contains(needle), "{needle}: {err}");
@@ -1206,6 +1224,10 @@ mod tests {
             repeated("{}", MAX_MULTITASK_JOBS + 1)
         );
         assert!(ExperimentSpec::parse_str(&many_jobs).is_err());
+        // Every column may be cache.
+        let all_cache = r#"{"name":"x","replay":[{"workloads":["fir"],
+            "geometries":[{"columns":8},{"columns":2}],"policies":[{"partition":2}]}]}"#;
+        assert!(ExperimentSpec::parse_str(all_cache).is_ok());
     }
 
     #[test]

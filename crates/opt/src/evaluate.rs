@@ -8,8 +8,9 @@
 //!
 //! A candidate that tints every referenced page to one column is scored by an exact
 //! per-column model of the column cache (`crates/opt/src/model.rs`), which the evaluator
-//! indexes the trace for once; any other candidate, and every reference point, is
-//! replayed on a fresh [`ReplayEngine`]. Both give the same fitness, so which path scored
+//! indexes the trace for once, when its geometry's run heads pack into 4-byte records;
+//! any other candidate, and every reference point, is replayed on a fresh
+//! [`ReplayEngine`]. Both give the same fitness, so which path scored
 //! a candidate shows only in telemetry: every evaluation is one `opt.evaluations` tick
 //! and either one `opt.model.evaluations` tick or one `engine.replays` tick, and
 //! `opt.model.references` counts the references the model walked. Batches
@@ -273,7 +274,7 @@ mod tests {
     use super::*;
     use crate::space::GeometrySearch;
     use ccache_core::RegionMapping;
-    use ccache_sim::{ColumnMask, SystemConfig};
+    use ccache_sim::{CacheConfig, ColumnMask, SystemConfig};
     use ccache_trace::{AccessKind, SymbolTable, TraceRecorder};
 
     fn workload() -> (Trace, SymbolTable) {
@@ -449,26 +450,36 @@ mod tests {
     /// the result against a hand-built engine replay of the same mapping.
     fn score_checked(mapping: &CacheMapping) -> (Result<Fitness, CoreError>, bool, u64) {
         let (t, s) = workload();
+        score_checked_on(&t, &s, template(), mapping)
+    }
+
+    /// [`score_checked`] on the workload `(t, s)` under the geometry `template`.
+    fn score_checked_on(
+        t: &Trace,
+        s: &SymbolTable,
+        template: SystemConfig,
+        mapping: &CacheMapping,
+    ) -> (Result<Fitness, CoreError>, bool, u64) {
         let space = SearchSpace::build(
-            &t,
-            &s,
-            template(),
+            t,
+            s,
+            template,
             &GeometrySearch::fixed(),
             &[],
             &Registry::new(),
         )
         .unwrap();
         let registry = Registry::new();
-        let eval = Evaluator::new(&space, &t, 1, true, &registry);
-        let result = eval.score(&[(template(), mapping.clone())]).pop().unwrap();
+        let eval = Evaluator::new(&space, t, 1, true, &registry);
+        let result = eval.score(&[(template, mapping.clone())]).pop().unwrap();
         assert_eq!(registry.counter_value("opt.evaluations"), 1);
         let modelled = registry.counter_value("opt.model.evaluations") == 1;
 
-        let mut engine = ReplayEngine::new(BackendKind::ColumnCache, template()).unwrap();
+        let mut engine = ReplayEngine::new(BackendKind::ColumnCache, template).unwrap();
         engine.set_telemetry(&Registry::new());
         let by_engine = engine
             .apply(mapping)
-            .map(|()| Fitness::from_run(&engine.replay("hand-built", &t)));
+            .map(|()| Fitness::from_run(&engine.replay("hand-built", t)));
         assert_eq!(result, by_engine, "{mapping:?}");
         (result, modelled, registry.counter_value("engine.replays"))
     }
@@ -518,6 +529,42 @@ mod tests {
             assert!(!modelled, "{name}");
             assert_eq!(replays, 1, "{name}");
         }
+    }
+
+    #[test]
+    fn splits_whose_records_do_not_fit_a_u32_replay_on_the_engine() {
+        // 64 variables, each on its own 256 MiB page, cached in 1-byte lines: 2^34 line
+        // keys, so no `u32` record holds a head's page id and line.
+        let mut rec = TraceRecorder::new();
+        let vars: Vec<_> = (0..64)
+            .map(|i| rec.allocate(&format!("v{i}"), 64, 1 << 28))
+            .collect();
+        for round in 0..4 {
+            for &var in &vars {
+                rec.record(var, round * 8, 8, AccessKind::Read);
+                rec.record(var, 32 + round * 8, 8, AccessKind::Write);
+            }
+        }
+        let (t, s) = rec.finish();
+        let mut mapping = CacheMapping::new();
+        for (i, region) in s.iter().enumerate() {
+            mapping.map(region.base, region.size, single(i % 4));
+        }
+        let bytes = CacheConfig::builder().line_size(1).build().unwrap();
+        let at_page = |page_size| SystemConfig {
+            cache: bytes,
+            page_size,
+            ..SystemConfig::default()
+        };
+        let (result, modelled, replays) = score_checked_on(&t, &s, at_page(1 << 28), &mapping);
+        assert!(result.is_ok());
+        assert!(!modelled);
+        assert_eq!(replays, 1);
+        // At 1 MiB pages the same candidate has 2^26 line keys, and the model scores it.
+        let (result, modelled, replays) = score_checked_on(&t, &s, at_page(1 << 20), &mapping);
+        assert!(result.is_ok());
+        assert!(modelled);
+        assert_eq!(replays, 0);
     }
 
     #[test]

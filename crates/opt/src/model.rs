@@ -20,6 +20,15 @@
 //! set count, never on the mapping, so each split's heads are found once per model, on
 //! the split's first use.
 //!
+//! A split's heads are stored set-major: one [`Stream`] holds every set's heads in trace
+//! order, set after set, behind `sets + 1` offsets. A head is one `u32` record that packs
+//! its page id, its line within the page and its run's write flag, so scoring reads the
+//! records and the candidate's column of each page id, and never the trace. Sets never
+//! interact and each keeps its heads in trace order, so walking the sets in turn, each
+//! with one slot per column, gives the misses and writebacks of a walk in trace order;
+//! the walk takes two sets at a time to overlap their work. A split whose records do not
+//! fit a `u32` is not modelled; its candidates replay on the engine.
+//!
 //! Cycles are the charges `MemorySystem::access` makes: the hit latency per reference,
 //! the miss penalty per miss, the writeback penalty per dirty eviction and the TLB-miss
 //! penalty per TLB miss, with the compute model of [`CycleReport::from_stats`]. TLB
@@ -36,18 +45,21 @@ use std::sync::OnceLock;
 /// The column-table entry of a page no region tints.
 const UNTINTED: u8 = u8::MAX;
 
-/// The most references the model indexes. A run head is stored as its reference's index
-/// shifted left by one, with the run's write flag in bit 0, in a `u32`.
-const MAX_REFERENCES: usize = 1 << 31;
+/// The most references the model indexes: page ids and a stream's offsets are `u32`s.
+const MAX_REFERENCES: usize = u32::MAX as usize;
 
 /// The last line of a set no reference has touched yet. Addresses lie below
 /// [`ADDRESS_LIMIT`] = 2^63, so no line number reaches it.
 const NO_LINE: u64 = u64::MAX;
 
+/// A slot that holds no line. Its line key, `EMPTY >> 1` = 2^31 − 1, lies above the key
+/// of every record a modelled split packs, and its dirty bit is clear.
+const EMPTY: u32 = u32::MAX - 1;
+
 /// A trace indexed for the model: a `u32` page id per reference, plus one stream of run
-/// heads per address split of the search space.
+/// heads per address split of the search space whose records fit a `u32`.
 pub(crate) struct ColumnModel<'a> {
-    /// The references, read in place.
+    /// The references, read when a split's stream is built.
     trace: &'a [MemAccess],
     /// Every reference's page id.
     page_ids: Vec<u32>,
@@ -57,8 +69,9 @@ pub(crate) struct ColumnModel<'a> {
     page_shift: u32,
     /// TLB misses over the whole trace, per TLB size.
     tlb_misses: Vec<(usize, u64)>,
-    /// Every split of the space with its run heads, built on the split's first use.
-    streams: Vec<(Split, OnceLock<Vec<u32>>)>,
+    /// Every modelled split of the space with its run heads, built on the split's first
+    /// use.
+    streams: Vec<(Split, OnceLock<Stream>)>,
 }
 
 /// How a cache geometry splits an address: offset, then set index, then tag.
@@ -70,6 +83,17 @@ struct Split {
     set_bits: u32,
 }
 
+/// One split's run heads, set-major.
+#[derive(Debug, PartialEq)]
+struct Stream {
+    /// Set `s`'s heads are `records[starts[s]..starts[s + 1]]`.
+    starts: Vec<u32>,
+    /// One record per head, each set's in trace order: the head's line key — its page id
+    /// then its line within the page — shifted left by one, with the OR of its run's write
+    /// flags in bit 0.
+    records: Vec<u32>,
+}
+
 impl Split {
     /// The split `ColumnCache` makes under `cache`.
     fn of(cache: &CacheConfig) -> Self {
@@ -79,55 +103,98 @@ impl Split {
         }
     }
 
-    /// The run heads of `trace` under this split, in trace order, each as
-    /// `index << 1 | write` where `write` is the OR of the write flags of its run. Sized
-    /// exactly: one pass counts the heads, a second fills them.
-    fn runs(self, trace: &[MemAccess]) -> Vec<u32> {
-        let set_mask = (1u64 << self.set_bits) - 1;
+    /// `log2` of the lines in a page of `2^page_shift` bytes, or `None` when a line is
+    /// larger than such a page.
+    fn line_bits(self, page_shift: u32) -> Option<u32> {
+        page_shift.checked_sub(self.line_shift)
+    }
+
+    /// Whether the records of `pages` pages of `2^page_shift` bytes fit a `u32`: every
+    /// line key lies below [`EMPTY`]'s.
+    fn packs(self, page_shift: u32, pages: usize) -> bool {
+        self.line_bits(page_shift)
+            .is_some_and(|bits| (pages as u128) << bits <= u128::from(EMPTY >> 1))
+    }
+
+    /// The run heads of `trace` under this split, whose references have the page ids
+    /// `page_ids` of pages of `2^page_shift` bytes. Each head's record carries the OR of
+    /// the write flags of its run. Sized exactly: one pass counts each set's heads, a
+    /// second fills them. The split must pack those pages ([`Split::packs`]).
+    fn stream(self, trace: &[MemAccess], page_ids: &[u32], page_shift: u32) -> Stream {
+        let line_bits = self.line_bits(page_shift).expect("a line fits its page");
+        let in_page_mask = (1u64 << line_bits) - 1;
+        let sets = 1usize << self.set_bits;
+        let set_mask = sets as u64 - 1;
         let locate = |ev: &MemAccess| {
             let line = ev.addr >> self.line_shift;
             (line, (line & set_mask) as usize)
         };
-        let mut last_line = vec![NO_LINE; 1 << self.set_bits];
-        let heads = trace
-            .iter()
-            .filter(|ev| {
-                let (line, set) = locate(ev);
-                std::mem::replace(&mut last_line[set], line) != line
-            })
-            .count();
 
+        let mut last_line = vec![NO_LINE; sets];
+        let mut starts = vec![0u32; sets + 1];
+        for ev in trace {
+            let (line, set) = locate(ev);
+            if std::mem::replace(&mut last_line[set], line) != line {
+                starts[set + 1] += 1;
+            }
+        }
+        for set in 0..sets {
+            starts[set + 1] += starts[set];
+        }
+
+        // `next[s]` is where set `s`'s next head goes, so its current head is just before.
         last_line.fill(NO_LINE);
-        let mut run_of_set = vec![0u32; last_line.len()];
-        let mut stream = Vec::with_capacity(heads);
-        for (index, ev) in trace.iter().enumerate() {
+        let mut next = starts[..sets].to_vec();
+        let mut records = vec![0u32; starts[sets] as usize];
+        for (ev, &page) in trace.iter().zip(page_ids) {
             let (line, set) = locate(ev);
             let write = u32::from(ev.is_write());
             if last_line[set] == line {
-                stream[run_of_set[set] as usize] |= write;
+                records[next[set] as usize - 1] |= write;
             } else {
                 last_line[set] = line;
-                run_of_set[set] = stream.len() as u32;
-                stream.push((index as u32) << 1 | write);
+                let key = page << line_bits | (line & in_page_mask) as u32;
+                records[next[set] as usize] = key << 1 | write;
+                next[set] += 1;
             }
         }
-        stream
+        Stream { starts, records }
     }
 }
 
-/// The state of one cache slot that holds a line.
-#[derive(Clone, Copy)]
-struct Line {
-    tag: u64,
-    dirty: bool,
+/// One candidate's walk over a stream: its column for every page id, and the misses and
+/// writebacks so far.
+struct Walk<'p> {
+    page_columns: &'p [u8],
+    /// A record's page id is its bits from this one up.
+    page_id_shift: u32,
+    misses: u64,
+    writebacks: u64,
+}
+
+impl Walk<'_> {
+    /// Scores one head against its set's slots. A set's slots are indexed by column —
+    /// any `u8` column indexes them — and each holds the record that filled its line,
+    /// with the line's dirty bit in bit 0, or [`EMPTY`]. Whether a head hits follows no
+    /// pattern, so the update has no branch.
+    #[inline(always)]
+    fn head(&mut self, slots: &mut [u32; 1 << u8::BITS], record: u32) {
+        let column = self.page_columns[(record >> self.page_id_shift) as usize];
+        let slot = &mut slots[usize::from(column)];
+        let held = *slot;
+        let hit = (held ^ record) >> 1 == 0;
+        self.misses += u64::from(!hit);
+        self.writebacks += u64::from(!hit & (held & 1 != 0));
+        *slot = if hit { held | record } else { record };
+    }
 }
 
 impl<'a> ColumnModel<'a> {
     /// Indexes `trace` for the geometries `configs` of a search space: page ids for the
     /// first geometry's page size, TLB misses at every TLB size, and an empty run stream
-    /// per address split. Returns `None` when the model cannot represent the trace: no
-    /// geometry, an invalid page size, more than [`MAX_REFERENCES`] references, or an
-    /// address at or above [`ADDRESS_LIMIT`].
+    /// per address split whose records fit a `u32`. Returns `None` when the model cannot
+    /// represent the trace: no geometry, an invalid page size, more than
+    /// [`MAX_REFERENCES`] references, or an address at or above [`ADDRESS_LIMIT`].
     pub(crate) fn new(trace: &'a Trace, configs: &[SystemConfig]) -> Option<Self> {
         let page_size = configs.first()?.page_size;
         let table = PageTable::new(page_size).ok()?;
@@ -166,7 +233,7 @@ impl<'a> ColumnModel<'a> {
         let mut splits: Vec<Split> = Vec::new();
         for config in configs {
             let split = Split::of(&config.cache);
-            if !splits.contains(&split) {
+            if split.packs(page_shift, pages.len()) && !splits.contains(&split) {
                 splits.push(split);
             }
         }
@@ -203,9 +270,12 @@ impl<'a> ColumnModel<'a> {
         let split = Split::of(&config.cache);
         let (_, stream) = self.streams.iter().find(|(s, _)| *s == split)?;
         let page_columns = self.page_columns(mapping, config.cache.columns())?;
-        let heads = stream.get_or_init(|| split.runs(self.trace));
-        let fitness = self.replay(config, &page_columns, heads, tlb_misses);
-        Some((fitness, heads.len() as u64))
+        let stream =
+            stream.get_or_init(|| split.stream(self.trace, &self.page_ids, self.page_shift));
+        // A record's page id lies above its line bits and its write flag.
+        let page_id_shift = self.page_shift - split.line_shift + 1;
+        let fitness = self.replay(config, &page_columns, page_id_shift, stream, tlb_misses);
+        Some((fitness, stream.records.len() as u64))
     }
 
     /// The column of every referenced page, indexed by page id, or `None` when the
@@ -237,45 +307,52 @@ impl<'a> ColumnModel<'a> {
         (!table.contains(&UNTINTED)).then_some(table)
     }
 
-    /// Replays the run heads `heads` through one direct-mapped cache per column of the
-    /// geometry and returns the fitness of the whole trace.
+    /// Replays `stream` through one direct-mapped cache per column of the geometry and
+    /// returns the fitness of the whole trace. Sets never interact, so the walk takes
+    /// them two at a time and alternates between their heads: consecutive heads of one
+    /// set that share a column form a chain, each waiting on the last one's slot update,
+    /// and the other set's heads fill the wait.
     fn replay(
         &self,
         config: &SystemConfig,
         page_columns: &[u8],
-        heads: &[u32],
+        page_id_shift: u32,
+        stream: &Stream,
         tlb_misses: u64,
     ) -> Fitness {
-        let cache = &config.cache;
-        let columns = cache.columns();
-        let Split {
-            line_shift,
-            set_bits,
-        } = Split::of(cache);
-        let set_mask = (cache.sets() - 1) as u64;
-        let mut slots: Vec<Option<Line>> = vec![None; cache.total_lines()];
-        let (mut misses, mut writebacks) = (0u64, 0u64);
-        for &head in heads {
-            let index = (head >> 1) as usize;
-            let is_write = head & 1 != 0;
-            let line = self.trace[index].addr >> line_shift;
-            let tag = line >> set_bits;
-            let column = usize::from(page_columns[self.page_ids[index] as usize]);
-            let slot = &mut slots[(line & set_mask) as usize * columns + column];
-            match slot {
-                Some(held) if held.tag == tag => held.dirty |= is_write,
-                _ => {
-                    misses += 1;
-                    if slot.is_some_and(|held| held.dirty) {
-                        writebacks += 1;
-                    }
-                    *slot = Some(Line {
-                        tag,
-                        dirty: is_write,
-                    });
-                }
+        let columns = config.cache.columns();
+        let sets = stream.starts.len() - 1;
+        let heads = |set: usize| {
+            let range = stream.starts[set] as usize..stream.starts[set + 1] as usize;
+            &stream.records[range]
+        };
+        let mut walk = Walk {
+            page_columns,
+            page_id_shift,
+            misses: 0,
+            writebacks: 0,
+        };
+        let [mut a, mut b] = [[EMPTY; 1 << u8::BITS]; 2];
+        for first in (0..sets).step_by(2) {
+            a[..columns].fill(EMPTY);
+            b[..columns].fill(EMPTY);
+            // Set counts are powers of two: only a single set has no partner.
+            let (x, y) = (heads(first), if sets > 1 { heads(first + 1) } else { &[] });
+            let both = x.len().min(y.len());
+            for (&hx, &hy) in x[..both].iter().zip(&y[..both]) {
+                walk.head(&mut a, hx);
+                walk.head(&mut b, hy);
+            }
+            for &h in &x[both..] {
+                walk.head(&mut a, h);
+            }
+            for &h in &y[both..] {
+                walk.head(&mut b, h);
             }
         }
+        let Walk {
+            misses, writebacks, ..
+        } = walk;
 
         let references = self.trace.len() as u64;
         let latency = &config.latency;
@@ -314,9 +391,10 @@ mod tests {
         }
     }
 
-    /// A stream entry: the head's index, and its run's write flag in bit 0.
-    fn head(index: u32, write: bool) -> u32 {
-        index << 1 | u32::from(write)
+    /// A record: the head's page id and line within the page (`line_bits` wide), then its
+    /// run's write flag in bit 0.
+    fn record(page: u32, line_in_page: u32, line_bits: u32, write: bool) -> u32 {
+        (page << line_bits | line_in_page) << 1 | u32::from(write)
     }
 
     fn trace(refs: &[(u64, bool)]) -> Vec<MemAccess> {
@@ -331,25 +409,51 @@ mod tests {
             .collect()
     }
 
+    /// The page ids `ColumnModel::new` gives `refs` at pages of `2^page_shift` bytes:
+    /// pages numbered in order of first reference.
+    fn page_ids(refs: &[MemAccess], page_shift: u32) -> Vec<u32> {
+        let mut pages: Vec<u64> = Vec::new();
+        refs.iter()
+            .map(|ev| {
+                let page = ev.addr >> page_shift;
+                let id = pages.iter().position(|&p| p == page).unwrap_or_else(|| {
+                    pages.push(page);
+                    pages.len() - 1
+                });
+                id as u32
+            })
+            .collect()
+    }
+
     #[test]
     fn repeats_of_a_sets_last_line_fold_into_its_head_with_their_writes() {
-        // 16-byte lines, 2 sets: lines 0 and 2 share set 0, line 1 is in set 1.
+        // 16-byte lines, 2 sets, 32-byte pages: lines 0 and 2 share set 0, line 1 is in
+        // set 1. Page 0 holds lines 0 and 1, page 1 holds line 2; each has 2 lines.
         let refs = trace(&[
-            (0x00, false), // head 0: line 0
-            (0x04, false), // folded into head 0
-            (0x10, false), // head 2: line 1, set 1
-            (0x08, true),  // folded into head 0: set 0 last saw line 0
-            (0x20, false), // head 4: line 2 evicts set 0's run
-            (0x24, true),  // folded into head 4
-            (0x00, false), // head 6: line 0 again
-            (0x10, false), // folded into head 2: set 1 last saw line 1
+            (0x00, false), // set 0's first head: line 0
+            (0x04, false), // folded into it
+            (0x10, false), // set 1's head: line 1
+            (0x08, true),  // folded into line 0's head: set 0 last saw line 0
+            (0x20, false), // set 0's second head: line 2 evicts set 0's run
+            (0x24, true),  // folded into it
+            (0x00, false), // set 0's third head: line 0 again
+            (0x10, false), // folded into set 1's head: set 1 last saw line 1
         ]);
-        let stream = split(16, 2).runs(&refs);
+        let stream = split(16, 2).stream(&refs, &page_ids(&refs, 5), 5);
         assert_eq!(
             stream,
-            [head(0, true), head(2, false), head(4, true), head(6, false)]
+            Stream {
+                starts: vec![0, 3, 4],
+                records: vec![
+                    record(0, 0, 1, true),
+                    record(1, 0, 1, true),
+                    record(0, 0, 1, false),
+                    record(0, 1, 1, false),
+                ],
+            }
         );
-        assert_eq!(stream.capacity(), stream.len());
+        assert_eq!(stream.starts.capacity(), stream.starts.len());
+        assert_eq!(stream.records.capacity(), stream.records.len());
     }
 
     #[test]
@@ -357,8 +461,28 @@ mod tests {
         // Lines of 16 bytes: 0x00 and 0x08 share line 0. Lines of 8 bytes: they do not,
         // and with one set every change of line starts a run.
         let refs = trace(&[(0x00, false), (0x08, false), (0x00, false), (0x08, false)]);
-        assert_eq!(split(16, 1).runs(&refs), [head(0, false)]);
-        let every_reference: Vec<u32> = (0..4).map(|index| head(index, false)).collect();
-        assert_eq!(split(8, 1).runs(&refs), every_reference);
+        let ids = page_ids(&refs, 6);
+        let one_head = split(16, 1).stream(&refs, &ids, 6);
+        assert_eq!(one_head.starts, [0, 1]);
+        assert_eq!(one_head.records, [record(0, 0, 2, false)]);
+        let every_reference = split(8, 1).stream(&refs, &ids, 6);
+        assert_eq!(every_reference.starts, [0, 4]);
+        let lines = [0, 1, 0, 1].map(|line| record(0, line, 3, false));
+        assert_eq!(every_reference.records, lines);
+    }
+
+    #[test]
+    fn a_split_packs_while_every_line_key_lies_below_an_empty_slots() {
+        // One page of 2^30 one-byte lines: keys up to 2^30 − 1. Two such pages reach 2^31
+        // − 1, the key of an empty slot.
+        let bytes = split(1, 1);
+        assert!(bytes.packs(30, 1));
+        assert!(!bytes.packs(30, 2));
+        assert!(bytes.packs(29, 3));
+        assert!(!bytes.packs(29, 4));
+        // Pages of 256 MiB in 1-byte lines, 64 of them: 2^34 line keys.
+        assert!(!bytes.packs(28, 64));
+        // A line larger than the page has no line within it.
+        assert!(!split(64, 1).packs(5, 1));
     }
 }

@@ -1,5 +1,6 @@
 //! Resource bounds, checked with a counting allocator: engine builds, the layout of
-//! hostile traces, search spaces, partition points and dynamic runs.
+//! hostile traces, search spaces, the tuner's fitness model, partition points and
+//! dynamic runs.
 //!
 //! The global allocator below counts the allocations, requested bytes and live heap of
 //! the current thread while that thread has counting switched on, so the test harness's
@@ -11,7 +12,7 @@ use column_caching::core::partition::run_partition_point_in;
 use column_caching::core::runner::assign_columns_in;
 use column_caching::exp::presets::figure4_geometry;
 use column_caching::layout::{LayoutError, LayoutOptions, TraceProfile, WeightOptions};
-use column_caching::opt::{GeometrySearch, SearchSpace};
+use column_caching::opt::{Evaluator, GeometrySearch, SearchSpace};
 use column_caching::sim::{
     BackendKind, CacheConfig, ReplacementPolicy, SystemConfig, MAX_CAPACITY_BYTES, MAX_SETS,
 };
@@ -311,6 +312,91 @@ fn search_spaces_hold_one_layout_per_column_count() {
     assert!(
         live < LIVE_BOUND,
         "the built space holds {live} bytes, bound {LIVE_BOUND}"
+    );
+}
+
+/// The run heads of `trace` when lines of `2^line_shift` bytes map onto `sets` sets: the
+/// references whose line is not the last line their set saw.
+fn run_heads(trace: &Trace, line_shift: u32, sets: usize) -> u64 {
+    let mut last_line = vec![u64::MAX; sets];
+    let mut heads = 0;
+    for ev in trace.iter() {
+        let line = ev.addr >> line_shift;
+        let set = (line % sets as u64) as usize;
+        if std::mem::replace(&mut last_line[set], line) != line {
+            heads += 1;
+        }
+    }
+    heads
+}
+
+/// The evaluator's index of a trace for the per-column model holds a 4-byte page id per
+/// reference and, for each address split it has scored, a 4-byte record per run head and
+/// a 4-byte offset per set (and one more). Over full-scale `gzip` under the standard
+/// search, with every geometry's seed scored, the evaluator holds no more than that plus
+/// 16 KiB — less than a second 4 bytes per head, so a wider record breaks the bound.
+#[test]
+fn the_fitness_model_holds_four_bytes_per_reference_head_and_set() {
+    const SLACK: i64 = 16 << 10;
+    let gzip = column_caching::workloads::corpus("gzip", false).expect("corpus workload");
+    let template = SystemConfig {
+        page_size: 256,
+        ..SystemConfig::default()
+    };
+    let registry = Registry::new();
+    let space = SearchSpace::build(
+        &gzip.trace,
+        &gzip.symbols,
+        template,
+        &GeometrySearch::standard(),
+        &[],
+        &registry,
+    )
+    .expect("builds");
+    let seeds: Vec<_> = (0..space.geometries.len())
+        .map(|g| space.seeded(g))
+        .collect();
+    // A serial evaluator builds every stream on this thread, where it is counted. The
+    // first evaluator binds the registry's counters; measure a later one.
+    drop(Evaluator::new(&space, &gzip.trace, 0, true, &registry));
+    let (eval, live, _) = heap_of(|| {
+        let mut eval = Evaluator::new(&space, &gzip.trace, seeds.len(), true, &registry);
+        eval.evaluate_batch(&seeds).expect("scores");
+        eval
+    });
+    assert_eq!(eval.replays(), seeds.len());
+    assert_eq!(
+        registry.counter_value("opt.model.evaluations"),
+        seeds.len() as u64,
+        "every seed is scored by the model"
+    );
+
+    let mut splits: Vec<(u32, usize)> = space
+        .geometries
+        .iter()
+        .map(|g| {
+            let cache = &g.config.cache;
+            (cache.line_size().trailing_zeros(), cache.sets())
+        })
+        .collect();
+    splits.sort_unstable();
+    splits.dedup();
+    let heads: u64 = splits
+        .iter()
+        .map(|&(line_shift, sets)| run_heads(&gzip.trace, line_shift, sets))
+        .sum();
+    let offsets: u64 = splits.iter().map(|&(_, sets)| sets as u64 + 1).sum();
+    let references = gzip.trace.len() as u64;
+    let bound = (4 * (references + heads + offsets)) as i64 + SLACK;
+    assert!(
+        live <= bound,
+        "the evaluator holds {live} bytes for {references} references, {heads} heads over \
+         {} splits and {offsets} set offsets; bound {bound}",
+        splits.len()
+    );
+    assert!(
+        SLACK < 4 * heads as i64,
+        "a wider record must break the bound"
     );
 }
 

@@ -19,18 +19,20 @@ pub const USAGE: &str = "\
 usage: ccache serve [options]
        ccache serve --connect ADDR --request JSON
 
-Runs the concurrent cache-advisory service: newline-delimited JSON over TCP, a pool
-of session workers behind a bounded queue, and a content-addressed result store that
-computes each canonical experiment key exactly once. Prints one line —
-'ccache-serve listening on HOST:PORT' — once the socket is bound, then blocks until
-a client sends {\"cmd\": \"shutdown\"}. In-flight jobs drain before exit.
+Runs the concurrent cache-advisory service: newline-delimited JSON over TCP, each
+connection computing its own requests behind one bounded admission gate, and a
+content-addressed result store that computes each canonical experiment key exactly
+once. Prints one line — 'ccache-serve listening on HOST:PORT' — once the socket is
+bound, then blocks until a client sends {\"cmd\": \"shutdown\"}. Admitted jobs
+drain before exit.
 
 server options:
   --host HOST            bind address (default: 127.0.0.1)
   --port N               TCP port; 0 picks an ephemeral port (default: 7341)
-  --workers N            session worker threads (default: 4)
-  --queue N              bounded job-queue depth; beyond it requests are shed
-                         with a structured 'overloaded' reply (default: 64)
+  --workers N            jobs that compute at once (default: 4)
+  --queue N              jobs that may wait for a slot, in arrival order; beyond
+                         them requests are shed with a structured 'overloaded'
+                         reply (default: 64)
   --read-timeout-ms N    per-connection idle read timeout; idle connections are
                          closed cleanly (default: none)
   --max-frame-bytes N    largest accepted request line (default: 1048576)

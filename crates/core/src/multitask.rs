@@ -13,7 +13,9 @@
 use crate::engine::{stage, take_front, RefSource, ReplayEngine};
 use crate::error::CoreError;
 use ccache_sim::backend::BackendKind;
-use ccache_sim::{CacheConfig, ColumnMask, LatencyConfig, SystemConfig, Tint};
+use ccache_sim::{
+    CacheConfig, ColumnMask, CycleReport, LatencyConfig, MemoryStats, SystemConfig, Tint,
+};
 use ccache_telemetry::Registry;
 use ccache_trace::{MemAccess, Trace};
 use ccache_workloads::multitask::{round_robin, Job, RoundRobin};
@@ -244,24 +246,22 @@ pub fn run_multitasking_in(
     };
     let Ok(_) = engine.replay_from("multitask", &mut schedule, None);
 
-    let lat = config.latency;
     let jobs_metrics = jobs
         .iter()
         .enumerate()
         .map(|(j, job)| {
-            let instructions = schedule.references[j] * lat.instructions_per_reference;
-            let compute = instructions * lat.compute_cycles_per_instruction;
-            let total = compute + schedule.cycles[j];
-            JobMetrics {
-                name: job.name.clone(),
+            let stats = MemoryStats {
                 references: schedule.references[j],
                 memory_cycles: schedule.cycles[j],
-                instructions,
-                cpi: if instructions == 0 {
-                    0.0
-                } else {
-                    total as f64 / instructions as f64
-                },
+                ..MemoryStats::default()
+            };
+            let report = CycleReport::from_stats(&stats, &config.latency);
+            JobMetrics {
+                name: job.name.clone(),
+                references: stats.references,
+                memory_cycles: report.memory_cycles,
+                instructions: report.instructions,
+                cpi: report.cpi(),
             }
         })
         .collect();

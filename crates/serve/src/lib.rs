@@ -1,10 +1,11 @@
 //! A concurrent cache-advisory service: newline-delimited JSON over TCP.
 //!
 //! The library crates decide cache policy for one caller at a time; this crate turns
-//! them into a long-running system. A server ([`serve`]) owns a pool of
-//! [`Session`](column_caching::Session)-driving worker threads behind a bounded job
-//! queue, and any number of clients connect over TCP and exchange one JSON document per
-//! line (the whole stack is `std::net` + `ccache-json`, so it builds offline).
+//! them into a long-running system. Any number of clients connect to a server
+//! ([`serve`]) over TCP and exchange one JSON document per line (the whole stack is
+//! `std::net` + `ccache-json`, so it builds offline). Each connection drives its own
+//! [`Session`](column_caching::Session)s on its own thread, behind one admission gate
+//! that bounds how many computations run and wait at once.
 //!
 //! # Protocol in one paragraph
 //!
@@ -20,12 +21,12 @@
 //! so identical concurrent submissions compute once and every caller gets byte-identical
 //! bytes. See DESIGN.md's "Serve protocol" section for the full grammar.
 //!
-//! Production behaviours are first-class: bounded queue with structured `overloaded`
-//! shedding (never a dropped connection), per-connection read timeouts, malformed-frame
-//! tolerance (structured error, the connection survives), and graceful shutdown that
-//! drains in-flight jobs. Everything protocol-level lives in [`Service`], which is
-//! socket-free and driven directly by the test suite; [`spawn_test_server`] starts the
-//! real TCP stack on an ephemeral loopback port for end-to-end tests.
+//! Production behaviours are first-class: bounded admission with structured
+//! `overloaded` shedding (never a dropped connection), per-connection read timeouts,
+//! malformed-frame tolerance (structured error, the connection survives), and graceful
+//! shutdown that drains admitted jobs. Everything protocol-level lives in [`Service`],
+//! which is socket-free and driven directly by the test suite; [`spawn_test_server`]
+//! starts the real TCP stack on an ephemeral loopback port for end-to-end tests.
 //!
 //! ```
 //! use ccache_serve::{spawn_test_server, Client};
@@ -44,14 +45,14 @@
 
 pub mod client;
 pub mod frame;
-pub mod queue;
+mod gate;
 pub mod server;
 pub mod service;
 pub mod store;
 
 pub use client::Client;
 pub use server::{serve, spawn_test_server, ServerHandle};
-pub use service::{code, Service, TenantCounters};
+pub use service::{code, Service};
 pub use store::StoreCounters;
 
 use std::time::Duration;
@@ -65,10 +66,12 @@ pub struct ServeConfig {
     pub host: String,
     /// TCP port; `0` binds an ephemeral port (read it back from [`ServerHandle::addr`]).
     pub port: u16,
-    /// Worker threads executing queued jobs.
+    /// Computations that run at once, each on the thread of the connection that asked
+    /// for it (at least 1).
     pub workers: usize,
-    /// Maximum queued (not yet running) jobs before submissions are shed with a
-    /// structured `overloaded` error.
+    /// Computations that may wait for a running one to finish, admitted in arrival
+    /// order (at least 1); an arrival past them is shed with a structured `overloaded`
+    /// error.
     pub queue_depth: usize,
     /// Maximum size of one request frame; longer lines get an `oversized_frame` error
     /// and the connection closes (the server never buffers more than this per client).

@@ -1,11 +1,11 @@
 //! The TCP layer: bind, accept, move frames — all protocol logic lives in
 //! [`Service`].
 //!
-//! Threading model: one accept thread, one detached thread per connection, and
-//! `config.workers` job workers sharing the service's bounded queue. Connection
-//! threads block in [`Service::respond`] while their job computes; workers never touch
-//! sockets. Shutdown closes the queue (pending jobs drain), wakes the accept loop with
-//! a throwaway loopback connection, and joins the accept and worker threads.
+//! Threading model: one accept thread and one detached thread per connection. A
+//! connection thread computes its own requests inside [`Service::respond`], once the
+//! service's admission gate lets it in. Shutdown closes the gate (waiting jobs still
+//! run), wakes the accept loop with a throwaway loopback connection, joins the accept
+//! thread and waits until the gate is empty.
 
 use crate::frame::{read_frame, Frame};
 use crate::service::{error_frame, Service};
@@ -25,10 +25,9 @@ pub struct ServerHandle {
     addr: SocketAddr,
     service: Arc<Service>,
     accept: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
 }
 
-/// Binds `config.host:config.port`, starts the worker pool and the accept loop.
+/// Binds `config.host:config.port` and starts the accept loop.
 ///
 /// # Errors
 ///
@@ -37,15 +36,6 @@ pub fn serve(config: ServeConfig) -> io::Result<ServerHandle> {
     let listener = TcpListener::bind((config.host.as_str(), config.port))?;
     let addr = listener.local_addr()?;
     let service = Arc::new(Service::new(config));
-    let workers = (0..service.config().workers.max(1))
-        .map(|i| {
-            let service = Arc::clone(&service);
-            thread::Builder::new()
-                .name(format!("ccache-serve-worker-{i}"))
-                .spawn(move || service.worker_loop())
-                .expect("spawn worker thread")
-        })
-        .collect();
     let accept = {
         let service = Arc::clone(&service);
         thread::Builder::new()
@@ -57,7 +47,6 @@ pub fn serve(config: ServeConfig) -> io::Result<ServerHandle> {
         addr,
         service,
         accept: Some(accept),
-        workers,
     })
 }
 
@@ -88,8 +77,8 @@ impl ServerHandle {
         &self.service
     }
 
-    /// Begins a graceful shutdown and blocks until in-flight jobs have drained and the
-    /// accept and worker threads have joined.
+    /// Begins a graceful shutdown and blocks until the accept thread has joined and
+    /// every admitted job has finished.
     pub fn shutdown(&mut self) {
         self.service.begin_shutdown();
         self.finish();
@@ -110,9 +99,6 @@ impl ServerHandle {
             let _ = TcpStream::connect(self.addr);
             let _ = accept.join();
         }
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
         self.service.cleanup();
     }
 }
@@ -122,7 +108,7 @@ impl Drop for ServerHandle {
         if !self.service.is_shutting_down() {
             self.service.begin_shutdown();
         }
-        self.finish(); // idempotent: both handle stores are emptied by the first call
+        self.finish(); // idempotent: the accept handle is taken and the gate stays empty
     }
 }
 

@@ -5,22 +5,25 @@
 //! [`server`](crate::server) only moves bytes. The protocol tests drive `respond`
 //! through real loopback connections *and* assert on the service's counters directly.
 //!
-//! Compute commands (`replay`, `tune`, `run`) all compile to an
-//! [`ExperimentSpec`] and share one path: claim the canonical key in the
-//! [`ResultStore`], enqueue on the bounded [`JobQueue`] if owning, block until the
-//! outcome is published, reply with the memoized artefact. `subscribe` is the one
-//! command that bypasses the queue: it replays on the connection's own thread so it can
-//! stream observer windows live.
+//! Every computation runs on the thread of the connection that asked for it, behind
+//! one admission gate: `workers` run at once, up to `queue_depth` more wait in
+//! arrival order, and the rest are shed with `overloaded`. Compute commands (`replay`,
+//! `tune`, `run`) all compile to an [`ExperimentSpec`] and share one path: claim the
+//! canonical key in the [`ResultStore`]; as its owner, take a slot, compute, publish
+//! and reply; otherwise reply with the owner's memoized outcome. `subscribe` takes a
+//! slot the same way but bypasses the store: it streams observer windows live to its
+//! own connection.
 
-use crate::queue::{JobQueue, SubmitError};
-use crate::store::{Claim, ResultStore, StoreCounters, StoredError, StoredResult};
+use crate::gate::{Gate, Permit, Refused};
+use crate::store::{Claim, ResultStore, StoreCounters, StoredError};
 use crate::ServeConfig;
 use ccache_core::observe::{ReplayEvent, ReplayObserver, WindowSample};
+use ccache_exp::spec::unknown_workload;
 use ccache_exp::{ExpError, ExperimentSpec, WorkloadSel};
 use ccache_json::{Json, ToJson};
 use ccache_opt::{GenerationPoint, StrategyKind, TuneProgress, TuneRequest};
-use ccache_telemetry::{bucket_of, Counter, Gauge, Registry};
-use ccache_workloads::WorkloadRun;
+use ccache_telemetry::{bucket_of, Counter, Registry};
+use ccache_workloads::{WorkloadRun, CORPUS_NAMES};
 use column_caching::Session;
 use std::collections::BTreeMap;
 use std::io::Write;
@@ -40,54 +43,15 @@ pub mod code {
     /// The request was well-formed JSON but semantically invalid (unknown command,
     /// unknown workload, malformed spec, …). The connection survives.
     pub const BAD_REQUEST: &str = "bad_request";
-    /// The job queue is full; the request was shed without computing. Retry later.
+    /// Every compute slot runs and every waiting place is taken; the request was shed
+    /// without computing. Retry later.
     pub const OVERLOADED: &str = "overloaded";
     /// The server is draining and accepts no new jobs.
     pub const SHUTTING_DOWN: &str = "shutting_down";
     /// The job executed and failed; the failure is memoized like a result.
     pub const JOB_FAILED: &str = "job_failed";
-    /// A worker panicked or an internal invariant broke.
+    /// A job panicked or an internal invariant broke.
     pub const INTERNAL: &str = "internal";
-}
-
-/// Per-tenant request counters, exposed under `status.tenants`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TenantCounters {
-    /// Frames attributed to the tenant (valid JSON objects, any command).
-    pub requests: u64,
-    /// Requests answered with an error frame.
-    pub errors: u64,
-    /// Compute requests served from the result store.
-    pub cache_hits: u64,
-    /// Compute requests that started a computation.
-    pub cache_misses: u64,
-}
-
-impl ToJson for TenantCounters {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("requests", self.requests.to_json()),
-            ("errors", self.errors.to_json()),
-            ("cache_hits", self.cache_hits.to_json()),
-            ("cache_misses", self.cache_misses.to_json()),
-        ])
-    }
-}
-
-/// A queued unit of work.
-pub(crate) struct Job {
-    key: String,
-    task: Task,
-}
-
-enum Task {
-    /// Run an experiment spec through a session (the normal case).
-    Spec {
-        session: Box<Session>,
-        spec: Box<ExperimentSpec>,
-    },
-    /// Occupy a worker for a fixed time (`debug_sleep`, lifecycle tests only).
-    DebugSleep(Duration),
 }
 
 #[derive(Debug)]
@@ -129,6 +93,13 @@ impl Refusal {
     fn bad_request(message: impl Into<String>) -> Self {
         Refusal::new(code::BAD_REQUEST, message)
     }
+
+    fn draining() -> Self {
+        Refusal::new(
+            code::SHUTTING_DOWN,
+            "the server is draining and accepts no new jobs",
+        )
+    }
 }
 
 /// Builds a success frame: `{"id":…,"ok":true,"result":…}`.
@@ -154,32 +125,30 @@ pub fn error_frame(id: &Json, code: &str, message: &str) -> Json {
 
 static UPLOAD_DIR_SEQ: AtomicU64 = AtomicU64::new(0);
 
+/// The per-tenant counters `status.tenants` reports, in this order, each 0 until bumped.
+const TENANT_FIELDS: [&str; 4] = ["requests", "errors", "cache_hits", "cache_misses"];
+
 /// Pre-resolved handles for the service's own registry cells (the hot-path ones;
-/// per-tenant and per-verb counters are resolved by name on demand).
+/// per-tenant and per-verb counters are resolved by name on demand, and the gate keeps
+/// the `serve.workers.busy` and `serve.queue.depth` gauges).
 struct ServeTelemetry {
-    /// `serve.queue.depth` — jobs queued, not yet running.
-    queue_depth: Gauge,
-    /// `serve.workers.busy` — workers currently executing a job.
-    workers_busy: Gauge,
     /// `serve.store.claims` — result-store claims attempted (hit or owner).
     store_claims: Counter,
-    /// `serve.store.publishes` — outcomes published by workers.
+    /// `serve.store.publishes` — outcomes published by their owners.
     store_publishes: Counter,
     /// `serve.store.abandons` — claims released without publishing (shed/closed).
     store_abandons: Counter,
-    /// `serve.jobs.executed` — jobs a worker finished successfully.
+    /// `serve.jobs.executed` — jobs that finished successfully.
     jobs_executed: Counter,
     /// `serve.jobs.failed` — jobs that failed or panicked.
     jobs_failed: Counter,
-    /// `serve.jobs.shed` — requests shed with `overloaded`.
+    /// `serve.jobs.shed` — requests shed with `overloaded` (`subscribe` included).
     jobs_shed: Counter,
 }
 
 impl ServeTelemetry {
     fn bind(registry: &Registry) -> Self {
         ServeTelemetry {
-            queue_depth: registry.gauge("serve.queue.depth"),
-            workers_busy: registry.gauge("serve.workers.busy"),
             store_claims: registry.counter("serve.store.claims"),
             store_publishes: registry.counter("serve.store.publishes"),
             store_abandons: registry.counter("serve.store.abandons"),
@@ -190,13 +159,13 @@ impl ServeTelemetry {
     }
 }
 
-/// The serve engine: the bounded queue, the content-addressed result store, uploaded
+/// The serve engine: the admission gate, the content-addressed result store, uploaded
 /// traces, the telemetry registry, and the shutdown latch. One `Service` is shared by
-/// every connection thread and every worker of a server.
+/// every connection thread of a server.
 pub struct Service {
     config: ServeConfig,
     store: ResultStore,
-    queue: JobQueue<Job>,
+    gate: Gate,
     uploads: Mutex<BTreeMap<String, Upload>>,
     telemetry: Registry,
     metrics: ServeTelemetry,
@@ -218,19 +187,25 @@ impl Service {
             std::process::id(),
             UPLOAD_DIR_SEQ.fetch_add(1, Ordering::Relaxed)
         ));
-        // Each service gets a private registry: worker sessions report into it, so the
+        // Each service gets a private registry: request sessions report into it, so the
         // `metrics` verb sees engine/opt/exp numbers for this server only.
         let telemetry = Registry::new();
         let metrics = ServeTelemetry::bind(&telemetry);
+        let gate = Gate::new(
+            config.workers,
+            config.queue_depth,
+            telemetry.gauge("serve.workers.busy"),
+            telemetry.gauge("serve.queue.depth"),
+        );
         let log: Option<Box<dyn Write + Send>> = if config.log_ndjson {
             Some(Box::new(std::io::stderr()))
         } else {
             None
         };
         Service {
-            queue: JobQueue::new(config.queue_depth),
             config,
             store: ResultStore::new(),
+            gate,
             uploads: Mutex::new(BTreeMap::new()),
             telemetry,
             metrics,
@@ -249,7 +224,7 @@ impl Service {
         &self.config
     }
 
-    /// The service's telemetry registry: every worker session, engine and tuner of
+    /// The service's telemetry registry: every request session, engine and tuner of
     /// this server reports into it, and the `metrics` verb snapshots it.
     pub fn telemetry(&self) -> &Registry {
         &self.telemetry
@@ -278,11 +253,11 @@ impl Service {
         self.shutting_down.load(Ordering::SeqCst)
     }
 
-    /// Starts a graceful shutdown: new jobs are refused with `shutting_down`, queued
-    /// jobs still drain, and [`Service::wait_shutdown`] unblocks.
+    /// Starts a graceful shutdown: new jobs are refused with `shutting_down`, jobs
+    /// waiting at the gate still run, and [`Service::wait_shutdown`] unblocks.
     pub fn begin_shutdown(&self) {
         self.shutting_down.store(true, Ordering::SeqCst);
-        self.queue.close();
+        self.gate.close();
         *self.shutdown_latch.lock().unwrap() = true;
         self.shutdown_signal.notify_all();
     }
@@ -296,56 +271,12 @@ impl Service {
         }
     }
 
-    /// Removes the upload directory (called once the worker pool has drained).
+    /// Waits until the gate is empty — nothing running, nothing waiting — then removes
+    /// the upload directory. Called after [`Service::begin_shutdown`], so the gate
+    /// admits nothing new.
     pub(crate) fn cleanup(&self) {
+        self.gate.wait_idle();
         let _ = std::fs::remove_dir_all(&self.upload_dir);
-    }
-
-    /// The worker-pool body: pop, execute, publish — until close-and-drain. Worker
-    /// panics are caught and published as memoized `internal` failures, so a poisoned
-    /// job can never wedge its waiters or kill the pool.
-    pub fn worker_loop(&self) {
-        while let Some(job) = self.queue.pop() {
-            self.metrics.queue_depth.set(self.queue.len() as u64);
-            self.metrics.workers_busy.add(1);
-            let outcome = match job.task {
-                Task::DebugSleep(pause) => {
-                    std::thread::sleep(pause);
-                    self.metrics.jobs_executed.incr();
-                    Ok(Arc::new(StoredResult::new(Json::obj([(
-                        "slept_ms",
-                        (pause.as_millis() as u64).to_json(),
-                    )]))))
-                }
-                Task::Spec { session, spec } => {
-                    match std::panic::catch_unwind(AssertUnwindSafe(|| session.run_spec(&spec))) {
-                        Ok(Ok(artefact)) => {
-                            self.metrics.jobs_executed.incr();
-                            Ok(Arc::new(StoredResult::new(artefact.to_json())))
-                        }
-                        Ok(Err(e)) => {
-                            self.metrics.jobs_failed.incr();
-                            Err(Arc::new(StoredError {
-                                code: code::JOB_FAILED,
-                                message: e.to_string(),
-                            }))
-                        }
-                        Err(_) => {
-                            self.metrics.jobs_failed.incr();
-                            Err(Arc::new(StoredError {
-                                code: code::INTERNAL,
-                                message: "the job panicked".to_owned(),
-                            }))
-                        }
-                    }
-                }
-            };
-            // Counted before the publish wakes waiters, so a `metrics` request sent
-            // right after a job's reply already sees its publish.
-            self.metrics.store_publishes.incr();
-            self.store.publish(&job.key, outcome);
-            self.metrics.workers_busy.sub(1);
-        }
     }
 
     /// Handles one raw frame: parses it, runs the command, and emits every reply frame
@@ -463,7 +394,7 @@ impl Service {
             }
             "subscribe" => self.cmd_subscribe(doc, id, emit),
             "shutdown" => {
-                let draining = self.queue.len();
+                let draining = self.gate.waiting();
                 self.begin_shutdown();
                 Ok(Reply {
                     result: Json::obj([("draining", draining.to_json())]),
@@ -529,26 +460,31 @@ impl Service {
             .map_err(|e| Refusal::bad_request(e.to_string()))?;
         let session = self.session_for(doc)?;
         let key = session.spec_key(&spec);
-        let stored = self.submit_job(tenant, key, || Task::Spec {
-            session: Box::new(session),
-            spec: Box::new(spec),
+        let result = self.submit_job(tenant, key, || {
+            session
+                .run_spec(&spec)
+                .map(|artefact| artefact.to_json())
+                .map_err(|e| StoredError {
+                    code: code::JOB_FAILED,
+                    message: e.to_string(),
+                })
         })?;
-        Ok(Reply::keep(stored.doc.clone()))
+        Ok(Reply::keep((*result).clone()))
     }
 
-    /// The shared memoized compute path — see the module docs for the claim/enqueue/
-    /// wait choreography.
+    /// The shared memoized compute path: claim `key`; as its owner, take a slot in the
+    /// gate, run `compute` on this thread, publish its outcome and give the slot back.
+    /// A refused admission abandons the claim, so a waiter on the key may own it next. A
+    /// panic in `compute` is published as a memoized `internal` failure, so a poisoned
+    /// job can never wedge its waiters.
     fn submit_job(
         &self,
         tenant: &str,
         key: String,
-        task: impl FnOnce() -> Task,
-    ) -> Result<Arc<StoredResult>, Refusal> {
+        compute: impl FnOnce() -> Result<Json, StoredError>,
+    ) -> Result<Arc<Json>, Refusal> {
         if self.is_shutting_down() {
-            return Err(Refusal::new(
-                code::SHUTTING_DOWN,
-                "the server is draining and accepts no new jobs",
-            ));
+            return Err(Refusal::draining());
         }
         self.metrics.store_claims.incr();
         let outcome = match self.store.claim(&key) {
@@ -556,40 +492,50 @@ impl Service {
                 self.tenant_incr(tenant, "cache_hits");
                 outcome
             }
-            Claim::Owner => match self.queue.submit(Job {
-                key: key.clone(),
-                task: task(),
-            }) {
-                Ok(()) => {
-                    self.tenant_incr(tenant, "cache_misses");
-                    self.metrics.queue_depth.set(self.queue.len() as u64);
-                    self.store.wait(&key).ok_or_else(|| {
-                        Refusal::new(code::INTERNAL, "the computation was abandoned")
-                    })?
-                }
-                Err(SubmitError::Full) => {
+            Claim::Owner => {
+                let _permit = self.admit().inspect_err(|_| {
                     self.store.abandon(&key);
                     self.metrics.store_abandons.incr();
-                    self.metrics.jobs_shed.incr();
-                    return Err(Refusal::new(
-                        code::OVERLOADED,
-                        format!(
-                            "the job queue is full ({} pending jobs); retry later",
-                            self.config.queue_depth
-                        ),
-                    ));
+                })?;
+                self.tenant_incr(tenant, "cache_misses");
+                let outcome =
+                    std::panic::catch_unwind(AssertUnwindSafe(compute)).unwrap_or_else(|_| {
+                        Err(StoredError {
+                            code: code::INTERNAL,
+                            message: "the job panicked".to_owned(),
+                        })
+                    });
+                match outcome {
+                    Ok(_) => self.metrics.jobs_executed.incr(),
+                    Err(_) => self.metrics.jobs_failed.incr(),
                 }
-                Err(SubmitError::Closed) => {
-                    self.store.abandon(&key);
-                    self.metrics.store_abandons.incr();
-                    return Err(Refusal::new(
-                        code::SHUTTING_DOWN,
-                        "the server is draining and accepts no new jobs",
-                    ));
-                }
-            },
+                let outcome = outcome.map(Arc::new).map_err(Arc::new);
+                // Counted before the publish wakes waiters, so a `metrics` request sent
+                // right after a job's reply already sees its publish.
+                self.metrics.store_publishes.incr();
+                self.store.publish(&key, outcome.clone());
+                outcome
+            }
         };
         outcome.map_err(|e| Refusal::new(e.code, e.message.clone()))
+    }
+
+    /// Takes a slot in the gate. An arrival past every waiting place is shed with
+    /// `overloaded` and counted in `serve.jobs.shed`.
+    fn admit(&self) -> Result<Permit<'_>, Refusal> {
+        self.gate.admit().map_err(|refused| match refused {
+            Refused::Overloaded => {
+                self.metrics.jobs_shed.incr();
+                Refusal::new(
+                    code::OVERLOADED,
+                    format!(
+                        "the job queue is full ({} pending jobs); retry later",
+                        self.config.queue_depth
+                    ),
+                )
+            }
+            Refused::Closed => Refusal::draining(),
+        })
     }
 
     /// `upload`: store a text-format trace under a name usable as `{"trace": NAME}`.
@@ -634,8 +580,9 @@ impl Service {
     }
 
     /// `subscribe`: replay on this thread, streaming one `event` frame per observer
-    /// window, then reply with the final statistics. Bypasses the queue and the store —
-    /// a live stream is personal to its connection, not shareable cached bytes.
+    /// window, then reply with the final statistics. It takes a slot in the gate like
+    /// any computation but bypasses the store — a live stream is personal to its
+    /// connection, not shareable cached bytes.
     fn cmd_subscribe(
         &self,
         doc: &Json,
@@ -643,10 +590,7 @@ impl Service {
         emit: &mut (dyn FnMut(&Json) + Send),
     ) -> Result<Reply, Refusal> {
         if self.is_shutting_down() {
-            return Err(Refusal::new(
-                code::SHUTTING_DOWN,
-                "the server is draining and accepts no new jobs",
-            ));
+            return Err(Refusal::draining());
         }
         if let Some(tune) = doc.get("tune") {
             return self.cmd_subscribe_tune(doc, tune, id, emit);
@@ -674,7 +618,8 @@ impl Service {
             .telemetry(self.telemetry.clone())
             .build()
             .map_err(|e| Refusal::bad_request(e.to_string()))?;
-        let run = self.subscribe_workload(doc, &session)?;
+        let selection = self.subscribe_selection(doc)?;
+        let (_permit, run) = self.load_subscribed(selection, &session)?;
         let mut streamer = Streamer {
             emit,
             id,
@@ -694,8 +639,8 @@ impl Service {
 
     /// `subscribe` with a `"tune"` object: run a tuning search on this thread,
     /// streaming one `{"event":"generation"}` frame per completed search round, then
-    /// reply with the full [`TuneOutcome`]. Like the replay form, it bypasses the
-    /// queue and the store — a live stream is personal to its connection.
+    /// reply with the full [`TuneOutcome`]. Like the replay form, it takes a slot in the
+    /// gate and bypasses the store.
     fn cmd_subscribe_tune(
         &self,
         doc: &Json,
@@ -709,7 +654,7 @@ impl Service {
             .telemetry(self.telemetry.clone())
             .build()
             .map_err(|e| Refusal::bad_request(e.to_string()))?;
-        let run = self.subscribe_workload(doc, &session)?;
+        let selection = self.subscribe_selection(doc)?;
         let strategy = match tune.get("strategy") {
             None => StrategyKind::default(),
             Some(v) => {
@@ -742,6 +687,7 @@ impl Service {
             seed,
             ..TuneRequest::default()
         };
+        let (_permit, run) = self.load_subscribed(selection, &session)?;
         let mut streamer = GenerationStreamer {
             emit,
             id,
@@ -759,22 +705,38 @@ impl Service {
         ])))
     }
 
-    /// The workload a `subscribe` names: a corpus entry at the session's scale, or a
-    /// `trace` name ([`resolve_trace`]) loaded with symbols inferred under the session's
-    /// geometry and named as the client named it. A trace that fails to load is refused
-    /// with the loader's error, which names the file: `trace '<path>': <error>`.
-    fn subscribe_workload(&self, doc: &Json, session: &Session) -> Result<WorkloadRun, Refusal> {
-        let (selection, trace) = if let Some(w) = doc.get("workload").and_then(Json::as_str) {
-            let name = w.to_owned();
-            (WorkloadSel::Corpus { name }, None)
+    /// The workload a `subscribe` names, checked before it takes a slot: a corpus name,
+    /// or a `trace` name resolved by [`resolve_trace`] and named as the client named it.
+    fn subscribe_selection<'d>(
+        &self,
+        doc: &'d Json,
+    ) -> Result<(WorkloadSel, Option<&'d str>), Refusal> {
+        if let Some(name) = doc.get("workload").and_then(Json::as_str) {
+            if !CORPUS_NAMES.contains(&name) {
+                return Err(Refusal::bad_request(unknown_workload(name)));
+            }
+            let name = name.to_owned();
+            Ok((WorkloadSel::Corpus { name }, None))
         } else if let Some(t) = doc.get("trace").and_then(Json::as_str) {
             let path = self.trace_path(t)?.display().to_string();
-            (WorkloadSel::Trace { path }, Some(t))
+            Ok((WorkloadSel::Trace { path }, Some(t)))
         } else {
-            return Err(Refusal::bad_request(
+            Err(Refusal::bad_request(
                 "subscribe needs 'workload' (a corpus name) or 'trace' (an uploaded name)",
-            ));
-        };
+            ))
+        }
+    }
+
+    /// Takes a slot in the gate, then loads a [`Service::subscribe_selection`]: a
+    /// corpus entry at the session's scale, or a trace with symbols inferred under the
+    /// session's geometry. A trace that fails to load is refused with the loader's
+    /// error, which names the file: `trace '<path>': <error>`.
+    fn load_subscribed(
+        &self,
+        (selection, trace): (WorkloadSel, Option<&str>),
+        session: &Session,
+    ) -> Result<(Permit<'_>, WorkloadRun), Refusal> {
+        let permit = self.admit()?;
         let config = session.config();
         let mut run = selection
             .load(config.page_size, config.cache.line_size(), session.quick())
@@ -785,12 +747,12 @@ impl Service {
         if let Some(t) = trace {
             run.name = t.to_owned();
         }
-        Ok(run)
+        Ok((permit, run))
     }
 
-    /// `debug_sleep`: occupy one worker slot for `ms` milliseconds. Every call gets a
-    /// fresh key, so sleeps are never deduplicated — they exist to pin workers and fill
-    /// the queue deterministically in lifecycle tests.
+    /// `debug_sleep`: occupy one compute slot for `ms` milliseconds. Every call gets a
+    /// fresh key, so sleeps are never deduplicated — they exist to pin the slots and fill
+    /// the waiting places deterministically in lifecycle tests.
     fn cmd_debug_sleep(&self, doc: &Json, tenant: &str) -> Result<Reply, Refusal> {
         let ms = match doc.get("ms") {
             None => 50,
@@ -799,10 +761,11 @@ impl Service {
                 .ok_or_else(|| Refusal::bad_request("'ms' must be an integer"))?,
         };
         let seq = self.debug_seq.fetch_add(1, Ordering::Relaxed);
-        let stored = self.submit_job(tenant, format!("debug-sleep:{seq}"), || {
-            Task::DebugSleep(Duration::from_millis(ms))
+        let result = self.submit_job(tenant, format!("debug-sleep:{seq}"), || {
+            std::thread::sleep(Duration::from_millis(ms));
+            Ok(Json::obj([("slept_ms", ms.to_json())]))
         })?;
-        Ok(Reply::keep(stored.doc.clone()))
+        Ok(Reply::keep((*result).clone()))
     }
 
     fn status_doc(&self) -> Json {
@@ -815,8 +778,8 @@ impl Service {
                     ("protocol", 1u64.to_json()),
                     ("workers", self.config.workers.to_json()),
                     ("queue_depth", self.config.queue_depth.to_json()),
-                    ("queued", self.queue.len().to_json()),
-                    ("running", self.metrics.workers_busy.get().to_json()),
+                    ("queued", self.gate.waiting().to_json()),
+                    ("running", self.gate.running().to_json()),
                     ("quick", self.config.quick.to_json()),
                     ("shutting_down", self.is_shutting_down().to_json()),
                     ("uptime_ms", self.uptime_ms().to_json()),
@@ -863,16 +826,33 @@ impl Service {
                         .collect(),
                 ),
             ),
-            (
-                "tenants",
-                Json::Obj(
-                    self.tenant_counters()
-                        .into_iter()
-                        .map(|(name, t)| (name, t.to_json()))
-                        .collect(),
-                ),
-            ),
+            ("tenants", self.tenants_doc()),
         ])
+    }
+
+    /// `status.tenants`: one row per tenant, sorted by name, holding every
+    /// [`TENANT_FIELDS`] counter read from its `serve.tenant.<tenant>.<field>` cell.
+    fn tenants_doc(&self) -> Json {
+        let mut tenants: BTreeMap<String, [u64; 4]> = BTreeMap::new();
+        for (name, value) in self.telemetry.counters_with_prefix("serve.tenant.") {
+            let rest = name.strip_prefix("serve.tenant.").expect("prefix scan");
+            let Some((tenant, field)) = rest.rsplit_once('.') else {
+                continue;
+            };
+            let row = tenants.entry(tenant.to_owned()).or_default();
+            if let Some(i) = TENANT_FIELDS.iter().position(|f| *f == field) {
+                row[i] = value;
+            }
+        }
+        Json::Obj(
+            tenants
+                .into_iter()
+                .map(|(tenant, row)| {
+                    let fields = TENANT_FIELDS.into_iter().zip(row);
+                    (tenant, Json::obj(fields.map(|(f, n)| (f, n.to_json()))))
+                })
+                .collect(),
+        )
     }
 
     // ------------------------------------------------------------------ helpers
@@ -930,34 +910,12 @@ impl Service {
         resolve(doc, &self.uploads.lock().unwrap())
     }
 
-    /// Bumps one per-tenant registry counter (`serve.tenant.<tenant>.<field>`). The
-    /// registry replaces the hand-rolled `Mutex<BTreeMap<_, TenantCounters>>` the
-    /// service used to carry; `status` reconstructs the same schema from these cells.
+    /// Bumps one per-tenant registry counter (`serve.tenant.<tenant>.<field>`), one of
+    /// [`TENANT_FIELDS`].
     fn tenant_incr(&self, tenant: &str, field: &str) {
         self.telemetry
             .counter(&format!("serve.tenant.{tenant}.{field}"))
             .incr();
-    }
-
-    /// Reassembles the per-tenant counters from the registry, sorted by tenant name —
-    /// the exact table `status.tenants` always carried.
-    pub fn tenant_counters(&self) -> BTreeMap<String, TenantCounters> {
-        let mut tenants: BTreeMap<String, TenantCounters> = BTreeMap::new();
-        for (name, value) in self.telemetry.counters_with_prefix("serve.tenant.") {
-            let rest = name.strip_prefix("serve.tenant.").expect("prefix scan");
-            let Some((tenant, field)) = rest.rsplit_once('.') else {
-                continue;
-            };
-            let entry = tenants.entry(tenant.to_owned()).or_default();
-            match field {
-                "requests" => entry.requests = value,
-                "errors" => entry.errors = value,
-                "cache_hits" => entry.cache_hits = value,
-                "cache_misses" => entry.cache_misses = value,
-                _ => {}
-            }
-        }
-        tenants
     }
 }
 

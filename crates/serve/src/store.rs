@@ -2,33 +2,15 @@
 //!
 //! Results are memoized under the canonical spec key
 //! ([`Session::spec_key`](column_caching::Session::spec_key)): the first claimant of a
-//! key becomes its *owner* and computes; every concurrent or later claimant blocks on
-//! the in-flight slot and receives the very same [`StoredResult`] — so identical
-//! submissions compute exactly once and every caller replies with byte-identical
-//! artefact text. Failures are memoized too: execution is deterministic, so re-running
-//! a failed key would fail identically.
+//! key becomes its *owner* and computes it on its own thread; every concurrent or later
+//! claimant blocks on the in-flight slot and receives the very same shared document —
+//! so identical submissions compute exactly once and every caller replies with
+//! byte-identical artefact text. Failures are memoized too: execution is deterministic,
+//! so re-running a failed key would fail identically.
 
 use ccache_json::Json;
 use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex};
-
-/// A memoized success: the reply document plus its canonical rendering.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StoredResult {
-    /// The result document embedded in reply frames.
-    pub doc: Json,
-    /// The canonical pretty rendering of `doc` — for artefacts, exactly the bytes
-    /// [`Session::run_spec_bytes`](column_caching::Session::run_spec_bytes) returns.
-    pub bytes: String,
-}
-
-impl StoredResult {
-    /// Wraps a result document, rendering its canonical bytes.
-    pub fn new(doc: Json) -> Self {
-        let bytes = doc.pretty();
-        StoredResult { doc, bytes }
-    }
-}
 
 /// A memoized failure, replayed to every requester of the same key.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -39,8 +21,9 @@ pub struct StoredError {
     pub message: String,
 }
 
-/// What one computation produced.
-pub type Outcome = Result<Arc<StoredResult>, Arc<StoredError>>;
+/// What one computation produced: the result document every reply embeds, or the
+/// failure every reply reports.
+pub type Outcome = Result<Arc<Json>, Arc<StoredError>>;
 
 /// The resolution of a [`ResultStore::claim`].
 #[derive(Debug)]
@@ -58,7 +41,7 @@ pub struct StoreCounters {
     /// Claims served from a published or in-flight computation.
     pub hits: u64,
     /// Claims that started a computation (abandoned claims are subtracted back out,
-    /// so this counts computations actually enqueued).
+    /// so this counts computations actually admitted).
     pub misses: u64,
     /// Published outcomes currently held.
     pub entries: u64,
@@ -112,19 +95,6 @@ impl ResultStore {
         }
     }
 
-    /// Blocks until `key` is published; `None` if it was abandoned instead. The
-    /// owner's wait — it does not touch the hit/miss counters.
-    pub fn wait(&self, key: &str) -> Option<Outcome> {
-        let mut st = self.state.lock().unwrap();
-        loop {
-            match st.slots.get(key) {
-                None => return None,
-                Some(Slot::Done(outcome)) => return Some(outcome.clone()),
-                Some(Slot::InFlight) => st = self.ready.wait(st).unwrap(),
-            }
-        }
-    }
-
     /// Publishes the outcome of `key`, waking every waiter.
     pub fn publish(&self, key: &str, outcome: Outcome) {
         let mut st = self.state.lock().unwrap();
@@ -132,7 +102,7 @@ impl ResultStore {
         self.ready.notify_all();
     }
 
-    /// Abandons an in-flight `key` (its enqueue was refused): the slot is removed, the
+    /// Abandons an in-flight `key` (its admission was refused): the slot is removed, the
     /// owner's miss is subtracted back out, and waiters wake to re-claim.
     pub fn abandon(&self, key: &str) {
         let mut st = self.state.lock().unwrap();
@@ -164,10 +134,6 @@ mod tests {
     use ccache_json::ToJson;
     use std::sync::Arc as StdArc;
 
-    fn result(text: &str) -> Outcome {
-        Ok(StdArc::new(StoredResult::new(text.to_json())))
-    }
-
     #[test]
     fn one_owner_many_hits() {
         let store = StdArc::new(ResultStore::new());
@@ -176,15 +142,20 @@ mod tests {
             .map(|_| {
                 let s = StdArc::clone(&store);
                 std::thread::spawn(move || match s.claim("k") {
-                    Claim::Done(Ok(r)) => r.bytes.clone(),
+                    Claim::Done(Ok(doc)) => doc,
                     other => panic!("expected a shared result, got {other:?}"),
                 })
             })
             .collect();
         std::thread::sleep(std::time::Duration::from_millis(20));
-        store.publish("k", result("v"));
+        let doc = StdArc::new("v".to_json());
+        store.publish("k", Ok(StdArc::clone(&doc)));
         for w in waiters {
-            assert_eq!(w.join().unwrap(), "\"v\"");
+            let hit = w.join().unwrap();
+            assert!(
+                StdArc::ptr_eq(&hit, &doc),
+                "every hit shares the one document"
+            );
         }
         let c = store.counters();
         assert_eq!((c.hits, c.misses, c.entries), (4, 1, 1));

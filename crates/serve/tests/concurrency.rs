@@ -5,10 +5,12 @@
 
 use ccache_exp::ExperimentSpec;
 use ccache_json::{Json, ToJson};
-use ccache_serve::{spawn_test_server, Client};
+use ccache_serve::{spawn_test_server, Client, ServeConfig, Service};
 use column_caching::Session;
 use std::collections::BTreeMap;
+use std::sync::mpsc;
 use std::thread;
+use std::time::Duration;
 
 const CLIENTS: usize = 32;
 
@@ -170,4 +172,32 @@ fn sequential_resubmission_is_served_from_the_store() {
     let counters = server.service().cache_counters();
     assert_eq!((counters.misses, counters.hits), (1, 1));
     server.shutdown();
+}
+
+#[test]
+fn a_socket_free_service_computes_on_the_requesting_thread() {
+    let service = Service::new(ServeConfig {
+        quick: true,
+        ..ServeConfig::default()
+    });
+    let (sent, received) = mpsc::channel();
+    let requester = thread::spawn(move || {
+        let mut frames = Vec::new();
+        let request = br#"{"cmd": "replay", "workload": "fir", "policy": "shared"}"#;
+        service.respond(request, &mut |doc: &Json| frames.push(doc.clone()));
+        let _ = sent.send(frames);
+    });
+    let frames = received
+        .recv_timeout(Duration::from_secs(10))
+        .expect("respond answers without a server around it");
+    requester.join().expect("the requesting thread");
+    assert_eq!(frames.len(), 1);
+    assert_eq!(frames[0].get("ok").and_then(Json::as_bool), Some(true));
+    let spec = ExperimentSpec::from_json(&spec_doc(&"shared".to_json())).expect("spec");
+    let oracle = Session::builder().quick(true).build().expect("session");
+    let (_, oracle_bytes) = oracle.run_spec_bytes(&spec).expect("oracle run");
+    assert_eq!(
+        frames[0].get("result").expect("result document").pretty(),
+        oracle_bytes
+    );
 }

@@ -178,6 +178,78 @@ fn full_queue_sheds_overloaded_without_stalling_other_clients() {
     server.shutdown();
 }
 
+#[test]
+fn subscribes_past_a_full_gate_are_shed_and_the_connection_keeps_serving() {
+    let mut server = spawn_test_server(|config| {
+        config.workers = 1;
+        config.queue_depth = 1;
+    })
+    .expect("bind test server");
+    let addr = server.addr();
+
+    // One sleep holds the only slot and one more waits for it: the gate is full.
+    let running = thread::spawn(move || {
+        let mut client = Client::connect(addr).expect("connect");
+        client.request(&sleep_request(1500)).expect("reply")
+    });
+    wait_for(addr, "the sleep to take the slot", |doc| {
+        server_gauge(doc, "running") == 1
+    });
+    let queued = thread::spawn(move || {
+        let mut client = Client::connect(addr).expect("connect");
+        client.request(&sleep_request(50)).expect("reply")
+    });
+    wait_for(addr, "the waiting place to fill", |doc| {
+        server_gauge(doc, "queued") == 1
+    });
+
+    // Both subscribe forms are shed at once, like any other computation.
+    let mut client = Client::connect(addr).expect("connect");
+    let subscribes = [
+        Json::obj([
+            ("cmd", "subscribe".to_json()),
+            ("workload", "fir".to_json()),
+        ]),
+        Json::obj([
+            ("cmd", "subscribe".to_json()),
+            ("workload", "fir".to_json()),
+            ("tune", Json::obj([("budget", 2u64.to_json())])),
+        ]),
+    ];
+    for request in &subscribes {
+        let started = Instant::now();
+        let refused = client.request(request).expect("overload reply");
+        assert_eq!(
+            error_code(&refused).as_deref(),
+            Some("overloaded"),
+            "{}",
+            refused.compact()
+        );
+        assert!(
+            started.elapsed() < Duration::from_millis(300),
+            "shedding must not wait for capacity"
+        );
+    }
+    assert_eq!(
+        server
+            .service()
+            .telemetry()
+            .counter_value("serve.jobs.shed"),
+        2
+    );
+
+    // The connection stays open: the next status succeeds on it.
+    let status = client
+        .request(&Json::obj([("cmd", "status".to_json())]))
+        .expect("status reply");
+    assert_eq!(status.get("ok").and_then(Json::as_bool), Some(true));
+    for sleeper in [running, queued] {
+        let reply = sleeper.join().expect("sleeping client");
+        assert_eq!(reply.get("ok").and_then(Json::as_bool), Some(true));
+    }
+    server.shutdown();
+}
+
 /// The job counters `metrics` exports (`serve.jobs.*` and the `serve.workers.busy`
 /// gauge) next to the values `status` reports for them.
 fn status_and_metrics_job_counters(addr: SocketAddr) -> (Vec<u64>, Vec<u64>) {

@@ -24,7 +24,7 @@
 //! | [`opt`] (`ccache-opt`) | autotuning: joint search over cache geometries and column assignments with replay-driven fitness |
 //! | [`exp`] (`ccache-exp`) | declarative experiment layer: JSON specs, deduplicating planner, parallel executor, unified artefacts |
 //! | [`telemetry`] (`ccache-telemetry`) | process-wide counters, gauges, histograms and spans with deterministic snapshots (timing quarantined) |
-//! | `ccache-serve` | the `ccache serve` service: NDJSON-over-TCP sessions, a worker pool, and a content-addressed result store keyed by [`Session::spec_key`] |
+//! | `ccache-serve` | the `ccache serve` service: NDJSON-over-TCP sessions behind one admission gate, and a content-addressed result store keyed by [`Session::spec_key`] |
 //!
 //! # Quick start: the `Session` facade
 //!

@@ -24,7 +24,8 @@ pub(crate) enum Refused {
 /// A bounded, first-come first-served count of running computations.
 pub(crate) struct Gate {
     workers: usize,
-    queue_depth: usize,
+    /// Running plus waiting computations past which an arrival is shed.
+    capacity: usize,
     state: Mutex<State>,
     changed: Condvar,
     /// `serve.workers.busy`: computations running.
@@ -61,7 +62,7 @@ impl Gate {
     pub(crate) fn new(workers: usize, queue_depth: usize, running: Gauge, waiting: Gauge) -> Self {
         Gate {
             workers: workers.max(1),
-            queue_depth: queue_depth.max(1),
+            capacity: workers.max(1).saturating_add(queue_depth.max(1)),
             state: Mutex::new(State::default()),
             changed: Condvar::new(),
             running,
@@ -81,7 +82,7 @@ impl Gate {
         if st.closed {
             return Err(Refused::Closed);
         }
-        if st.running + st.waiting() >= self.workers + self.queue_depth {
+        if st.running + st.waiting() >= self.capacity {
             return Err(Refused::Overloaded);
         }
         let ticket = st.issued;
@@ -206,6 +207,11 @@ mod tests {
         }
         assert_eq!(*order.lock().unwrap(), [0, 1, 2, 3, 4, 5]);
         assert_eq!((gate.running(), gate.waiting()), (0, 0));
+    }
+
+    #[test]
+    fn an_unbounded_queue_depth_still_admits() {
+        assert!(gate(1, usize::MAX).admit().is_ok());
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //! bytes. See DESIGN.md's "Serve protocol" section for the full grammar.
 //!
 //! Production behaviours are first-class: bounded admission with structured
-//! `overloaded` shedding (never a dropped connection), per-connection read timeouts,
+//! `overloaded` shedding (never a dropped connection), read and write timeouts,
 //! malformed-frame tolerance (structured error, the connection survives), and graceful
 //! shutdown that drains admitted jobs. Everything protocol-level lives in [`Service`],
 //! which is socket-free and driven directly by the test suite; [`spawn_test_server`]

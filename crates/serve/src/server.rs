@@ -6,6 +6,10 @@
 //! service's admission gate lets it in. Shutdown closes the gate (waiting jobs still
 //! run), wakes the accept loop with a throwaway loopback connection, joins the accept
 //! thread and waits until the gate is empty.
+//!
+//! A frame not written within [`WRITE_TIMEOUT`] closes its connection once the request
+//! ends, dropping the rest of its frames: a client that stops reading holds a compute
+//! slot, and a drain, only that long plus the rest of its `subscribe` replay.
 
 use crate::frame::{read_frame, Frame};
 use crate::service::{error_frame, Service};
@@ -15,6 +19,10 @@ use std::io::{self, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
+use std::time::{Duration, Instant};
+
+/// How long one reply or event frame may take to write before its connection is dropped.
+pub const WRITE_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// A running server: its bound address plus the handles needed to stop it.
 ///
@@ -136,6 +144,7 @@ fn accept_loop(listener: &TcpListener, service: &Arc<Service>) {
 fn handle_connection(service: &Arc<Service>, stream: TcpStream) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(service.config().read_timeout);
+    let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
     let Ok(read_half) = stream.try_clone() else {
         return;
     };
@@ -176,8 +185,23 @@ fn handle_connection(service: &Arc<Service>, stream: TcpStream) {
     }
 }
 
+/// Writes one frame within [`WRITE_TIMEOUT`]: the socket timeout bounds each write, and
+/// the frame's deadline stops a stalled client whose socket takes a few bytes per write.
 fn write_frame(writer: &mut TcpStream, doc: &Json) -> io::Result<()> {
     let mut text = doc.compact();
     text.push('\n');
-    writer.write_all(text.as_bytes())
+    let started = Instant::now();
+    let mut rest = text.as_bytes();
+    while !rest.is_empty() {
+        if started.elapsed() > WRITE_TIMEOUT {
+            return Err(io::ErrorKind::TimedOut.into());
+        }
+        match writer.write(rest) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => rest = &rest[n..],
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
 }

@@ -18,12 +18,11 @@ use crate::gate::{Gate, Permit, Refused};
 use crate::store::{Claim, ResultStore, StoreCounters, StoredError};
 use crate::ServeConfig;
 use ccache_core::observe::{ReplayEvent, ReplayObserver, WindowSample};
-use ccache_exp::spec::unknown_workload;
 use ccache_exp::{ExpError, ExperimentSpec, WorkloadSel};
 use ccache_json::{Json, ToJson};
 use ccache_opt::{GenerationPoint, StrategyKind, TuneProgress, TuneRequest};
 use ccache_telemetry::{bucket_of, Counter, Registry};
-use ccache_workloads::{WorkloadRun, CORPUS_NAMES};
+use ccache_workloads::WorkloadRun;
 use column_caching::Session;
 use std::collections::BTreeMap;
 use std::io::Write;
@@ -92,6 +91,14 @@ impl Refusal {
 
     fn bad_request(message: impl Into<String>) -> Self {
         Refusal::new(code::BAD_REQUEST, message)
+    }
+
+    /// A workload that does not resolve: a spec error by its reason, others as displayed.
+    fn unresolved(e: ExpError) -> Self {
+        Refusal::bad_request(match e {
+            ExpError::BadSpec { reason } => reason,
+            e => e.to_string(),
+        })
     }
 
     fn draining() -> Self {
@@ -712,11 +719,8 @@ impl Service {
         doc: &'d Json,
     ) -> Result<(WorkloadSel, Option<&'d str>), Refusal> {
         if let Some(name) = doc.get("workload").and_then(Json::as_str) {
-            if !CORPUS_NAMES.contains(&name) {
-                return Err(Refusal::bad_request(unknown_workload(name)));
-            }
-            let name = name.to_owned();
-            Ok((WorkloadSel::Corpus { name }, None))
+            let selection = WorkloadSel::corpus(name).map_err(Refusal::unresolved)?;
+            Ok((selection, None))
         } else if let Some(t) = doc.get("trace").and_then(Json::as_str) {
             let path = self.trace_path(t)?.display().to_string();
             Ok((WorkloadSel::Trace { path }, Some(t)))
@@ -740,10 +744,7 @@ impl Service {
         let config = session.config();
         let mut run = selection
             .load(config.page_size, config.cache.line_size(), session.quick())
-            .map_err(|e| match e {
-                ExpError::BadSpec { reason } => Refusal::bad_request(reason),
-                e => Refusal::bad_request(e.to_string()),
-            })?;
+            .map_err(Refusal::unresolved)?;
         if let Some(t) = trace {
             run.name = t.to_owned();
         }

@@ -7,8 +7,11 @@
 //! counters (`running`, `queued`) instead of sleeping on guesses.
 
 use ccache_json::{Json, ToJson};
+use ccache_serve::server::WRITE_TIMEOUT;
 use ccache_serve::{spawn_test_server, Client};
-use std::net::SocketAddr;
+use std::io::Write;
+use std::net::{SocketAddr, TcpStream};
+use std::sync::mpsc;
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -22,7 +25,11 @@ fn status(addr: SocketAddr) -> Json {
 
 /// Polls `status` until `pred` holds (5s cap — generous; the polls are cheap).
 fn wait_for(addr: SocketAddr, what: &str, pred: impl Fn(&Json) -> bool) {
-    let deadline = Instant::now() + Duration::from_secs(5);
+    wait_within(addr, Duration::from_secs(5), what, pred);
+}
+
+fn wait_within(addr: SocketAddr, cap: Duration, what: &str, pred: impl Fn(&Json) -> bool) {
+    let deadline = Instant::now() + cap;
     loop {
         if pred(&status(addr)) {
             return;
@@ -248,6 +255,44 @@ fn subscribes_past_a_full_gate_are_shed_and_the_connection_keeps_serving() {
         assert_eq!(reply.get("ok").and_then(Json::as_bool), Some(true));
     }
     server.shutdown();
+}
+
+#[test]
+fn a_subscriber_that_stops_reading_gives_its_slot_back_at_the_write_timeout() {
+    let mut server = spawn_test_server(|config| {
+        config.workers = 1;
+        config.queue_depth = 1;
+    })
+    .expect("bind test server");
+    let addr = server.addr();
+
+    // Full scale, one frame per window: tens of megabytes of events, more than the
+    // socket buffers hold while nobody reads them.
+    let mut stalled = TcpStream::connect(addr).expect("connect");
+    stalled
+        .write_all(b"{\"cmd\":\"subscribe\",\"workload\":\"gzip\",\"window\":1,\"quick\":false}\n")
+        .expect("send the subscribe");
+    wait_for(addr, "the subscribe to take the slot", |doc| {
+        server_gauge(doc, "running") == 1
+    });
+    // One write timeout plus the rest of the replay, with room to spare.
+    wait_within(
+        addr,
+        2 * WRITE_TIMEOUT,
+        "the stalled subscribe to give its slot back",
+        |doc| server_gauge(doc, "running") == 0,
+    );
+
+    // The stalled client is still connected, and the drain does not wait for it.
+    let (done, finished) = mpsc::channel();
+    thread::spawn(move || {
+        server.shutdown();
+        done.send(()).expect("the test waits");
+    });
+    finished
+        .recv_timeout(Duration::from_secs(10))
+        .expect("shutdown completes");
+    drop(stalled);
 }
 
 /// The job counters `metrics` exports (`serve.jobs.*` and the `serve.workers.busy`
